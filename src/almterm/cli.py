@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -328,16 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"almterm: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    files: list[str] = args.files
-    # analyses are independent; the report stream stays in input order
-    if len(files) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(files))) as pool:
-            results = list(pool.map(lambda f: analyze_file(f, opts), files))
-    else:
-        results = [analyze_file(files[0], opts)]
-
     worst = EXIT_CERTIFIED
-    for report, code in results:
+    for path in args.files:
+        report, code = analyze_file(path, opts)
         if opts.as_json:
             print(json.dumps(report))
         else:

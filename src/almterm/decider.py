@@ -294,14 +294,16 @@ def assemble(program: Program, domain: Domain) -> AlmSystem:
     systems: list[DualSystem] = []
     skipped: list[tuple[str, str]] = []
     for rule in program.rules:
-        if not rule_constraint_satisfiable(rule, domain):
-            skipped.append((rule.rule_id, SKIP_UNSAT))
-            continue
+        # one satisfiability test per rule: build_rule_systems makes it for
+        # every rule that is not a fact
         if rule.is_fact:
-            skipped.append((rule.rule_id, SKIP_FACT))
+            sat = rule_constraint_satisfiable(rule, domain)
+            skipped.append((rule.rule_id, SKIP_FACT if sat else SKIP_UNSAT))
             continue
         built = build_rule_systems(rule, domain, pool, coeff_ids)
-        assert built is not None
+        if built is None:
+            skipped.append((rule.rule_id, SKIP_UNSAT))
+            continue
         systems.extend(built)
     return AlmSystem(domain, tuple(systems), coeff_ids, tuple(skipped), pool)
 

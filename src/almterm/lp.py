@@ -5,6 +5,16 @@ a dense two-phase simplex with Bland's rule, so every run terminates and every
 answer (feasible / infeasible / unbounded / optimal value and point) is exact;
 no floating point appears anywhere.
 
+The simplex tableau is kept as integer rows: each row (and the reduced-cost
+row) is a list of Python ints, the numerators of its entries, over one
+positive denominator of its own.  Python ints never overflow and every update
+is an exact integer identity (a pivot brings a row and the pivot row to a
+common denominator before subtracting, then divides out the row's gcd), so the
+tableau holds exactly the rationals a Fraction tableau would hold, and Bland's
+choices, taken by integer sign tests and cross-multiplied ratio comparisons,
+are the same.  Only rows with a nonzero in the pivot column are updated, and
+within them only the pivot row's nonzero columns.
+
 Feasibility uses a different route than optimisation: instead of solving the
 system directly we solve its row-multiplier alternative (nonnegative
 multipliers that cancel every column while making the combined right-hand side
@@ -18,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .model import EQ, GEQ, LinearConstraint, LinearExpr, VariablePool
@@ -154,72 +164,93 @@ def normalize(
 # ---------------------------------------------------------------------------
 
 
-def _priced(tableau, basis, costs):
+def _to_row(values) -> list[int]:
+    """Rationals as integer numerators over their lcm denominator, which is
+    appended as the last entry."""
+    den = lcm(*[a.denominator for a in values])
+    return [a.numerator * (den // a.denominator) for a in values] + [den]
+
+
+def _reduced(row: list[int]) -> list[int]:
+    """The same values with numerators and denominator divided by their gcd."""
+    if row[-1] == 1:
+        return row
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _clear(row: list[int], prow: list[int], nz: list[int], c: int) -> list[int]:
+    """``row - row[c] * prow`` where ``prow`` holds 1 in column ``c``; only
+    the columns ``nz`` (the nonzeros of ``prow``) are combined."""
+    f = row[c]
+    p = prow[-1]
+    g = gcd(f, p)
+    if g != p:
+        k = p // g
+        row = [a * k for a in row]
+    f //= g
+    for j in nz:
+        row[j] -= f * prow[j]
+    return _reduced(row)
+
+
+def _priced(rows, basis, costs) -> list[int]:
     """Reduced-cost row c - c_B.B^-1.M for the current tableau."""
-    obj = list(costs)
-    for i, bi in enumerate(basis):
-        cb = costs[bi]
-        if cb:
-            row = tableau[i]
-            for j, t in enumerate(row):
-                if t:
-                    obj[j] -= cb * t
-    return obj
+    cost = _to_row(costs)
+    basic = [i for i, b in enumerate(basis) if cost[b]]
+    scale = lcm(*[rows[i][-1] for i in basic])
+    obj = [c * scale for c in cost[:-1]] + [0, cost[-1] * scale]
+    for i in basic:
+        row = rows[i]
+        w = cost[basis[i]] * (scale // row[-1])
+        for j in range(len(row) - 1):
+            a = row[j]
+            if a:
+                obj[j] -= w * a
+    return _reduced(obj)
 
 
-def _pivot(tableau, rhs, basis, obj, r, c) -> None:
-    piv = tableau[r][c]
-    if piv != 1:
-        inv = ONE / piv
-        tableau[r] = [a * inv for a in tableau[r]]
-        rhs[r] = rhs[r] * inv
-    prow = tableau[r]
-    pb = rhs[r]
-    for i, row in enumerate(tableau):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            tableau[i] = [a - f * p for a, p in zip(row, prow)]
-            rhs[i] -= f * pb
-    f = obj[c]
-    if f:
-        for j, p in enumerate(prow):
-            if p:
-                obj[j] -= f * p
+def _pivot(rows, basis, r, c, obj=None) -> None:
+    """Make column ``c`` basic in row ``r`` (and update ``obj`` in place)."""
+    prow = rows[r]
+    p = prow[c]
+    # dividing the row by its pivot entry keeps the numerators over |p|
+    prow = prow[:-1] + [p] if p > 0 else [-a for a in prow[:-1]] + [-p]
+    prow = rows[r] = _reduced(prow)
+    nz = [j for j in range(len(prow) - 1) if prow[j]]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            rows[i] = _clear(row, prow, nz, c)
     basis[r] = c
+    if obj is not None and obj[c]:
+        obj[:] = _clear(obj, prow, nz, c)
 
 
-def _bland(tableau, rhs, basis, obj, eligible: int):
+def _bland(rows, basis, obj, eligible: int):
     """Run Bland-rule pivots until optimal or unbounded.
 
     Only columns < eligible may enter (artificials never re-enter).  Returns
     ("optimal", -1) or ("unbounded", entering_column).
     """
     while True:
-        enter = -1
-        for j in range(eligible):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(eligible) if obj[j] < 0), -1)
         if enter < 0:
             return OPTIMAL, -1
         leave = -1
-        best = None
-        for i, row in enumerate(tableau):
+        for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = rhs[i] / a
+                # ratios rhs/a share the row denominator: compare crosswise
+                b = row[-2]
                 if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
+                    leave < 0
+                    or b * best_a < best_b * a
+                    or (b * best_a == best_b * a and basis[i] < basis[leave])
                 ):
-                    best = ratio
-                    leave = i
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             return UNBOUNDED, enter
-        _pivot(tableau, rhs, basis, obj, leave, enter)
+        _pivot(rows, basis, leave, enter, obj)
 
 
 def _solve_standard(mat, d, costs):
@@ -228,65 +259,62 @@ def _solve_standard(mat, d, costs):
     Returns (status, point, value, duals, ray).  ``duals`` are the phase-one
     equality multipliers and are only returned on INFEASIBLE (that is the one
     place a caller needs them); ``ray`` only on UNBOUNDED.
+
+    Each row is ``[numerators of the columns..., numerator of the rhs,
+    denominator]`` (see :func:`_to_row`).
     """
     m = len(mat)
     ncols = len(costs)
-    tableau: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
     flipped: list[bool] = []
-    for row, b in zip(mat, d):
+    for i, (row, b) in enumerate(zip(mat, d)):
+        ints = _to_row([*row, b])
+        den = ints.pop()
         if b < 0:
-            tableau.append([-a for a in row])
-            rhs.append(-b)
-            flipped.append(True)
-        else:
-            tableau.append(list(row))
-            rhs.append(b)
-            flipped.append(False)
-    # artificial identity block; artificials start basic and never re-enter
-    for i in range(m):
-        tableau[i].extend(ONE if j == i else ZERO for j in range(m))
+            ints = [-a for a in ints]
+        # artificial identity block; artificials start basic
+        rhs = ints.pop()
+        ints += [0] * m
+        ints[ncols + i] = den
+        rows.append(ints + [rhs, den])
+        flipped.append(b < 0)
     basis = list(range(ncols, ncols + m))
 
-    phase1 = [ZERO] * ncols + [ONE] * m
-    obj = _priced(tableau, basis, phase1)
-    status, _ = _bland(tableau, rhs, basis, obj, ncols)
+    obj = _priced(rows, basis, [0] * ncols + [1] * m)
+    status, _ = _bland(rows, basis, obj, ncols)
     assert status == OPTIMAL, "phase one is bounded below by zero"
-    infeasibility = sum((rhs[i] for i in range(m) if basis[i] >= ncols), ZERO)
-    if infeasibility > 0:
-        duals = [ONE - obj[ncols + i] for i in range(m)]
+    if any(row[-2] for row, bi in zip(rows, basis) if bi >= ncols):
+        den = obj[-1]
+        duals = [Fraction(den - obj[ncols + i], den) for i in range(m)]
         duals = [-w if flipped[i] else w for i, w in enumerate(duals)]
         return INFEASIBLE, None, None, duals, None
 
-    # drive leftover artificials out of the basis; drop redundant rows
+    # artificials never re-enter: drop their columns, drive leftover ones out
+    # of the basis and drop the redundant rows they sit in
+    rows = [row[:ncols] + row[-2:] for row in rows]
     drop: list[int] = []
     for i in range(m):
         if basis[i] >= ncols:
-            col = next((j for j in range(ncols) if tableau[i][j] != 0), -1)
+            col = next((j for j in range(ncols) if rows[i][j]), -1)
             if col >= 0:
-                _pivot(tableau, rhs, basis, obj, i, col)
+                _pivot(rows, basis, i, col)
             else:
                 drop.append(i)
     if drop:
-        keep = [i for i in range(len(tableau)) if i not in drop]
-        tableau = [tableau[i] for i in keep]
-        rhs = [rhs[i] for i in keep]
-        basis = [basis[i] for i in keep]
+        rows = [row for i, row in enumerate(rows) if i not in drop]
+        basis = [bi for i, bi in enumerate(basis) if i not in drop]
 
-    full_costs = list(costs) + [ZERO] * m
-    obj = _priced(tableau, basis, full_costs)
-    status, enter = _bland(tableau, rhs, basis, obj, ncols)
+    obj = _priced(rows, basis, costs)
+    status, enter = _bland(rows, basis, obj, ncols)
 
     point = [ZERO] * ncols
-    for i, bi in enumerate(basis):
-        if bi < ncols:
-            point[bi] = rhs[i]
+    for row, bi in zip(rows, basis):
+        point[bi] = Fraction(row[-2], row[-1])
     if status == UNBOUNDED:
         ray = [ZERO] * ncols
         ray[enter] = ONE
-        for i, bi in enumerate(basis):
-            if bi < ncols:
-                ray[bi] = -tableau[i][enter]
+        for row, bi in zip(rows, basis):
+            ray[bi] = Fraction(-row[enter], row[-1])
         return UNBOUNDED, point, None, None, ray
     value = sum((costs[j] * point[j] for j in range(ncols) if point[j]), ZERO)
     return OPTIMAL, point, value, None, None

@@ -28,6 +28,7 @@ from almterm import (
     parse_program,
     verify,
 )
+from almterm import lp
 from almterm.model import equal, geq
 from helpers import load, random_binary_program_text
 
@@ -170,6 +171,29 @@ def test_assemble_counts():
     alm4 = assemble(example4, Q)
     assert len(alm4.systems) == 4
     assert set(alm4.coeff_ids) == {"q"}
+
+
+def test_assemble_tests_each_rule_satisfiability_once(monkeypatch):
+    program = parse_program(
+        "p(x) :- x = 2.\n"
+        "p(x) :- 0 = 1.\n"
+        "p(x) :- x >= 1, 0 >= x, y = x, p(y).\n"
+        "p(x) :- 72 >= x, y = x + 1, p(y).\n"
+        "q(x) :- x >= 1, y = x - 1, p(y).\n"
+    )
+    calls = []
+    real = lp.feasible_point
+
+    def counting(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(lp, "feasible_point", counting)
+    alm = assemble(program, Q)
+    ids = [rule.rule_id for rule in program.rules]
+    assert len(calls) == len(ids) == 5
+    assert alm.skipped == ((ids[0], "fact"), (ids[1], "unsat"), (ids[2], "unsat"))
+    assert len(alm.systems) == 4
 
 
 def test_decide_golden_program():
