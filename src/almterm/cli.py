@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -295,6 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and kept: each parser is a
+# reference cycle that the collector would have to free
+_parser = cache(build_parser)
+
+
 def _resolve_options(args: argparse.Namespace) -> Options:
     config: dict[str, str] = {}
     if args.config:
@@ -320,7 +326,7 @@ def _resolve_options(args: argparse.Namespace) -> Options:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         opts = _resolve_options(args)
     except (AlmtermError, OSError, ValueError) as exc:

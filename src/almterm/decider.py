@@ -17,6 +17,19 @@ therefore projects every per-rule system onto the coefficient variables and
 solves the (low-dimensional) conjunction of the projections.  That keeps the
 solve linear in the number of rules.
 
+Both systems of a rule are instances of its dual cone
+``K = {(z, s) : some y >= 0 has A^T y = z and b.y >= s}``, since ``c -> e.x >= t``
+holds iff ``(e, t)`` lies in ``K`` (the generator view of the encoding:
+Bagnara, Mesnard, Pescetti and Zaffanella, Inf. Comput. 2012).  So each rule's
+constraint becomes integer rows once, ``K`` is projected onto ``(z, s)`` once
+(its rows are homogeneous, so this is pure integer arithmetic), and the
+projection is instantiated twice: ``z`` the decrease objective with ``s = 1``,
+and ``z`` the body-level objective with ``s = 0``.  By Farkas' lemma ``c`` is
+unsatisfiable iff ``(0, 1)`` lies in ``K``, so the same projection tests the
+rule and no LP runs for it.  The explicit multiplier systems
+(:func:`build_rule_systems`) remain as the specification; ``decide`` never
+builds them.
+
 The verifier module re-checks any extracted mapping through plain primal
 minimisation, giving an independent second encoding of the same implications.
 """
@@ -25,18 +38,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .binarize import binarize
 from .lp import (
     LinearSystem,
+    Row,
     deduplicate,
     drop_redundant,
     feasible,
     feasible_point,
+    integer_system,
     normalize,
     project_constraints,
+    rows_system,
 )
 from .model import (
+    EQ,
     GEQ,
     Domain,
     LevelMapping,
@@ -116,19 +134,72 @@ class DualSystem:
 
 
 @dataclass(frozen=True)
+class RuleCone:
+    """The dual cone of one analysed binary rule, projected onto ``(z, s)``.
+
+    ``z_j`` (id ``j``) stands for column ``j`` of the rule's primal system
+    (laid out as in :class:`RulePrimal`) and ``s`` for id ``columns``;
+    ``rows`` are ``>=`` rows (an equality gives two).  ``decrease`` and
+    ``nonneg`` give, per column, the coefficient-variable combination ``z``
+    takes in the two implications.  ``multipliers`` counts the primal rows.
+    """
+
+    rule: Rule
+    columns: int
+    multipliers: int
+    rows: tuple[Row, ...]
+    decrease: tuple[dict[int, int], ...]
+    nonneg: tuple[dict[int, int], ...]
+
+    @property
+    def satisfiable(self) -> bool:
+        """Farkas: the rule constraint is unsatisfiable iff ``(z, s) = (0, 1)``
+        lies in the cone, i.e. no row has a negative ``s`` entry."""
+        return any(coeffs.get(self.columns, 0) < 0 for coeffs, _ in self.rows)
+
+    def instantiate(self, layout: tuple[dict[int, int], ...], s: int) -> list[Row]:
+        """The rows with ``z := layout`` and ``s := s``, over the coefficient
+        variables; ``[0 >= 1]`` when the rule admits no coefficients."""
+        out: list[Row] = []
+        for coeffs, _ in self.rows:
+            row: dict[int, int] = {}
+            for z, c in coeffs.items():
+                if z < self.columns:
+                    for mu, k in layout[z].items():
+                        row[mu] = row.get(mu, 0) + c * k
+            row = {mu: c for mu, c in row.items() if c}
+            bound = -coeffs.get(self.columns, 0) * s
+            if row:
+                out.append((row, bound))
+            elif bound > 0:
+                return [({}, 1)]
+        return out
+
+
+@dataclass(frozen=True)
 class AlmSystem:
-    """Conjunction of all per-rule multiplier systems of a binary program.
+    """Conjunction of all per-rule multiplier systems of a binary program,
+    held as one projected dual cone per analysed rule.
 
     The coefficient variables (one block per predicate, arity + 1 entries
-    starting with the constant) are shared across systems; multipliers are
+    starting with the constant) are shared across rules; multipliers are
     fresh per system.  An empty system is vacuously satisfiable.
     """
 
     domain: Domain
-    systems: tuple[DualSystem, ...]
+    cones: tuple[RuleCone, ...]
     coeff_ids: dict[str, tuple[int, ...]]
     skipped: tuple[tuple[str, str], ...]
     pool: VariablePool
+
+    @cached_property
+    def systems(self) -> tuple[DualSystem, ...]:
+        """The explicit multiplier systems, decrease then body-nonneg for
+        each analysed rule; built (into ``pool``) on first use."""
+        out: list[DualSystem] = []
+        for cone in self.cones:
+            out.extend(build_rule_systems(cone.rule, self.domain, self.pool, self.coeff_ids))
+        return tuple(out)
 
     def all_constraints(self) -> list[LinearConstraint]:
         out: list[LinearConstraint] = []
@@ -138,7 +209,10 @@ class AlmSystem:
 
     @property
     def num_rows(self) -> int:
-        return sum(ds.num_rows for ds in self.systems)
+        """Rows of :attr:`systems`, counted without building them: each
+        system has a balance row per column, the bound row and a
+        nonnegativity row per multiplier."""
+        return sum(2 * (cone.columns + 1 + cone.multipliers) for cone in self.cones)
 
     def coeff_variables(self) -> tuple[int, ...]:
         return tuple(v for ids in self.coeff_ids.values() for v in ids)
@@ -186,6 +260,47 @@ def rule_constraint_satisfiable(rule: Rule, domain: Domain) -> bool:
     return feasible(normalize(rule.constraints, extra_nonneg=_domain_vars(rule, domain)))
 
 
+def _encode(
+    rule: Rule,
+    domain: Domain,
+    one: int,
+    coeff_ids: dict[str, tuple[int, ...]],
+) -> tuple[tuple[int, ...], list[Row], list[dict[int, int]], list[dict[int, int]]]:
+    """A binary rule's constraint with ``one`` pinned to 1, as integer rows
+    over ``(one, head args..., body args..., leftover constraint vars...)``,
+    and per column the coefficient-variable combination that multiplies it
+    in the decrease objective and in the body-level objective."""
+    head, body = rule.head, rule.body[0]
+    pinned = LinearConstraint(LinearExpr.of_var(one), EQ, LinearExpr.of_const(1))
+    variables, rows = integer_system(
+        (pinned,) + rule.constraints,
+        extra_nonneg=_domain_vars(rule, domain),
+        order_hint=(one,) + head.args + body.args,
+    )
+    hc = coeff_ids[head.pred]
+    bc = coeff_ids[body.pred]
+    head_slot = {v: i for i, v in enumerate(head.args, start=1)}
+    body_slot = {v: i for i, v in enumerate(body.args, start=1)}
+    decrease: list[dict[int, int]] = []
+    nonneg: list[dict[int, int]] = []
+    for v in variables:
+        if v == one:
+            decrease.append({} if hc[0] == bc[0] else {hc[0]: 1, bc[0]: -1})
+            nonneg.append({bc[0]: 1})
+        elif v in head_slot:
+            decrease.append({hc[head_slot[v]]: 1})
+            nonneg.append({})
+        elif v in body_slot:
+            decrease.append({bc[body_slot[v]]: -1})
+            nonneg.append({bc[body_slot[v]]: 1})
+        else:
+            # leftover constraint variable (from body splitting): both
+            # objectives ignore it, so its multiplier combination must vanish
+            decrease.append({})
+            nonneg.append({})
+    return variables, rows, decrease, nonneg
+
+
 def build_rule_primal(
     rule: Rule,
     domain: Domain,
@@ -200,50 +315,55 @@ def build_rule_primal(
         raise ModelError(f"rule {rule.rule_id} is not binary")
     if not rule_constraint_satisfiable(rule, domain):
         return None
-
-    head, body = rule.head, rule.body[0]
     one = pool.fresh(f"one[{rule.rule_id}]")
-    pinned = LinearConstraint(
-        LinearExpr.of_var(one), "=", LinearExpr.of_const(1)
-    )
-    system = normalize(
-        (pinned,) + rule.constraints,
-        extra_nonneg=_domain_vars(rule, domain),
-        order_hint=(one,) + head.args + body.args,
-    )
-
-    hc = coeff_ids[head.pred]
-    bc = coeff_ids[body.pred]
-    head_slot = {v: i for i, v in enumerate(head.args, start=1)}
-    body_slot = {v: i for i, v in enumerate(body.args, start=1)}
-
-    decrease: list[LinearExpr] = []
-    nonneg: list[LinearExpr] = []
-    for v in system.variables:
-        if v == one:
-            decrease.append(LinearExpr.of_var(hc[0]) - LinearExpr.of_var(bc[0]))
-            nonneg.append(LinearExpr.of_var(bc[0]))
-        elif v in head_slot:
-            decrease.append(LinearExpr.of_var(hc[head_slot[v]]))
-            nonneg.append(LinearExpr())
-        elif v in body_slot:
-            decrease.append(LinearExpr.of_var(bc[body_slot[v]], -1))
-            nonneg.append(LinearExpr.of_var(bc[body_slot[v]]))
-        else:
-            # leftover constraint variable (from body splitting): both
-            # objectives ignore it, so its multiplier combination must vanish
-            decrease.append(LinearExpr())
-            nonneg.append(LinearExpr())
-
+    variables, rows, decrease, nonneg = _encode(rule, domain, one, coeff_ids)
     return RulePrimal(
         rule.rule_id,
-        system,
+        rows_system(variables, rows),
         one,
-        head.args,
-        body.args,
-        tuple(decrease),
-        tuple(nonneg),
+        rule.head.args,
+        rule.body[0].args,
+        tuple(LinearExpr(d) for d in decrease),
+        tuple(LinearExpr(n) for n in nonneg),
     )
+
+
+# the ``one`` column of a rule's cone: no pool id, since nothing outside the
+# cone refers to it
+_ONE = -1
+
+
+def rule_cone(
+    rule: Rule, domain: Domain, coeff_ids: dict[str, tuple[int, ...]]
+) -> RuleCone:
+    """Project the dual cone of a binary rule with a body (see the module
+    docstring).
+
+    The cone's variables are ``z_j`` (id ``j``) per primal column, ``s`` (id
+    ``n``) and one multiplier ``y_i`` (id ``n + 1 + i``) per primal row; its
+    rows are ``A^T y - z = 0``, ``b.y - s >= 0`` and ``y >= 0``, in the order
+    and with the multiplier order of :func:`build_rule_systems`.
+    """
+    variables, rows, decrease, nonneg = _encode(rule, domain, _ONE, coeff_ids)
+    n = len(variables)
+    column = {v: j for j, v in enumerate(variables)}
+    balance: list[dict[int, int]] = [{} for _ in range(n)]
+    bound: dict[int, int] = {}
+    for y, (coeffs, b) in enumerate(rows, start=n + 1):
+        for v, c in coeffs.items():
+            balance[column[v]][y] = c
+        if b:
+            bound[y] = b
+    for j, row in enumerate(balance):
+        row[j] = -1
+    bound[n] = -1
+    eqs = [(row, 0) for row in balance]
+    ineqs = [(bound, 0)] + [({y: 1}, 0) for y in range(n + 1, n + 1 + len(rows))]
+    projected = project_constraints(eqs, ineqs, range(n + 1))
+    assert projected is not None, "a cone always contains 0"
+    eqs, ineqs = projected
+    split = [r for c, _ in eqs for r in ((c, 0), ({v: -k for v, k in c.items()}, 0))]
+    return RuleCone(rule, n, len(rows), tuple(split + ineqs), tuple(decrease), tuple(nonneg))
 
 
 def _dualize(
@@ -284,46 +404,39 @@ def build_rule_systems(
 
 
 def assemble(program: Program, domain: Domain) -> AlmSystem:
-    """Conjoin the multiplier systems of every contributing rule of a binary
-    program (facts and unsatisfiable rules are skipped, with the reason
-    recorded)."""
+    """Project the dual cone of every rule of a binary program (facts and
+    rules with unsatisfiable constraints are skipped, with the reason
+    recorded).  Facts take one exact satisfiability test each; every other
+    rule is tested by its cone."""
     if not program.is_binary():
         raise ModelError("assemble requires a binary program; binarize first")
     pool = program.pool.clone()
     coeff_ids = coeff_table(program, pool)
-    systems: list[DualSystem] = []
+    cones: list[RuleCone] = []
     skipped: list[tuple[str, str]] = []
     for rule in program.rules:
-        # one satisfiability test per rule: build_rule_systems makes it for
-        # every rule that is not a fact
         if rule.is_fact:
             sat = rule_constraint_satisfiable(rule, domain)
             skipped.append((rule.rule_id, SKIP_FACT if sat else SKIP_UNSAT))
             continue
-        built = build_rule_systems(rule, domain, pool, coeff_ids)
-        if built is None:
-            skipped.append((rule.rule_id, SKIP_UNSAT))
-            continue
-        systems.extend(built)
-    return AlmSystem(domain, tuple(systems), coeff_ids, tuple(skipped), pool)
-
-
-def coefficient_rows(alm: AlmSystem) -> list[LinearConstraint]:
-    """Project every multiplier system onto the coefficient variables and
-    return the conjunction.  Because multipliers are fresh per system, this
-    set of rows has exactly the coefficient-space solutions of the full
-    conjunction."""
-    keep = set(alm.coeff_variables())
-    rows: list[LinearConstraint] = []
-    for ds in alm.systems:
-        projected = project_constraints(ds.all_constraints(), keep)
-        if projected is None:
-            # this rule alone admits no coefficients at all
-            rows.append(
-                LinearConstraint(LinearExpr(), GEQ, LinearExpr.of_const(1))
-            )
+        cone = rule_cone(rule, domain, coeff_ids)
+        if cone.satisfiable:
+            cones.append(cone)
         else:
-            rows.extend(projected)
+            skipped.append((rule.rule_id, SKIP_UNSAT))
+    return AlmSystem(domain, tuple(cones), coeff_ids, tuple(skipped), pool)
+
+
+def coefficient_rows(alm: AlmSystem) -> list[Row]:
+    """The conjunction, as ``>=`` rows over the coefficient variables, of
+    every analysed rule's two projected systems: its cone instantiated for
+    the decrease and for the body-nonneg implication.  Because multipliers
+    are fresh per system, these rows have exactly the coefficient-space
+    solutions of the full conjunction."""
+    rows: list[Row] = []
+    for cone in alm.cones:
+        rows += cone.instantiate(cone.decrease, 1)
+        rows += cone.instantiate(cone.nonneg, 0)
     return rows
 
 
@@ -341,8 +454,9 @@ def extract_witness(alm: AlmSystem, point: dict[int, Fraction]) -> LevelMapping:
 def decide(
     program: Program, domain: Domain, want_projection: bool = False
 ) -> Verdict:
-    """Full decision pipeline: binarize, build and project the multiplier
-    systems, test satisfiability, and extract a witness mapping.
+    """Full decision pipeline: binarize, project each rule's dual cone,
+    instantiate it for both implications, solve the conjunction, and extract
+    a witness mapping.
 
     Over q/q+/r/r+ the answer is exact in both directions.  Over n a
     satisfiable system still proves termination (sound-yes) but an
@@ -350,8 +464,7 @@ def decide(
     """
     binary = binarize(program)
     alm = assemble(binary, domain)
-    order = alm.coeff_variables()
-    coeff_system = deduplicate(normalize(coefficient_rows(alm), order_hint=order))
+    coeff_system = deduplicate(rows_system(alm.coeff_variables(), coefficient_rows(alm)))
     point = feasible_point(coeff_system)
 
     if point is None:

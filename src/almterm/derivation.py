@@ -28,12 +28,14 @@ from typing import Callable, Sequence
 
 from .lp import (
     OPTIMAL,
+    constraint_rows,
     feasible,
     feasible_point,
     fm_project,
     minimize,
     normalize,
     project_constraints,
+    row_constraints,
 )
 from .model import (
     AlmtermError,
@@ -184,9 +186,9 @@ def compact_store(state: DerivationState, domain: Domain) -> DerivationState:
             LinearConstraint(LinearExpr.of_var(v), ">=", LinearExpr.of_const(0))
             for v in sorted(seen)
         ]
-    projected = project_constraints(constraints, live)
+    projected = project_constraints(*constraint_rows(constraints), live)
     assert projected is not None, "only satisfiable stores are compacted"
-    return DerivationState(state.goal, tuple(projected))
+    return DerivationState(state.goal, tuple(row_constraints(*projected)))
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Exact rational linear programming and polyhedral projection.
 
-All systems have the shape ``A x >= b`` with Fraction entries.  The solver is
-a dense two-phase simplex with Bland's rule, so every run terminates and every
-answer (feasible / infeasible / unbounded / optimal value and point) is exact;
-no floating point appears anywhere.
+A :class:`LinearSystem` is a conjunction ``A x >= b`` of exact rationals
+(Fractions, or ints where an entry is whole).  The solver is a dense
+two-phase simplex with Bland's rule, so every run terminates and every answer
+(feasible / infeasible / unbounded / optimal value and point) is exact; no
+floating point appears anywhere.
 
 The simplex tableau is kept as integer rows: each row (and the reduced-cost
 row) is a list of Python ints, the numerators of its entries, over one
@@ -22,6 +23,14 @@ positive).  That alternative has one row per *variable*, so deciding systems
 with thousands of rows over a handful of variables stays cheap, and when the
 alternative is infeasible its phase-one multipliers yield an exact point of
 the original system for free.
+
+Projection works on sparse integer rows (:data:`Row`): a dict of int
+coefficients and a bound.  :func:`project_constraints` is the one routine:
+equality substitution, then Fourier-Motzkin elimination with duplicate and
+dominated rows pruned after every step, all by integer cross-multiplication
+and a gcd.  ``fm_project`` and ``deduplicate`` are entry points into it from
+:class:`LinearSystem`; ``constraint_rows`` and ``row_constraints`` convert
+from and to :class:`LinearConstraint`.
 """
 
 from __future__ import annotations
@@ -40,22 +49,25 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 OPTIMAL = "optimal"
 
+# ``coeffs . x >= bound`` (or ``= bound``): nonzero int coefficients by
+# variable id, and an int bound (a Fraction only once a row has been divided
+# by the gcd of its coefficients)
+Row = tuple[dict[int, int], "int | Fraction"]
+
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Conjunction of rows ``rows[i] . variables >= rhs[i]``."""
+    """Conjunction of rows ``rows[i] . variables >= rhs[i]``; all three
+    fields are tuples."""
 
     variables: tuple[int, ...]
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        object.__setattr__(self, "rhs", tuple(self.rhs))
-        for row in self.rows:
-            if len(row) != len(self.variables):
-                raise ValueError("row length does not match variable count")
+        n = len(self.variables)
+        if any(len(row) != n for row in self.rows):
+            raise ValueError("row length does not match variable count")
         if len(self.rows) != len(self.rhs):
             raise ValueError("row/rhs count mismatch")
 
@@ -108,55 +120,51 @@ class LpOutcome:
         return self.status == OPTIMAL
 
 
+def _gap(c: LinearConstraint) -> tuple[dict[int, Fraction], Fraction]:
+    """``c`` as ``coeffs . x (rel) bound``: the nonzero coefficients of
+    ``lhs - rhs`` (lhs variables first) and ``rhs.const - lhs.const``."""
+    coeffs = dict(c.lhs.coeffs)
+    for v, k in c.rhs.coeffs.items():
+        s = coeffs.get(v, 0) - k
+        if s:
+            coeffs[v] = s
+        else:
+            del coeffs[v]
+    return coeffs, c.rhs.const - c.lhs.const
+
+
+def integer_system(
+    constraints: Iterable[LinearConstraint],
+    extra_nonneg: Iterable[int] = (),
+    order_hint: Sequence[int] = (),
+) -> tuple[tuple[int, ...], list[Row]]:
+    """Mixed =/>= constraints as integer ``>=`` rows and their variables.
+
+    Each constraint gives one row, scaled to coprime integers; an equality
+    is followed by its negation.  Every variable in ``extra_nonneg`` adds one
+    ``x >= 0`` row at the end.  Variable order is deterministic:
+    ``order_hint`` first, then first occurrence.
+    """
+    gaps = [(_integral(*_gap(c)), c.rel) for c in constraints]
+    extra = sorted(extra_nonneg)
+    variables = dict.fromkeys([*order_hint, *[v for (g, _), _ in gaps for v in g], *extra])
+    rows: list[Row] = []
+    for (coeffs, bound), rel in gaps:
+        rows.append((coeffs, bound))
+        if rel == EQ:
+            rows.append(({v: -k for v, k in coeffs.items()}, -bound))
+    rows += [({v: 1}, 0) for v in extra]
+    return tuple(variables), rows
+
+
 def normalize(
     constraints: Iterable[LinearConstraint],
     extra_nonneg: Iterable[int] = (),
     order_hint: Sequence[int] = (),
 ) -> LinearSystem:
-    """Rewrite mixed =/>= constraints as a single ``A x >= b`` system.
-
-    Equalities split into a >= and a <= row (in that order); every variable in
-    ``extra_nonneg`` contributes one ``x >= 0`` row at the end.  Variable
-    order is deterministic: ``order_hint`` first, then first occurrence.
-    """
-    constraints = list(constraints)
-    extra = list(extra_nonneg)
-    variables: list[int] = []
-    seen: set[int] = set()
-
-    def note(v: int) -> None:
-        if v not in seen:
-            seen.add(v)
-            variables.append(v)
-
-    for v in order_hint:
-        note(v)
-    for c in constraints:
-        for v in c.gap().coeffs:
-            note(v)
-    for v in sorted(extra):
-        note(v)
-
-    index = {v: i for i, v in enumerate(variables)}
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def emit(coeffs: Mapping[int, Fraction], bound: Fraction) -> None:
-        row = [ZERO] * len(variables)
-        for v, c in coeffs.items():
-            row[index[v]] = c
-        rows.append(row)
-        rhs.append(bound)
-
-    for c in constraints:
-        g = c.gap()
-        emit(g.coeffs, -g.const)
-        if c.rel == EQ:
-            emit({v: -k for v, k in g.coeffs.items()}, g.const)
-    for v in sorted(extra):
-        emit({v: ONE}, ZERO)
-
-    return LinearSystem(tuple(variables), tuple(tuple(r) for r in rows), tuple(rhs))
+    """Rewrite mixed =/>= constraints as a single ``A x >= b`` system: the
+    rows of :func:`integer_system`, dense."""
+    return rows_system(*integer_system(constraints, extra_nonneg, order_hint))
 
 
 # ---------------------------------------------------------------------------
@@ -432,137 +440,205 @@ def equivalent_systems(a: LinearSystem, b: LinearSystem) -> bool:
     return True
 
 
+
+
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin projection
+# projection over integer rows
 # ---------------------------------------------------------------------------
 
-Row = tuple[dict[int, Fraction], Fraction]  # coeffs . x >= bound
+
+def _integral(coeffs: Mapping[int, Fraction], bound: Fraction) -> Row:
+    """The same row times a positive rational: coprime integer coefficients
+    and bound."""
+    den = lcm(bound.denominator, *[c.denominator for c in coeffs.values()])
+    ints = {v: c.numerator * (den // c.denominator) for v, c in coeffs.items()}
+    b = bound.numerator * (den // bound.denominator)
+    g = gcd(b, *ints.values())
+    if g > 1:
+        return {v: c // g for v, c in ints.items()}, b // g
+    return ints, b
 
 
-def _canon(coeffs: dict[int, Fraction], bound: Fraction) -> Row:
-    """Scale a row to a primitive integer coefficient vector (sign kept)."""
-    denom_lcm = 1
-    for c in coeffs.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    nums = [abs(c.numerator * (denom_lcm // c.denominator)) for c in coeffs.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    factor = Fraction(denom_lcm, g or 1)
-    return ({v: c * factor for v, c in coeffs.items()}, bound * factor)
+def _primitive(coeffs: dict[int, int], bound) -> Row:
+    """The same row divided by the gcd of its coefficients."""
+    g = gcd(*coeffs.values())
+    if g < 2:
+        return coeffs, bound
+    q, r = divmod(bound, g)
+    return {v: c // g for v, c in coeffs.items()}, Fraction(bound, g) if r else q
 
 
-class _Contradiction(Exception):
-    pass
-
-
-def _prune(rows: list[Row]) -> list[Row]:
-    """Drop trivial rows, duplicates, and dominated rows (same direction,
-    weaker bound).  Raises _Contradiction on ``0 >= positive``."""
-    best: dict[tuple, Row] = {}
+def _prune(rows: list[Row]) -> list[Row] | None:
+    """Primitive form, trivial rows dropped, and one row per coefficient
+    direction: the strongest, in the place of the first.  None on a row
+    ``0 >= positive``."""
+    best: dict[frozenset, Row] = {}
     for coeffs, bound in rows:
         if not coeffs:
             if bound > 0:
-                raise _Contradiction
+                return None
             continue
-        canon_coeffs, canon_bound = _canon(coeffs, bound)
-        key = tuple(sorted(canon_coeffs.items()))
+        coeffs, bound = _primitive(coeffs, bound)
+        key = frozenset(coeffs.items())
         old = best.get(key)
-        if old is None or old[1] < canon_bound:
-            best[key] = (canon_coeffs, canon_bound)
+        if old is None or old[1] < bound:
+            best[key] = (coeffs, bound)
     return list(best.values())
 
 
+def _substitute(row: Row, var: int, eq: Row) -> Row:
+    """``row`` with ``var`` solved away through the equality ``eq``: a
+    positive multiple of ``row`` minus a multiple of ``eq``."""
+    coeffs, bound = row
+    f = coeffs.get(var)
+    if not f:
+        return row
+    ecoeffs, ebound = eq
+    a = ecoeffs[var]
+    if a < 0:
+        a, f = -a, -f
+    g = gcd(a, f)
+    a //= g
+    f //= g
+    merged = {v: c * a for v, c in coeffs.items() if v != var}
+    for v, c in ecoeffs.items():
+        if v != var:
+            s = merged.get(v, 0) - f * c
+            if s:
+                merged[v] = s
+            else:
+                del merged[v]
+    return merged, bound * a - ebound * f
+
+
+def _cheapest(rows: list[Row], candidates: set[int]) -> int:
+    """Next variable to eliminate: fewest combined rows (positive times
+    negative occurrences), ties to the smallest id."""
+    pos = dict.fromkeys(candidates, 0)
+    neg = dict.fromkeys(candidates, 0)
+    for coeffs, _ in rows:
+        for v, c in coeffs.items():
+            if v in pos:
+                if c > 0:
+                    pos[v] += 1
+                else:
+                    neg[v] += 1
+    return min(sorted(candidates), key=lambda v: pos[v] * neg[v])
+
+
 def _eliminate(rows: list[Row], var: int) -> list[Row]:
-    """One Fourier-Motzkin step: combine rows of opposite sign on ``var``."""
+    """One Fourier-Motzkin step: rows without ``var``, then every positive
+    combination of a row with ``var > 0`` and one with ``var < 0`` that
+    cancels it."""
     pos: list[Row] = []
     neg: list[Row] = []
     out: list[Row] = []
-    for coeffs, bound in rows:
-        c = coeffs.get(var)
+    for row in rows:
+        c = row[0].get(var)
         if not c:
-            out.append((coeffs, bound))
+            out.append(row)
         elif c > 0:
-            pos.append((coeffs, bound))
+            pos.append(row)
         else:
-            neg.append((coeffs, bound))
+            neg.append(row)
     for pc, pb in pos:
-        a = pc[var]
+        pa = pc[var]
         for nc, nb in neg:
-            b = -nc[var]
-            merged: dict[int, Fraction] = {}
-            for v, c in pc.items():
-                if v != var:
-                    merged[v] = c * b
+            g = gcd(pa, nc[var])
+            a, b = pa // g, -nc[var] // g
+            merged = {v: c * b for v, c in pc.items() if v != var}
             for v, c in nc.items():
-                if v == var:
-                    continue
-                s = merged.get(v, ZERO) + c * a
-                if s:
-                    merged[v] = s
-                elif v in merged:
-                    del merged[v]
+                if v != var:
+                    s = merged.get(v, 0) + c * a
+                    if s:
+                        merged[v] = s
+                    else:
+                        del merged[v]
             out.append((merged, pb * b + nb * a))
     return out
 
 
-def _best_elimination_order(rows: list[Row], candidates: set[int]) -> int:
-    """Next variable to eliminate: smallest pos*neg product (least growth)."""
-    best_var = -1
-    best_score = None
-    for v in sorted(candidates):
-        p = n = 0
-        for coeffs, _ in rows:
-            c = coeffs.get(v)
-            if c:
-                if c > 0:
-                    p += 1
-                else:
-                    n += 1
-        score = p * n
-        if best_score is None or score < best_score:
-            best_score = score
-            best_var = v
-    return best_var
+def project_constraints(
+    eqs: list[Row], ineqs: list[Row], keep: Iterable[int]
+) -> tuple[list[Row], list[Row]] | None:
+    """Existentially project equalities ``eqs`` and inequalities ``ineqs``
+    onto the variables ``keep``: the one projection routine.
 
-def _project_rows(rows: list[Row], keep: set[int]) -> list[Row] | None:
-    """Eliminate all variables outside ``keep``; None means infeasible."""
-    try:
-        rows = _prune(rows)
-        drop = {v for coeffs, _ in rows for v in coeffs} - keep
-        while drop:
-            v = _best_elimination_order(rows, drop)
-            drop.discard(v)
-            rows = _prune(_eliminate(rows, v))
-            drop &= {v for coeffs, _ in rows for v in coeffs}
-    except _Contradiction:
+    Each equality that mentions a variable outside ``keep`` is used to
+    substitute its first such variable away, which costs no row growth;
+    Fourier-Motzkin then eliminates what is left, cheapest variable first,
+    with duplicate and dominated rows pruned after every step.  Every step is
+    integer cross-multiplication and a gcd.  Returns the remaining equalities
+    (all over ``keep``) and the pruned inequalities, or None when the input
+    is (exactly) unsatisfiable.
+    """
+    keep = set(keep)
+    eqs = list(eqs)
+    k = 0
+    while k < len(eqs):
+        eq = eqs[k]
+        var = next((v for v in eq[0] if v not in keep), None)
+        if var is None:
+            k += 1
+            continue
+        del eqs[k]
+        eqs = [_substitute(row, var, eq) for row in eqs]
+        ineqs = [_substitute(row, var, eq) for row in ineqs]
+    if any(not coeffs and bound for coeffs, bound in eqs):
         return None
-    return rows
+
+    rows = _prune(ineqs)
+    if rows is None:
+        return None
+    drop = {v for coeffs, _ in rows for v in coeffs} - keep
+    while drop:
+        var = _cheapest(rows, drop)
+        drop.discard(var)
+        rows = _prune(_eliminate(rows, var))
+        if rows is None:
+            return None
+        drop &= {v for coeffs, _ in rows for v in coeffs}
+    return [_primitive(*eq) for eq in eqs if eq[0]], rows
+
+
+def constraint_rows(
+    constraints: Iterable[LinearConstraint],
+) -> tuple[list[Row], list[Row]]:
+    """Mixed =/>= constraints as integer equalities and inequalities."""
+    eqs: list[Row] = []
+    ineqs: list[Row] = []
+    for c in constraints:
+        (eqs if c.rel == EQ else ineqs).append(_integral(*_gap(c)))
+    return eqs, ineqs
+
+
+def row_constraints(eqs: list[Row], ineqs: list[Row]) -> list[LinearConstraint]:
+    """Integer rows back as constraints, equalities first."""
+    return [
+        LinearConstraint(LinearExpr(coeffs), rel, LinearExpr.of_const(bound))
+        for rows, rel in ((eqs, EQ), (ineqs, GEQ))
+        for coeffs, bound in rows
+    ]
+
+
+def rows_system(variables: Sequence[int], rows: Iterable[Row]) -> LinearSystem:
+    """Inequality rows over ``variables`` as a dense ``A x >= b`` system."""
+    index = {v: i for i, v in enumerate(variables)}
+    dense: list[tuple] = []
+    rhs: list = []
+    for coeffs, bound in rows:
+        row = [0] * len(index)
+        for v, c in coeffs.items():
+            row[index[v]] = c
+        dense.append(tuple(row))
+        rhs.append(bound)
+    return LinearSystem(tuple(variables), tuple(dense), tuple(rhs))
 
 
 def deduplicate(sys: LinearSystem) -> LinearSystem:
     """Cheap syntactic reduction: scale rows to primitive form, then keep only
     the strongest bound per coefficient direction.  Exact and always sound."""
-    rows: list[Row] = []
-    for r in range(sys.num_rows):
-        coeffs = {v: c for v, c in zip(sys.variables, sys.rows[r]) if c}
-        rows.append((coeffs, sys.rhs[r]))
-    try:
-        reduced = _prune(rows)
-    except _Contradiction:
-        return LinearSystem(
-            sys.variables, ((ZERO,) * sys.num_vars,), (ONE,)
-        )
-    index = {v: i for i, v in enumerate(sys.variables)}
-    out_rows = []
-    out_rhs = []
-    for coeffs, bound in reduced:
-        row = [ZERO] * sys.num_vars
-        for v, c in coeffs.items():
-            row[index[v]] = c
-        out_rows.append(tuple(row))
-        out_rhs.append(bound)
-    return LinearSystem(sys.variables, tuple(out_rows), tuple(out_rhs))
+    return fm_project(sys, sys.variables, lp_minimize=False)
 
 
 def drop_redundant(sys: LinearSystem) -> LinearSystem:
@@ -573,7 +649,7 @@ def drop_redundant(sys: LinearSystem) -> LinearSystem:
     while i < len(rows):
         others = rows[:i] + rows[i + 1 :]
         candidate = LinearSystem(
-            sys.variables, tuple(r for r, _ in others), tuple(b for _, b in others)
+            sys.variables, tuple([r for r, _ in others]), tuple([b for _, b in others])
         )
         coeffs = {v: c for v, c in zip(sys.variables, rows[i][0]) if c}
         if entails(candidate, coeffs, rows[i][1]):
@@ -581,7 +657,7 @@ def drop_redundant(sys: LinearSystem) -> LinearSystem:
         else:
             i += 1
     return LinearSystem(
-        sys.variables, tuple(r for r, _ in rows), tuple(b for _, b in rows)
+        sys.variables, tuple([r for r, _ in rows]), tuple([b for _, b in rows])
     )
 
 
@@ -593,98 +669,14 @@ def fm_project(sys: LinearSystem, keep: Iterable[int], lp_minimize: bool = True)
     pairwise LP entailment, which gives an irredundant presentation.
     """
     keep_set = set(keep)
-    kept_vars = tuple(v for v in sys.variables if v in keep_set)
-    rows: list[Row] = []
-    for r in range(sys.num_rows):
-        coeffs = {v: c for v, c in zip(sys.variables, sys.rows[r]) if c}
-        rows.append((coeffs, sys.rhs[r]))
-    projected = _project_rows(rows, keep_set)
+    kept_vars = tuple([v for v in sys.variables if v in keep_set])
+    rows = [
+        _integral({v: c for v, c in zip(sys.variables, row) if c}, b)
+        for row, b in zip(sys.rows, sys.rhs)
+    ]
+    projected = project_constraints([], rows, keep_set)
     if projected is None:
         # canonical empty polyhedron over the kept variables
         return LinearSystem(kept_vars, ((ZERO,) * len(kept_vars),), (ONE,))
-    index = {v: i for i, v in enumerate(kept_vars)}
-    out_rows: list[tuple[Fraction, ...]] = []
-    out_rhs: list[Fraction] = []
-    for coeffs, bound in projected:
-        row = [ZERO] * len(kept_vars)
-        for v, c in coeffs.items():
-            row[index[v]] = c
-        out_rows.append(tuple(row))
-        out_rhs.append(bound)
-    result = LinearSystem(kept_vars, tuple(out_rows), tuple(out_rhs))
+    result = rows_system(kept_vars, projected[1])
     return drop_redundant(result) if lp_minimize else result
-
-
-def project_constraints(
-    constraints: Iterable[LinearConstraint],
-    keep: Iterable[int],
-    lp_minimize: bool = False,
-) -> list[LinearConstraint] | None:
-    """Existentially project mixed =/>= constraints onto ``keep``.
-
-    Equalities are used for exact substitution before any Fourier-Motzkin
-    combination happens, which is what keeps projection of the per-rule
-    multiplier systems cheap.  Returns None when the input is (exactly)
-    unsatisfiable; equalities purely over kept variables survive as
-    equalities.
-    """
-    keep_set = set(keep)
-    eqs: list[Row] = []
-    ineqs: list[Row] = []
-    for c in constraints:
-        g = c.gap()
-        row = (dict(g.coeffs), -g.const)
-        (eqs if c.rel == EQ else ineqs).append(row)
-
-    # substitution pass: solve equalities for variables being eliminated
-    changed = True
-    while changed:
-        changed = False
-        for k, (coeffs, bound) in enumerate(eqs):
-            var = next((v for v in coeffs if v not in keep_set), None)
-            if var is None:
-                continue
-            a = coeffs[var]
-            sub = {v: -c / a for v, c in coeffs.items() if v != var}
-            sub_const = bound / a  # var = sub_const + sub . rest
-            del eqs[k]
-
-            def apply(rows: list[Row]) -> list[Row]:
-                out = []
-                for cs, bd in rows:
-                    f = cs.get(var)
-                    if not f:
-                        out.append((cs, bd))
-                        continue
-                    merged = {v: c for v, c in cs.items() if v != var}
-                    for v, c in sub.items():
-                        s = merged.get(v, ZERO) + f * c
-                        if s:
-                            merged[v] = s
-                        elif v in merged:
-                            del merged[v]
-                    out.append((merged, bd - f * sub_const))
-                return out
-
-            eqs = apply(eqs)
-            ineqs = apply(ineqs)
-            changed = True
-            break
-
-    for coeffs, bound in eqs:
-        if not coeffs and bound != 0:
-            return None
-
-    ineq_rows = _project_rows(ineqs, keep_set)
-    if ineq_rows is None:
-        return None
-
-    def constraint(coeffs: dict[int, Fraction], bound: Fraction, rel: str) -> LinearConstraint:
-        return LinearConstraint(LinearExpr(coeffs), rel, LinearExpr.of_const(bound))
-
-    out = [constraint(c, b, EQ) for c, b in eqs if c]
-    out += [constraint(c, b, GEQ) for c, b in ineq_rows]
-    if lp_minimize and out:
-        sys = normalize(out)
-        return drop_redundant(sys).constraints()
-    return out

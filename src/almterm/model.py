@@ -127,13 +127,23 @@ class LinearExpr:
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "const", rat(self.const))
 
+    @classmethod
+    def _made(cls, coeffs: dict[int, Fraction], const: Fraction) -> "LinearExpr":
+        """An expression from parts that are already normalised (Fraction
+        values, no zero coefficients): the results of arithmetic on
+        expressions skip the coercion of the public constructor."""
+        expr = object.__new__(cls)
+        object.__setattr__(expr, "coeffs", coeffs)
+        object.__setattr__(expr, "const", const)
+        return expr
+
     @staticmethod
     def of_var(vid: int, coeff: int | Fraction = 1) -> "LinearExpr":
         return LinearExpr({vid: rat(coeff)})
 
     @staticmethod
     def of_const(value: int | str | Fraction) -> "LinearExpr":
-        return LinearExpr({}, rat(value))
+        return LinearExpr._made({}, rat(value))
 
     def variables(self) -> set[int]:
         return set(self.coeffs)
@@ -148,8 +158,12 @@ class LinearExpr:
     def __add__(self, other: "LinearExpr") -> "LinearExpr":
         merged = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            merged[v] = merged.get(v, Fraction(0)) + c
-        return LinearExpr(merged, self.const + other.const)
+            s = merged.get(v, 0) + c
+            if s:
+                merged[v] = s
+            else:
+                del merged[v]
+        return LinearExpr._made(merged, self.const + other.const)
 
     def __sub__(self, other: "LinearExpr") -> "LinearExpr":
         return self + (-other)
@@ -159,7 +173,9 @@ class LinearExpr:
 
     def scale(self, k: int | Fraction) -> "LinearExpr":
         k = rat(k)
-        return LinearExpr({v: c * k for v, c in self.coeffs.items()}, self.const * k)
+        if not k:
+            return LinearExpr._made({}, Fraction(0))
+        return LinearExpr._made({v: c * k for v, c in self.coeffs.items()}, self.const * k)
 
     def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
         total = self.const

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import OPTIMAL, UNBOUNDED, LpOutcome, feasible, minimize, normalize
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, feasible, minimize, normalize
 from .model import (
     Atom,
     Domain,
@@ -109,7 +109,9 @@ def _check_pair(
     lm: LevelMapping,
     domain: Domain,
     one_var: int,
-) -> RuleCheck:
+) -> RuleCheck | None:
+    """Both minimisations for one body atom; None when the rule constraint
+    is unsatisfiable (pinning ``one`` to 1 does not change that)."""
     body_atom = rule.body[body_index]
     pinned = LinearConstraint(LinearExpr.of_var(one_var), "=", LinearExpr.of_const(1))
     extra = tuple(sorted(rule.all_vars())) if domain.nonneg else ()
@@ -122,6 +124,8 @@ def _check_pair(
     body_level = _level_expr(lm, body_atom, one_var)
 
     decrease = minimize(system, head_level - body_level)
+    if decrease.status == INFEASIBLE:
+        return None
     body_floor = minimize(system, body_level)
 
     ok_dec = decrease.status == OPTIMAL and decrease.value >= EPSILON
@@ -154,14 +158,17 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
     pool = program.pool.clone()
     checks: list[RuleCheck] = []
     for rule in program.rules:
-        extra = tuple(sorted(rule.all_vars())) if domain.nonneg else ()
-        if not feasible(normalize(rule.constraints, extra_nonneg=extra)):
-            checks.append(RuleCheck(rule.rule_id, None, VACUOUS_UNSAT))
-            continue
         if rule.is_fact:
-            checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT))
+            extra = tuple(sorted(rule.all_vars())) if domain.nonneg else ()
+            sat = feasible(normalize(rule.constraints, extra_nonneg=extra))
+            checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT if sat else VACUOUS_UNSAT))
             continue
         one_var = pool.fresh(f"one[{rule.rule_id}]")
         for idx in range(len(rule.body)):
-            checks.append(_check_pair(rule, idx, lm, domain, one_var))
+            check = _check_pair(rule, idx, lm, domain, one_var)
+            if check is None:
+                # all pairs share the constraint, so this is the first pair
+                checks.append(RuleCheck(rule.rule_id, None, VACUOUS_UNSAT))
+                break
+            checks.append(check)
     return VerifyReport(EPSILON, tuple(checks))

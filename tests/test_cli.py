@@ -147,3 +147,14 @@ def test_no_verify_skips_checks(capsys):
         capsys, "check", str(PROGRAMS / "example72.clp"), "--no-verify"
     )
     assert all("checks" not in entry for entry in report["rules"])
+
+
+def test_main_builds_its_parser_once(capsys):
+    from almterm import cli
+
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert main(["check", str(PROGRAMS / "example72.clp")]) == EXIT_CERTIFIED
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    capsys.readouterr()

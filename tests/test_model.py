@@ -79,6 +79,18 @@ def test_linear_expr_drops_zero_coefficients():
     assert (e - e).const == 0
 
 
+def test_linear_expr_constructor_rejects_floats():
+    with pytest.raises(ModelError):
+        LinearExpr({0: 0.5})
+    with pytest.raises(ModelError):
+        LinearExpr({}, 0.5)
+    # arithmetic keeps exact Fractions without going through the constructor
+    e = LinearExpr({0: 1, 1: Fraction(1, 2)}, 3) - LinearExpr({0: 1}).scale(2)
+    assert e.coeffs == {0: -1, 1: Fraction(1, 2)} and e.const == 3
+    assert all(type(c) is Fraction for c in [*e.coeffs.values(), e.const])
+    assert (e + e.scale(-1)).coeffs == {}
+
+
 def test_linear_expr_arithmetic():
     x = LinearExpr.of_var(0)
     y = LinearExpr.of_var(1)

@@ -112,3 +112,34 @@ def test_ground_instances_respect_definition_exactly():
         body_level = lm.level_of("p", [out.point[y]])
         assert head_level >= body_level + 1
         assert body_level >= 0
+
+
+def test_verify_runs_a_satisfiability_lp_only_for_facts(monkeypatch):
+    """A rule with a body learns that its constraint is unsatisfiable from
+    the status of its first minimisation; only facts take an LP of their
+    own.  Reports are unchanged."""
+    from almterm import lp
+
+    program = parse_program(
+        "p(x) :- x = 2.\n"
+        "p(x) :- 0 = 1.\n"
+        "p(x) :- x >= 1, 0 >= x, y = x, p(y).\n"
+        "p(x) :- 72 >= x, y = x + 1, p(y).\n"
+    )
+    calls = []
+    real = lp.feasible_point
+
+    def counting(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(lp, "feasible_point", counting)
+    report = verify(program, LevelMapping({"p": (73, -1)}), Q)
+    assert len(calls) == 2
+    assert [(c.rule_id, c.body_index, c.status) for c in report.checks] == [
+        ("r1", None, VACUOUS_FACT),
+        ("r2", None, VACUOUS_UNSAT),
+        ("r3", None, VACUOUS_UNSAT),
+        ("r4", 0, PASS),
+    ]
+    assert report.passed
