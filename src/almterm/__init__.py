@@ -77,7 +77,6 @@ from .model import (
     LinearExpr,
     ModelError,
     Program,
-    Rational,
     Rule,
     VariablePool,
     rat,

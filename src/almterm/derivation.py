@@ -2,17 +2,22 @@
 
 States are ``<goal atoms || constraint store>``.  A rewrite picks one goal
 atom, renames a rule of its predicate apart, equates the atom's arguments
-with the renamed head, and conjoins the rule constraint: if the grown store
-is satisfiable the atom is replaced by the rule body, otherwise the state
+with the renamed head, and conjoins the rule constraint.  The grown store is
+existentially projected onto the variables the new goal mentions, and those
+are then eliminated as well: full Fourier-Motzkin elimination is a decision
+procedure over the rationals, so one projection both decides the rewrite and
+yields the next store.  If either step finds a contradiction the state
 collapses to the failure state ``<[] || false>`` (represented by a ``None``
-store).  Only the start atom is ground; later bindings stay symbolic in the
-store, which is all the satisfiability checks need.
+store); otherwise the atom is replaced by the rule body and the projection
+is the new store.  Only the start atom is ground; later bindings stay
+symbolic in the store.
 
-Between rewrites the runner existentially projects the store onto the
-variables the goal still mentions.  That changes nothing observable (the
-projection has the same solutions over the live variables, and rules are
-renamed apart so no future constraint can mention an eliminated variable)
-but keeps stores from growing with derivation length.
+Projecting changes nothing observable (the projection has the same solutions
+over the live variables, and rules are renamed apart so no future constraint
+can mention an eliminated variable) but keeps stores from growing with
+derivation length.  Stores are integer rows (:data:`almterm.lp.Row`); each
+rule's constraint is encoded once (``Rule.rows``) and renaming it apart only
+remaps variable ids.
 
 Step counting: every rewrite application counts, including the final failing
 or fact-resolving one.
@@ -28,6 +33,7 @@ from typing import Callable, Sequence
 
 from .lp import (
     OPTIMAL,
+    Row,
     constraint_rows,
     feasible,
     feasible_point,
@@ -68,15 +74,21 @@ class Floundered(AlmtermError):
 
 @dataclass(frozen=True)
 class DerivationState:
-    """``goal`` atoms still to resolve; ``store`` is the constraint
-    conjunction, or None for the unsatisfiable marker."""
+    """``goal`` atoms still to resolve; ``rows`` is the constraint store as
+    integer equality and inequality rows, or None for the unsatisfiable
+    marker."""
 
     goal: tuple[Atom, ...]
-    store: tuple[LinearConstraint, ...] | None
+    rows: tuple[list[Row], list[Row]] | None
+
+    @property
+    def store(self) -> tuple[LinearConstraint, ...] | None:
+        """The store as constraints, equalities first (built on each access)."""
+        return None if self.rows is None else tuple(row_constraints(*self.rows))
 
     @property
     def failed(self) -> bool:
-        return self.store is None
+        return self.rows is None
 
     @property
     def done(self) -> bool:
@@ -103,39 +115,12 @@ class SelectionRule:
         return rng.randrange(len(goal))
 
 
-def rename_apart(rule: Rule, pool: VariablePool) -> Rule:
-    """Fresh copy of a rule; new ids can never collide with state variables."""
-    mapping: dict[int, int] = {}
-
-    def fresh(v: int) -> int:
-        if v not in mapping:
-            mapping[v] = pool.fresh(pool.name(v) + "'")
-        return mapping[v]
-
-    def ratom(a: Atom) -> Atom:
-        return Atom(a.pred, tuple(fresh(v) for v in a.args))
-
-    def rexpr(e: LinearExpr) -> LinearExpr:
-        return LinearExpr({fresh(v): c for v, c in e.coeffs.items()}, e.const)
-
-    constraints = tuple(
-        LinearConstraint(rexpr(c.lhs), c.rel, rexpr(c.rhs)) for c in rule.constraints
-    )
-    return Rule(rule.rule_id, ratom(rule.head), constraints, tuple(ratom(a) for a in rule.body))
-
-
-def store_satisfiable(
-    constraints: Sequence[LinearConstraint], domain: Domain
-) -> bool:
-    """Exact satisfiability of a store.  Domains with implicit nonnegativity
-    restrict every store variable; over the naturals this is the rational
+def store_satisfiable(rows: tuple[list[Row], list[Row]]) -> bool:
+    """Exact satisfiability of a store over the rationals: Fourier-Motzkin
+    elimination of every variable.  Over the naturals this is the rational
     relaxation (sound for the length-bound check, since integer solutions are
     a subset of the rational ones)."""
-    extra: set[int] = set()
-    if domain.nonneg:
-        for c in constraints:
-            extra.update(c.variables())
-    return feasible(normalize(constraints, extra_nonneg=extra))
+    return project_constraints(*rows, ()) is not None
 
 
 def step(
@@ -147,9 +132,10 @@ def step(
     domain: Domain = Q,
     rng: random.Random | None = None,
 ) -> DerivationState:
-    """One rewrite of ``state``.  ``choose`` picks among the rules of the
-    selected atom's predicate (the semantics itself is nondeterministic).
-    Raises :class:`Floundered` when that predicate has no rules."""
+    """One rewrite of ``state``, with its store already compacted (see
+    :func:`compact_store`).  ``choose`` picks among the rules of the selected
+    atom's predicate (the semantics itself is nondeterministic).  Raises
+    :class:`Floundered` when that predicate has no rules."""
     if state.failed or state.done:
         raise AlmtermError("cannot step a finished state")
     idx = selection.select(state.goal, rng)
@@ -157,38 +143,37 @@ def step(
     candidates = program.rules_for(atom.pred)
     if not candidates:
         raise Floundered(f"no rule for predicate {atom.pred}")
-    renamed = rename_apart(choose(candidates), pool)
-
-    links = tuple(
-        LinearConstraint(LinearExpr.of_var(a), "=", LinearExpr.of_var(h))
-        for a, h in zip(atom.args, renamed.head.args)
+    rule = choose(candidates)
+    # rename apart: fresh ids in the rule's variable order
+    fresh = {v: pool.fresh(pool.name(v) + "'") for v in rule.variables}
+    eqs, ineqs = rule.rows
+    store_eqs, store_ineqs = state.rows
+    links = [({a: 1, fresh[h]: -1}, 0) for a, h in zip(atom.args, rule.head.args)]
+    grown = (
+        store_eqs + links + [({fresh[v]: c for v, c in k.items()}, b) for k, b in eqs],
+        store_ineqs + [({fresh[v]: c for v, c in k.items()}, b) for k, b in ineqs],
     )
-    grown = tuple(state.store) + links + renamed.constraints
-    if not store_satisfiable(grown, domain):
-        return DerivationState((), None)
-    goal = state.goal[:idx] + renamed.body + state.goal[idx + 1 :]
-    return DerivationState(goal, grown)
+    body = tuple(Atom(a.pred, tuple([fresh[v] for v in a.args])) for a in rule.body)
+    goal = state.goal[:idx] + body + state.goal[idx + 1 :]
+    return compact_store(DerivationState(goal, grown), domain)
 
 
 def compact_store(state: DerivationState, domain: Domain) -> DerivationState:
-    """Project the store onto the variables the goal still mentions."""
-    if state.failed or state.store is None:
+    """Project the store onto the variables the goal still mentions, and
+    decide it by eliminating those as well (:func:`store_satisfiable`): the
+    failure state if either finds a contradiction.  Domains with implicit
+    nonnegativity restrict every store variable."""
+    if state.rows is None:
         return state
-    live: set[int] = set()
-    for a in state.goal:
-        live.update(a.args)
-    constraints = list(state.store)
+    eqs, ineqs = state.rows
     if domain.nonneg:
-        seen: set[int] = set()
-        for c in constraints:
-            seen.update(c.variables())
-        constraints += [
-            LinearConstraint(LinearExpr.of_var(v), ">=", LinearExpr.of_const(0))
-            for v in sorted(seen)
-        ]
-    projected = project_constraints(*constraint_rows(constraints), live)
-    assert projected is not None, "only satisfiable stores are compacted"
-    return DerivationState(state.goal, tuple(row_constraints(*projected)))
+        seen = {v for coeffs, _ in eqs + ineqs for v in coeffs}
+        ineqs = ineqs + [({v: 1}, 0) for v in sorted(seen)]
+    live = {v for a in state.goal for v in a.args}
+    projected = project_constraints(eqs, ineqs, live)
+    if projected is None or not store_satisfiable(projected):
+        return DerivationState((), None)
+    return DerivationState(state.goal, projected)
 
 
 @dataclass
@@ -227,18 +212,18 @@ def ground_start(
         if domain.integral and value.denominator != 1:
             raise AlmtermError(f"{value} is not integral, required over {domain.tag}")
     vs = tuple(pool.fresh(f"{pred}_arg{i + 1}") for i in range(arity))
-    store = tuple(
+    pins = [
         LinearConstraint(LinearExpr.of_var(v), "=", LinearExpr.of_const(a))
         for v, a in zip(vs, values)
-    )
-    return DerivationState((Atom(pred, vs),), store)
+    ]
+    return DerivationState((Atom(pred, vs),), constraint_rows(pins))
 
 
 def state_from_query(
     constraints: Sequence[LinearConstraint], atoms: Sequence[Atom]
 ) -> DerivationState:
     """Initial state for a parsed query."""
-    return DerivationState(tuple(atoms), tuple(constraints))
+    return DerivationState(tuple(atoms), constraint_rows(constraints))
 
 
 def run_ground(
@@ -272,7 +257,6 @@ def run_ground(
         except Floundered:
             return Trace(states, steps, FLOUNDERED)
         steps += 1
-        state = compact_store(state, domain)
         states.append(state)
 
 
@@ -454,5 +438,5 @@ def explore(
             continue
         for rule in candidates:
             nxt = step(program, state, sel, lambda _rs, _r=rule: _r, pool, domain)
-            stack.append((compact_store(nxt, domain), used + 1))
+            stack.append((nxt, used + 1))
     return longest, complete

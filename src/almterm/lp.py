@@ -173,10 +173,10 @@ def normalize(
 
 
 def _to_row(values) -> list[int]:
-    """Rationals as integer numerators over their lcm denominator, which is
-    appended as the last entry."""
-    den = lcm(*[a.denominator for a in values])
-    return [a.numerator * (den // a.denominator) for a in values] + [den]
+    """Rationals (Fractions or ints) as integer numerators over the lcm of
+    the nonzero entries' denominators, which is appended as the last entry."""
+    den = lcm(*[a.denominator for a in values if a])
+    return [a.numerator * (den // a.denominator) if a else 0 for a in values] + [den]
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -351,18 +351,18 @@ def minimize(sys: LinearSystem, objective: LinearExpr) -> LpOutcome:
     m = sys.num_rows
     index = {v: i for i, v in enumerate(variables)}
 
-    mat: list[list[Fraction]] = []
+    mat: list[list] = []
     for r in range(m):
-        row = [ZERO] * (2 * n + m)
+        row = [0] * (2 * n + m)
         for v, c in zip(sys.variables, sys.rows[r]):
             if c:
                 k = index[v]
                 row[k] = c
                 row[n + k] = -c
-        row[2 * n + r] = -ONE
+        row[2 * n + r] = -1
         mat.append(row)
     d = list(sys.rhs)
-    costs = [ZERO] * (2 * n + m)
+    costs = [0] * (2 * n + m)
     for v, c in objective.coeffs.items():
         k = index[v]
         costs[k] = c

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar, Iterable, Mapping, Sequence
-
-Rational = Fraction
 
 EQ = "="
 GEQ = ">="
@@ -311,6 +310,27 @@ class Rule:
     def all_vars(self) -> set[int]:
         return self.atom_vars() | self.constraint_vars()
 
+    @cached_property
+    def variables(self) -> tuple[int, ...]:
+        """Every variable once: constraint variables in order of appearance,
+        then head arguments, then body arguments (computed once per rule)."""
+        order: list[int] = []
+        for c in self.constraints:
+            order += c.lhs.coeffs
+            order += c.rhs.coeffs
+        order += self.head.args
+        for a in self.body:
+            order += a.args
+        return tuple(dict.fromkeys(order))
+
+    @cached_property
+    def rows(self) -> tuple[list, list]:
+        """The constraint as integer equality and inequality rows
+        (:func:`almterm.lp.constraint_rows`), encoded once per rule."""
+        from .lp import constraint_rows
+
+        return constraint_rows(self.constraints)
+
     def check_flatness(self, require_local_constraint_vars: bool = True) -> None:
         """Raise ModelError unless atom tuples are pairwise disjoint (and,
         optionally, every constraint variable occurs in some atom)."""
@@ -368,15 +388,6 @@ class Program:
 
     def rules_for(self, pred: str) -> tuple[Rule, ...]:
         return tuple(r for r in self._rules if r.head.pred == pred)
-
-    def rule(self, rule_id: str) -> Rule:
-        for r in self._rules:
-            if r.rule_id == rule_id:
-                return r
-        raise ModelError(f"no rule named {rule_id}")
-
-    def var_name(self, vid: int) -> str:
-        return self._pool.name(vid)
 
     def is_binary(self) -> bool:
         return all(len(r.body) <= 1 for r in self._rules)

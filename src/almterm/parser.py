@@ -15,6 +15,9 @@ Grammar (a repo convention; Prolog-flavoured):
 
 ``a <= b`` is sugar for ``b >= a``.  Numeric literals are integers or
 ``int/int`` rationals; there are no floats.  ``%`` starts a line comment.
+Parentheses and unary minus signs may nest at most :data:`MAX_NESTING`
+deep, and a literal may have at most as many digits as the interpreter
+converts to an int; longer input is a :class:`ParseError`.
 Flatness is enforced: atom arguments are distinct variables, atom tuples
 within a clause are pairwise disjoint, and every constraint variable must
 occur in some atom of its clause.
@@ -37,6 +40,11 @@ from .model import (
     Rule,
     VariablePool,
 )
+
+
+# the expression parser recurses about three frames per level, so this keeps
+# it well inside the interpreter's default recursion limit
+MAX_NESTING = 256
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,7 @@ class _Parser:
         self.file = file
         self.pool = pool
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers ---------------------------------------------------
 
@@ -294,19 +303,28 @@ class _Parser:
 
     def unary(self, scope) -> LinearExpr:
         tok = self.next()
-        if tok.kind == "-":
-            return -self.unary(scope)
+        if tok.kind in ("-", "("):
+            if self.depth == MAX_NESTING:
+                self.fail(f"expression nested more than {MAX_NESTING} deep", tok)
+            self.depth += 1
+            if tok.kind == "-":
+                inner = -self.unary(scope)
+            else:
+                inner = self.expr(scope)
+                self.expect(")")
+            self.depth -= 1
+            return inner
         if tok.kind == "int":
-            return LinearExpr.of_const(int(tok.text))
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than the interpreter converts
+                self.fail(f"numeric literal of {len(tok.text)} digits is too long", tok)
+            return LinearExpr.of_const(value)
         if tok.kind == "ident":
             if self.peek().kind == "(":
                 self.fail("predicates cannot appear inside constraints", tok)
             scope.constraint_uses.append((tok.text, tok))
             return LinearExpr.of_var(scope.var(tok))
-        if tok.kind == "(":
-            inner = self.expr(scope)
-            self.expect(")")
-            return inner
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}", tok)
 
     # -- flatness ----------------------------------------------------------

@@ -1,0 +1,172 @@
+"""Reference derivation step on ``LinearConstraint`` stores (test oracle).
+
+A rewrite renames the chosen rule apart, conjoins the current store, the
+link equalities and the renamed rule constraint as ``LinearConstraint``s,
+decides the conjunction with one exact LP (``feasible(normalize(...))``) and
+then projects it onto the new goal's variables with ``project_constraints``.
+``almterm.derivation`` decides the same rewrite with the projection alone;
+the tests compare the two on traces, failure states and stores.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+from almterm.derivation import FAILURE, FLOUNDERED, MAX_STEPS, SUCCESS, SelectionRule
+from almterm.lp import constraint_rows, feasible, normalize, project_constraints, row_constraints
+from almterm.model import Atom, Domain, LinearConstraint, LinearExpr, Program, Q, Rule, VariablePool
+
+
+@dataclass(frozen=True)
+class OracleState:
+    goal: tuple[Atom, ...]
+    store: tuple[LinearConstraint, ...] | None
+
+    @property
+    def failed(self) -> bool:
+        return self.store is None
+
+
+def rename_apart(rule: Rule, pool: VariablePool) -> Rule:
+    """Fresh copy of a rule: fresh ids for the constraint, head and body
+    variables, in that order."""
+    mapping: dict[int, int] = {}
+
+    def fresh(v: int) -> int:
+        if v not in mapping:
+            mapping[v] = pool.fresh(pool.name(v) + "'")
+        return mapping[v]
+
+    def ratom(a: Atom) -> Atom:
+        return Atom(a.pred, tuple(fresh(v) for v in a.args))
+
+    def rexpr(e: LinearExpr) -> LinearExpr:
+        return LinearExpr({fresh(v): c for v, c in e.coeffs.items()}, e.const)
+
+    constraints = tuple(
+        LinearConstraint(rexpr(c.lhs), c.rel, rexpr(c.rhs)) for c in rule.constraints
+    )
+    return Rule(rule.rule_id, ratom(rule.head), constraints, tuple(ratom(a) for a in rule.body))
+
+
+def store_satisfiable(constraints: Sequence[LinearConstraint], domain: Domain) -> bool:
+    extra: set[int] = set()
+    if domain.nonneg:
+        for c in constraints:
+            extra.update(c.variables())
+    return feasible(normalize(constraints, extra_nonneg=extra))
+
+
+def step(
+    program: Program,
+    state: OracleState,
+    selection: SelectionRule,
+    choose: Callable[[Sequence[Rule]], Rule],
+    pool: VariablePool,
+    domain: Domain = Q,
+    rng: random.Random | None = None,
+) -> OracleState:
+    """One rewrite; the grown store is left uncompacted."""
+    idx = selection.select(state.goal, rng)
+    atom = state.goal[idx]
+    candidates = program.rules_for(atom.pred)
+    if not candidates:
+        raise LookupError(atom.pred)
+    renamed = rename_apart(choose(candidates), pool)
+    links = tuple(
+        LinearConstraint(LinearExpr.of_var(a), "=", LinearExpr.of_var(h))
+        for a, h in zip(atom.args, renamed.head.args)
+    )
+    grown = tuple(state.store) + links + renamed.constraints
+    if not store_satisfiable(grown, domain):
+        return OracleState((), None)
+    goal = state.goal[:idx] + renamed.body + state.goal[idx + 1 :]
+    return OracleState(goal, grown)
+
+
+def compact_store(state: OracleState, domain: Domain) -> OracleState:
+    """Project a satisfiable store onto the variables the goal mentions."""
+    if state.failed:
+        return state
+    live = {v for a in state.goal for v in a.args}
+    constraints = list(state.store)
+    if domain.nonneg:
+        seen: set[int] = set()
+        for c in constraints:
+            seen.update(c.variables())
+        constraints += [
+            LinearConstraint(LinearExpr.of_var(v), ">=", LinearExpr.of_const(0))
+            for v in sorted(seen)
+        ]
+    projected = project_constraints(*constraint_rows(constraints), live)
+    assert projected is not None, "only satisfiable stores are compacted"
+    return OracleState(state.goal, tuple(row_constraints(*projected)))
+
+
+def explore(
+    program: Program, pred: str, args: Sequence, depth: int, domain: Domain = Q
+) -> tuple[int, bool]:
+    """What ``almterm.explore`` returns: every rule choice, leftmost selection."""
+    pool = program.pool.clone()
+    longest = 0
+    complete = True
+    stack = [(start(pred, args, pool), 0)]
+    sel = SelectionRule()
+    while stack:
+        state, used = stack.pop()
+        if state.failed or not state.goal:
+            longest = max(longest, used)
+            continue
+        if used >= depth:
+            complete = False
+            continue
+        candidates = program.rules_for(state.goal[0].pred)
+        if not candidates:
+            longest = max(longest, used)
+            continue
+        for rule in candidates:
+            nxt = step(program, state, sel, lambda _rs, _r=rule: _r, pool, domain)
+            stack.append((compact_store(nxt, domain), used + 1))
+    return longest, complete
+
+
+def start(pred: str, args: Sequence, pool: VariablePool) -> OracleState:
+    vs = tuple(pool.fresh(f"{pred}_arg{i + 1}") for i in range(len(args)))
+    store = tuple(
+        LinearConstraint(LinearExpr.of_var(v), "=", LinearExpr.of_const(a))
+        for v, a in zip(vs, args)
+    )
+    return OracleState((Atom(pred, vs),), store)
+
+
+def run_ground(
+    program: Program,
+    pred: str,
+    args: Sequence,
+    selection: SelectionRule,
+    max_steps: int,
+    seed: int,
+    domain: Domain,
+) -> tuple[list[OracleState], int, str]:
+    """The states, rewrite count and outcome of ``almterm.run_ground``."""
+    rng = random.Random(seed)
+    pool = program.pool.clone()
+    state = start(pred, args, pool)
+    states = [state]
+    steps = 0
+    while True:
+        if state.failed:
+            return states, steps, FAILURE
+        if not state.goal:
+            return states, steps, SUCCESS
+        if steps >= max_steps:
+            return states, steps, MAX_STEPS
+        try:
+            state = step(program, state, selection, rng.choice, pool, domain, rng)
+        except LookupError:
+            return states, steps, FLOUNDERED
+        steps += 1
+        state = compact_store(state, domain)
+        states.append(state)

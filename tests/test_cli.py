@@ -81,6 +81,27 @@ def test_parse_error_reports_span(capsys, tmp_path):
     assert "bad.clp:1" in report["error"]
 
 
+def check_then_valid(capsys, tmp_path, text):
+    """``check`` on a file holding ``text``, then on a valid program."""
+    bad = tmp_path / "bad.clp"
+    bad.write_text(text)
+    code, reports = run_json(capsys, "check", str(bad), str(PROGRAMS / "example72.clp"))
+    assert code == EXIT_INPUT_ERROR
+    assert [r["verdict"] for r in reports][1:] == ["alm-recurrent"]
+    return reports[0]
+
+
+def test_overlong_literal_is_an_input_error(capsys, tmp_path):
+    report = check_then_valid(capsys, tmp_path, "p(x) :- x >= " + "9" * 5000 + ".\n")
+    assert "too long" in report["error"] and "bad.clp:1" in report["error"]
+
+
+def test_deep_nesting_is_an_input_error(capsys, tmp_path):
+    deep = "p(x) :- x >= " + "(" * 400 + "1" + ")" * 400 + ".\n"
+    report = check_then_valid(capsys, tmp_path, deep)
+    assert "nested" in report["error"] and "bad.clp:1" in report["error"]
+
+
 def test_sampling_summary(capsys):
     code, (report,) = run_json(
         capsys, "check", str(PROGRAMS / "example72.clp"),

@@ -1,8 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import almterm.lp
+import derivation_oracle as oracle
 
 from almterm import (
+    N,
     AlmtermError,
     LevelMapping,
     Q,
@@ -11,6 +18,7 @@ from almterm import (
     binarize,
     check_length_bound,
     decide,
+    equivalent_systems,
     explore,
     feasible,
     normalize,
@@ -24,12 +32,13 @@ from almterm.derivation import (
     LEFTMOST,
     MAX_STEPS,
     RANDOM,
+    RIGHTMOST,
     compact_store,
     ground_start,
 )
 from almterm.model import equal, LinearExpr
 from almterm.parser import parse_query
-from helpers import load
+from helpers import load, random_flat_program_text
 
 
 def choose_named(rule_id):
@@ -61,8 +70,9 @@ def test_step_with_recursive_rule():
     assert feasible(pinned)
     off = normalize(list(nxt.store) + [equal(LinearExpr.of_var(y), 74)])
     assert not feasible(off)
-    # conjoined store: start pin, one link equation, two rule constraints
-    assert len(nxt.store) == len(state.store) + 1 + 2
+    # the store is projected onto the new goal: it mentions nothing else
+    goal_vars = {v for a in nxt.goal for v in a.args}
+    assert all(c.variables() <= goal_vars for c in nxt.store)
 
 
 def test_step_with_unsatisfiable_rule_fails():
@@ -220,3 +230,72 @@ def test_multibody_bound_on_binarized_program():
     verdict = decide(program, Q)
     report = check_length_bound(binarize(program), verdict.witness, samples=50, seed=9)
     assert report.passed
+
+
+def agree_with_oracle(program, pred, args, selection, max_steps, seed, domain):
+    """Run ``run_ground`` and the LP-per-rewrite oracle on the same start and
+    check that they agree state by state; returns the trace."""
+    trace = run_ground(program, pred, args, selection, max_steps, seed, domain)
+    states, steps, outcome = oracle.run_ground(
+        program, pred, args, selection, max_steps, seed, domain
+    )
+    assert (trace.steps, trace.outcome) == (steps, outcome)
+    assert [s.failed for s in trace.states] == [s.failed for s in states]
+    for ours, theirs in zip(trace.states, states):
+        assert ours.goal == theirs.goal
+        if not ours.failed and ours.store != theirs.store:
+            assert equivalent_systems(normalize(ours.store), normalize(theirs.store))
+    return trace
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([Q, QPLUS, N]),
+    st.sampled_from(["leftmost", "rightmost", "random"]),
+)
+def test_run_ground_agrees_with_lp_oracle(seed, domain, strategy):
+    rng = random.Random(seed)
+    program = parse_program(random_flat_program_text(rng))
+    pred = rng.choice(sorted(program.arities))
+    args = [rng.randint(0, 9) for _ in range(program.arities[pred])]
+    selection = SelectionRule(strategy, seed=seed)
+    # six rewrites: with several coupled body atoms, the projected stores of
+    # both versions can grow doubly exponentially with derivation length
+    # (thousands of rows after six rewrites), and the oracle pays an LP each
+    agree_with_oracle(program, pred, args, selection, 6, seed, domain)
+
+
+def test_wide_goals_agree_with_lp_oracle():
+    program = parse_program(load("multibody.clp"))
+    for x in (3, 6):
+        assert explore(program, "f", [x], depth=12) == oracle.explore(program, "f", [x], 12)
+    # with rightmost selection every q atom stays live, each tied to the one
+    # before it, so the store grows by two rows per rewrite until p runs out
+    chain = parse_program(
+        "p(x, u) :- x >= 1, y = x - 1, w = u, v >= w + 1, w + 2 >= v, q(w), p(y, v).\n"
+        "q(x) :- x >= 0.\n"
+    )
+    trace = agree_with_oracle(chain, "p", [25, 0], SelectionRule(RIGHTMOST), 40, 0, Q)
+    assert trace.outcome == FAILURE and trace.steps == 26
+    widest = trace.states[-2]
+    assert len(widest.goal) == 26 and len(widest.store) >= 50
+
+
+def test_run_ground_runs_no_lp(monkeypatch):
+    calls = []
+
+    def counted(sys):
+        calls.append(sys)
+        return feasible_point(sys)
+
+    feasible_point = almterm.lp.feasible_point
+    monkeypatch.setattr(almterm.lp, "feasible_point", counted)
+    monkeypatch.setattr(almterm.derivation, "feasible_point", counted)
+    program = parse_program(load("example4.clp"))
+    steps = [
+        run_ground(program, "q", [20], seed=seed, domain=domain).steps
+        for seed in range(3)
+        for domain in (Q, QPLUS, N)
+    ]
+    assert max(steps) > 3 and calls == []

@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from almterm import (
     EQ,
     GEQ,
     FlatnessError,
     ParseError,
+    Program,
     parse_program,
     parse_query,
     pretty_print,
 )
+from almterm.parser import MAX_NESTING
 from helpers import load, random_binary_program_text, random_flat_program_text
 
 
@@ -112,6 +116,34 @@ def test_parse_errors_carry_spans():
     with pytest.raises(ParseError) as err:
         parse_program("p(x)\n  :- x ? 2.")
     assert err.value.span.line == 2
+
+
+def test_nesting_limit_covers_parentheses_and_minus_signs():
+    def nested(opening: str, closing: str, depth: int) -> str:
+        return f"p(x) :- x >= {opening * depth}1{closing * depth}."
+
+    for opening, closing in (("(", ")"), ("-", ""), ("-(", ")")):
+        depth = MAX_NESTING // len(opening)
+        assert len(parse_program(nested(opening, closing, depth)).rules) == 1
+        for too_deep in (depth + 1, 2000):
+            with pytest.raises(ParseError, match="nested"):
+                parse_program(nested(opening, closing, too_deep))
+    assert MAX_NESTING >= 250  # what the recursive parser has always accepted
+
+
+_CLP_PIECES = st.sampled_from(
+    list("()=,.+-*/%\n ") + [":-", "?-", ">=", "<=", "p", "q", "x", "y", "1", "0", "72"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=60), st.lists(_CLP_PIECES, max_size=40).map("".join)))
+def test_parse_program_returns_a_program_or_parse_error(text):
+    try:
+        result = parse_program(text)
+    except ParseError:
+        return
+    assert isinstance(result, Program)
 
 
 def test_atom_argument_must_be_variable():
