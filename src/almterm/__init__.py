@@ -12,18 +12,12 @@ __version__ = "0.1.0"
 from .binarize import binarize
 from .decider import (
     ALM_RECURRENT,
-    BODY_NONNEG,
-    DECREASE,
     NOT_ALM_RECURRENT,
     SOUND_YES,
     UNKNOWN,
     AlmSystem,
-    DualSystem,
-    RulePrimal,
     Verdict,
     assemble,
-    build_rule_primal,
-    build_rule_systems,
     coeff_table,
     decide,
     extract_witness,

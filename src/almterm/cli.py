@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -41,26 +42,38 @@ class Options:
     as_json: bool
 
 
+@contextmanager
+def _exact_digits():
+    """Let ints of any size convert to text, then restore the interpreter's
+    digit limit (4300 by default): a witness, projection row or verifier note
+    may need more digits than the literals of the program it came from."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without a limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _witness_json(lm: LevelMapping) -> dict:
     return {pred: [str(c) for c in vec] for pred, vec in lm.coeffs.items()}
 
 
 def _projection_json(verdict) -> list[dict]:
-    sys = verdict.projection
+    system = verdict.projection
     pool = verdict.alm.pool
     out = []
-    for i in range(sys.num_rows):
-        terms = {
-            pool.name(v): str(c)
-            for v, c in zip(sys.variables, sys.rows[i])
-            if c
-        }
+    for row in system.constraints():
+        coeffs = row.lhs.coeffs
         out.append(
             {
-                "terms": terms,
+                "terms": {pool.name(v): str(coeffs[v]) for v in system.variables if v in coeffs},
                 "rel": ">=",
-                "rhs": str(sys.rhs[i]),
-                "text": sys.row_constraint(i).render(pool),
+                "rhs": str(row.rhs.const),
+                "text": row.render(pool),
             }
         )
     return out
@@ -99,7 +112,10 @@ def _rules_json(binary: Program, skipped: dict[str, str], report: VerifyReport |
 
 
 def analyze_file(path: str, opts: Options) -> tuple[dict, int]:
-    """Produce the report dictionary and exit code for one input file."""
+    """Produce the report dictionary and exit code for one input file.
+
+    The program text is parsed under the interpreter's digit limit; every
+    number computed from it is written out exactly, however long."""
     report: dict = {
         "version": SCHEMA_VERSION,
         "file": path,
@@ -122,6 +138,11 @@ def analyze_file(path: str, opts: Options) -> tuple[dict, int]:
     except ParseError as exc:
         report["error"] = str(exc)
         return report, EXIT_INPUT_ERROR
+    with _exact_digits():
+        return _analyze(program, opts, report)
+
+
+def _analyze(program: Program, opts: Options, report: dict) -> tuple[dict, int]:
     try:
         verdict = decide(program, opts.domain, want_projection=opts.project)
     except AlmtermError as exc:

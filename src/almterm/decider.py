@@ -26,9 +26,9 @@ constraint becomes integer rows once, ``K`` is projected onto ``(z, s)`` once
 projection is instantiated twice: ``z`` the decrease objective with ``s = 1``,
 and ``z`` the body-level objective with ``s = 0``.  By Farkas' lemma ``c`` is
 unsatisfiable iff ``(0, 1)`` lies in ``K``, so the same projection tests the
-rule and no LP runs for it.  The explicit multiplier systems
-(:func:`build_rule_systems`) remain as the specification; ``decide`` never
-builds them.
+rule and no LP runs for it.  The explicit multiplier systems are never
+built; the test suite keeps them as the specification the cones are checked
+against.
 
 The verifier module re-checks any extracted mapping through plain primal
 minimisation, giving an independent second encoding of the same implications.
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .binarize import binarize
 from .lp import (
@@ -48,14 +47,11 @@ from .lp import (
     drop_redundant,
     feasible,
     feasible_point,
-    integer_system,
     normalize,
     project_constraints,
-    rows_system,
 )
 from .model import (
     EQ,
-    GEQ,
     Domain,
     LevelMapping,
     LinearConstraint,
@@ -71,74 +67,18 @@ NOT_ALM_RECURRENT = "not-alm-recurrent"
 SOUND_YES = "sound-yes"
 UNKNOWN = "unknown"
 
-DECREASE = "decrease"
-BODY_NONNEG = "body-nonneg"
-
 SKIP_FACT = "fact"
 SKIP_UNSAT = "unsat"
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class RulePrimal:
-    """The constraint of one binary rule in matrix form, together with the
-    symbolic objective layouts for the two implications.
-
-    ``system`` is ``A x >= b`` over ``(one, head args..., body args...,
-    leftover constraint vars...)`` where ``one`` is pinned to 1 so constant
-    terms become ordinary coefficients.  ``decrease_layout[j]`` /
-    ``nonneg_layout[j]`` give, per column, the coefficient-variable expression
-    that multiplies it in the respective objective.
-    """
-
-    rule_id: str
-    system: LinearSystem
-    one_var: int
-    head_vars: tuple[int, ...]
-    body_vars: tuple[int, ...]
-    decrease_layout: tuple[LinearExpr, ...]
-    nonneg_layout: tuple[LinearExpr, ...]
-
-
-@dataclass(frozen=True)
-class DualSystem:
-    """Multiplier system for one implication of one rule.
-
-    ``balance`` forces the nonnegative multipliers to reproduce the target
-    objective column by column; ``objective >= bound`` forces the combined
-    right-hand side high enough (1 for the decrease, 0 for nonnegativity).
-    """
-
-    rule_id: str
-    kind: str
-    multipliers: tuple[int, ...]
-    balance: tuple[LinearConstraint, ...]
-    objective: LinearExpr
-    bound: Fraction
-
-    def all_constraints(self) -> tuple[LinearConstraint, ...]:
-        nonneg = tuple(
-            LinearConstraint(LinearExpr.of_var(y), GEQ, LinearExpr.of_const(0))
-            for y in self.multipliers
-        )
-        bound_row = LinearConstraint(
-            self.objective, GEQ, LinearExpr.of_const(self.bound)
-        )
-        return self.balance + (bound_row,) + nonneg
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.balance) + 1 + len(self.multipliers)
 
 
 @dataclass(frozen=True)
 class RuleCone:
     """The dual cone of one analysed binary rule, projected onto ``(z, s)``.
 
-    ``z_j`` (id ``j``) stands for column ``j`` of the rule's primal system
-    (laid out as in :class:`RulePrimal`) and ``s`` for id ``columns``;
+    ``z_j`` (id ``j``) stands for column ``j`` of the rule's constraint
+    rows (laid out as by :func:`_encode`) and ``s`` for id ``columns``;
     ``rows`` are ``>=`` rows (an equality gives two).  ``decrease`` and
     ``nonneg`` give, per column, the coefficient-variable combination ``z``
     takes in the two implications.  ``multipliers`` counts the primal rows.
@@ -192,26 +132,11 @@ class AlmSystem:
     skipped: tuple[tuple[str, str], ...]
     pool: VariablePool
 
-    @cached_property
-    def systems(self) -> tuple[DualSystem, ...]:
-        """The explicit multiplier systems, decrease then body-nonneg for
-        each analysed rule; built (into ``pool``) on first use."""
-        out: list[DualSystem] = []
-        for cone in self.cones:
-            out.extend(build_rule_systems(cone.rule, self.domain, self.pool, self.coeff_ids))
-        return tuple(out)
-
-    def all_constraints(self) -> list[LinearConstraint]:
-        out: list[LinearConstraint] = []
-        for ds in self.systems:
-            out.extend(ds.all_constraints())
-        return out
-
     @property
     def num_rows(self) -> int:
-        """Rows of :attr:`systems`, counted without building them: each
-        system has a balance row per column, the bound row and a
-        nonnegativity row per multiplier."""
+        """Rows of the explicit multiplier systems, two per analysed rule,
+        counted without building them: each has a balance row per column,
+        the bound row and a nonnegativity row per multiplier."""
         return sum(2 * (cone.columns + 1 + cone.multipliers) for cone in self.cones)
 
     def coeff_variables(self) -> tuple[int, ...]:
@@ -265,14 +190,14 @@ def _encode(
     domain: Domain,
     one: int,
     coeff_ids: dict[str, tuple[int, ...]],
-) -> tuple[tuple[int, ...], list[Row], list[dict[int, int]], list[dict[int, int]]]:
+) -> tuple[LinearSystem, list[dict[int, int]], list[dict[int, int]]]:
     """A binary rule's constraint with ``one`` pinned to 1, as integer rows
     over ``(one, head args..., body args..., leftover constraint vars...)``,
     and per column the coefficient-variable combination that multiplies it
     in the decrease objective and in the body-level objective."""
     head, body = rule.head, rule.body[0]
     pinned = LinearConstraint(LinearExpr.of_var(one), EQ, LinearExpr.of_const(1))
-    variables, rows = integer_system(
+    system = normalize(
         (pinned,) + rule.constraints,
         extra_nonneg=_domain_vars(rule, domain),
         order_hint=(one,) + head.args + body.args,
@@ -283,7 +208,7 @@ def _encode(
     body_slot = {v: i for i, v in enumerate(body.args, start=1)}
     decrease: list[dict[int, int]] = []
     nonneg: list[dict[int, int]] = []
-    for v in variables:
+    for v in system.variables:
         if v == one:
             decrease.append({} if hc[0] == bc[0] else {hc[0]: 1, bc[0]: -1})
             nonneg.append({bc[0]: 1})
@@ -298,34 +223,7 @@ def _encode(
             # objectives ignore it, so its multiplier combination must vanish
             decrease.append({})
             nonneg.append({})
-    return variables, rows, decrease, nonneg
-
-
-def build_rule_primal(
-    rule: Rule,
-    domain: Domain,
-    pool: VariablePool,
-    coeff_ids: dict[str, tuple[int, ...]],
-) -> RulePrimal | None:
-    """Matrix form of one binary rule, or None when the rule contributes no
-    condition (facts, and rules whose constraint is unsatisfiable)."""
-    if rule.is_fact:
-        return None
-    if len(rule.body) != 1:
-        raise ModelError(f"rule {rule.rule_id} is not binary")
-    if not rule_constraint_satisfiable(rule, domain):
-        return None
-    one = pool.fresh(f"one[{rule.rule_id}]")
-    variables, rows, decrease, nonneg = _encode(rule, domain, one, coeff_ids)
-    return RulePrimal(
-        rule.rule_id,
-        rows_system(variables, rows),
-        one,
-        rule.head.args,
-        rule.body[0].args,
-        tuple(LinearExpr(d) for d in decrease),
-        tuple(LinearExpr(n) for n in nonneg),
-    )
+    return system, decrease, nonneg
 
 
 # the ``one`` column of a rule's cone: no pool id, since nothing outside the
@@ -341,15 +239,16 @@ def rule_cone(
 
     The cone's variables are ``z_j`` (id ``j``) per primal column, ``s`` (id
     ``n``) and one multiplier ``y_i`` (id ``n + 1 + i``) per primal row; its
-    rows are ``A^T y - z = 0``, ``b.y - s >= 0`` and ``y >= 0``, in the order
-    and with the multiplier order of :func:`build_rule_systems`.
+    rows are ``A^T y - z = 0``, ``b.y - s >= 0`` and ``y >= 0``, with the
+    multipliers in the order of the primal rows.
     """
-    variables, rows, decrease, nonneg = _encode(rule, domain, _ONE, coeff_ids)
-    n = len(variables)
-    column = {v: j for j, v in enumerate(variables)}
+    system, decrease, nonneg = _encode(rule, domain, _ONE, coeff_ids)
+    n = system.num_vars
+    m = system.num_rows
+    column = {v: j for j, v in enumerate(system.variables)}
     balance: list[dict[int, int]] = [{} for _ in range(n)]
     bound: dict[int, int] = {}
-    for y, (coeffs, b) in enumerate(rows, start=n + 1):
+    for y, (coeffs, b) in enumerate(system.rows, start=n + 1):
         for v, c in coeffs.items():
             balance[column[v]][y] = c
         if b:
@@ -358,49 +257,12 @@ def rule_cone(
         row[j] = -1
     bound[n] = -1
     eqs = [(row, 0) for row in balance]
-    ineqs = [(bound, 0)] + [({y: 1}, 0) for y in range(n + 1, n + 1 + len(rows))]
+    ineqs = [(bound, 0)] + [({y: 1}, 0) for y in range(n + 1, n + 1 + m)]
     projected = project_constraints(eqs, ineqs, range(n + 1))
     assert projected is not None, "a cone always contains 0"
     eqs, ineqs = projected
     split = [r for c, _ in eqs for r in ((c, 0), ({v: -k for v, k in c.items()}, 0))]
-    return RuleCone(rule, n, len(rows), tuple(split + ineqs), tuple(decrease), tuple(nonneg))
-
-
-def _dualize(
-    primal: RulePrimal,
-    layout: tuple[LinearExpr, ...],
-    bound: Fraction,
-    kind: str,
-    prefix: str,
-    pool: VariablePool,
-) -> DualSystem:
-    sys = primal.system
-    ys = tuple(
-        pool.fresh(f"{prefix}{i + 1}[{primal.rule_id}]") for i in range(sys.num_rows)
-    )
-    balance = []
-    for j in range(sys.num_vars):
-        combo = LinearExpr({ys[i]: sys.rows[i][j] for i in range(sys.num_rows)})
-        balance.append(LinearConstraint(combo, "=", layout[j]))
-    objective = LinearExpr({ys[i]: sys.rhs[i] for i in range(sys.num_rows)})
-    return DualSystem(primal.rule_id, kind, ys, tuple(balance), objective, bound)
-
-
-def build_rule_systems(
-    rule: Rule,
-    domain: Domain,
-    pool: VariablePool,
-    coeff_ids: dict[str, tuple[int, ...]],
-) -> tuple[DualSystem, DualSystem] | None:
-    """The two multiplier systems of a binary rule, or None when the rule is
-    a fact or its constraint is unsatisfiable over the domain."""
-    primal = build_rule_primal(rule, domain, pool, coeff_ids)
-    if primal is None:
-        return None
-    return (
-        _dualize(primal, primal.decrease_layout, ONE, DECREASE, "d", pool),
-        _dualize(primal, primal.nonneg_layout, ZERO, BODY_NONNEG, "n", pool),
-    )
+    return RuleCone(rule, n, m, tuple(split + ineqs), tuple(decrease), tuple(nonneg))
 
 
 def assemble(program: Program, domain: Domain) -> AlmSystem:
@@ -464,7 +326,7 @@ def decide(
     """
     binary = binarize(program)
     alm = assemble(binary, domain)
-    coeff_system = deduplicate(rows_system(alm.coeff_variables(), coefficient_rows(alm)))
+    coeff_system = deduplicate(LinearSystem(alm.coeff_variables(), tuple(coefficient_rows(alm))))
     point = feasible_point(coeff_system)
 
     if point is None:

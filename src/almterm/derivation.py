@@ -297,7 +297,7 @@ def sample_starts(
         if head.arity == 0:
             add(head.pred, ())
             continue
-        projected = fm_project(system, head.args, lp_minimize=False)
+        projected = fm_project(system, head.args)
         points: list[dict[int, Fraction]] = []
         base = feasible_point(projected)
         if base is not None:

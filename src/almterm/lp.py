@@ -1,10 +1,11 @@
 """Exact rational linear programming and polyhedral projection.
 
-A :class:`LinearSystem` is a conjunction ``A x >= b`` of exact rationals
-(Fractions, or ints where an entry is whole).  The solver is a dense
-two-phase simplex with Bland's rule, so every run terminates and every answer
-(feasible / infeasible / unbounded / optimal value and point) is exact; no
-floating point appears anywhere.
+A linear row (:data:`Row`) is sparse: a dict of nonzero int coefficients by
+variable id and an exact bound.  A :class:`LinearSystem` is a conjunction of
+``>=`` rows over a tuple of variables, which fixes the column order of the
+solver.  The solver is a two-phase simplex with Bland's rule, so every run
+terminates and every answer (feasible / infeasible / unbounded / optimal
+value and point) is exact; no floating point appears anywhere.
 
 The simplex tableau is kept as integer rows: each row (and the reduced-cost
 row) is a list of Python ints, the numerators of its entries, over one
@@ -24,13 +25,12 @@ with thousands of rows over a handful of variables stays cheap, and when the
 alternative is infeasible its phase-one multipliers yield an exact point of
 the original system for free.
 
-Projection works on sparse integer rows (:data:`Row`): a dict of int
-coefficients and a bound.  :func:`project_constraints` is the one routine:
-equality substitution, then Fourier-Motzkin elimination with duplicate and
-dominated rows pruned after every step, all by integer cross-multiplication
-and a gcd.  ``fm_project`` and ``deduplicate`` are entry points into it from
-:class:`LinearSystem`; ``constraint_rows`` and ``row_constraints`` convert
-from and to :class:`LinearConstraint`.
+Projection works on the same rows.  :func:`project_constraints` is the one
+routine: equality substitution, then Fourier-Motzkin elimination with
+duplicate and dominated rows pruned after every step, all by integer
+cross-multiplication and a gcd.  ``fm_project`` and ``deduplicate`` hand a
+system's rows to it unchanged; ``normalize``, ``constraint_rows`` and
+``row_constraints`` convert from and to :class:`LinearConstraint`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .model import EQ, GEQ, LinearConstraint, LinearExpr, VariablePool
+from .model import EQ, GEQ, LinearConstraint, LinearExpr
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,19 +57,16 @@ Row = tuple[dict[int, int], "int | Fraction"]
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Conjunction of rows ``rows[i] . variables >= rhs[i]``; all three
-    fields are tuples."""
+    """Conjunction of the ``>=`` rows ``rows`` over ``variables`` (which fixes
+    the solver's column order); both fields are tuples."""
 
     variables: tuple[int, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.variables)
-        if any(len(row) != n for row in self.rows):
-            raise ValueError("row length does not match variable count")
-        if len(self.rows) != len(self.rhs):
-            raise ValueError("row/rhs count mismatch")
+        known = set(self.variables)
+        if any(not known.issuperset(coeffs) for coeffs, _ in self.rows):
+            raise ValueError("a row mentions a variable outside the system's variables")
 
     @property
     def num_rows(self) -> int:
@@ -80,26 +77,13 @@ class LinearSystem:
         return len(self.variables)
 
     def satisfied_by(self, assignment: Mapping[int, Fraction]) -> bool:
-        for row, b in zip(self.rows, self.rhs):
-            total = ZERO
-            for v, c in zip(self.variables, row):
-                if c:
-                    total += c * assignment[v]
-            if total < b:
-                return False
-        return True
-
-    def row_expr(self, i: int) -> LinearExpr:
-        return LinearExpr({v: c for v, c in zip(self.variables, self.rows[i]) if c})
-
-    def row_constraint(self, i: int) -> LinearConstraint:
-        return LinearConstraint(self.row_expr(i), GEQ, LinearExpr.of_const(self.rhs[i]))
+        return all(
+            sum(c * assignment[v] for v, c in coeffs.items()) >= bound
+            for coeffs, bound in self.rows
+        )
 
     def constraints(self) -> list[LinearConstraint]:
-        return [self.row_constraint(i) for i in range(self.num_rows)]
-
-    def render(self, names: VariablePool | None = None) -> str:
-        return "\n".join(c.render(names) for c in self.constraints())
+        return row_constraints([], self.rows)
 
 
 @dataclass(frozen=True)
@@ -115,10 +99,6 @@ class LpOutcome:
     point: dict[int, Fraction] | None = None
     ray: dict[int, Fraction] | None = None
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
-
 
 def _gap(c: LinearConstraint) -> tuple[dict[int, Fraction], Fraction]:
     """``c`` as ``coeffs . x (rel) bound``: the nonzero coefficients of
@@ -133,12 +113,12 @@ def _gap(c: LinearConstraint) -> tuple[dict[int, Fraction], Fraction]:
     return coeffs, c.rhs.const - c.lhs.const
 
 
-def integer_system(
+def normalize(
     constraints: Iterable[LinearConstraint],
     extra_nonneg: Iterable[int] = (),
     order_hint: Sequence[int] = (),
-) -> tuple[tuple[int, ...], list[Row]]:
-    """Mixed =/>= constraints as integer ``>=`` rows and their variables.
+) -> LinearSystem:
+    """Mixed =/>= constraints as one system of integer ``>=`` rows.
 
     Each constraint gives one row, scaled to coprime integers; an equality
     is followed by its negation.  Every variable in ``extra_nonneg`` adds one
@@ -154,17 +134,7 @@ def integer_system(
         if rel == EQ:
             rows.append(({v: -k for v, k in coeffs.items()}, -bound))
     rows += [({v: 1}, 0) for v in extra]
-    return tuple(variables), rows
-
-
-def normalize(
-    constraints: Iterable[LinearConstraint],
-    extra_nonneg: Iterable[int] = (),
-    order_hint: Sequence[int] = (),
-) -> LinearSystem:
-    """Rewrite mixed =/>= constraints as a single ``A x >= b`` system: the
-    rows of :func:`integer_system`, dense."""
-    return rows_system(*integer_system(constraints, extra_nonneg, order_hint))
+    return LinearSystem(tuple(variables), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +322,15 @@ def minimize(sys: LinearSystem, objective: LinearExpr) -> LpOutcome:
     index = {v: i for i, v in enumerate(variables)}
 
     mat: list[list] = []
-    for r in range(m):
+    for r, (coeffs, _) in enumerate(sys.rows):
         row = [0] * (2 * n + m)
-        for v, c in zip(sys.variables, sys.rows[r]):
-            if c:
-                k = index[v]
-                row[k] = c
-                row[n + k] = -c
+        for v, c in coeffs.items():
+            k = index[v]
+            row[k] = c
+            row[n + k] = -c
         row[2 * n + r] = -1
         mat.append(row)
-    d = list(sys.rhs)
+    d = [bound for _, bound in sys.rows]
     costs = [0] * (2 * n + m)
     for v, c in objective.coeffs.items():
         k = index[v]
@@ -403,8 +372,12 @@ def feasible_point(sys: LinearSystem) -> dict[int, Fraction] | None:
         return {v: ZERO for v in sys.variables}
     # alternative: columns are one multiplier per original row; rows force the
     # multipliers to cancel every variable and to combine the rhs to 1
-    mat = [[sys.rows[i][k] for i in range(m)] for k in range(n)]
-    mat.append([sys.rhs[i] for i in range(m)])
+    index = {v: k for k, v in enumerate(sys.variables)}
+    mat = [[0] * m for _ in range(n)]
+    for i, (coeffs, _) in enumerate(sys.rows):
+        for v, c in coeffs.items():
+            mat[index[v]][i] = c
+    mat.append([bound for _, bound in sys.rows])
     d = [ZERO] * n + [ONE]
     status, _, _, duals, _ = _solve_standard(mat, d, [ZERO] * m)
     if status != INFEASIBLE:
@@ -421,7 +394,7 @@ def feasible(sys: LinearSystem) -> bool:
     return feasible_point(sys) is not None
 
 
-def entails(sys: LinearSystem, coeffs: Mapping[int, Fraction], bound: Fraction) -> bool:
+def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int | Fraction) -> bool:
     """Does every solution of ``sys`` satisfy ``coeffs . x >= bound``?"""
     out = minimize(sys, LinearExpr(dict(coeffs)))
     if out.status == INFEASIBLE:
@@ -433,13 +406,10 @@ def equivalent_systems(a: LinearSystem, b: LinearSystem) -> bool:
     """Solution-set equality over the union of both variable tuples,
     established by mutual row entailment (exact LPs, no tolerance)."""
     for sys, other in ((a, b), (b, a)):
-        for i in range(sys.num_rows):
-            coeffs = {v: c for v, c in zip(sys.variables, sys.rows[i]) if c}
-            if not entails(other, coeffs, sys.rhs[i]):
+        for coeffs, bound in sys.rows:
+            if not entails(other, coeffs, bound):
                 return False
     return True
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +529,7 @@ def _eliminate(rows: list[Row], var: int) -> list[Row]:
 
 
 def project_constraints(
-    eqs: list[Row], ineqs: list[Row], keep: Iterable[int]
+    eqs: Sequence[Row], ineqs: Sequence[Row], keep: Iterable[int]
 ) -> tuple[list[Row], list[Row]] | None:
     """Existentially project equalities ``eqs`` and inequalities ``ineqs``
     onto the variables ``keep``: the one projection routine.
@@ -621,62 +591,38 @@ def row_constraints(eqs: list[Row], ineqs: list[Row]) -> list[LinearConstraint]:
     ]
 
 
-def rows_system(variables: Sequence[int], rows: Iterable[Row]) -> LinearSystem:
-    """Inequality rows over ``variables`` as a dense ``A x >= b`` system."""
-    index = {v: i for i, v in enumerate(variables)}
-    dense: list[tuple] = []
-    rhs: list = []
-    for coeffs, bound in rows:
-        row = [0] * len(index)
-        for v, c in coeffs.items():
-            row[index[v]] = c
-        dense.append(tuple(row))
-        rhs.append(bound)
-    return LinearSystem(tuple(variables), tuple(dense), tuple(rhs))
-
-
 def deduplicate(sys: LinearSystem) -> LinearSystem:
     """Cheap syntactic reduction: scale rows to primitive form, then keep only
     the strongest bound per coefficient direction.  Exact and always sound."""
-    return fm_project(sys, sys.variables, lp_minimize=False)
+    return fm_project(sys, sys.variables)
 
 
 def drop_redundant(sys: LinearSystem) -> LinearSystem:
     """Greedy exact redundancy elimination: a row is removed when the
     remaining rows entail it (one LP per test)."""
-    rows = list(zip(sys.rows, sys.rhs))
+    rows = sys.rows
     i = 0
     while i < len(rows):
         others = rows[:i] + rows[i + 1 :]
-        candidate = LinearSystem(
-            sys.variables, tuple([r for r, _ in others]), tuple([b for _, b in others])
-        )
-        coeffs = {v: c for v, c in zip(sys.variables, rows[i][0]) if c}
-        if entails(candidate, coeffs, rows[i][1]):
+        if entails(LinearSystem(sys.variables, others), *rows[i]):
             rows = others
         else:
             i += 1
-    return LinearSystem(
-        sys.variables, tuple([r for r, _ in rows]), tuple([b for _, b in rows])
-    )
+    return LinearSystem(sys.variables, rows)
 
 
-def fm_project(sys: LinearSystem, keep: Iterable[int], lp_minimize: bool = True) -> LinearSystem:
-    """Project ``sys`` onto the ``keep`` variables.
+def fm_project(sys: LinearSystem, keep: Iterable[int]) -> LinearSystem:
+    """Project ``sys`` onto the ``keep`` variables with
+    :func:`project_constraints`.
 
-    The result has exactly the solutions of ``sys`` restricted to ``keep``.
-    With ``lp_minimize`` (the default) redundant rows are then removed by
-    pairwise LP entailment, which gives an irredundant presentation.
+    The result has exactly the solutions of ``sys`` restricted to ``keep``,
+    with duplicate and dominated rows pruned; :func:`drop_redundant` makes it
+    irredundant.
     """
     keep_set = set(keep)
     kept_vars = tuple([v for v in sys.variables if v in keep_set])
-    rows = [
-        _integral({v: c for v, c in zip(sys.variables, row) if c}, b)
-        for row, b in zip(sys.rows, sys.rhs)
-    ]
-    projected = project_constraints([], rows, keep_set)
+    projected = project_constraints([], sys.rows, keep_set)
     if projected is None:
         # canonical empty polyhedron over the kept variables
-        return LinearSystem(kept_vars, ((ZERO,) * len(kept_vars),), (ONE,))
-    result = rows_system(kept_vars, projected[1])
-    return drop_redundant(result) if lp_minimize else result
+        return LinearSystem(kept_vars, (({}, 1),))
+    return LinearSystem(kept_vars, tuple(projected[1]))

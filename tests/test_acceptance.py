@@ -23,7 +23,6 @@ from almterm import (
     RPLUS,
     assemble,
     binarize,
-    build_rule_systems,
     check_length_bound,
     coeff_table,
     decide,
@@ -43,6 +42,7 @@ from helpers import (
     random_flat_program_text,
     synthetic_family_text,
 )
+from multiplier_systems import build_rule_systems
 from test_lp import explicit_dual, make_bounded_lp
 
 var = LinearExpr.of_var
@@ -96,9 +96,7 @@ def test_criterion_02_dual_system_shape():
                 equal(m4 - m5, balance_rhs[2]),
             ]
             rows += [geq(var(v), 0) for v in multipliers]
-            return fm_project(
-                normalize(rows), set(multipliers) | {mu0, mu1}, lp_minimize=False
-            )
+            return fm_project(normalize(rows), set(multipliers) | {mu0, mu1})
 
         zero = LinearExpr()
         assert equivalent_systems(

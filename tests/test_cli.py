@@ -1,5 +1,13 @@
+import contextlib
+import io
 import json
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from almterm.cli import (
     EXIT_CERTIFIED,
@@ -100,6 +108,93 @@ def test_deep_nesting_is_an_input_error(capsys, tmp_path):
     deep = "p(x) :- x >= " + "(" * 400 + "1" + ")" * 400 + ".\n"
     report = check_then_valid(capsys, tmp_path, deep)
     assert "nested" in report["error"] and "bad.clp:1" in report["error"]
+
+
+def test_huge_witness_is_printed_exactly(capsys, tmp_path):
+    """A witness far longer than the interpreter's int/str digit limit is
+    written out in full, in JSON and in text, and later files are reported."""
+    n = "7" * 2500
+    big = tmp_path / "big.clp"
+    big.write_text(f"p(x) :- x >= 0, y = x - 1/{n}/{n}, p(y).\n")
+    limit = sys.get_int_max_str_digits()
+    files = [str(big), str(PROGRAMS / "example72.clp")]
+    code, reports = run_json(capsys, "check", *files, "--witness", "--project")
+    assert sys.get_int_max_str_digits() == limit
+    assert code == EXIT_CERTIFIED
+    assert [r["verdict"] for r in reports] == ["alm-recurrent", "alm-recurrent"]
+    digits = reports[0]["witness"]["p"][1]
+    assert len(digits) > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        slope = Fraction(digits)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # the level drops by slope / n^2 per step, which must be at least 1
+    assert slope >= int(n) ** 2
+    assert reports[1]["witness"] == {"p": ["73", "-1"]}
+
+    code, out = run(capsys, "check", *files, "--witness", "--project")
+    assert code == EXIT_CERTIFIED
+    assert digits in out and "example72.clp [q]: alm-recurrent" in out
+    assert sys.get_int_max_str_digits() == limit
+
+
+_ARITY = {"p": 1, "q": 2, "r": 0}
+_NUMBERS = st.sampled_from(["0", "1", "2", "72", "1/2", "-3", "(1 - 2)"])
+
+
+def _atom(pred: str, tag: str) -> tuple[str, list[str]]:
+    """An atom whose variables no other atom of the rule uses (flatness)."""
+    args = [f"{v}{tag}" for v in "xy"[: _ARITY[pred]]]
+    return (f"{pred}({', '.join(args)})" if args else pred), args
+
+
+@st.composite
+def _rules(draw) -> str:
+    preds = st.sampled_from(sorted(_ARITY))
+    head, variables = _atom(draw(preds), "")
+    body = [_atom(pred, str(k)) for k, pred in enumerate(draw(st.lists(preds, max_size=3)))]
+    variables += [v for _, args in body for v in args]
+    items = []
+    if variables:
+        term = _NUMBERS | st.sampled_from(variables).flatmap(
+            lambda v: _NUMBERS.map(lambda c: f"{c}*{v}") | st.just(v)
+        )
+        relation = st.sampled_from(["=", ">=", "<="])
+        for _ in range(draw(st.integers(0, 3))):
+            items.append(f"{draw(term)} {draw(relation)} {draw(term)}")
+    items += [text for text, _ in body]
+    return f"{head} :- {', '.join(items)}." if items else f"{head}."
+
+
+_FILE_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(list("():-=,.+*/ \n") + ["p", "x", "1", ">="]), max_size=30).map("".join),
+    st.lists(_rules(), max_size=4).map("\n".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FILE_TEXT, st.sampled_from(["q", "q+", "n"]), st.booleans())
+def test_any_file_text_ends_in_one_report_and_an_exit_code(text, domain, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.clp"
+        path.write_text(text, encoding="utf-8")
+        argv = ["check", str(path), str(PROGRAMS / "example72.clp"), "--domain", domain,
+                "--witness", "--project"] + (["--json"] if as_json else [])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code in (EXIT_CERTIFIED, EXIT_NOT_CERTIFIED, EXIT_INPUT_ERROR)
+    if as_json:
+        reports = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [r["file"] for r in reports] == argv[1:3]
+        first = reports[0]
+        assert (first["error"] is None) == (first["verdict"] is not None)
+        assert reports[1]["verdict"] in ("alm-recurrent", "sound-yes")
+    else:
+        assert out.getvalue().startswith(f"{path} [{domain}]: ")
+        assert f"example72.clp [{domain}]: " in out.getvalue()
 
 
 def test_sampling_summary(capsys):

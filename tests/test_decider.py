@@ -14,10 +14,9 @@ from almterm import (
     RPLUS,
     assemble,
     binarize,
-    build_rule_primal,
-    build_rule_systems,
     coeff_table,
     decide,
+    drop_redundant,
     equivalent_systems,
     extract_witness,
     feasible,
@@ -31,6 +30,7 @@ from almterm import (
 from almterm import lp
 from almterm.model import equal, geq
 from helpers import load, random_binary_program_text
+from multiplier_systems import all_constraints, build_rule_primal, build_rule_systems, systems
 
 var = LinearExpr.of_var
 
@@ -56,13 +56,7 @@ def test_golden_rule_primal_layout():
     x = r3.head.args[0]
     y = r3.body[0].args[0]
     assert primal.system.variables == (primal.one_var, x, y)
-    assert primal.system.rhs == (
-        Fraction(1),
-        Fraction(-1),
-        Fraction(-72),
-        Fraction(1),
-        Fraction(-1),
-    )
+    assert [bound for _, bound in primal.system.rows] == [1, -1, -72, 1, -1]
     mu0, mu1 = coeffs["p"]
     # head and body predicate coincide, so the constant column cancels
     assert primal.decrease_layout[0].coeffs == {}
@@ -121,7 +115,7 @@ def test_golden_rule_dual_systems_equivalent_to_display():
         ]
         rows += [geq(var(v), 0) for v in multipliers]
         keep = set(multipliers) | {mu0, mu1}
-        return fm_project(normalize(rows), keep, lp_minimize=False)
+        return fm_project(normalize(rows), keep)
 
     zero = LinearExpr()
     reference_decrease = display(
@@ -159,17 +153,17 @@ def test_dual_maximum_with_pinned_coefficients():
 def test_assemble_counts():
     program, _, _ = golden_context()
     alm = assemble(program, Q)
-    assert len(alm.systems) == 2
+    assert len(systems(alm)) == 2
     assert sorted(dict(alm.skipped).values()) == ["fact", "unsat"]
     assert set(alm.coeff_ids) == {"p"}
     assert len(alm.coeff_ids["p"]) == 2
 
     facts = parse_program("p(x) :- x = 1.\nq(x) :- x = 2.")
-    assert assemble(facts, Q).systems == ()
+    assert systems(assemble(facts, Q)) == ()
 
     example4 = parse_program(load("example4.clp"))
     alm4 = assemble(example4, Q)
-    assert len(alm4.systems) == 4
+    assert len(systems(alm4)) == 4
     assert set(alm4.coeff_ids) == {"q"}
 
 
@@ -195,7 +189,7 @@ def test_assemble_tests_each_rule_satisfiability_once(monkeypatch):
     ids = [rule.rule_id for rule in program.rules]
     assert len(calls) == sum(rule.is_fact for rule in program.rules) == 2
     assert alm.skipped == ((ids[0], "fact"), (ids[1], "unsat"), (ids[2], "unsat"))
-    assert len(alm.systems) == 4
+    assert len(systems(alm)) == 4
 
 
 def test_decide_golden_program():
@@ -220,7 +214,7 @@ def test_full_system_projection_matches_decide_projection():
     program, _, _ = golden_context()
     alm = assemble(program, Q)
     mu_vars = alm.coeff_variables()
-    monolithic = fm_project(normalize(alm.all_constraints()), mu_vars)
+    monolithic = drop_redundant(fm_project(normalize(all_constraints(alm)), mu_vars))
     mu0, mu1 = alm.coeff_ids["p"]
     expected = normalize(
         [geq(var(mu0) + var(mu1).scale(73), 0), geq(-var(mu1), 1)]
@@ -295,7 +289,7 @@ def test_witness_satisfies_projection_and_projection_points_extend():
     # a fresh point of the projection extends to a full multiplier assignment
     shadow = feasible_point(verdict.projection)
     pins = [equal(var(v), shadow[v]) for v in verdict.projection.variables]
-    full = normalize(verdict.alm.all_constraints() + pins)
+    full = normalize(all_constraints(verdict.alm) + pins)
     assert feasible(full)
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,8 +51,12 @@ def oracle_feasible(rows):
     return all(b <= 0 for _, b in rows)
 
 
-def to_oracle(sys: LinearSystem):
-    return [(row, b) for row, b in zip(sys.rows, sys.rhs)]
+def dense_system(variables, rows) -> LinearSystem:
+    """A system from dense ``(coefficient tuple, bound)`` rows."""
+    return LinearSystem(
+        tuple(variables),
+        tuple(({v: c for v, c in zip(variables, coeffs) if c}, b) for coeffs, b in rows),
+    )
 
 
 # --- normalize ---------------------------------------------------------------
@@ -59,8 +64,7 @@ def to_oracle(sys: LinearSystem):
 
 def test_normalize_splits_equalities():
     sys = normalize([equal(var(X), 2)])
-    assert sys.rows == ((Fraction(1),), (Fraction(-1),))
-    assert sys.rhs == (Fraction(2), Fraction(-2))
+    assert sys.rows == (({X: 1}, 2), ({X: -1}, -2))
 
 
 def test_normalize_golden_five_rows():
@@ -69,21 +73,20 @@ def test_normalize_golden_five_rows():
         [geq(72, var(X)), equal(var(Y), var(X) + const(1)), equal(var(x0), 1)]
     )
     assert sys.variables == (X, Y, x0)
-    expected = [
-        ((Fraction(-1), Fraction(0), Fraction(0)), Fraction(-72)),
-        ((Fraction(-1), Fraction(1), Fraction(0)), Fraction(1)),
-        ((Fraction(1), Fraction(-1), Fraction(0)), Fraction(-1)),
-        ((Fraction(0), Fraction(0), Fraction(1)), Fraction(1)),
-        ((Fraction(0), Fraction(0), Fraction(-1)), Fraction(-1)),
-    ]
-    assert list(zip(sys.rows, sys.rhs)) == expected
+    expected = (
+        ({X: -1}, -72),
+        ({X: -1, Y: 1}, 1),
+        ({X: 1, Y: -1}, -1),
+        ({x0: 1}, 1),
+        ({x0: -1}, -1),
+    )
+    assert sys.rows == expected
 
 
 def test_normalize_nonneg_rows():
     sys = normalize([], extra_nonneg={X})
     assert sys.variables == (X,)
-    assert sys.rows == ((Fraction(1),),)
-    assert sys.rhs == (Fraction(0),)
+    assert sys.rows == (({X: 1}, 0),)
 
 
 def test_normalize_order_hint():
@@ -125,13 +128,8 @@ small_coeff = st.integers(min_value=-4, max_value=4)
     )
 )
 def test_feasible_agrees_with_elimination_oracle(raw_rows):
-    rows = [
-        (tuple(Fraction(c) for c in coeffs), Fraction(b)) for coeffs, b in raw_rows
-    ]
-    sys = LinearSystem(
-        (X, Y, Z), tuple(r for r, _ in rows), tuple(b for _, b in rows)
-    )
-    assert feasible(sys) == oracle_feasible(to_oracle(sys))
+    rows = [(coeffs, Fraction(b)) for coeffs, b in raw_rows]
+    assert feasible(dense_system((X, Y, Z), rows)) == oracle_feasible(rows)
 
 
 # --- optimisation ------------------------------------------------------------
@@ -180,10 +178,7 @@ def test_maximize_examples():
     st.tuples(small_coeff, small_coeff),
 )
 def test_optimal_points_satisfy_all_rows(raw_rows, obj):
-    rows = [
-        (tuple(Fraction(c) for c in coeffs), Fraction(b)) for coeffs, b in raw_rows
-    ]
-    sys = LinearSystem((X, Y), tuple(r for r, _ in rows), tuple(b for _, b in rows))
+    sys = dense_system((X, Y), [(coeffs, Fraction(b)) for coeffs, b in raw_rows])
     out = minimize(sys, LinearExpr({X: Fraction(obj[0]), Y: Fraction(obj[1])}))
     if out.status == OPTIMAL:
         assert sys.satisfied_by(out.point)
@@ -207,21 +202,21 @@ def make_bounded_lp(rng: random.Random):
     for i in range(n):
         low = anchor[i] - rng.randint(0, 4)
         high = anchor[i] + rng.randint(0, 4)
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
+        row = [0] * n
+        row[i] = 1
         rows.append(tuple(row))
         rhs.append(low)
-        row = [Fraction(0)] * n
-        row[i] = Fraction(-1)
+        row = [0] * n
+        row[i] = -1
         rows.append(tuple(row))
         rhs.append(-high)
     for _ in range(rng.randint(0, 2)):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
         slackness = Fraction(rng.randint(0, 5))
         rows.append(tuple(coeffs))
         rhs.append(sum(c * a for c, a in zip(coeffs, anchor)) - slackness)
     cost = {i: Fraction(rng.randint(-4, 4)) for i in range(n)}
-    sys = LinearSystem(tuple(range(n)), tuple(rows), tuple(rhs))
+    sys = dense_system(range(n), zip(rows, rhs))
     return sys, LinearExpr(cost)
 
 
@@ -230,12 +225,12 @@ def explicit_dual(sys: LinearSystem, objective: LinearExpr):
     m = sys.num_rows
     ys = tuple(range(100, 100 + m))
     constraints = []
-    for j, v in enumerate(sys.variables):
-        combo = LinearExpr({ys[i]: sys.rows[i][j] for i in range(m)})
+    for v in sys.variables:
+        combo = LinearExpr({y: coeffs.get(v, 0) for y, (coeffs, _) in zip(ys, sys.rows)})
         constraints.append(equal(combo, objective.coeff(v)))
     for y in ys:
         constraints.append(geq(var(y), 0))
-    dual_obj = LinearExpr({ys[i]: sys.rhs[i] for i in range(m)})
+    dual_obj = LinearExpr({y: b for y, (_, b) in zip(ys, sys.rows)})
     return normalize(constraints, order_hint=ys), dual_obj
 
 
@@ -266,7 +261,7 @@ def test_fm_project_eliminates_variable():
 def test_fm_project_identity():
     sys = normalize([geq(var(X), 1)])
     projected = fm_project(sys, {X})
-    assert list(zip(projected.rows, projected.rhs)) == [((Fraction(1),), Fraction(1))]
+    assert projected.rows == (({X: 1}, 1),)
 
 
 def test_fm_project_infeasible_input():
@@ -284,11 +279,8 @@ def test_fm_project_infeasible_input():
     )
 )
 def test_fm_project_soundness_and_completeness(raw_rows):
-    rows = [
-        (tuple(Fraction(c) for c in coeffs), Fraction(b)) for coeffs, b in raw_rows
-    ]
-    sys = LinearSystem((X, Y, Z), tuple(r for r, _ in rows), tuple(b for _, b in rows))
-    projected = fm_project(sys, {X, Y}, lp_minimize=False)
+    sys = dense_system((X, Y, Z), [(coeffs, Fraction(b)) for coeffs, b in raw_rows])
+    projected = fm_project(sys, {X, Y})
     full = feasible_point(sys)
     if full is not None:
         # soundness: restriction of any solution satisfies the projection
@@ -323,3 +315,21 @@ def test_entails_basics():
     assert not entails(sys, {X: Fraction(-1)}, Fraction(0))
     empty = normalize([equal(const(0), 1)])
     assert entails(empty, {X: Fraction(1)}, Fraction(10))
+
+
+# --- the system's surface ----------------------------------------------------
+
+
+def test_system_rejects_a_row_over_an_unknown_variable():
+    assert LinearSystem((X, Y), (({X: 1, Y: -1}, 0),)).num_rows == 1
+    with pytest.raises(ValueError, match="outside"):
+        LinearSystem((X,), (({X: 1, Y: -1}, 0),))
+
+
+def test_fm_project_only_projects():
+    sys = normalize([geq(var(X), 1), geq(var(X) + var(Y), 0), geq(var(Y), 0)])
+    # x + y >= 0 follows from the other two rows, and fm_project keeps it
+    assert fm_project(sys, {X, Y}).num_rows == 3
+    assert drop_redundant(fm_project(sys, {X, Y})).num_rows == 2
+    with pytest.raises(TypeError):
+        fm_project(sys, {X, Y}, lp_minimize=False)

@@ -18,7 +18,6 @@ from almterm import (
     LinearExpr,
     assemble,
     binarize,
-    build_rule_systems,
     decide,
     equivalent_systems,
     normalize,
@@ -27,8 +26,9 @@ from almterm import (
 )
 from almterm import decider
 from almterm.decider import rule_constraint_satisfiable
-from almterm.lp import constraint_rows, row_constraints, rows_system
+from almterm.lp import LinearSystem, constraint_rows, row_constraints
 from helpers import load, random_binary_program_text
+from multiplier_systems import build_rule_systems
 
 VARS = (0, 1, 2, 3)
 small = st.integers(min_value=-4, max_value=4)
@@ -97,7 +97,7 @@ def test_instantiated_cones_match_explicit_systems():
                     (decrease, cone.decrease, 1),
                     (nonneg, cone.nonneg, 0),
                 ):
-                    mine = rows_system(keep, cone.instantiate(layout, s))
+                    mine = LinearSystem(keep, tuple(cone.instantiate(layout, s)))
                     assert equivalent_systems(mine, explicit_projection(system, keep))
                     checked += 1
     assert checked >= 100
