@@ -143,6 +143,8 @@ def analyze_file(path: str, opts: Options) -> tuple[dict, int]:
 
 
 def _analyze(program: Program, opts: Options, report: dict) -> tuple[dict, int]:
+    """Fill in ``report`` for a parsed program: verdict, witness, projection,
+    verifier checks and samples, as ``opts`` asks."""
     try:
         verdict = decide(program, opts.domain, want_projection=opts.project)
     except AlmtermError as exc:
