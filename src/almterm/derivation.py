@@ -302,11 +302,11 @@ def sample_starts(
         base = feasible_point(projected)
         if base is not None:
             points.append(base)
-        for _ in range(per_rule):
-            objective = LinearExpr(
-                {v: Fraction(rng.randint(-3, 3)) for v in head.args}
-            )
-            out = minimize(projected, objective)
+        objectives = [
+            LinearExpr({v: Fraction(rng.randint(-3, 3)) for v in head.args})
+            for _ in range(per_rule)
+        ]
+        for out in minimize(projected, *objectives):
             if out.status == OPTIMAL:
                 points.append(out.point)
         for pt in points:

@@ -17,6 +17,11 @@ choices, taken by integer sign tests and cross-multiplied ratio comparisons,
 are the same.  Only rows with a nonzero in the pivot column are updated, and
 within them only the pivot row's nonzero columns.
 
+Phase one reads no costs, so :func:`minimize` runs it once per system and
+gives every objective its own phase two on a copy of the feasible tableau;
+each outcome is the one that objective alone would get.  The optimum is read
+off the reduced-cost row, whose rhs entry carries minus the objective value.
+
 Feasibility uses a different route than optimisation: instead of solving the
 system directly we solve its row-multiplier alternative (nonnegative
 multipliers that cancel every column while making the combined right-hand side
@@ -231,18 +236,19 @@ def _bland(rows, basis, obj, eligible: int):
         _pivot(rows, basis, leave, enter, obj)
 
 
-def _solve_standard(mat, d, costs):
-    """Two-phase simplex for min costs.w s.t. mat w = d, w >= 0.
+def _phase_one(mat, d, ncols):
+    """Phase one of the simplex for ``mat w = d, w >= 0`` over ``ncols``
+    columns; it does not depend on any costs.
 
-    Returns (status, point, value, duals, ray).  ``duals`` are the phase-one
-    equality multipliers and are only returned on INFEASIBLE (that is the one
-    place a caller needs them); ``ray`` only on UNBOUNDED.
+    Returns ``(rows, basis, None)``: a feasible tableau with the artificial
+    columns and redundant rows gone, ready for :func:`_phase_two`; or
+    ``(None, None, duals)`` with the phase-one equality multipliers when the
+    system is infeasible.
 
     Each row is ``[numerators of the columns..., numerator of the rhs,
     denominator]`` (see :func:`_to_row`).
     """
     m = len(mat)
-    ncols = len(costs)
     rows: list[list[int]] = []
     flipped: list[bool] = []
     for i, (row, b) in enumerate(zip(mat, d)):
@@ -265,7 +271,7 @@ def _solve_standard(mat, d, costs):
         den = obj[-1]
         duals = [Fraction(den - obj[ncols + i], den) for i in range(m)]
         duals = [-w if flipped[i] else w for i, w in enumerate(duals)]
-        return INFEASIBLE, None, None, duals, None
+        return None, None, duals
 
     # artificials never re-enter: drop their columns, drive leftover ones out
     # of the basis and drop the redundant rows they sit in
@@ -281,21 +287,46 @@ def _solve_standard(mat, d, costs):
     if drop:
         rows = [row for i, row in enumerate(rows) if i not in drop]
         basis = [bi for i, bi in enumerate(basis) if i not in drop]
+    return rows, basis, None
 
+
+def _phase_two(rows, basis, costs, width):
+    """Phase two from a :func:`_phase_one` tableau, which it pivots in
+    place: min costs.w.  Returns (status, point, value, ray), with the point
+    and the ray over the first ``width`` columns only; ``value`` is read off
+    the reduced-cost row and is None unless OPTIMAL, ``ray`` is None unless
+    UNBOUNDED."""
     obj = _priced(rows, basis, costs)
-    status, enter = _bland(rows, basis, obj, ncols)
+    status, enter = _bland(rows, basis, obj, len(costs))
 
-    point = [ZERO] * ncols
+    point = [ZERO] * width
     for row, bi in zip(rows, basis):
-        point[bi] = Fraction(row[-2], row[-1])
+        if bi < width:
+            point[bi] = Fraction(row[-2], row[-1])
     if status == UNBOUNDED:
-        ray = [ZERO] * ncols
-        ray[enter] = ONE
+        ray = [ZERO] * width
+        if enter < width:
+            ray[enter] = ONE
         for row, bi in zip(rows, basis):
-            ray[bi] = Fraction(-row[enter], row[-1])
-        return UNBOUNDED, point, None, None, ray
-    value = sum((costs[j] * point[j] for j in range(ncols) if point[j]), ZERO)
-    return OPTIMAL, point, value, None, None
+            if bi < width:
+                ray[bi] = Fraction(-row[enter], row[-1])
+        return UNBOUNDED, point, None, ray
+    return OPTIMAL, point, Fraction(-obj[-2], obj[-1]), None
+
+
+def _solve_standard(mat, d, costs):
+    """Two-phase simplex for min costs.w s.t. mat w = d, w >= 0.
+
+    Returns (status, point, value, duals, ray).  ``duals`` are the phase-one
+    equality multipliers and are only returned on INFEASIBLE (that is the one
+    place a caller needs them); ``ray`` only on UNBOUNDED.
+    """
+    ncols = len(costs)
+    rows, basis, duals = _phase_one(mat, d, ncols)
+    if rows is None:
+        return INFEASIBLE, None, None, duals, None
+    status, point, value, ray = _phase_two(rows, basis, costs, ncols)
+    return status, point, value, None, ray
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +334,25 @@ def _solve_standard(mat, d, costs):
 # ---------------------------------------------------------------------------
 
 
-def minimize(sys: LinearSystem, objective: LinearExpr) -> LpOutcome:
-    """Exact minimum of ``objective`` over ``sys`` (variables unrestricted).
+def minimize(sys: LinearSystem, *objectives: LinearExpr) -> tuple[LpOutcome, ...]:
+    """Exact minimum of each objective over ``sys`` (variables
+    unrestricted): one outcome per objective, in order.
 
     Internally splits every variable into a difference of nonnegatives and
-    adds one surplus column per row.  The reported optimum includes the
-    objective's constant term; the reported point is a vertex, deterministic
-    under Bland's order.
+    adds one surplus column per row.  Phase one runs once for the system;
+    each objective then runs phase two on its own copy of that tableau, with
+    zero columns for the objective's variables outside the system.  Phase
+    one reads no costs, so every outcome is the one a call with that
+    objective alone returns.  The reported optimum includes the objective's
+    constant term; the reported point is a vertex, deterministic under
+    Bland's order, over the system's variables and then the objective's own
+    (in the objective's order).
     """
-    variables = list(sys.variables)
-    present = set(variables)
-    for v in objective.coeffs:
-        if v not in present:
-            present.add(v)
-            variables.append(v)
-    n = len(variables)
+    if not objectives:
+        return ()
+    n = sys.num_vars
     m = sys.num_rows
-    index = {v: i for i, v in enumerate(variables)}
+    index = {v: i for i, v in enumerate(sys.variables)}
 
     mat: list[list] = []
     for r, (coeffs, _) in enumerate(sys.rows):
@@ -330,29 +363,47 @@ def minimize(sys: LinearSystem, objective: LinearExpr) -> LpOutcome:
             row[n + k] = -c
         row[2 * n + r] = -1
         mat.append(row)
-    d = [bound for _, bound in sys.rows]
-    costs = [0] * (2 * n + m)
-    for v, c in objective.coeffs.items():
-        k = index[v]
-        costs[k] = c
-        costs[n + k] = -c
+    rows, basis, _ = _phase_one(mat, [bound for _, bound in sys.rows], 2 * n + m)
+    if rows is None:
+        return (LpOutcome(INFEASIBLE),) * len(objectives)
 
-    status, w, value, _, ray_w = _solve_standard(mat, d, costs)
-    if status == INFEASIBLE:
-        return LpOutcome(INFEASIBLE)
+    outcomes: list[LpOutcome] = []
+    last = len(objectives) - 1
+    for k, objective in enumerate(objectives):
+        extra = [v for v in objective.coeffs if v not in index]
+        e = len(extra)
+        if e:
+            # the objective's own variables split into zero columns after the
+            # system's, as in a call with this objective alone; phase one
+            # never enters a zero column, so it is the same without them
+            tableau = [row[:n] + [0] * e + row[n : 2 * n] + [0] * e + row[2 * n :] for row in rows]
+            tbasis = [b if b < n else b + e if b < 2 * n else b + 2 * e for b in basis]
+        else:
+            # the last objective may pivot the phase-one tableau itself
+            tableau = rows if k == last else [row[:] for row in rows]
+            tbasis = list(basis)
+        column = {v: i for i, v in enumerate([*sys.variables, *extra])}
+        w = n + e
+        costs = [0] * (2 * w + m)
+        for v, c in objective.coeffs.items():
+            costs[column[v]] = c
+            costs[w + column[v]] = -c
+        status, point, value, ray = _phase_two(tableau, tbasis, costs, 2 * w)
 
-    def recombine(vec) -> dict[int, Fraction]:
-        return {v: vec[index[v]] - vec[n + index[v]] for v in variables}
+        def recombine(vec) -> dict[int, Fraction]:
+            return {v: vec[i] - vec[w + i] if vec[w + i] else vec[i] for v, i in column.items()}
 
-    if status == UNBOUNDED:
-        return LpOutcome(UNBOUNDED, point=recombine(w), ray=recombine(ray_w))
-    point = recombine(w)
-    return LpOutcome(OPTIMAL, value + objective.const, point)
+        if status == UNBOUNDED:
+            outcomes.append(LpOutcome(UNBOUNDED, point=recombine(point), ray=recombine(ray)))
+        else:
+            outcomes.append(LpOutcome(OPTIMAL, value + objective.const, recombine(point)))
+    return tuple(outcomes)
 
 
 def maximize(sys: LinearSystem, objective: LinearExpr) -> LpOutcome:
-    """Exact maximum; see :func:`minimize`.  Unbounded means unbounded above."""
-    out = minimize(sys, objective.scale(-1))
+    """Exact maximum of the one ``objective``; see :func:`minimize`.
+    Unbounded means unbounded above."""
+    (out,) = minimize(sys, objective.scale(-1))
     if out.status != OPTIMAL:
         return out
     return LpOutcome(OPTIMAL, -out.value, out.point)
@@ -394,21 +445,26 @@ def feasible(sys: LinearSystem) -> bool:
     return feasible_point(sys) is not None
 
 
+def _holds(out: LpOutcome, bound: int | Fraction) -> bool:
+    """Does the minimisation ``out`` show its objective stays ``>= bound``?"""
+    return out.status == INFEASIBLE or (out.status == OPTIMAL and out.value >= bound)
+
+
 def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int | Fraction) -> bool:
     """Does every solution of ``sys`` satisfy ``coeffs . x >= bound``?"""
-    out = minimize(sys, LinearExpr(dict(coeffs)))
-    if out.status == INFEASIBLE:
-        return True
-    return out.status == OPTIMAL and out.value >= bound
+    (out,) = minimize(sys, LinearExpr(dict(coeffs)))
+    return _holds(out, bound)
 
 
 def equivalent_systems(a: LinearSystem, b: LinearSystem) -> bool:
     """Solution-set equality over the union of both variable tuples,
-    established by mutual row entailment (exact LPs, no tolerance)."""
+    established by mutual row entailment: one :func:`minimize` call per side,
+    with every row of the one side an objective over the other (exact LPs, no
+    tolerance)."""
     for sys, other in ((a, b), (b, a)):
-        for coeffs, bound in sys.rows:
-            if not entails(other, coeffs, bound):
-                return False
+        outs = minimize(other, *[LinearExpr(dict(coeffs)) for coeffs, _ in sys.rows])
+        if not all(_holds(out, bound) for out, (_, bound) in zip(outs, sys.rows)):
+            return False
     return True
 
 

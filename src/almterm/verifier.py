@@ -5,9 +5,12 @@ Given a concrete level mapping, each rule must satisfy, for every body atom,
     min  |head| - |body atom|   over the rule constraint   >=  1
     min  |body atom|            over the rule constraint   >=  0
 
-with the measures instantiated to plain rationals.  The decider never runs
-these minimisations (it works on the multiplier side), so agreement between
-the two is a genuine cross-check of both encodings.
+with the measures instantiated to plain rationals.  Both minima come from one
+:func:`minimize` call, so they share one phase-one tableau of the rule
+constraint.  The decider never runs these minimisations (it works on the
+multiplier side, with the projected cone), and no cone or multiplier enters
+here, so agreement between the two is a genuine cross-check of both
+encodings.
 """
 
 from __future__ import annotations
@@ -123,10 +126,9 @@ def _check_pair(
     head_level = _level_expr(lm, rule.head, one_var)
     body_level = _level_expr(lm, body_atom, one_var)
 
-    decrease = minimize(system, head_level - body_level)
+    decrease, body_floor = minimize(system, head_level - body_level, body_level)
     if decrease.status == INFEASIBLE:
         return None
-    body_floor = minimize(system, body_level)
 
     ok_dec = decrease.status == OPTIMAL and decrease.value >= EPSILON
     ok_floor = body_floor.status == OPTIMAL and body_floor.value >= 0

@@ -157,7 +157,7 @@ def test_criterion_07_duality_suite():
         rng = random.Random(4321)
         for _ in range(200):
             sys, cost = make_bounded_lp(rng)
-            primal = minimize(sys, cost)
+            (primal,) = minimize(sys, cost)
             assert primal.status == "optimal"
             dual_sys, dual_obj = explicit_dual(sys, cost)
             dual = maximize(dual_sys, dual_obj)

@@ -35,6 +35,7 @@ from almterm.derivation import (
     RIGHTMOST,
     compact_store,
     ground_start,
+    sample_starts,
 )
 from almterm.model import equal, LinearExpr
 from almterm.parser import parse_query
@@ -248,7 +249,7 @@ def agree_with_oracle(program, pred, args, selection, max_steps, seed, domain):
     return trace
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     st.integers(0, 10**6),
     st.sampled_from([Q, QPLUS, N]),
@@ -299,3 +300,21 @@ def test_run_ground_runs_no_lp(monkeypatch):
         for domain in (Q, QPLUS, N)
     ]
     assert max(steps) > 3 and calls == []
+
+
+def test_sample_starts_makes_one_minimize_call_per_rule(monkeypatch):
+    """The sampler draws a rule's objectives first and minimises them over
+    the rule's projected system together."""
+    calls = []
+    minimize = almterm.derivation.minimize
+
+    def counted(sys, *objectives):
+        calls.append(len(objectives))
+        return minimize(sys, *objectives)
+
+    monkeypatch.setattr(almterm.derivation, "minimize", counted)
+    program = parse_program(load("example72.clp"))
+    starts = sample_starts(program, Q, random.Random(3), per_rule=5)
+    # r2 (0 = 1) is unsatisfiable, the fact r1 and the rule r3 are sampled
+    assert calls == [5, 5]
+    assert {pred for pred, _ in starts} == {"p"}

@@ -136,14 +136,14 @@ def test_feasible_agrees_with_elimination_oracle(raw_rows):
 
 
 def test_minimize_examples():
-    out = minimize(normalize([geq(var(X), 3)]), var(X))
+    (out,) = minimize(normalize([geq(var(X), 3)]), var(X))
     assert out.status == OPTIMAL and out.value == 3 and out.point[X] == 3
 
-    out = minimize(normalize([geq(var(X), 3)]), -var(X))
+    (out,) = minimize(normalize([geq(var(X), 3)]), -var(X))
     assert out.status == UNBOUNDED
     assert out.ray is not None
 
-    out = minimize(normalize([equal(const(0), 1)]), var(X))
+    (out,) = minimize(normalize([equal(const(0), 1)]), var(X))
     assert out.status == INFEASIBLE
 
 
@@ -152,12 +152,12 @@ def test_minimize_on_golden_rule_system():
     sys = normalize(
         [geq(72, var(X)), equal(var(Y), var(X) + const(1)), equal(var(x0), 1)]
     )
-    out = minimize(sys, var(X) - var(Y))
+    (out,) = minimize(sys, var(X) - var(Y))
     assert out.status == OPTIMAL and out.value == -1
 
 
 def test_minimize_includes_objective_constant():
-    out = minimize(normalize([geq(var(X), 3)]), var(X) + const(10))
+    (out,) = minimize(normalize([geq(var(X), 3)]), var(X) + const(10))
     assert out.value == 13
 
 
@@ -179,7 +179,7 @@ def test_maximize_examples():
 )
 def test_optimal_points_satisfy_all_rows(raw_rows, obj):
     sys = dense_system((X, Y), [(coeffs, Fraction(b)) for coeffs, b in raw_rows])
-    out = minimize(sys, LinearExpr({X: Fraction(obj[0]), Y: Fraction(obj[1])}))
+    (out,) = minimize(sys, LinearExpr({X: Fraction(obj[0]), Y: Fraction(obj[1])}))
     if out.status == OPTIMAL:
         assert sys.satisfied_by(out.point)
         assert (
@@ -187,6 +187,64 @@ def test_optimal_points_satisfy_all_rows(raw_rows, obj):
         )
     elif out.status == UNBOUNDED:
         assert sys.satisfied_by(out.point)
+
+
+W, V = 3, 4  # variables no row of the systems below mentions
+
+
+def assert_same_as_one_at_a_time(sys, objectives):
+    together = minimize(sys, *objectives)
+    alone = tuple(minimize(sys, objective)[0] for objective in objectives)
+    assert together == alone
+    # the points and rays list their variables in the same order too
+    assert [(list(o.point or ()), list(o.ray or ())) for o in together] == [
+        (list(o.point or ()), list(o.ray or ())) for o in alone
+    ]
+    return together
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.tuples(small_coeff, small_coeff, small_coeff), small_coeff),
+        max_size=5,
+    ),
+    st.lists(
+        st.tuples(
+            st.dictionaries(st.sampled_from((X, Y, Z, W, V)), small_coeff, max_size=4),
+            small_coeff,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_minimize_many_objectives_equals_one_at_a_time(raw_rows, raw_objectives):
+    """Phase one reads no costs, so one call with several objectives gives
+    the outcomes of one call per objective, field for field: over random
+    (also infeasible) systems, with unbounded objectives, and with objectives
+    over variables outside the system."""
+    sys = dense_system((X, Y, Z), raw_rows)
+    objectives = [LinearExpr(coeffs, const) for coeffs, const in raw_objectives]
+    assert_same_as_one_at_a_time(sys, objectives)
+
+
+def test_minimize_many_objectives_named_cases():
+    box = normalize([geq(var(X), 0), geq(3, var(X)), geq(var(Y), 1)])
+    objectives = [var(X) + var(Y), -var(Y), var(W) - var(X), var(V), -var(X) + const(2)]
+    outs = assert_same_as_one_at_a_time(box, objectives)
+    assert [o.status for o in outs] == [OPTIMAL, UNBOUNDED, UNBOUNDED, UNBOUNDED, OPTIMAL]
+    assert [o.value for o in outs] == [1, None, None, None, -1]
+    assert list(outs[2].point) == [X, Y, W] and list(outs[3].point) == [X, Y, V]
+    # outside variables named in different orders: each objective's ray
+    # follows its own order, as alone
+    outs = assert_same_as_one_at_a_time(box, [var(V), LinearExpr({W: 1, V: 1})])
+    assert outs[1].ray == {X: 0, Y: 0, W: -1, V: 0}
+
+    empty = normalize([geq(var(X), 1), geq(-var(X), 0)])
+    outs = assert_same_as_one_at_a_time(empty, [var(X), var(W)])
+    assert [o.status for o in outs] == [INFEASIBLE, INFEASIBLE]
+
+    assert minimize(box) == ()
 
 
 # --- duality -----------------------------------------------------------------
@@ -239,7 +297,7 @@ def test_duality_random_suite_small():
     hits = 0
     while hits < 40:
         sys, cost = make_bounded_lp(rng)
-        primal = minimize(sys, cost)
+        (primal,) = minimize(sys, cost)
         assert primal.status == OPTIMAL
         dual_sys, dual_obj = explicit_dual(sys, cost)
         dual = maximize(dual_sys, dual_obj)

@@ -105,13 +105,42 @@ def test_ground_instances_respect_definition_exactly():
         objective = LinearExpr(
             {v: Fraction(rng.randint(-5, 5)) for v in sys.variables}
         )
-        out = minimize(sys, objective)
+        (out,) = minimize(sys, objective)
         if out.status != "optimal":
             continue
         head_level = lm.level_of("p", [out.point[x]])
         body_level = lm.level_of("p", [out.point[y]])
         assert head_level >= body_level + 1
         assert body_level >= 0
+
+
+def test_verify_makes_one_minimize_call_per_analysed_rule(monkeypatch):
+    """Both minimisations of a (rule, body atom) pair share one system, so
+    they share one call (and one phase one)."""
+    from almterm import verifier
+
+    program = parse_program(
+        "p(x) :- x = 2.\n"
+        "p(x) :- 72 >= x, y = x + 1, p(y).\n"
+        "p(x) :- x >= 3, y = x - 1, p(y).\n"
+        "p(x) :- x >= 1, 0 >= x, y = x, p(y).\n"
+    )
+    calls = []
+    real = verifier.minimize
+
+    def counting(sys, *objectives):
+        calls.append(len(objectives))
+        return real(sys, *objectives)
+
+    monkeypatch.setattr(verifier, "minimize", counting)
+    report = verify(program, LevelMapping({"p": (73, -1)}), Q)
+    assert calls == [2, 2, 2]
+    assert [(c.rule_id, c.body_index, c.status) for c in report.checks] == [
+        ("r1", None, VACUOUS_FACT),
+        ("r2", 0, PASS),
+        ("r3", 0, FAIL),
+        ("r4", None, VACUOUS_UNSAT),
+    ]
 
 
 def test_verify_runs_a_satisfiability_lp_only_for_facts(monkeypatch):
