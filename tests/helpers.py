@@ -88,6 +88,67 @@ def random_flat_program_text(rng: random.Random, max_body: int = 3) -> str:
     return "\n".join(lines)
 
 
+def _fraction(rng: random.Random, low: int = -9, high: int = 9) -> str:
+    num = rng.randint(low, high)
+    den = rng.randint(1, 4)
+    return f"{num}/{den}" if den > 1 else str(num)
+
+
+def _rational_expr(rng: random.Random, variables: list[str]) -> str:
+    """A linear expression written with ``a/b`` coefficients, a parenthesised
+    group divided by a constant, and unary minus signs."""
+    terms = [f"{_fraction(rng, 1)}*{v}" for v in rng.sample(variables, rng.randint(0, len(variables)))]
+    terms.append(_fraction(rng))
+    rng.shuffle(terms)
+    text = " + ".join(terms)
+    shape = rng.randint(0, 3)
+    if shape == 1:
+        text = f"({text})/{rng.randint(2, 5)}"
+    elif shape == 2:
+        text = f"-({text})"
+    elif shape == 3:
+        text = f"{_fraction(rng, 1)}*({text})"
+    return text
+
+
+def _rational_constraint(rng: random.Random, variables: list[str]) -> str:
+    lhs = _rational_expr(rng, variables)
+    rhs = _rational_expr(rng, variables)
+    if variables and rng.random() < 0.4:
+        # a term on both sides that cancels out of the row
+        w = rng.choice(variables)
+        lhs, rhs = f"{w} + {lhs}", f"{rhs} + {w}"
+    return f"{lhs} {rng.choice(['=', '>=', '<='])} {rhs}"
+
+
+def random_rational_program_text(rng: random.Random, max_body: int = 2) -> str:
+    """Flat programs over predicates of arity 1 or 2 whose constraints have rational coefficients and bounds,
+    parentheses, unary minus, division by a constant, ``<=`` and terms that
+    cancel; bodies hold up to ``max_body`` atoms."""
+    arities = {PRED_NAMES[i]: rng.randint(1, 2) for i in range(rng.randint(1, 3))}
+    preds = list(arities)
+    lines: list[str] = []
+    for _ in range(rng.randint(1, 4)):
+        head = rng.choice(preds)
+        hvars = [f"x{i}" for i in range(1, arities[head] + 1)]
+        body = [
+            (pred, [f"z{b}_{i}" for i in range(1, arities[pred] + 1)])
+            for b, pred in enumerate(rng.choices(preds, k=rng.randint(0, max_body)))
+        ]
+        allvars = hvars + [v for _, vs in body for v in vs]
+        cons = [_rational_constraint(rng, allvars) for _ in range(rng.randint(1, 2))]
+        if body and hvars and body[0][1] and rng.random() < 0.6:
+            x, z = hvars[0], body[0][1][0]
+            cons = [
+                f"{z} = {x} - {_fraction(rng, 1, 3)}",
+                f"{x} >= {_fraction(rng, 0, 3)}",
+                f"{x} <= {_fraction(rng, 8, 20)}",
+            ] + cons
+        items = cons + [f"{p}({', '.join(vs)})" for p, vs in body]
+        lines.append(f"{head}({', '.join(hvars)}) :- {', '.join(items)}.")
+    return "\n".join(lines)
+
+
 def synthetic_family_text(n: int) -> str:
     """n structurally identical guarded-decrement rules over one predicate."""
     return "\n".join(

@@ -7,10 +7,12 @@ the ``file`` field does not depend on where the repository lives.  Any change
 to a verdict, witness, projection row or report field shows up here.
 
 The ``check-random-*`` golden files hold the same output for a seeded corpus
-of small random programs (``helpers.random_binary_program_text`` and
-``random_flat_program_text``), written to a temporary directory and checked
+of small random programs (``helpers.random_binary_program_text``,
+``random_flat_program_text`` and ``random_rational_program_text``), written to a temporary directory and checked
 from there, again with bare file names.  They cover the kinds of rows the
-linear-algebra layer sees in practice, beyond the four bundled programs.
+linear-algebra layer sees in practice, beyond the four bundled programs; the
+rational programs cover the scaling of ``a/b`` coefficients, parentheses and
+cancelling terms to integer rows.
 
 The ``bound-*`` golden files hold every ``BoundRun`` of ``check_length_bound``
 (fixed seed and sample count) on each bundled program the decider certifies
@@ -34,7 +36,11 @@ import pytest
 
 from almterm import Domain, check_length_bound, decide, parse_program
 from almterm.cli import main
-from helpers import random_binary_program_text, random_flat_program_text
+from helpers import (
+    random_binary_program_text,
+    random_flat_program_text,
+    random_rational_program_text,
+)
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -66,11 +72,13 @@ def golden_output(domain: str) -> str:
 
 
 def random_corpus() -> dict[str, str]:
-    """File name to program text: one binary and one flat program per seed."""
+    """File name to program text: one binary, one flat and one rational
+    program per seed."""
     files: dict[str, str] = {}
     for seed in RANDOM_SEEDS:
         files[f"binary{seed:02d}.clp"] = random_binary_program_text(random.Random(seed))
         files[f"flat{seed:02d}.clp"] = random_flat_program_text(random.Random(seed))
+        files[f"rational{seed:02d}.clp"] = random_rational_program_text(random.Random(seed))
     return files
 
 
