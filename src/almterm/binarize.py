@@ -26,7 +26,7 @@ def binarize(program: Program) -> Program:
                 Rule(
                     f"{rule.rule_id}.{k}",
                     rule.head,
-                    rule.constraints,
+                    rule.rows,
                     (atom,),
                     origin=(rule.rule_id, k),
                 )

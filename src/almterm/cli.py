@@ -130,7 +130,7 @@ def analyze_file(path: str, opts: Options) -> tuple[dict, int]:
     }
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         report["error"] = f"cannot read {path}: {exc}"
         return report, EXIT_INPUT_ERROR
     try:

@@ -20,8 +20,8 @@ solve linear in the number of rules.
 Both systems of a rule are instances of its dual cone
 ``K = {(z, s) : some y >= 0 has A^T y = z and b.y >= s}``, since ``c -> e.x >= t``
 holds iff ``(e, t)`` lies in ``K`` (the generator view of the encoding:
-Bagnara, Mesnard, Pescetti and Zaffanella, Inf. Comput. 2012).  So each rule's
-constraint becomes integer rows once, ``K`` is projected onto ``(z, s)`` once
+Bagnara, Mesnard, Pescetti and Zaffanella, Inf. Comput. 2012).  So ``K`` is
+built from the integer rows the rule holds, projected onto ``(z, s)`` once
 (its rows are homogeneous, so this is pure integer arithmetic), and the
 projection is instantiated twice: ``z`` the decrease objective with ``s = 1``,
 and ``z`` the body-level objective with ``s = 0``.  By Farkas' lemma ``c`` is
@@ -47,15 +47,13 @@ from .lp import (
     drop_redundant,
     feasible,
     feasible_point,
-    normalize,
+    integer_system,
     project_constraints,
 )
 from .model import (
     EQ,
     Domain,
     LevelMapping,
-    LinearConstraint,
-    LinearExpr,
     ModelError,
     Program,
     Rule,
@@ -182,7 +180,7 @@ def _domain_vars(rule: Rule, domain: Domain) -> tuple[int, ...]:
 def rule_constraint_satisfiable(rule: Rule, domain: Domain) -> bool:
     """Satisfiability of the rule constraint, including the domain's implicit
     nonnegativity rows, over the rationals (exact)."""
-    return feasible(normalize(rule.constraints, extra_nonneg=_domain_vars(rule, domain)))
+    return feasible(integer_system(rule.rows, extra_nonneg=_domain_vars(rule, domain)))
 
 
 def _encode(
@@ -196,9 +194,8 @@ def _encode(
     and per column the coefficient-variable combination that multiplies it
     in the decrease objective and in the body-level objective."""
     head, body = rule.head, rule.body[0]
-    pinned = LinearConstraint(LinearExpr.of_var(one), EQ, LinearExpr.of_const(1))
-    system = normalize(
-        (pinned,) + rule.constraints,
+    system = integer_system(
+        (({one: 1}, 1, EQ),) + rule.rows,
         extra_nonneg=_domain_vars(rule, domain),
         order_hint=(one,) + head.args + body.args,
     )

@@ -15,9 +15,10 @@ symbolic in the store.
 Projecting changes nothing observable (the projection has the same solutions
 over the live variables, and rules are renamed apart so no future constraint
 can mention an eliminated variable) but keeps stores from growing with
-derivation length.  Stores are integer rows (:data:`almterm.lp.Row`); each
-rule's constraint is encoded once (``Rule.rows``) and renaming it apart only
-remaps variable ids.
+derivation length.  Stores are integer rows (:data:`almterm.lp.Row`), split
+into equalities and inequalities; a rule holds its constraint as integer rows
+from the parser on (``Rule.rows``), so renaming it apart only remaps variable
+ids while the rows are split by relation.
 
 Step counting: every rewrite application counts, including the final failing
 or fact-resolving one.
@@ -34,27 +35,28 @@ from typing import Callable, Sequence
 from .lp import (
     OPTIMAL,
     Row,
-    constraint_rows,
     feasible,
     feasible_point,
     fm_project,
+    integer_system,
     minimize,
-    normalize,
     project_constraints,
-    row_constraints,
 )
 from .model import (
+    EQ,
+    GEQ,
     AlmtermError,
     Atom,
+    ConstraintRow,
     Domain,
     LevelMapping,
     LinearConstraint,
-    LinearExpr,
     Program,
     Q,
     Rule,
     VariablePool,
     rat,
+    row_constraint,
 )
 from .verifier import verify
 
@@ -84,7 +86,12 @@ class DerivationState:
     @property
     def store(self) -> tuple[LinearConstraint, ...] | None:
         """The store as constraints, equalities first (built on each access)."""
-        return None if self.rows is None else tuple(row_constraints(*self.rows))
+        if self.rows is None:
+            return None
+        eqs, ineqs = self.rows
+        return tuple([row_constraint(c, b, EQ) for c, b in eqs]) + tuple(
+            [row_constraint(c, b, GEQ) for c, b in ineqs]
+        )
 
     @property
     def failed(self) -> bool:
@@ -146,16 +153,14 @@ def step(
     rule = choose(candidates)
     # rename apart: fresh ids in the rule's variable order
     fresh = {v: pool.fresh(pool.name(v) + "'") for v in rule.variables}
-    eqs, ineqs = rule.rows
     store_eqs, store_ineqs = state.rows
-    links = [({a: 1, fresh[h]: -1}, 0) for a, h in zip(atom.args, rule.head.args)]
-    grown = (
-        store_eqs + links + [({fresh[v]: c for v, c in k.items()}, b) for k, b in eqs],
-        store_ineqs + [({fresh[v]: c for v, c in k.items()}, b) for k, b in ineqs],
-    )
+    eqs = store_eqs + [({a: 1, fresh[h]: -1}, 0) for a, h in zip(atom.args, rule.head.args)]
+    ineqs = list(store_ineqs)
+    for coeffs, bound, rel in rule.rows:
+        (eqs if rel == EQ else ineqs).append(({fresh[v]: c for v, c in coeffs.items()}, bound))
     body = tuple(Atom(a.pred, tuple([fresh[v] for v in a.args])) for a in rule.body)
     goal = state.goal[:idx] + body + state.goal[idx + 1 :]
-    return compact_store(DerivationState(goal, grown), domain)
+    return compact_store(DerivationState(goal, (eqs, ineqs)), domain)
 
 
 def compact_store(state: DerivationState, domain: Domain) -> DerivationState:
@@ -212,18 +217,15 @@ def ground_start(
         if domain.integral and value.denominator != 1:
             raise AlmtermError(f"{value} is not integral, required over {domain.tag}")
     vs = tuple(pool.fresh(f"{pred}_arg{i + 1}") for i in range(arity))
-    pins = [
-        LinearConstraint(LinearExpr.of_var(v), "=", LinearExpr.of_const(a))
-        for v, a in zip(vs, values)
-    ]
-    return DerivationState((Atom(pred, vs),), constraint_rows(pins))
+    pins = [({v: a.denominator}, a.numerator) for v, a in zip(vs, values)]
+    return DerivationState((Atom(pred, vs),), (pins, []))
 
 
-def state_from_query(
-    constraints: Sequence[LinearConstraint], atoms: Sequence[Atom]
-) -> DerivationState:
-    """Initial state for a parsed query."""
-    return DerivationState(tuple(atoms), constraint_rows(constraints))
+def state_from_query(rows: Sequence[ConstraintRow], atoms: Sequence[Atom]) -> DerivationState:
+    """Initial state for a parsed query (:func:`almterm.parser.parse_query`)."""
+    eqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
+    ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel != EQ]
+    return DerivationState(tuple(atoms), (eqs, ineqs))
 
 
 def run_ground(
@@ -291,7 +293,7 @@ def sample_starts(
     for rule in program.rules:
         head = rule.head
         extra = tuple(sorted(rule.all_vars())) if domain.nonneg else ()
-        system = normalize(rule.constraints, extra_nonneg=extra, order_hint=head.args)
+        system = integer_system(rule.rows, extra_nonneg=extra, order_hint=head.args)
         if not feasible(system):
             continue
         if head.arity == 0:
@@ -302,10 +304,7 @@ def sample_starts(
         base = feasible_point(projected)
         if base is not None:
             points.append(base)
-        objectives = [
-            LinearExpr({v: Fraction(rng.randint(-3, 3)) for v in head.args})
-            for _ in range(per_rule)
-        ]
+        objectives = [{v: rng.randint(-3, 3) for v in head.args} for _ in range(per_rule)]
         for out in minimize(projected, *objectives):
             if out.status == OPTIMAL:
                 points.append(out.point)

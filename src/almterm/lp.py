@@ -34,8 +34,12 @@ Projection works on the same rows.  :func:`project_constraints` is the one
 routine: equality substitution, then Fourier-Motzkin elimination with
 duplicate and dominated rows pruned after every step, all by integer
 cross-multiplication and a gcd.  ``fm_project`` and ``deduplicate`` hand a
-system's rows to it unchanged; ``normalize``, ``constraint_rows`` and
-``row_constraints`` convert from and to :class:`LinearConstraint`.
+system's rows to it unchanged.
+
+:func:`integer_system` builds a system from the rows a rule holds
+(:data:`almterm.model.ConstraintRow`), and objectives are coefficient dicts,
+so nothing is converted here; :func:`normalize`, the entry for
+:class:`LinearConstraint` input, maps ``constraint_row`` over the same builder.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .model import EQ, GEQ, LinearConstraint, LinearExpr
+from .model import EQ, GEQ, ConstraintRow, LinearConstraint, constraint_row, row_constraint
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -88,7 +92,7 @@ class LinearSystem:
         )
 
     def constraints(self) -> list[LinearConstraint]:
-        return row_constraints([], self.rows)
+        return [row_constraint(coeffs, bound, GEQ) for coeffs, bound in self.rows]
 
 
 @dataclass(frozen=True)
@@ -105,17 +109,28 @@ class LpOutcome:
     ray: dict[int, Fraction] | None = None
 
 
-def _gap(c: LinearConstraint) -> tuple[dict[int, Fraction], Fraction]:
-    """``c`` as ``coeffs . x (rel) bound``: the nonzero coefficients of
-    ``lhs - rhs`` (lhs variables first) and ``rhs.const - lhs.const``."""
-    coeffs = dict(c.lhs.coeffs)
-    for v, k in c.rhs.coeffs.items():
-        s = coeffs.get(v, 0) - k
-        if s:
-            coeffs[v] = s
-        else:
-            del coeffs[v]
-    return coeffs, c.rhs.const - c.lhs.const
+def integer_system(
+    rows: Iterable[ConstraintRow],
+    extra_nonneg: Iterable[int] = (),
+    order_hint: Sequence[int] = (),
+) -> LinearSystem:
+    """Mixed =/>= integer rows as one system of ``>=`` rows.
+
+    Rows keep their order, and an equality is followed by its negation.
+    Every variable in ``extra_nonneg`` adds one ``x >= 0`` row at the end.
+    Variable order is deterministic: ``order_hint`` first, then first
+    occurrence.  Bland's path, and so every point the solver returns, depends
+    on both orders.
+    """
+    extra = sorted(extra_nonneg)
+    out: list[Row] = []
+    for coeffs, bound, rel in rows:
+        out.append((coeffs, bound))
+        if rel == EQ:
+            out.append(({v: -k for v, k in coeffs.items()}, -bound))
+    variables = dict.fromkeys([*order_hint, *[v for coeffs, _ in out for v in coeffs], *extra])
+    out += [({v: 1}, 0) for v in extra]
+    return LinearSystem(tuple(variables), tuple(out))
 
 
 def normalize(
@@ -123,23 +138,9 @@ def normalize(
     extra_nonneg: Iterable[int] = (),
     order_hint: Sequence[int] = (),
 ) -> LinearSystem:
-    """Mixed =/>= constraints as one system of integer ``>=`` rows.
-
-    Each constraint gives one row, scaled to coprime integers; an equality
-    is followed by its negation.  Every variable in ``extra_nonneg`` adds one
-    ``x >= 0`` row at the end.  Variable order is deterministic:
-    ``order_hint`` first, then first occurrence.
-    """
-    gaps = [(_integral(*_gap(c)), c.rel) for c in constraints]
-    extra = sorted(extra_nonneg)
-    variables = dict.fromkeys([*order_hint, *[v for (g, _), _ in gaps for v in g], *extra])
-    rows: list[Row] = []
-    for (coeffs, bound), rel in gaps:
-        rows.append((coeffs, bound))
-        if rel == EQ:
-            rows.append(({v: -k for v, k in coeffs.items()}, -bound))
-    rows += [({v: 1}, 0) for v in extra]
-    return LinearSystem(tuple(variables), tuple(rows))
+    """:func:`integer_system` of the constraints' rows
+    (:func:`almterm.model.constraint_row`)."""
+    return integer_system(map(constraint_row, constraints), extra_nonneg, order_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +335,19 @@ def _solve_standard(mat, d, costs):
 # ---------------------------------------------------------------------------
 
 
-def minimize(sys: LinearSystem, *objectives: LinearExpr) -> tuple[LpOutcome, ...]:
-    """Exact minimum of each objective over ``sys`` (variables
-    unrestricted): one outcome per objective, in order.
+def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tuple[LpOutcome, ...]:
+    """Exact minimum of each objective ``sum(c * v for v, c in
+    objective.items())`` over ``sys`` (variables unrestricted): one outcome
+    per objective, in order.
 
     Internally splits every variable into a difference of nonnegatives and
     adds one surplus column per row.  Phase one runs once for the system;
     each objective then runs phase two on its own copy of that tableau, with
     zero columns for the objective's variables outside the system.  Phase
     one reads no costs, so every outcome is the one a call with that
-    objective alone returns.  The reported optimum includes the objective's
-    constant term; the reported point is a vertex, deterministic under
-    Bland's order, over the system's variables and then the objective's own
-    (in the objective's order).
+    objective alone returns.  The reported point is a vertex, deterministic
+    under Bland's order, over the system's variables and then the objective's
+    own (in the objective's order).
     """
     if not objectives:
         return ()
@@ -370,7 +371,7 @@ def minimize(sys: LinearSystem, *objectives: LinearExpr) -> tuple[LpOutcome, ...
     outcomes: list[LpOutcome] = []
     last = len(objectives) - 1
     for k, objective in enumerate(objectives):
-        extra = [v for v in objective.coeffs if v not in index]
+        extra = [v for v in objective if v not in index]
         e = len(extra)
         if e:
             # the objective's own variables split into zero columns after the
@@ -385,7 +386,7 @@ def minimize(sys: LinearSystem, *objectives: LinearExpr) -> tuple[LpOutcome, ...
         column = {v: i for i, v in enumerate([*sys.variables, *extra])}
         w = n + e
         costs = [0] * (2 * w + m)
-        for v, c in objective.coeffs.items():
+        for v, c in objective.items():
             costs[column[v]] = c
             costs[w + column[v]] = -c
         status, point, value, ray = _phase_two(tableau, tbasis, costs, 2 * w)
@@ -396,14 +397,14 @@ def minimize(sys: LinearSystem, *objectives: LinearExpr) -> tuple[LpOutcome, ...
         if status == UNBOUNDED:
             outcomes.append(LpOutcome(UNBOUNDED, point=recombine(point), ray=recombine(ray)))
         else:
-            outcomes.append(LpOutcome(OPTIMAL, value + objective.const, recombine(point)))
+            outcomes.append(LpOutcome(OPTIMAL, value, recombine(point)))
     return tuple(outcomes)
 
 
-def maximize(sys: LinearSystem, objective: LinearExpr) -> LpOutcome:
+def maximize(sys: LinearSystem, objective: Mapping[int, int | Fraction]) -> LpOutcome:
     """Exact maximum of the one ``objective``; see :func:`minimize`.
     Unbounded means unbounded above."""
-    (out,) = minimize(sys, objective.scale(-1))
+    (out,) = minimize(sys, {v: -c for v, c in objective.items()})
     if out.status != OPTIMAL:
         return out
     return LpOutcome(OPTIMAL, -out.value, out.point)
@@ -452,7 +453,7 @@ def _holds(out: LpOutcome, bound: int | Fraction) -> bool:
 
 def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int | Fraction) -> bool:
     """Does every solution of ``sys`` satisfy ``coeffs . x >= bound``?"""
-    (out,) = minimize(sys, LinearExpr(dict(coeffs)))
+    (out,) = minimize(sys, coeffs)
     return _holds(out, bound)
 
 
@@ -462,7 +463,7 @@ def equivalent_systems(a: LinearSystem, b: LinearSystem) -> bool:
     with every row of the one side an objective over the other (exact LPs, no
     tolerance)."""
     for sys, other in ((a, b), (b, a)):
-        outs = minimize(other, *[LinearExpr(dict(coeffs)) for coeffs, _ in sys.rows])
+        outs = minimize(other, *[coeffs for coeffs, _ in sys.rows])
         if not all(_holds(out, bound) for out, (_, bound) in zip(outs, sys.rows)):
             return False
     return True
@@ -471,18 +472,6 @@ def equivalent_systems(a: LinearSystem, b: LinearSystem) -> bool:
 # ---------------------------------------------------------------------------
 # projection over integer rows
 # ---------------------------------------------------------------------------
-
-
-def _integral(coeffs: Mapping[int, Fraction], bound: Fraction) -> Row:
-    """The same row times a positive rational: coprime integer coefficients
-    and bound."""
-    den = lcm(bound.denominator, *[c.denominator for c in coeffs.values()])
-    ints = {v: c.numerator * (den // c.denominator) for v, c in coeffs.items()}
-    b = bound.numerator * (den // bound.denominator)
-    g = gcd(b, *ints.values())
-    if g > 1:
-        return {v: c // g for v, c in ints.items()}, b // g
-    return ints, b
 
 
 def _primitive(coeffs: dict[int, int], bound) -> Row:
@@ -625,26 +614,6 @@ def project_constraints(
             return None
         drop &= {v for coeffs, _ in rows for v in coeffs}
     return [_primitive(*eq) for eq in eqs if eq[0]], rows
-
-
-def constraint_rows(
-    constraints: Iterable[LinearConstraint],
-) -> tuple[list[Row], list[Row]]:
-    """Mixed =/>= constraints as integer equalities and inequalities."""
-    eqs: list[Row] = []
-    ineqs: list[Row] = []
-    for c in constraints:
-        (eqs if c.rel == EQ else ineqs).append(_integral(*_gap(c)))
-    return eqs, ineqs
-
-
-def row_constraints(eqs: list[Row], ineqs: list[Row]) -> list[LinearConstraint]:
-    """Integer rows back as constraints, equalities first."""
-    return [
-        LinearConstraint(LinearExpr(coeffs), rel, LinearExpr.of_const(bound))
-        for rows, rel in ((eqs, EQ), (ineqs, GEQ))
-        for coeffs, bound in rows
-    ]
 
 
 def deduplicate(sys: LinearSystem) -> LinearSystem:

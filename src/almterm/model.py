@@ -1,9 +1,12 @@
 """Exact data model for flat constraint logic programs over linear arithmetic.
 
-Everything here is immutable after construction and uses arbitrary-precision
-rationals (`fractions.Fraction`), so no rounding can occur anywhere in an
-analysis.  Variables are interned to dense integer ids; their source names
-live in a :class:`VariablePool` side table used only for reporting.
+Everything here is immutable after construction and exact, so no rounding can
+occur anywhere in an analysis.  A rule holds its constraint as primitive
+integer rows (:data:`ConstraintRow`); :class:`LinearConstraint` is the
+rational form constraints are written and shown in, and :func:`constraint_row`
+and :func:`row_constraint` convert one way each.  Variables are interned to
+dense integer ids; their source names live in a :class:`VariablePool` side
+table used only for reporting.
 """
 
 from __future__ import annotations
@@ -147,9 +150,6 @@ class LinearExpr:
     def variables(self) -> set[int]:
         return set(self.coeffs)
 
-    def coeff(self, vid: int) -> Fraction:
-        return self.coeffs.get(vid, Fraction(0))
-
     @property
     def is_const(self) -> bool:
         return not self.coeffs
@@ -231,12 +231,40 @@ class LinearConstraint:
     def variables(self) -> set[int]:
         return self.lhs.variables() | self.rhs.variables()
 
-    def holds(self, assignment: Mapping[int, Fraction]) -> bool:
-        g = self.gap().evaluate(assignment)
-        return g == 0 if self.rel == EQ else g >= 0
-
     def render(self, names: "VariablePool | None" = None) -> str:
         return f"{self.lhs.render(names)} {self.rel} {self.rhs.render(names)}"
+
+
+# ``coeffs . x = bound`` or ``coeffs . x >= bound`` (``rel`` is EQ or GEQ):
+# nonzero int coefficients by variable id and an int bound, all coprime
+ConstraintRow = tuple[dict[int, int], int, str]
+
+
+def constraint_row(c: LinearConstraint) -> ConstraintRow:
+    """``c`` as a primitive integer row: the nonzero coefficients of
+    ``lhs - rhs`` (lhs variables first, a variable that cancels left out) and
+    the bound ``rhs.const - lhs.const``, scaled by a positive rational to
+    coprime integers."""
+    coeffs = dict(c.lhs.coeffs)
+    for v, k in c.rhs.coeffs.items():
+        s = coeffs.get(v, 0) - k
+        if s:
+            coeffs[v] = s
+        else:
+            del coeffs[v]
+    bound = c.rhs.const - c.lhs.const
+    den = math.lcm(bound.denominator, *[k.denominator for k in coeffs.values()])
+    ints = {v: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
+    b = bound.numerator * (den // bound.denominator)
+    g = math.gcd(b, *ints.values())
+    if g > 1:
+        return {v: k // g for v, k in ints.items()}, b // g, c.rel
+    return ints, b, c.rel
+
+
+def row_constraint(coeffs: Mapping[int, int], bound: int | Fraction, rel: str) -> LinearConstraint:
+    """The row ``coeffs . x (rel) bound`` as a constraint, for display."""
+    return LinearConstraint(LinearExpr(coeffs), rel, LinearExpr.of_const(bound))
 
 
 def geq(lhs, rhs) -> LinearConstraint:
@@ -272,21 +300,27 @@ class Atom:
 
 @dataclass(frozen=True)
 class Rule:
-    """``head :- constraints, body.``  The body atoms are user predicates.
-
-    ``origin`` records, for rules produced by splitting a multi-atom body,
-    the source rule id and the body position the kept atom came from.
+    """``head :- rows, body.``  ``rows`` hold the constraint as
+    :data:`ConstraintRow`s in source order; the body atoms are user
+    predicates.  ``origin`` records, for rules produced by splitting a
+    multi-atom body, the source rule id and the body position the kept atom
+    came from.
     """
 
     rule_id: str
     head: Atom
-    constraints: tuple[LinearConstraint, ...]
+    rows: tuple[ConstraintRow, ...]
     body: tuple[Atom, ...]
     origin: tuple[str, int] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "body", tuple(self.body))
+
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        """The rows as constraints, for display (built on each access)."""
+        return tuple([row_constraint(*row) for row in self.rows])
 
     @property
     def is_fact(self) -> bool:
@@ -302,34 +336,22 @@ class Rule:
         return out
 
     def constraint_vars(self) -> set[int]:
-        out: set[int] = set()
-        for c in self.constraints:
-            out.update(c.variables())
-        return out
+        return {v for coeffs, _, _ in self.rows for v in coeffs}
 
     def all_vars(self) -> set[int]:
         return self.atom_vars() | self.constraint_vars()
 
     @cached_property
     def variables(self) -> tuple[int, ...]:
-        """Every variable once: constraint variables in order of appearance,
-        then head arguments, then body arguments (computed once per rule)."""
+        """Every variable once: constraint variables in row order, then head
+        arguments, then body arguments (computed once per rule)."""
         order: list[int] = []
-        for c in self.constraints:
-            order += c.lhs.coeffs
-            order += c.rhs.coeffs
+        for coeffs, _, _ in self.rows:
+            order += coeffs
         order += self.head.args
         for a in self.body:
             order += a.args
         return tuple(dict.fromkeys(order))
-
-    @cached_property
-    def rows(self) -> tuple[list, list]:
-        """The constraint as integer equality and inequality rows
-        (:func:`almterm.lp.constraint_rows`), encoded once per rule."""
-        from .lp import constraint_rows
-
-        return constraint_rows(self.constraints)
 
     def check_flatness(self, require_local_constraint_vars: bool = True) -> None:
         """Raise ModelError unless atom tuples are pairwise disjoint (and,
@@ -414,21 +436,22 @@ class LevelMapping:
         object.__setattr__(self, "coeffs", cleaned)
 
     def arity(self, pred: str) -> int:
-        return len(self._vector(pred)) - 1
+        return len(self.vector(pred)) - 1
 
-    def _vector(self, pred: str) -> tuple[Fraction, ...]:
-        try:
-            return self.coeffs[pred]
-        except KeyError:
-            raise ModelError(f"level mapping does not cover predicate {pred}") from None
+    def vector(self, pred: str, arity: int | None = None) -> tuple[Fraction, ...]:
+        """The constant and argument coefficients of ``pred``; ModelError
+        unless the mapping covers ``pred`` (with ``arity`` arguments, if
+        given)."""
+        vec = self.coeffs.get(pred)
+        if vec is None:
+            raise ModelError(f"level mapping does not cover predicate {pred}")
+        if arity is not None and arity != len(vec) - 1:
+            raise ModelError(f"{pred} expects {len(vec) - 1} arguments, got {arity}")
+        return vec
 
     def level_of(self, pred: str, args: Sequence[int | Fraction]) -> Fraction:
         """Exact measure of the ground atom ``pred(args)``."""
-        vec = self._vector(pred)
-        if len(args) != len(vec) - 1:
-            raise ModelError(
-                f"{pred} expects {len(vec) - 1} arguments, got {len(args)}"
-            )
+        vec = self.vector(pred, len(args))
         total = vec[0]
         for c, a in zip(vec[1:], args):
             total += c * rat(a)
@@ -444,7 +467,7 @@ class LevelMapping:
         return LevelMapping({p: tuple(c * k for c in cs) for p, cs in self.coeffs.items()})
 
     def render(self, pred: str) -> str:
-        vec = self._vector(pred)
+        vec = self.vector(pred)
         args = [f"a{i}" for i in range(1, len(vec))]
         text = str(vec[0])
         for i, a in enumerate(args, start=1):

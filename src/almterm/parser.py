@@ -21,6 +21,11 @@ converts to an int; longer input is a :class:`ParseError`.
 Flatness is enforced: atom arguments are distinct variables, atom tuples
 within a clause are pairwise disjoint, and every constraint variable must
 occur in some atom of its clause.
+
+Expressions are built with :class:`LinearExpr` arithmetic; each finished
+constraint becomes one primitive integer row
+(:func:`almterm.model.constraint_row`), and a :class:`Rule` holds those rows
+in source order.  Later layers read the rows and never convert again.
 """
 
 from __future__ import annotations
@@ -34,11 +39,13 @@ from .model import (
     GEQ,
     AlmtermError,
     Atom,
+    ConstraintRow,
     LinearConstraint,
     LinearExpr,
     Program,
     Rule,
     VariablePool,
+    constraint_row,
 )
 
 
@@ -184,11 +191,11 @@ class _Parser:
     def clause(self, rule_id: str, arities: dict[str, int]) -> Rule:
         scope = _ClauseScope(self.pool)
         head = self.atom(scope)
-        constraints: list[LinearConstraint] = []
+        rows: list[ConstraintRow] = []
         body: list[Atom] = []
         if self.peek().kind == "implies":
             self.next()
-            self.items(scope, constraints, body)
+            self.items(scope, rows, body)
         self.expect(".")
         self._check_flat(scope)
         for atom, tok in scope.atom_records:
@@ -198,33 +205,33 @@ class _Parser:
                     f"predicate {atom.pred} used with arity {atom.arity}, previously {known}",
                     tok,
                 )
-        return Rule(rule_id, head, tuple(constraints), tuple(body))
+        return Rule(rule_id, head, tuple(rows), tuple(body))
 
-    def query(self) -> tuple[list[LinearConstraint], list[Atom]]:
+    def query(self) -> tuple[list[ConstraintRow], list[Atom]]:
         self.expect("query")
         scope = _ClauseScope(self.pool)
-        constraints: list[LinearConstraint] = []
+        rows: list[ConstraintRow] = []
         atoms: list[Atom] = []
-        self.items(scope, constraints, atoms)
+        self.items(scope, rows, atoms)
         self.expect(".")
         self.expect("eof")
         self._check_flat(scope)
-        return constraints, atoms
+        return rows, atoms
 
-    def items(self, scope, constraints: list, atoms: list) -> None:
+    def items(self, scope, rows: list, atoms: list) -> None:
         while True:
-            self.item(scope, constraints, atoms)
+            self.item(scope, rows, atoms)
             if self.peek().kind == ",":
                 self.next()
             else:
                 return
 
-    def item(self, scope, constraints: list, atoms: list) -> None:
+    def item(self, scope, rows: list, atoms: list) -> None:
         tok = self.peek()
         if tok.kind == "ident" and self.peek(1).kind in ("(", ",", "."):
             atoms.append(self.atom(scope))
         else:
-            constraints.append(self.constraint(scope))
+            rows.append(constraint_row(self.constraint(scope)))
 
     def atom(self, scope: _ClauseScope) -> Atom:
         name = self.expect("ident")
@@ -346,8 +353,9 @@ def parse_program(text: str, file: str = "<string>", pool: VariablePool | None =
 
 def parse_query(
     text: str, file: str = "<string>", pool: VariablePool | None = None
-) -> tuple[list[LinearConstraint], list[Atom]]:
-    """Parse ``?- items.`` into (constraints, atoms) under the same checks."""
+) -> tuple[list[ConstraintRow], list[Atom]]:
+    """Parse ``?- items.`` into (constraint rows, atoms) under the same
+    checks."""
     return _Parser(text, file, pool or VariablePool()).query()
 
 
@@ -357,12 +365,13 @@ def parse_rule(text: str, rule_id: str = "r1", pool: VariablePool | None = None)
     if len(program.rules) != 1:
         raise AlmtermError("expected exactly one clause")
     rule = program.rules[0]
-    return Rule(rule_id, rule.head, rule.constraints, rule.body)
+    return Rule(rule_id, rule.head, rule.rows, rule.body)
 
 
 def pretty_print(program: Program) -> str:
-    """Render a program in the concrete grammar; reparsing the output yields
-    a structurally identical program."""
+    """Render a program in the concrete grammar, each constraint as its row;
+    reparsing the output yields the same rules, except that a variable that
+    cancels out of the constraints may get another id."""
     pool = program.pool
     lines = []
     for rule in program.rules:

@@ -18,17 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, feasible, minimize, normalize
-from .model import (
-    Atom,
-    Domain,
-    LevelMapping,
-    LinearConstraint,
-    LinearExpr,
-    Program,
-    Q,
-    Rule,
-)
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, feasible, integer_system, minimize
+from .model import EQ, Atom, Domain, LevelMapping, Program, Q, Rule
 
 EPSILON = Fraction(1)  # required per-step decrease; scaling makes 1 canonical
 
@@ -76,28 +67,21 @@ class VerifyReport:
         return tuple(c for c in self.checks if c.rule_id == rule_id)
 
 
-def _level_expr(lm: LevelMapping, atom: Atom, one_var: int) -> LinearExpr:
-    vec = lm.coeffs.get(atom.pred)
-    if vec is None:
-        # raises the canonical "does not cover" error
-        lm.level_of(atom.pred, [Fraction(0)] * atom.arity)
-        raise AssertionError("unreachable")
-    coeffs = {one_var: vec[0]}
-    for slot, v in enumerate(atom.args, start=1):
-        coeffs[v] = coeffs.get(v, Fraction(0)) + vec[slot]
-    return LinearExpr(coeffs)
+def _level(lm: LevelMapping, atom: Atom, one_var: int) -> dict[int, Fraction]:
+    """The level of ``atom`` as objective coefficients, the constant on
+    ``one_var``; ModelError unless ``lm`` covers the atom's predicate at its
+    arity."""
+    vec = lm.vector(atom.pred, atom.arity)
+    return {one_var: vec[0], **dict(zip(atom.args, vec[1:]))}
 
 
-def _violating_point(out: LpOutcome, objective: LinearExpr, threshold: Fraction):
+def _violating_point(out: LpOutcome, objective: dict[int, Fraction], threshold: Fraction):
     """A concrete assignment where the objective drops below the threshold."""
     if out.status == OPTIMAL:
         return out.point
     if out.status == UNBOUNDED and out.point is not None and out.ray is not None:
-        slope = sum(
-            (objective.coeffs.get(v, Fraction(0)) * d for v, d in out.ray.items()),
-            Fraction(0),
-        )
-        value = objective.evaluate(out.point)
+        slope = sum((objective.get(v, 0) * d for v, d in out.ray.items()), Fraction(0))
+        value = sum((c * out.point[v] for v, c in objective.items()), Fraction(0))
         if slope >= 0:
             return out.point
         # walk far enough along the ray to land strictly below the threshold
@@ -116,17 +100,19 @@ def _check_pair(
     """Both minimisations for one body atom; None when the rule constraint
     is unsatisfiable (pinning ``one`` to 1 does not change that)."""
     body_atom = rule.body[body_index]
-    pinned = LinearConstraint(LinearExpr.of_var(one_var), "=", LinearExpr.of_const(1))
     extra = tuple(sorted(rule.all_vars())) if domain.nonneg else ()
-    system = normalize(
-        (pinned,) + rule.constraints,
+    system = integer_system(
+        (({one_var: 1}, 1, EQ),) + rule.rows,
         extra_nonneg=extra,
         order_hint=(one_var,) + rule.head.args + body_atom.args,
     )
-    head_level = _level_expr(lm, rule.head, one_var)
-    body_level = _level_expr(lm, body_atom, one_var)
+    head_level = _level(lm, rule.head, one_var)
+    body_level = _level(lm, body_atom, one_var)
+    # head - body: the atoms share no variable, so only the constants meet
+    drop = {**head_level, **{v: -c for v, c in body_level.items()}}
+    drop[one_var] = head_level[one_var] - body_level[one_var]
 
-    decrease, body_floor = minimize(system, head_level - body_level, body_level)
+    decrease, body_floor = minimize(system, drop, body_level)
     if decrease.status == INFEASIBLE:
         return None
 
@@ -141,7 +127,7 @@ def _check_pair(
             if decrease.status == UNBOUNDED
             else f"head-to-body decrease bottoms out at {decrease.value}, needs >= {EPSILON}"
         )
-        witness = _violating_point(decrease, head_level - body_level, EPSILON)
+        witness = _violating_point(decrease, drop, EPSILON)
     else:
         note = (
             "body level is unbounded below"
@@ -162,7 +148,7 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
     for rule in program.rules:
         if rule.is_fact:
             extra = tuple(sorted(rule.all_vars())) if domain.nonneg else ()
-            sat = feasible(normalize(rule.constraints, extra_nonneg=extra))
+            sat = feasible(integer_system(rule.rows, extra_nonneg=extra))
             checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT if sat else VACUOUS_UNSAT))
             continue
         one_var = pool.fresh(f"one[{rule.rule_id}]")

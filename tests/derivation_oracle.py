@@ -15,8 +15,21 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from almterm.derivation import FAILURE, FLOUNDERED, MAX_STEPS, SUCCESS, SelectionRule
-from almterm.lp import constraint_rows, feasible, normalize, project_constraints, row_constraints
-from almterm.model import Atom, Domain, LinearConstraint, LinearExpr, Program, Q, Rule, VariablePool
+from almterm.lp import feasible, normalize, project_constraints
+from almterm.model import (
+    EQ,
+    GEQ,
+    Atom,
+    Domain,
+    LinearConstraint,
+    LinearExpr,
+    Program,
+    Q,
+    Rule,
+    VariablePool,
+    constraint_row,
+    row_constraint,
+)
 
 
 @dataclass(frozen=True)
@@ -42,13 +55,10 @@ def rename_apart(rule: Rule, pool: VariablePool) -> Rule:
     def ratom(a: Atom) -> Atom:
         return Atom(a.pred, tuple(fresh(v) for v in a.args))
 
-    def rexpr(e: LinearExpr) -> LinearExpr:
-        return LinearExpr({fresh(v): c for v, c in e.coeffs.items()}, e.const)
-
-    constraints = tuple(
-        LinearConstraint(rexpr(c.lhs), c.rel, rexpr(c.rhs)) for c in rule.constraints
+    rows = tuple(
+        ({fresh(v): c for v, c in coeffs.items()}, bound, rel) for coeffs, bound, rel in rule.rows
     )
-    return Rule(rule.rule_id, ratom(rule.head), constraints, tuple(ratom(a) for a in rule.body))
+    return Rule(rule.rule_id, ratom(rule.head), rows, tuple(ratom(a) for a in rule.body))
 
 
 def store_satisfiable(constraints: Sequence[LinearConstraint], domain: Domain) -> bool:
@@ -100,9 +110,15 @@ def compact_store(state: OracleState, domain: Domain) -> OracleState:
             LinearConstraint(LinearExpr.of_var(v), ">=", LinearExpr.of_const(0))
             for v in sorted(seen)
         ]
-    projected = project_constraints(*constraint_rows(constraints), live)
+    rows = [constraint_row(c) for c in constraints]
+    eqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
+    ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == GEQ]
+    projected = project_constraints(eqs, ineqs, live)
     assert projected is not None, "only satisfiable stores are compacted"
-    return OracleState(state.goal, tuple(row_constraints(*projected)))
+    eqs, ineqs = projected
+    store = [row_constraint(c, b, EQ) for c, b in eqs]
+    store += [row_constraint(c, b, GEQ) for c, b in ineqs]
+    return OracleState(state.goal, tuple(store))
 
 
 def explore(

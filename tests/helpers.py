@@ -97,7 +97,8 @@ def _fraction(rng: random.Random, low: int = -9, high: int = 9) -> str:
 def _rational_expr(rng: random.Random, variables: list[str]) -> str:
     """A linear expression written with ``a/b`` coefficients, a parenthesised
     group divided by a constant, and unary minus signs."""
-    terms = [f"{_fraction(rng, 1)}*{v}" for v in rng.sample(variables, rng.randint(0, len(variables)))]
+    chosen = rng.sample(variables, rng.randint(0, len(variables)))
+    terms = [f"{_fraction(rng, 1)}*{v}" for v in chosen]
     terms.append(_fraction(rng))
     rng.shuffle(terms)
     text = " + ".join(terms)
@@ -122,9 +123,10 @@ def _rational_constraint(rng: random.Random, variables: list[str]) -> str:
 
 
 def random_rational_program_text(rng: random.Random, max_body: int = 2) -> str:
-    """Flat programs over predicates of arity 1 or 2 whose constraints have rational coefficients and bounds,
-    parentheses, unary minus, division by a constant, ``<=`` and terms that
-    cancel; bodies hold up to ``max_body`` atoms."""
+    """Flat programs over predicates of arity 1 or 2 whose constraints have
+    rational coefficients and bounds, parentheses, unary minus, division by a
+    constant, ``<=`` and terms that cancel; bodies hold up to ``max_body``
+    atoms."""
     arities = {PRED_NAMES[i]: rng.randint(1, 2) for i in range(rng.randint(1, 3))}
     preds = list(arities)
     lines: list[str] = []

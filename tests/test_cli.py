@@ -6,7 +6,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from almterm.cli import (
@@ -172,14 +172,17 @@ _FILE_TEXT = st.one_of(
     st.lists(st.sampled_from(list("():-=,.+*/ \n") + ["p", "x", "1", ">="]), max_size=30).map("".join),
     st.lists(_rules(), max_size=4).map("\n".join),
 )
+# file contents: the texts above in UTF-8, and arbitrary bytes
+_FILE_BYTES = st.one_of(_FILE_TEXT.map(lambda text: text.encode("utf-8")), st.binary(max_size=60))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_FILE_TEXT, st.sampled_from(["q", "q+", "n"]), st.booleans())
+@given(_FILE_BYTES, st.sampled_from(["q", "q+", "n"]), st.booleans())
+@example("p(x) :- x >= 0, y = x - 1, p(y). % caf\xe9".encode("latin-1"), "q", True)
 def test_any_file_text_ends_in_one_report_and_an_exit_code(text, domain, as_json):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.clp"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text)
         argv = ["check", str(path), str(PROGRAMS / "example72.clp"), "--domain", domain,
                 "--witness", "--project"] + (["--json"] if as_json else [])
         out = io.StringIO()

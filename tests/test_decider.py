@@ -146,7 +146,7 @@ def test_dual_maximum_with_pinned_coefficients():
         + list(decrease.balance)
         + [geq(var(v), 0) for v in decrease.multipliers]
     )
-    out = maximize(sys, decrease.objective)
+    out = maximize(sys, decrease.objective.coeffs)
     assert out.status == "optimal" and out.value == 1
 
 

@@ -8,11 +8,11 @@ to a verdict, witness, projection row or report field shows up here.
 
 The ``check-random-*`` golden files hold the same output for a seeded corpus
 of small random programs (``helpers.random_binary_program_text``,
-``random_flat_program_text`` and ``random_rational_program_text``), written to a temporary directory and checked
-from there, again with bare file names.  They cover the kinds of rows the
-linear-algebra layer sees in practice, beyond the four bundled programs; the
-rational programs cover the scaling of ``a/b`` coefficients, parentheses and
-cancelling terms to integer rows.
+``random_flat_program_text`` and ``random_rational_program_text``), written
+to a temporary directory and checked from there, again with bare file names.
+They cover the kinds of rows the linear-algebra layer sees in practice, beyond
+the four bundled programs; the rational programs cover the scaling of ``a/b``
+coefficients, parentheses and cancelling terms to integer rows.
 
 The ``bound-*`` golden files hold every ``BoundRun`` of ``check_length_bound``
 (fixed seed and sample count) on each bundled program the decider certifies

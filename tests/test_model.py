@@ -14,7 +14,7 @@ from almterm import (
     VariablePool,
     rat,
 )
-from almterm.model import equal
+from almterm.model import constraint_row, equal
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=50
@@ -117,7 +117,7 @@ def test_rule_flatness_checks():
     with pytest.raises(ModelError):
         shared.check_flatness()
     stray = equal(LinearExpr.of_var(5), LinearExpr.of_const(1))
-    loose = Rule("r3", head, (stray,), (body,))
+    loose = Rule("r3", head, (constraint_row(stray),), (body,))
     with pytest.raises(ModelError):
         loose.check_flatness()
     loose.check_flatness(require_local_constraint_vars=False)

@@ -14,8 +14,17 @@ from almterm import (
     parse_query,
     pretty_print,
 )
+import almterm.lp
+import almterm.model
+import almterm.parser
+from almterm import N, Q, QPLUS, check_length_bound, decide, verify
 from almterm.parser import MAX_NESTING
-from helpers import load, random_binary_program_text, random_flat_program_text
+from helpers import (
+    load,
+    random_binary_program_text,
+    random_flat_program_text,
+    random_rational_program_text,
+)
 
 
 def test_parse_golden_program():
@@ -23,18 +32,16 @@ def test_parse_golden_program():
     assert dict(program.arities) == {"p": 1}
     assert len(program.rules) == 3
     r1, r2, r3 = program.rules
-    assert r1.is_fact and len(r1.constraints) == 1
-    assert r2.is_fact
+    assert r1.is_fact and r1.rows == (({r1.head.args[0]: 1}, 2, EQ),)
+    assert r2.is_fact and r2.rows == (({}, 1, EQ),)
     assert [a.pred for a in r3.body] == ["p"]
-    assert len(r3.constraints) == 2
-    guard, link = r3.constraints
-    assert guard.rel == GEQ and guard.lhs.is_const and guard.lhs.const == 72
-    assert link.rel == EQ
-    # y = x + 1 with x the head variable
+    # 72 >= x and y = x + 1 with x the head variable, as rows lhs - rhs (rel)
+    # rhs.const - lhs.const, lhs variables first
     x = r3.head.args[0]
     y = r3.body[0].args[0]
-    gap = link.gap()
-    assert gap.coeffs == {y: 1, x: -1} and gap.const == -1
+    guard, link = r3.rows
+    assert guard == ({x: -1}, -72, GEQ)
+    assert link == ({y: 1, x: -1}, 1, EQ) and list(link[0]) == [y, x]
 
 
 def test_parse_single_fact():
@@ -68,11 +75,11 @@ def test_constraint_variable_outside_atoms_rejected():
 
 
 def test_queries():
-    constraints, atoms = parse_query("?- x = 72, p(x).")
-    assert len(constraints) == 1 and constraints[0].rel == EQ
+    rows, atoms = parse_query("?- x = 72, p(x).")
     assert [a.pred for a in atoms] == ["p"]
-    constraints, atoms = parse_query("?- x >= 0, p(x).")
-    assert constraints[0].rel == GEQ
+    assert rows == [({atoms[0].args[0]: 1}, 72, EQ)]
+    rows, atoms = parse_query("?- x >= 0, p(x).")
+    assert rows == [({atoms[0].args[0]: 1}, 0, GEQ)]
 
 
 def test_arity_consistency():
@@ -91,8 +98,9 @@ def test_leq_sugar_and_negative_literals():
 
 def test_rational_literals_and_comments():
     program = parse_program("% a comment\np(x) :- x = 1/3. % trailing\n")
-    c = program.rules[0].constraints[0]
-    assert c.rhs.const.numerator == 1 and c.rhs.const.denominator == 3
+    # x = 1/3 scaled to coprime integers
+    (x,) = program.rules[0].head.args
+    assert program.rules[0].rows == (({x: 3}, 1, EQ),)
 
 
 def test_zero_arity_atoms():
@@ -181,3 +189,45 @@ def test_parsed_programs_satisfy_model_invariants():
             rule.check_flatness()
             for atom in rule.atoms():
                 assert program.arities[atom.pred] == atom.arity
+
+
+def test_constraints_become_primitive_integer_rows():
+    program = parse_program("p(x) :- x/2 >= 1/3, y = x - 1, p(y).")
+    rule = program.rules[0]
+    (x,), (y,) = rule.head.args, rule.body[0].args
+    assert rule.rows == (({x: 3}, 2, GEQ), ({y: 1, x: -1}, -1, EQ))
+    # lhs variables first; a variable that cancels leaves the row
+    assert [list(coeffs) for coeffs, _, _ in rule.rows] == [[x], [y, x]]
+    (rule,) = parse_program("p(x) :- w + x >= w + 1/2, q(w).").rules
+    assert rule.rows == (({rule.head.args[0]: 2}, 1, GEQ),)
+    # the display view is built from the rows
+    assert [c.render(program.pool) for c in program.rules[0].constraints] == [
+        "3*x >= 2",
+        "-x + y = -1",
+    ]
+
+
+def test_pipeline_converts_no_constraint_after_parsing(monkeypatch):
+    """Parsing turns every constraint into rows once; deciding, verifying and
+    sampling read those rows and never call the converter again."""
+    texts = [load(name) for name in ("example72.clp", "example4.clp", "multibody.clp")]
+    texts += [random_rational_program_text(random.Random(seed)) for seed in range(12)]
+    programs = [parse_program(text) for text in texts]
+
+    def refuse(constraint):
+        raise AssertionError("a constraint was converted after parsing")
+
+    for module in (almterm.model, almterm.lp, almterm.parser):
+        monkeypatch.setattr(module, "constraint_row", refuse)
+    certified = 0
+    for program in programs:
+        for domain in (Q, QPLUS, N):
+            verdict = decide(program, domain, want_projection=True)
+            if verdict.witness is None:
+                continue
+            certified += 1
+            assert verify(verdict.binary, verdict.witness, domain).passed
+            check_length_bound(
+                verdict.binary, verdict.witness, samples=3, domain=domain, step_cap=20
+            )
+    assert certified >= 10

@@ -26,7 +26,8 @@ from almterm import (
 )
 from almterm import decider
 from almterm.decider import rule_constraint_satisfiable
-from almterm.lp import LinearSystem, constraint_rows, row_constraints
+from almterm.lp import LinearSystem, integer_system
+from almterm.model import constraint_row
 from helpers import load, random_binary_program_text
 from multiplier_systems import build_rule_systems
 
@@ -53,7 +54,9 @@ def primitive(coeffs, bound):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(constraint, max_size=6), st.sets(st.sampled_from(VARS)))
 def test_projection_matches_fraction_oracle(constraints, keep):
-    mine = project_constraints(*constraint_rows(constraints), keep)
+    rows = [constraint_row(c) for c in constraints]
+    eqs = [(c, b) for c, b, rel in rows if rel == EQ]
+    mine = project_constraints(eqs, [(c, b) for c, b, rel in rows if rel == GEQ], keep)
     oracle = fraction_fm.project_constraints(constraints, keep)
     assert (mine is None) == (oracle is None)
     if mine is None:
@@ -68,7 +71,7 @@ def test_projection_matches_fraction_oracle(constraints, keep):
     assert [primitive(*r) for r in eqs] == [primitive(*r) for r in their_eqs]
     order = sorted(keep)
     assert equivalent_systems(
-        normalize(row_constraints(eqs, ineqs), order_hint=order),
+        integer_system([(c, b, EQ) for c, b in eqs] + [(c, b, GEQ) for c, b in ineqs], (), order),
         normalize(oracle, order_hint=order),
     )
 

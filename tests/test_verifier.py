@@ -5,7 +5,6 @@ import pytest
 
 from almterm import (
     LevelMapping,
-    LinearExpr,
     ModelError,
     Program,
     Q,
@@ -102,9 +101,7 @@ def test_ground_instances_respect_definition_exactly():
     x = rule.head.args[0]
     y = rule.body[0].args[0]
     for _ in range(25):
-        objective = LinearExpr(
-            {v: Fraction(rng.randint(-5, 5)) for v in sys.variables}
-        )
+        objective = {v: Fraction(rng.randint(-5, 5)) for v in sys.variables}
         (out,) = minimize(sys, objective)
         if out.status != "optimal":
             continue
@@ -172,3 +169,14 @@ def test_verify_runs_a_satisfiability_lp_only_for_facts(monkeypatch):
         ("r4", 0, PASS),
     ]
     assert report.passed
+
+
+def test_verify_rejects_a_mapping_of_the_wrong_arity():
+    """A certificate vector must hold a constant and one coefficient per
+    argument, as ``LevelMapping.level_of`` demands."""
+    program = parse_program("p(x) :- x >= 1, y = x - 1, p(y).")
+    for vec in ((0, 1, 5), (1,)):
+        with pytest.raises(ModelError, match="p expects"):
+            verify(program, LevelMapping({"p": vec}))
+        with pytest.raises(ModelError, match="p expects"):
+            LevelMapping({"p": vec}).level_of("p", [0])
