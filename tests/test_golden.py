@@ -20,6 +20,15 @@ on that domain, run on the binarized program with the decider's witness.  Any
 change to a sampled start, its level and budget, or a derivation's rewrite
 count and outcome shows up here.
 
+``parse-errors.txt`` holds what the parser makes of a seeded corpus of
+mutated inputs: the bundled programs, the random corpus and a few queries,
+each also with grammar pieces inserted, deleted and substituted (among them
+a tab, a carriage return, a NUL, a non-ASCII letter, a comment that runs to
+a later line, an overlong literal and deep nesting).  Each line names the
+input and gives the error class, its span and ``str(err)``, or the parsed
+rows and atoms.  Any change to an error message, line or column shows up
+here.
+
 Regenerate (only when the output is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -34,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from almterm import Domain, check_length_bound, decide, parse_program
+from almterm import Domain, ParseError, check_length_bound, decide, parse_program, parse_query
 from almterm.cli import main
 from helpers import (
     random_binary_program_text,
@@ -49,6 +58,21 @@ DOMAINS = {"q": "q", "q+": "qplus", "n": "n"}
 BOUND_SAMPLES = 40
 BOUND_SEED = 5
 RANDOM_SEEDS = range(30)
+PARSE_SEED = 8
+PARSE_MUTANTS = 8
+PARSE_QUERIES = (
+    "?- x = 72, p(x).",
+    "?- x >= 0, y = x + 1/2,\n   p(x), q(y).",
+    "?- loop.",
+)
+# grammar pieces, whitespace the grammar never mentions, and characters the
+# grammar rejects
+PARSE_PIECES = (
+    ":-", "?-", ">=", "<=", "=", "(", ")", ",", ".", "+", "-", "*", "/",
+    "p", "q(x)", "p(x, y)", "x", "y", "0", "1", "72", "1/0", "x*y", "2/x",
+    " ", "\n", "\t", "\r", "\r\n", "\x00", "\u00e9", "%", "% note\n",
+    "% note\n  x = 1", "9" * 5000, "(" * 260, "- " * 260,
+)
 
 
 def check_output(directory: Path, names: list[str], domain: str) -> str:
@@ -110,6 +134,52 @@ def bound_output(domain: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        action = rng.choice(("insert", "delete", "substitute"))
+        if action == "insert":
+            text = text[:pos] + rng.choice(PARSE_PIECES) + text[pos:]
+        else:
+            cut = pos + rng.randint(1, 4)
+            piece = rng.choice(PARSE_PIECES) if action == "substitute" else ""
+            text = text[:pos] + piece + text[cut:]
+    return text
+
+
+def _parse_line(name: str, text: str, query: bool) -> str:
+    try:
+        if query:
+            rows, atoms = parse_query(text, file=name)
+            found = f"rows={rows!r} atoms={[(a.pred, a.args) for a in atoms]!r}"
+        else:
+            rules = parse_program(text, file=name).rules
+            found = f"rules={len(rules)} rows={[r.rows for r in rules]!r}"
+    except ParseError as err:
+        span = err.span
+        return (
+            f"{name} {type(err).__name__} {span.line}:{span.col_start}-{span.col_end}"
+            f" {str(err)!r}"
+        )
+    return f"{name} ok {found}"
+
+
+def parse_error_output() -> str:
+    bases = {p.name: p.read_text(encoding="utf-8") for p in sorted(PROGRAMS.glob("*.clp"))}
+    bases.update(random_corpus())
+    rng = random.Random(PARSE_SEED)
+    lines: list[str] = []
+    for name, text in bases.items():
+        lines.append(_parse_line(name, text, query=False))
+        for k in range(PARSE_MUTANTS):
+            lines.append(_parse_line(f"{name}#{k}", _mutate(rng, text), query=False))
+    for i, text in enumerate(PARSE_QUERIES):
+        lines.append(_parse_line(f"query{i}", text, query=True))
+        for k in range(PARSE_MUTANTS * 4):
+            lines.append(_parse_line(f"query{i}#{k}", _mutate(rng, text), query=True))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_check_output_matches_golden(domain):
     expected = (GOLDEN / f"check-{DOMAINS[domain]}.jsonl").read_text(encoding="utf-8")
@@ -128,7 +198,13 @@ def test_length_bound_runs_match_golden(domain):
     assert bound_output(domain) == expected
 
 
+def test_parse_errors_match_golden():
+    expected = (GOLDEN / "parse-errors.txt").read_text(encoding="utf-8")
+    assert parse_error_output() == expected
+
+
 if __name__ == "__main__":  # pragma: no cover
+    (GOLDEN / "parse-errors.txt").write_text(parse_error_output(), encoding="utf-8")
     for domain, stem in DOMAINS.items():
         (GOLDEN / f"check-{stem}.jsonl").write_text(golden_output(domain), encoding="utf-8")
         (GOLDEN / f"bound-{stem}.txt").write_text(bound_output(domain), encoding="utf-8")
