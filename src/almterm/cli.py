@@ -129,7 +129,8 @@ def analyze_file(path: str, opts: Options) -> tuple[dict, int]:
         "error": None,
     }
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # a leading byte-order mark is encoding, not program text
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         report["error"] = f"cannot read {path}: {exc}"
         return report, EXIT_INPUT_ERROR

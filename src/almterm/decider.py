@@ -173,14 +173,10 @@ def coeff_table(program: Program, pool: VariablePool) -> dict[str, tuple[int, ..
     return table
 
 
-def _domain_vars(rule: Rule, domain: Domain) -> tuple[int, ...]:
-    return tuple(sorted(rule.all_vars())) if domain.nonneg else ()
-
-
 def rule_constraint_satisfiable(rule: Rule, domain: Domain) -> bool:
     """Satisfiability of the rule constraint, including the domain's implicit
     nonnegativity rows, over the rationals (exact)."""
-    return feasible(integer_system(rule.rows, extra_nonneg=_domain_vars(rule, domain)))
+    return feasible(integer_system(rule.rows, extra_nonneg=rule.nonneg_vars(domain)))
 
 
 def _encode(
@@ -196,7 +192,7 @@ def _encode(
     head, body = rule.head, rule.body[0]
     system = integer_system(
         (({one: 1}, 1, EQ),) + rule.rows,
-        extra_nonneg=_domain_vars(rule, domain),
+        extra_nonneg=rule.nonneg_vars(domain),
         order_hint=(one,) + head.args + body.args,
     )
     hc = coeff_ids[head.pred]

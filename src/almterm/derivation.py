@@ -292,8 +292,9 @@ def sample_starts(
 
     for rule in program.rules:
         head = rule.head
-        extra = tuple(sorted(rule.all_vars())) if domain.nonneg else ()
-        system = integer_system(rule.rows, extra_nonneg=extra, order_hint=head.args)
+        system = integer_system(
+            rule.rows, extra_nonneg=rule.nonneg_vars(domain), order_hint=head.args
+        )
         if not feasible(system):
             continue
         if head.arity == 0:

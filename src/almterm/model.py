@@ -341,6 +341,11 @@ class Rule:
     def all_vars(self) -> set[int]:
         return self.atom_vars() | self.constraint_vars()
 
+    def nonneg_vars(self, domain: Domain) -> tuple[int, ...]:
+        """The variables ``domain`` keeps nonnegative, sorted: every variable
+        of the rule on ``q+``, ``r+`` and ``n``, none on ``q`` and ``r``."""
+        return tuple(sorted(self.all_vars())) if domain.nonneg else ()
+
     @cached_property
     def variables(self) -> tuple[int, ...]:
         """Every variable once: constraint variables in row order, then head
@@ -434,9 +439,6 @@ class LevelMapping:
     def __post_init__(self) -> None:
         cleaned = {p: tuple(rat(c) for c in cs) for p, cs in self.coeffs.items()}
         object.__setattr__(self, "coeffs", cleaned)
-
-    def arity(self, pred: str) -> int:
-        return len(self.vector(pred)) - 1
 
     def vector(self, pred: str, arity: int | None = None) -> tuple[Fraction, ...]:
         """The constant and argument coefficients of ``pred``; ModelError

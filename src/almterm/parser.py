@@ -22,6 +22,11 @@ Flatness is enforced: atom arguments are distinct variables, atom tuples
 within a clause are pairwise disjoint, and every constraint variable must
 occur in some atom of its clause.
 
+The text is scanned once, before parsing, into ``(kind, text, offset)``
+tuples; whitespace and comments make no token.  Only an error needs a
+position: :meth:`_Parser.fail` works out the line (counting ``\n``) and the
+column (in characters, from 1) from the offset when it raises.
+
 Expressions are built with :class:`LinearExpr` arithmetic; each finished
 constraint becomes one primitive integer row
 (:func:`almterm.model.constraint_row`), and a :class:`Rule` holds those rows
@@ -76,10 +81,12 @@ class FlatnessError(ParseError):
     pass
 
 
+# whitespace and comments are unnamed alternatives, so they make no token;
+# ``bad`` catches any other character (a newline is whitespace)
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
+    \s+
+  | %[^\n]*
   | (?P<implies>:-)
   | (?P<query>\?-)
   | (?P<geq>>=)
@@ -87,48 +94,13 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<int>\d+)
   | (?P<sym>[(),.=+\-*/])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file, self.line, self.col, self.col + len(self.text))
-
-
-def _tokenize(text: str, file: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                SourceSpan(file, line, col, col + 1),
-            )
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            if kind == "sym":
-                kind = chunk
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+# a token is (kind, text, offset); a symbol's kind is its text
+Token = tuple[str, str, int]
 
 
 class _ClauseScope:
@@ -137,54 +109,68 @@ class _ClauseScope:
     def __init__(self, pool: VariablePool):
         self.pool = pool
         self.ids: dict[str, int] = {}
-        self.atom_of: dict[str, _Token] = {}
-        self.constraint_uses: list[tuple[str, _Token]] = []
-        self.atom_records: list[tuple[Atom, _Token]] = []
+        self.atom_names: set[str] = set()
+        self.constraint_uses: list[Token] = []
+        self.atom_records: list[tuple[Atom, Token]] = []
 
-    def var(self, tok: _Token) -> int:
-        if tok.text not in self.ids:
-            self.ids[tok.text] = self.pool.fresh(tok.text)
-        return self.ids[tok.text]
+    def var(self, name: str) -> int:
+        if name not in self.ids:
+            self.ids[name] = self.pool.fresh(name)
+        return self.ids[name]
 
 
 class _Parser:
     def __init__(self, text: str, file: str, pool: VariablePool):
-        self.tokens = _tokenize(text, file)
+        self.text = text
         self.file = file
         self.pool = pool
         self.pos = 0
         self.depth = 0
+        self.tokens: list[Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            chunk = m.group()
+            if kind == "sym":
+                kind = chunk
+            elif kind == "bad":
+                self.fail(f"unexpected character {chunk!r}", (kind, chunk, m.start()))
+            self.tokens.append((kind, chunk, m.start()))
+        self.tokens.append(("eof", "", len(text)))
 
     # -- token helpers ---------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> Token:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.span(self.file),
-            )
+        if tok[0] != kind:
+            self.fail(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
-    def fail(self, message: str, tok: _Token, flatness: bool = False):
+    def fail(self, message: str, tok: Token, flatness: bool = False):
+        """Raise at ``tok``; its line and column are worked out here, from
+        the offset, since only errors need them."""
+        _, chunk, off = tok
+        line = self.text.count("\n", 0, off) + 1
+        col = off - self.text.rfind("\n", 0, off)
         err = FlatnessError if flatness else ParseError
-        raise err(message, tok.span(self.file))
+        raise err(message, SourceSpan(self.file, line, col, col + len(chunk)))
 
     # -- clauses ----------------------------------------------------------
 
     def program(self) -> Program:
         rules: list[Rule] = []
-        arities: dict[str, tuple[int, _Token]] = {}
-        while self.peek().kind != "eof":
+        arities: dict[str, int] = {}
+        while self.peek()[0] != "eof":
             rules.append(self.clause(f"r{len(rules) + 1}", arities))
         return Program(rules, self.pool)
 
@@ -193,7 +179,7 @@ class _Parser:
         head = self.atom(scope)
         rows: list[ConstraintRow] = []
         body: list[Atom] = []
-        if self.peek().kind == "implies":
+        if self.peek()[0] == "implies":
             self.next()
             self.items(scope, rows, body)
         self.expect(".")
@@ -221,14 +207,13 @@ class _Parser:
     def items(self, scope, rows: list, atoms: list) -> None:
         while True:
             self.item(scope, rows, atoms)
-            if self.peek().kind == ",":
+            if self.peek()[0] == ",":
                 self.next()
             else:
                 return
 
     def item(self, scope, rows: list, atoms: list) -> None:
-        tok = self.peek()
-        if tok.kind == "ident" and self.peek(1).kind in ("(", ",", "."):
+        if self.peek()[0] == "ident" and self.peek(1)[0] in ("(", ",", "."):
             atoms.append(self.atom(scope))
         else:
             rows.append(constraint_row(self.constraint(scope)))
@@ -237,33 +222,34 @@ class _Parser:
         name = self.expect("ident")
         args: list[int] = []
         arg_names: set[str] = set()
-        if self.peek().kind == "(":
+        if self.peek()[0] == "(":
             self.next()
             while True:
                 arg = self.next()
-                if arg.kind != "ident":
+                kind, text, _ = arg
+                if kind != "ident":
                     self.fail("atom arguments must be variables", arg, flatness=True)
-                if arg.text in arg_names:
+                if text in arg_names:
                     self.fail(
-                        f"repeated variable {arg.text!r} in atom {name.text}",
+                        f"repeated variable {text!r} in atom {name[1]}",
                         arg,
                         flatness=True,
                     )
-                if arg.text in scope.atom_of:
+                if text in scope.atom_names:
                     self.fail(
-                        f"variable {arg.text!r} already occurs in another atom",
+                        f"variable {text!r} already occurs in another atom",
                         arg,
                         flatness=True,
                     )
-                arg_names.add(arg.text)
-                scope.atom_of[arg.text] = arg
-                args.append(scope.var(arg))
-                if self.peek().kind == ",":
+                arg_names.add(text)
+                scope.atom_names.add(text)
+                args.append(scope.var(text))
+                if self.peek()[0] == ",":
                     self.next()
                     continue
                 self.expect(")")
                 break
-        result = Atom(name.text, tuple(args))
+        result = Atom(name[1], tuple(args))
         scope.atom_records.append((result, name))
         return result
 
@@ -272,28 +258,28 @@ class _Parser:
     def constraint(self, scope) -> LinearConstraint:
         lhs = self.expr(scope)
         op = self.next()
-        if op.kind == "=":
+        if op[0] == "=":
             return LinearConstraint(lhs, EQ, self.expr(scope))
-        if op.kind == "geq":
+        if op[0] == "geq":
             return LinearConstraint(lhs, GEQ, self.expr(scope))
-        if op.kind == "leq":
+        if op[0] == "leq":
             return LinearConstraint(self.expr(scope), GEQ, lhs)
         self.fail("expected '=', '>=' or '<=' in constraint", op)
 
     def expr(self, scope) -> LinearExpr:
         acc = self.mul(scope)
-        while self.peek().kind in ("+", "-"):
+        while self.peek()[0] in ("+", "-"):
             op = self.next()
             rhs = self.mul(scope)
-            acc = acc + rhs if op.kind == "+" else acc - rhs
+            acc = acc + rhs if op[0] == "+" else acc - rhs
         return acc
 
     def mul(self, scope) -> LinearExpr:
         acc = self.unary(scope)
-        while self.peek().kind in ("*", "/"):
+        while self.peek()[0] in ("*", "/"):
             op = self.next()
             rhs = self.unary(scope)
-            if op.kind == "*":
+            if op[0] == "*":
                 if acc.is_const:
                     acc = rhs.scale(acc.const)
                 elif rhs.is_const:
@@ -310,37 +296,38 @@ class _Parser:
 
     def unary(self, scope) -> LinearExpr:
         tok = self.next()
-        if tok.kind in ("-", "("):
+        kind, text, _ = tok
+        if kind in ("-", "("):
             if self.depth == MAX_NESTING:
                 self.fail(f"expression nested more than {MAX_NESTING} deep", tok)
             self.depth += 1
-            if tok.kind == "-":
+            if kind == "-":
                 inner = -self.unary(scope)
             else:
                 inner = self.expr(scope)
                 self.expect(")")
             self.depth -= 1
             return inner
-        if tok.kind == "int":
+        if kind == "int":
             try:
-                value = int(tok.text)
+                value = int(text)
             except ValueError:  # more digits than the interpreter converts
-                self.fail(f"numeric literal of {len(tok.text)} digits is too long", tok)
+                self.fail(f"numeric literal of {len(text)} digits is too long", tok)
             return LinearExpr.of_const(value)
-        if tok.kind == "ident":
-            if self.peek().kind == "(":
+        if kind == "ident":
+            if self.peek()[0] == "(":
                 self.fail("predicates cannot appear inside constraints", tok)
-            scope.constraint_uses.append((tok.text, tok))
-            return LinearExpr.of_var(scope.var(tok))
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+            scope.constraint_uses.append(tok)
+            return LinearExpr.of_var(scope.var(text))
+        self.fail(f"expected a term, found {text or 'end of input'!r}", tok)
 
     # -- flatness ----------------------------------------------------------
 
     def _check_flat(self, scope: _ClauseScope) -> None:
-        for name, tok in scope.constraint_uses:
-            if name not in scope.atom_of:
+        for tok in scope.constraint_uses:
+            if tok[1] not in scope.atom_names:
                 self.fail(
-                    f"constraint variable {name!r} does not occur in any atom",
+                    f"constraint variable {tok[1]!r} does not occur in any atom",
                     tok,
                     flatness=True,
                 )

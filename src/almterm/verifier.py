@@ -100,10 +100,9 @@ def _check_pair(
     """Both minimisations for one body atom; None when the rule constraint
     is unsatisfiable (pinning ``one`` to 1 does not change that)."""
     body_atom = rule.body[body_index]
-    extra = tuple(sorted(rule.all_vars())) if domain.nonneg else ()
     system = integer_system(
         (({one_var: 1}, 1, EQ),) + rule.rows,
-        extra_nonneg=extra,
+        extra_nonneg=rule.nonneg_vars(domain),
         order_hint=(one_var,) + rule.head.args + body_atom.args,
     )
     head_level = _level(lm, rule.head, one_var)
@@ -147,8 +146,7 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
     checks: list[RuleCheck] = []
     for rule in program.rules:
         if rule.is_fact:
-            extra = tuple(sorted(rule.all_vars())) if domain.nonneg else ()
-            sat = feasible(integer_system(rule.rows, extra_nonneg=extra))
+            sat = feasible(integer_system(rule.rows, extra_nonneg=rule.nonneg_vars(domain)))
             checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT if sat else VACUOUS_UNSAT))
             continue
         one_var = pool.fresh(f"one[{rule.rule_id}]")

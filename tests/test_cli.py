@@ -89,6 +89,14 @@ def test_parse_error_reports_span(capsys, tmp_path):
     assert "bad.clp:1" in report["error"]
 
 
+def test_leading_byte_order_mark_is_not_program_text(capsys, tmp_path):
+    program = tmp_path / "bom.clp"
+    program.write_text("\ufeffp(x).\n", encoding="utf-8")
+    code, (report,) = run_json(capsys, "check", str(program))
+    assert code == EXIT_CERTIFIED
+    assert report["error"] is None and report["verdict"] == "alm-recurrent"
+
+
 def check_then_valid(capsys, tmp_path, text):
     """``check`` on a file holding ``text``, then on a valid program."""
     bad = tmp_path / "bad.clp"
