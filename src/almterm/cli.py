@@ -269,16 +269,22 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+_CONFIG_KEYS = ("domain", "witness", "project", "verify", "sample", "seed", "max-steps", "json")
+
+
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("%"):
             continue
         if "=" not in line:
             raise AlmtermError(f"bad config line (expected key = value): {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise AlmtermError(f"unknown config key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+        values[key] = value.strip()
     return values
 
 

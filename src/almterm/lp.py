@@ -28,7 +28,11 @@ multipliers that cancel every column while making the combined right-hand side
 positive).  That alternative has one row per *variable*, so deciding systems
 with thousands of rows over a handful of variables stays cheap, and when the
 alternative is infeasible its phase-one multipliers yield an exact point of
-the original system for free.
+the original system for free.  Entailment runs on the multiplier side too:
+:func:`entails` asks in one phase one for multipliers that combine the rows
+into the tested row or refute the system (the affine Farkas lemma), so each
+redundancy test of :func:`drop_redundant` is a tableau of a row per variable,
+not a primal LP over split variables and a surplus column per row.
 
 Projection works on the same rows.  :func:`project_constraints` is the one
 routine: equality substitution, then Fourier-Motzkin elimination with
@@ -86,8 +90,12 @@ class LinearSystem:
         return len(self.variables)
 
     def satisfied_by(self, assignment: Mapping[int, Fraction]) -> bool:
+        """Exact test in integers: the point over one common denominator
+        ``den``, and each row's sum against ``bound * den``."""
+        den = lcm(*[a.denominator for a in assignment.values()])
+        nums = {v: a.numerator * (den // a.denominator) for v, a in assignment.items()}
         return all(
-            sum(c * assignment[v] for v, c in coeffs.items()) >= bound
+            sum(c * nums[v] for v, c in coeffs.items()) >= bound * den
             for coeffs, bound in self.rows
         )
 
@@ -452,9 +460,29 @@ def _holds(out: LpOutcome, bound: int | Fraction) -> bool:
 
 
 def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int | Fraction) -> bool:
-    """Does every solution of ``sys`` satisfy ``coeffs . x >= bound``?"""
-    (out,) = minimize(sys, coeffs)
-    return _holds(out, bound)
+    """Does every solution of ``sys`` satisfy ``coeffs . x >= bound``?
+
+    Decided on the multiplier side by the affine Farkas lemma, with one phase
+    one: are there ``y >= 0`` (one per row), ``lam >= 0`` and ``t >= 0`` with
+    ``A^T y = lam * coeffs``, ``b.y - lam * bound - t = 0`` and
+    ``lam + t = 1``?  With ``lam > 0``, ``y / lam`` combines rows into one
+    that implies the tested row; with ``lam = 0``, ``y`` refutes ``sys``, which
+    then entails every row.  The tableau has a row per variable (of ``sys``
+    and of ``coeffs``) and two more.
+    """
+    m = sys.num_rows
+    index = {v: k for k, v in enumerate(dict.fromkeys([*sys.variables, *coeffs]))}
+    mat = [[0] * (m + 2) for _ in range(len(index) + 2)]
+    for i, (row, b) in enumerate(sys.rows):
+        for v, c in row.items():
+            mat[index[v]][i] = c
+        mat[-2][i] = b
+    for v, c in coeffs.items():
+        mat[index[v]][m] = -c
+    mat[-2][m:] = [-bound, -1]
+    mat[-1][m:] = [1, 1]
+    rows, _, _ = _phase_one(mat, [0] * (len(index) + 1) + [1], m + 2)
+    return rows is not None
 
 
 def equivalent_systems(a: LinearSystem, b: LinearSystem) -> bool:
@@ -624,7 +652,7 @@ def deduplicate(sys: LinearSystem) -> LinearSystem:
 
 def drop_redundant(sys: LinearSystem) -> LinearSystem:
     """Greedy exact redundancy elimination: a row is removed when the
-    remaining rows entail it (one LP per test)."""
+    remaining rows entail it (one :func:`entails` feasibility test each)."""
     rows = sys.rows
     i = 0
     while i < len(rows):

@@ -92,7 +92,7 @@ _TOKEN_RE = re.compile(
   | (?P<geq>>=)
   | (?P<leq><=)
   | (?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<sym>[(),.=+\-*/])
   | (?P<bad>.)
     """,

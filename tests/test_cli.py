@@ -285,3 +285,32 @@ def test_main_builds_its_parser_once(capsys):
     info = cli._parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     capsys.readouterr()
+
+
+def test_non_ascii_digit_is_not_a_number(capsys, tmp_path):
+    program = tmp_path / "digit.clp"
+    # ARABIC-INDIC DIGIT THREE, which `\d` matches and `int()` reads as 3
+    program.write_text("p(x) :- x = \u0663.\n", encoding="utf-8")
+    code, (report,) = run_json(capsys, "check", str(program))
+    assert code == EXIT_INPUT_ERROR
+    assert "unexpected character '\u0663'" in report["error"]
+
+
+def test_config_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    config = tmp_path / "bom.conf"
+    config.write_text("\ufeffdomain = q+\n", encoding="utf-8")
+    code, (report,) = run_json(
+        capsys, "check", str(PROGRAMS / "example72.clp"), "--config", str(config)
+    )
+    assert code == EXIT_CERTIFIED
+    assert report["domain"] == "q+"
+
+
+def test_unknown_config_key_is_an_input_error(capsys, tmp_path):
+    config = tmp_path / "almterm.conf"
+    config.write_text("domain = q\nwitnes = true\n")
+    code = main(["check", str(PROGRAMS / "example72.clp"), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert "unknown config key 'witnes'" in captured.err

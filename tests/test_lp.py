@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from almterm import (
@@ -22,7 +22,9 @@ from almterm import (
     minimize,
     normalize,
 )
+from almterm import lp
 from almterm.model import equal, geq
+import entailment_oracle
 
 X, Y, Z = 0, 1, 2
 var = LinearExpr.of_var
@@ -372,6 +374,60 @@ def test_entails_basics():
     assert not entails(sys, {X: Fraction(-1)}, Fraction(0))
     empty = normalize([equal(const(0), 1)])
     assert entails(empty, {X: Fraction(1)}, Fraction(10))
+
+
+small_bound = st.one_of(
+    small_coeff, st.fractions(min_value=-4, max_value=4, max_denominator=3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.tuples(small_coeff, small_coeff, small_coeff), small_bound), max_size=6),
+    st.dictionaries(st.sampled_from((X, Y, Z, W)), small_coeff, max_size=4),
+    small_bound,
+)
+@example([], {}, 0)
+@example([], {}, 1)
+@example([], {X: 1}, -3)
+@example([((0, 0, 0), 1)], {X: 1}, 10)
+@example([((1, 0, 0), 2), ((-1, 0, 0), -1)], {W: 1}, 0)
+@example([((1, 0, 0), 0)], {X: -1}, -5)
+@example([((1, 1, 0), Fraction(1, 2))], {X: 2, Y: 2}, 1)
+def test_entails_agrees_with_minimisation_oracle(raw_rows, coeffs, bound):
+    """The Farkas test answers as the minimisation does: over empty,
+    infeasible and unbounded systems, with Fraction bounds and with objective
+    variables (``W``) outside the system."""
+    sys = dense_system((X, Y, Z), raw_rows)
+    assert entails(sys, coeffs, bound) == entailment_oracle.entails(sys, coeffs, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.tuples(small_coeff, small_coeff, small_coeff), small_bound),
+        max_size=7,
+    )
+)
+@example([((0, 0, 0), 1), ((1, 0, 0), 0)])
+@example([((1, 0, 0), 2), ((-1, 0, 0), -1), ((0, 1, 0), 0)])
+def test_drop_redundant_agrees_with_greedy_oracle(raw_rows):
+    """The same rows kept in the same order as the greedy loop over the
+    minimisation oracle, infeasible systems included."""
+    sys = dense_system((X, Y, Z), raw_rows)
+    assert drop_redundant(sys) == entailment_oracle.drop_redundant(sys)
+
+
+def test_drop_redundant_runs_no_minimisation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drop_redundant called minimize")
+
+    monkeypatch.setattr(lp, "minimize", refuse)
+    sys = normalize([geq(var(X), 3), geq(var(X), 1), geq(var(X) + var(Y), 0), geq(var(Y), 5)])
+    assert drop_redundant(sys).rows == (({X: 1}, 3), ({Y: 1}, 5))
+    # x >= 1 and -x >= 0 refute the system, so they entail y >= 0
+    infeasible = normalize([geq(var(X), 1), geq(-var(X), 0), geq(var(Y), 0)])
+    assert drop_redundant(infeasible).rows == (({X: 1}, 1), ({X: -1}, 0))
 
 
 # --- the system's surface ----------------------------------------------------
