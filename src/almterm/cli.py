@@ -80,6 +80,10 @@ def _projection_json(verdict) -> list[dict]:
 
 
 def _rules_json(binary: Program, skipped: dict[str, str], report: VerifyReport | None) -> list[dict]:
+    checks: dict[str, list] = {}
+    if report is not None:
+        for c in report.checks:
+            checks.setdefault(c.rule_id, []).append(c)
     rows = []
     for rule in binary.rules:
         entry: dict = {
@@ -105,7 +109,7 @@ def _rules_json(binary: Program, skipped: dict[str, str], report: VerifyReport |
                     else None,
                     "note": c.note,
                 }
-                for c in report.for_rule(rule.rule_id)
+                for c in checks.get(rule.rule_id, ())
             ]
         rows.append(entry)
     return rows
@@ -343,14 +347,20 @@ def _resolve_options(args: argparse.Namespace) -> Options:
             return conv(config[name])
         return default
 
+    def count(name: str, parsed) -> int | None:
+        value = flag(name, parsed, None, int)
+        if value is not None and value < 0:
+            raise AlmtermError(f"{name} must be a nonnegative count, got {value}")
+        return value
+
     return Options(
         domain=Domain.parse(flag("domain", args.domain, "q", str)),
         witness=flag("witness", args.witness, False, lambda s: s.lower() in _TRUE),
         project=flag("project", args.project, False, lambda s: s.lower() in _TRUE),
         verify=flag("verify", args.verify, True, lambda s: s.lower() in _TRUE),
-        sample=flag("sample", args.sample, None, int),
+        sample=count("sample", args.sample),
         seed=flag("seed", args.seed, 0, int),
-        max_steps=flag("max-steps", args.max_steps, None, int),
+        max_steps=count("max-steps", args.max_steps),
         as_json=flag("json", args.as_json, False, lambda s: s.lower() in _TRUE),
     )
 

@@ -38,7 +38,8 @@ Projection works on the same rows.  :func:`project_constraints` is the one
 routine: equality substitution, then Fourier-Motzkin elimination with
 duplicate and dominated rows pruned after every step, all by integer
 cross-multiplication and a gcd.  ``fm_project`` and ``deduplicate`` hand a
-system's rows to it unchanged.
+system's rows to it unchanged; the verifier's presolve reuses its equality
+substitution and its pruning.
 
 :func:`integer_system` builds a system from the rows a rule holds
 (:data:`almterm.model.ConstraintRow`), and objectives are coefficient dicts,

@@ -5,20 +5,47 @@ Given a concrete level mapping, each rule must satisfy, for every body atom,
     min  |head| - |body atom|   over the rule constraint   >=  1
     min  |body atom|            over the rule constraint   >=  0
 
-with the measures instantiated to plain rationals.  Both minima come from one
-:func:`minimize` call, so they share one phase-one tableau of the rule
-constraint.  The decider never runs these minimisations (it works on the
-multiplier side, with the projected cone), and no cone or multiplier enters
-here, so agreement between the two is a genuine cross-check of both
-encodings.
+with the measures instantiated to plain rationals.
+
+Each rule is presolved once, for all its body atoms: every equality of its
+constraint is substituted away (the row arithmetic of the projection's
+equality step) from the other equalities, the inequalities and the domain's
+nonnegativity rows, and from both objectives of every pair, and the
+inequalities left are pruned as the projection prunes them (primitive form,
+the strongest row per direction).  The substitution maps the rule's
+solutions one to one onto the solutions of the inequalities that are left,
+so each minimum over the reduced system is the minimum over the rule
+constraint.  Both minima of a pair come from one :func:`minimize`
+call over those inequalities, with integer objectives (the mapping is scaled
+to integers once per :func:`verify` call); the level constants, and what the
+substitution adds to them, are added to the minima outside the LP.  The
+eliminated variables are worked out again, in reverse order, only to build a
+counterexample.
+
+The decider never runs these minimisations (it works on the multiplier side,
+with the projected cone), and no cone or multiplier enters here, so agreement
+between the two is a genuine cross-check of both encodings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, feasible, integer_system, minimize
+from .lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LinearSystem,
+    LpOutcome,
+    Row,
+    _prune,
+    _substitute,
+    feasible,
+    integer_system,
+    minimize,
+)
 from .model import EQ, Atom, Domain, LevelMapping, Program, Q, Rule
 
 EPSILON = Fraction(1)  # required per-step decrease; scaling makes 1 canonical
@@ -33,9 +60,12 @@ VACUOUS_UNSAT = "vacuous-unsat"
 class RuleCheck:
     """Result for one (rule, body atom) pair.
 
-    ``decrease`` / ``body_floor`` hold the two minimisation outcomes.  On
-    failure ``counterexample`` is a rational assignment of the rule variables
-    witnessing the violated implication (a ground instance of the rule).
+    ``decrease`` / ``body_floor`` hold the two minimisation outcomes: the
+    exact minima, and points and rays over the variables of the LP that was
+    solved, which are the rule's variables left once its equalities are
+    substituted away.  On failure ``counterexample`` assigns every rule
+    variable a rational, witnessing the violated implication (a ground
+    instance of the rule).
     """
 
     rule_id: str
@@ -67,53 +97,123 @@ class VerifyReport:
         return tuple(c for c in self.checks if c.rule_id == rule_id)
 
 
-def _level(lm: LevelMapping, atom: Atom, one_var: int) -> dict[int, Fraction]:
-    """The level of ``atom`` as objective coefficients, the constant on
-    ``one_var``; ModelError unless ``lm`` covers the atom's predicate at its
-    arity."""
+# a rule constraint with its equalities substituted away: the system of the
+# inequalities left, and each eliminated variable with the equality that
+# fixed it (over variables eliminated later or kept), in elimination order
+_Reduced = tuple[LinearSystem, list[tuple[int, Row]]]
+
+# an objective through the substitution, ``(coeffs, k, s)``: its value is
+# ``(coeffs . x - k) / s`` at every solution, with ``s`` a positive int
+_Objective = tuple[dict[int, int], "int | Fraction", int]
+
+
+def _presolve(rule: Rule, domain: Domain) -> _Reduced | None:
+    """Substitute each equality of ``rule`` away, first its variable with
+    the smallest coefficient, and prune the inequalities left as the
+    projection does (primitive form, one row per direction); None when a row
+    reduces to ``0 = b`` with ``b != 0`` or to ``0 >= b`` with ``b > 0``."""
+    eqs = [(coeffs, bound) for coeffs, bound, rel in rule.rows if rel == EQ]
+    ineqs = [(coeffs, bound) for coeffs, bound, rel in rule.rows if rel != EQ]
+    ineqs += [({v: 1}, 0) for v in rule.nonneg_vars(domain)]
+    steps: list[tuple[int, Row]] = []
+    for k in range(len(eqs)):
+        eq = eqs[k]
+        coeffs, bound = eq
+        if not coeffs:
+            if bound:
+                return None
+            continue
+        var = min(coeffs, key=lambda v: abs(coeffs[v]))
+        eqs[k + 1 :] = [_substitute(row, var, eq) for row in eqs[k + 1 :]]
+        ineqs = [_substitute(row, var, eq) for row in ineqs]
+        steps.append((var, eq))
+    rows = _prune(ineqs)
+    if rows is None:
+        return None
+    variables = tuple(dict.fromkeys([v for coeffs, _ in rows for v in coeffs]))
+    return LinearSystem(variables, tuple(rows)), steps
+
+
+def _level(lm: LevelMapping, atom: Atom) -> tuple[dict[int, int], int]:
+    """The level of ``atom`` under the integer mapping ``lm``: nonzero
+    coefficients and the constant; ModelError unless ``lm`` covers the
+    atom's predicate at its arity."""
     vec = lm.vector(atom.pred, atom.arity)
-    return {one_var: vec[0], **dict(zip(atom.args, vec[1:]))}
+    return {v: c.numerator for v, c in zip(atom.args, vec[1:]) if c}, vec[0].numerator
 
 
-def _violating_point(out: LpOutcome, objective: dict[int, Fraction], threshold: Fraction):
-    """A concrete assignment where the objective drops below the threshold."""
+def _reduce(coeffs: dict[int, int], const: int, scale: int, steps) -> _Objective:
+    """``(coeffs . x + const) / scale`` through the substitutions ``steps``."""
+    row: Row = (coeffs, -const)
+    for var, eq in steps:
+        f = row[0].get(var)
+        if f:
+            a = abs(eq[0][var])
+            scale *= a // gcd(a, f)
+            row = _substitute(row, var, eq)
+    return row[0], row[1], scale
+
+
+def _shifted(out: LpOutcome, objective: _Objective) -> LpOutcome:
+    """``out`` with the minimum of ``coeffs . x`` turned into the
+    objective's own."""
+    if out.status != OPTIMAL:
+        return out
+    _, k, s = objective
+    num, den = out.value.numerator, out.value.denominator
+    return LpOutcome(OPTIMAL, Fraction(num - k * den, den * s), out.point)
+
+
+def _violating_point(out: LpOutcome, objective: _Objective, threshold: Fraction):
+    """A point of the reduced system where the objective drops below the
+    threshold: the optimum, or, for an unbounded outcome, its point moved
+    forward along its ray (never backward, which may leave the polyhedron)
+    until the objective is at most ``threshold - 1``."""
     if out.status == OPTIMAL:
         return out.point
-    if out.status == UNBOUNDED and out.point is not None and out.ray is not None:
-        slope = sum((objective.get(v, 0) * d for v, d in out.ray.items()), Fraction(0))
-        value = sum((c * out.point[v] for v, c in objective.items()), Fraction(0))
-        if slope >= 0:
-            return out.point
-        # walk far enough along the ray to land strictly below the threshold
-        steps = (value - threshold + 1) / -slope
-        return {v: out.point[v] + steps * out.ray.get(v, Fraction(0)) for v in out.point}
-    return None
+    coeffs, k, s = objective
+    slope = sum(c * out.ray[v] for v, c in coeffs.items())
+    value = sum((c * out.point[v] for v, c in coeffs.items()), -k)
+    steps = max(Fraction(0), (value - s * (threshold - 1)) / -slope)
+    return {v: out.point[v] + steps * out.ray[v] for v in out.point}
+
+
+def _assignment(point: dict[int, Fraction], rule: Rule, steps) -> dict[int, Fraction]:
+    """Every rule variable at ``point`` (0 where the point is silent), the
+    eliminated ones back-substituted in reverse order."""
+    full = dict.fromkeys(rule.variables, Fraction(0))
+    full.update(point)
+    for var, (coeffs, bound) in reversed(steps):
+        rest = sum((c * full[v] for v, c in coeffs.items() if v != var), Fraction(0))
+        full[var] = (bound - rest) / coeffs[var]
+    return full
 
 
 def _check_pair(
     rule: Rule,
     body_index: int,
     lm: LevelMapping,
-    domain: Domain,
-    one_var: int,
+    scale: int,
+    reduced: _Reduced | None,
 ) -> RuleCheck | None:
-    """Both minimisations for one body atom; None when the rule constraint
-    is unsatisfiable (pinning ``one`` to 1 does not change that)."""
-    body_atom = rule.body[body_index]
-    system = integer_system(
-        (({one_var: 1}, 1, EQ),) + rule.rows,
-        extra_nonneg=rule.nonneg_vars(domain),
-        order_hint=(one_var,) + rule.head.args + body_atom.args,
-    )
-    head_level = _level(lm, rule.head, one_var)
-    body_level = _level(lm, body_atom, one_var)
+    """Both minimisations for one body atom under the integer mapping ``lm``
+    (the certificate times ``scale``); None when the rule constraint is
+    unsatisfiable."""
+    hcoeffs, hconst = _level(lm, rule.head)
+    bcoeffs, bconst = _level(lm, rule.body[body_index])
+    if reduced is None:
+        return None
+    system, steps = reduced
     # head - body: the atoms share no variable, so only the constants meet
-    drop = {**head_level, **{v: -c for v, c in body_level.items()}}
-    drop[one_var] = head_level[one_var] - body_level[one_var]
+    drop_coeffs = {**hcoeffs, **{v: -c for v, c in bcoeffs.items()}}
+    drop = _reduce(drop_coeffs, hconst - bconst, scale, steps)
+    body_level = _reduce(bcoeffs, bconst, scale, steps)
 
-    decrease, body_floor = minimize(system, drop, body_level)
+    decrease, body_floor = minimize(system, drop[0], body_level[0])
     if decrease.status == INFEASIBLE:
         return None
+    decrease = _shifted(decrease, drop)
+    body_floor = _shifted(body_floor, body_level)
 
     ok_dec = decrease.status == OPTIMAL and decrease.value >= EPSILON
     ok_floor = body_floor.status == OPTIMAL and body_floor.value >= 0
@@ -126,14 +226,15 @@ def _check_pair(
             if decrease.status == UNBOUNDED
             else f"head-to-body decrease bottoms out at {decrease.value}, needs >= {EPSILON}"
         )
-        witness = _violating_point(decrease, drop, EPSILON)
+        point = _violating_point(decrease, drop, EPSILON)
     else:
         note = (
             "body level is unbounded below"
             if body_floor.status == UNBOUNDED
             else f"body level bottoms out at {body_floor.value}, needs >= 0"
         )
-        witness = _violating_point(body_floor, body_level, Fraction(0))
+        point = _violating_point(body_floor, body_level, Fraction(0))
+    witness = _assignment(point, rule, steps)
     return RuleCheck(rule.rule_id, body_index, FAIL, decrease, body_floor, witness, note)
 
 
@@ -142,16 +243,17 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
     body atoms are checked independently).  Facts and rules with unsatisfiable
     constraints pass vacuously; any other rule needs both minima to clear
     their thresholds exactly."""
-    pool = program.pool.clone()
+    scale = lcm(*[c.denominator for vec in lm.coeffs.values() for c in vec])
+    scaled = lm.scale(scale)
     checks: list[RuleCheck] = []
     for rule in program.rules:
         if rule.is_fact:
             sat = feasible(integer_system(rule.rows, extra_nonneg=rule.nonneg_vars(domain)))
             checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT if sat else VACUOUS_UNSAT))
             continue
-        one_var = pool.fresh(f"one[{rule.rule_id}]")
+        reduced = _presolve(rule, domain)
         for idx in range(len(rule.body)):
-            check = _check_pair(rule, idx, lm, domain, one_var)
+            check = _check_pair(rule, idx, scaled, scale, reduced)
             if check is None:
                 # all pairs share the constraint, so this is the first pair
                 checks.append(RuleCheck(rule.rule_id, None, VACUOUS_UNSAT))

@@ -314,3 +314,35 @@ def test_unknown_config_key_is_an_input_error(capsys, tmp_path):
     assert code == EXIT_INPUT_ERROR
     assert captured.out == ""
     assert "unknown config key 'witnes'" in captured.err
+
+
+def test_negative_sample_or_step_cap_is_an_input_error(capsys, tmp_path):
+    program = str(PROGRAMS / "example72.clp")
+    for flags, key in (
+        (["--sample", "-3"], "sample"),
+        (["--sample", "3", "--max-steps", "-2"], "max-steps"),
+    ):
+        code = main(["check", program, "--json", *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert f"{key} must be a nonnegative count, got -" in captured.err
+    for text, key in (("sample = -1\n", "sample"), ("sample = 2\nmax-steps = -5\n", "max-steps")):
+        config = tmp_path / "almterm.conf"
+        config.write_text(text)
+        code = main(["check", program, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert f"{key} must be a nonnegative count, got -" in captured.err
+
+
+def test_zero_sample_and_step_cap_are_accepted(capsys):
+    code, (report,) = run_json(
+        capsys, "check", str(PROGRAMS / "example72.clp"), "--sample", "2", "--max-steps", "0"
+    )
+    assert code == EXIT_CERTIFIED
+    assert report["sampling"]["samples"] == 2
+    code, (report,) = run_json(capsys, "check", str(PROGRAMS / "example72.clp"), "--sample", "0")
+    assert code == EXIT_CERTIFIED
+    assert report["sampling"]["samples"] == 0

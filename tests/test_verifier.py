@@ -4,18 +4,23 @@ from fractions import Fraction
 import pytest
 
 from almterm import (
+    QPLUS,
     LevelMapping,
     ModelError,
+    N,
     Program,
     Q,
+    binarize,
     decide,
     minimize,
     normalize,
     parse_program,
     verify,
 )
-from almterm.verifier import FAIL, PASS, VACUOUS_FACT, VACUOUS_UNSAT
+from almterm.model import EQ
+from almterm.verifier import EPSILON, FAIL, PASS, VACUOUS_FACT, VACUOUS_UNSAT
 from helpers import load, random_binary_program_text
+import verifier_oracle
 
 
 def test_golden_witness_passes():
@@ -180,3 +185,103 @@ def test_verify_rejects_a_mapping_of_the_wrong_arity():
             verify(program, LevelMapping({"p": vec}))
         with pytest.raises(ModelError, match="p expects"):
             LevelMapping({"p": vec}).level_of("p", [0])
+
+
+def _perturbed(rng: random.Random, program: Program, lm: LevelMapping | None) -> LevelMapping:
+    """``lm`` with one coefficient moved, or a random mapping without it."""
+    if lm is None:
+        return LevelMapping(
+            {
+                p: tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(a + 1))
+                for p, a in program.arities.items()
+            }
+        )
+    coeffs = {p: list(vec) for p, vec in lm.coeffs.items()}
+    pred = rng.choice(sorted(coeffs))
+    k = rng.randrange(len(coeffs[pred]))
+    coeffs[pred][k] += Fraction(rng.choice([-3, -2, -1, 1, 2]), rng.randint(1, 3))
+    return LevelMapping(coeffs)
+
+
+def _holds(row, point) -> bool:
+    coeffs, bound, rel = row
+    total = sum(c * point[v] for v, c in coeffs.items())
+    return total == bound if rel == EQ else total >= bound
+
+
+def _outcomes(report):
+    return [
+        (c.rule_id, c.body_index, c.status, c.note,
+         c.decrease and (c.decrease.status, c.decrease.value),
+         c.body_floor and (c.body_floor.status, c.body_floor.value))
+        for c in report.checks
+    ]
+
+
+def test_verify_agrees_with_one_pinned_oracle():
+    """Same checks, minima, statuses and notes as the LP over the whole rule
+    constraint with a pinned ``one``; every counterexample is a ground
+    instance of its rule that breaks the failed condition."""
+    rng = random.Random(404)
+    failures = 0
+    for n in range(40):
+        program = parse_program(random_binary_program_text(rng))
+        for domain in (Q, QPLUS, N):
+            witness = decide(program, domain).witness
+            mappings = [_perturbed(rng, program, witness) for _ in range(2)]
+            for lm in ([witness] if witness else []) + mappings:
+                got = verify(program, lm, domain)
+                want = verifier_oracle.verify(program, lm, domain)
+                assert _outcomes(got) == _outcomes(want), (n, domain, lm)
+                for check in got.failures():
+                    failures += 1
+                    rule = next(r for r in program.rules if r.rule_id == check.rule_id)
+                    point = check.counterexample
+                    assert set(point) == rule.all_vars()
+                    assert all(_holds(row, point) for row in rule.rows)
+                    if domain.nonneg:
+                        assert all(value >= 0 for value in point.values())
+                    head = lm.level_of(rule.head.pred, [point[v] for v in rule.head.args])
+                    body_atom = rule.body[check.body_index]
+                    body = lm.level_of(body_atom.pred, [point[v] for v in body_atom.args])
+                    if check.note.startswith("head-to-body"):
+                        assert head - body < EPSILON
+                    else:
+                        assert body < 0
+    assert failures > 50
+
+
+def test_verifier_lps_hold_inequalities_of_their_rule_only(monkeypatch):
+    """Every equality, the binarization links included, is substituted away
+    before the LP: no system holds a row and its negation, or a variable
+    outside the rule it checks."""
+    from almterm import verifier
+
+    text = (
+        "p(x) :- x >= 1, y = x - 3, p(y).\n"
+        "p(x) :- 2*y = x, x >= y + 1, p(y).\n"
+        "p(x) :- x = 0 + 0 * y, y = y, q(y, w).\n"
+        "q(x, u) :- 9 >= x, y = x + 1, z = u + 2, v = u, q(y, v), p(z).\n"
+        "q(x, u) :- x >= 0, 3*x = 2*u, u = 3*w, 1 = 1, p(w).\n"
+    )
+    program = binarize(parse_program(text))
+    systems = []
+    real = verifier.minimize
+
+    def recording(sys, *objectives):
+        systems.append(sys)
+        return real(sys, *objectives)
+
+    monkeypatch.setattr(verifier, "minimize", recording)
+    lm = LevelMapping({"p": (1, 2), "q": (-1, Fraction(1, 2), -3)})
+    for domain in (Q, QPLUS, N):
+        for rule in program.rules:
+            systems.clear()
+            verify(Program([rule], program.pool, check_constraint_vars=False), lm, domain)
+            assert len(systems) == len(rule.body)
+            for sys in systems:
+                assert set(sys.variables) <= rule.all_vars()
+                rows = {(frozenset(coeffs.items()), bound) for coeffs, bound in sys.rows}
+                for coeffs, bound in sys.rows:
+                    negation = (frozenset((v, -c) for v, c in coeffs.items()), -bound)
+                    assert negation not in rows, (rule.rule_id, domain, sys.rows)
