@@ -275,11 +275,20 @@ def _in_domain(value: Fraction, domain: Domain) -> Fraction:
     return value
 
 
+# random objectives minimised over each rule's head projection
+OBJECTIVES_PER_RULE = 4
+
+
 def sample_starts(
-    program: Program, domain: Domain, rng: random.Random, per_rule: int = 4
+    program: Program, domain: Domain, rng: random.Random
 ) -> list[tuple[str, tuple[Fraction, ...]]]:
     """Ground start atoms: vertices of each rule's head-projected constraint
-    polyhedron, plus random in-domain perturbations of them."""
+    polyhedron, plus random in-domain perturbations of them.
+
+    Each rule is decided once: a head with arguments by :func:`feasible_point`
+    on the projection (Fourier-Motzkin keeps satisfiability exactly), a head
+    without by :func:`feasible`.  An unsatisfiable rule draws nothing from
+    ``rng``."""
     starts: list[tuple[str, tuple[Fraction, ...]]] = []
     seen: set[tuple[str, tuple[Fraction, ...]]] = set()
 
@@ -295,17 +304,16 @@ def sample_starts(
         system = integer_system(
             rule.rows, extra_nonneg=rule.nonneg_vars(domain), order_hint=head.args
         )
-        if not feasible(system):
-            continue
         if head.arity == 0:
-            add(head.pred, ())
+            if feasible(system):
+                add(head.pred, ())
             continue
         projected = fm_project(system, head.args)
-        points: list[dict[int, Fraction]] = []
         base = feasible_point(projected)
-        if base is not None:
-            points.append(base)
-        objectives = [{v: rng.randint(-3, 3) for v in head.args} for _ in range(per_rule)]
+        if base is None:
+            continue
+        points = [base]
+        objectives = [{v: rng.randint(-3, 3) for v in head.args} for _ in range(OBJECTIVES_PER_RULE)]
         for out in minimize(projected, *objectives):
             if out.status == OPTIMAL:
                 points.append(out.point)
@@ -398,7 +406,7 @@ def check_length_bound(
             program,
             pred,
             args,
-            selection=SelectionRule(RANDOM, seed=seed + k),
+            selection=SelectionRule(RANDOM),
             max_steps=limit,
             seed=seed * 7919 + k,
             domain=domain,

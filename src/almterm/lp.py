@@ -22,17 +22,18 @@ gives every objective its own phase two on a copy of the feasible tableau;
 each outcome is the one that objective alone would get.  The optimum is read
 off the reduced-cost row, whose rhs entry carries minus the objective value.
 
-Feasibility uses a different route than optimisation: instead of solving the
-system directly we solve its row-multiplier alternative (nonnegative
-multipliers that cancel every column while making the combined right-hand side
-positive).  That alternative has one row per *variable*, so deciding systems
-with thousands of rows over a handful of variables stays cheap, and when the
-alternative is infeasible its phase-one multipliers yield an exact point of
-the original system for free.  Entailment runs on the multiplier side too:
-:func:`entails` asks in one phase one for multipliers that combine the rows
-into the tested row or refute the system (the affine Farkas lemma), so each
-redundancy test of :func:`drop_redundant` is a tableau of a row per variable,
-not a primal LP over split variables and a surplus column per row.
+Only :func:`minimize` runs phase two.  Feasibility and entailment are yes/no
+questions, and each is one phase one on the system's row-multiplier
+alternative (the affine Farkas lemma), built by the one private builder
+``_alternative``: a row per *variable*, then the bound row, over a column per
+system row.  Deciding systems with thousands of rows over a handful of
+variables so stays cheap.  :func:`feasible_point` asks for nonnegative
+multipliers that cancel every variable and combine the right-hand sides to 1;
+when there are none, phase one's equality duals yield an exact point of the
+system for free.  :func:`entails` asks for multipliers that combine the rows
+into the tested row or refute the system, so each redundancy test of
+:func:`drop_redundant` is a tableau of a row per variable, not a primal LP
+over split variables and a surplus column per row.
 
 Projection works on the same rows.  :func:`project_constraints` is the one
 routine: equality substitution, then Fourier-Motzkin elimination with
@@ -324,19 +325,19 @@ def _phase_two(rows, basis, costs, width):
     return OPTIMAL, point, Fraction(-obj[-2], obj[-1]), None
 
 
-def _solve_standard(mat, d, costs):
-    """Two-phase simplex for min costs.w s.t. mat w = d, w >= 0.
-
-    Returns (status, point, value, duals, ray).  ``duals`` are the phase-one
-    equality multipliers and are only returned on INFEASIBLE (that is the one
-    place a caller needs them); ``ray`` only on UNBOUNDED.
-    """
-    ncols = len(costs)
-    rows, basis, duals = _phase_one(mat, d, ncols)
-    if rows is None:
-        return INFEASIBLE, None, None, duals, None
-    status, point, value, ray = _phase_two(rows, basis, costs, ncols)
-    return status, point, value, None, ray
+def _alternative(sys: LinearSystem, order: Iterable[int], extra: int) -> list[list[int]]:
+    """The row-multiplier side of ``sys`` as a ``_phase_one`` matrix: a row per
+    variable of ``order`` (a superset of ``sys.variables``), then the bound
+    row, over a column per row of ``sys`` and ``extra`` zero columns after
+    them."""
+    m = sys.num_rows
+    index = {v: k for k, v in enumerate(order)}
+    mat = [[0] * (m + extra) for _ in range(len(index) + 1)]
+    for i, (coeffs, bound) in enumerate(sys.rows):
+        for v, c in coeffs.items():
+            mat[index[v]][i] = c
+        mat[-1][i] = bound
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -422,26 +423,21 @@ def maximize(sys: LinearSystem, objective: Mapping[int, int | Fraction]) -> LpOu
 def feasible_point(sys: LinearSystem) -> dict[int, Fraction] | None:
     """An exact rational point satisfying every row, or None.
 
-    Decided through the row-multiplier alternative system (see module
+    Decided by phase one alone on the row-multiplier alternative (see module
     docstring), whose size is governed by the variable count rather than the
-    row count.  The returned point is checked against the system before being
+    row count: the point is read off the phase-one duals, and phase two never
+    runs.  The returned point is checked against the system before being
     handed out.
     """
     m = sys.num_rows
     n = sys.num_vars
     if m == 0:
         return {v: ZERO for v in sys.variables}
-    # alternative: columns are one multiplier per original row; rows force the
-    # multipliers to cancel every variable and to combine the rhs to 1
-    index = {v: k for k, v in enumerate(sys.variables)}
-    mat = [[0] * m for _ in range(n)]
-    for i, (coeffs, _) in enumerate(sys.rows):
-        for v, c in coeffs.items():
-            mat[index[v]][i] = c
-    mat.append([bound for _, bound in sys.rows])
-    d = [ZERO] * n + [ONE]
-    status, _, _, duals, _ = _solve_standard(mat, d, [ZERO] * m)
-    if status != INFEASIBLE:
+    # the multipliers must cancel every variable and combine the rhs to 1;
+    # the system is feasible exactly when they cannot, and then phase one's
+    # equality duals, scaled by the bound row's, are a point of it
+    rows, _, duals = _phase_one(_alternative(sys, sys.variables, 0), [0] * n + [1], m)
+    if rows is not None:
         return None
     scale = duals[n]
     assert scale > 0, "alternative-system duals must combine the rhs positively"
@@ -473,15 +469,11 @@ def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int 
     """
     m = sys.num_rows
     index = {v: k for k, v in enumerate(dict.fromkeys([*sys.variables, *coeffs]))}
-    mat = [[0] * (m + 2) for _ in range(len(index) + 2)]
-    for i, (row, b) in enumerate(sys.rows):
-        for v, c in row.items():
-            mat[index[v]][i] = c
-        mat[-2][i] = b
+    mat = _alternative(sys, index, 2)
     for v, c in coeffs.items():
         mat[index[v]][m] = -c
-    mat[-2][m:] = [-bound, -1]
-    mat[-1][m:] = [1, 1]
+    mat[-1][m:] = [-bound, -1]
+    mat.append([0] * m + [1, 1])
     rows, _, _ = _phase_one(mat, [0] * (len(index) + 1) + [1], m + 2)
     return rows is not None
 

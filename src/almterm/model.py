@@ -339,12 +339,12 @@ class Rule:
         return {v for coeffs, _, _ in self.rows for v in coeffs}
 
     def all_vars(self) -> set[int]:
-        return self.atom_vars() | self.constraint_vars()
+        return set(self.variables)
 
     def nonneg_vars(self, domain: Domain) -> tuple[int, ...]:
         """The variables ``domain`` keeps nonnegative, sorted: every variable
         of the rule on ``q+``, ``r+`` and ``n``, none on ``q`` and ``r``."""
-        return tuple(sorted(self.all_vars())) if domain.nonneg else ()
+        return tuple(sorted(self.variables)) if domain.nonneg else ()
 
     @cached_property
     def variables(self) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 A dense two-phase simplex with Bland's rule over ``fractions.Fraction``
 tableau entries: the straightforward form of the algorithm that
-``almterm.lp._solve_standard`` implements on integer rows.  Both make the same
+``almterm.lp._phase_one`` and ``almterm.lp._phase_two`` implement on integer
+rows (``test_lp_kernel.solve_standard`` composes them).  Both make the same
 pivot choices on the same tableau values, so for equal inputs they must
 return equal ``(status, point, value, duals, ray)`` tuples.
 """

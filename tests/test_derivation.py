@@ -31,6 +31,7 @@ from almterm.derivation import (
     FAILURE,
     LEFTMOST,
     MAX_STEPS,
+    OBJECTIVES_PER_RULE,
     RANDOM,
     RIGHTMOST,
     compact_store,
@@ -314,7 +315,32 @@ def test_sample_starts_makes_one_minimize_call_per_rule(monkeypatch):
 
     monkeypatch.setattr(almterm.derivation, "minimize", counted)
     program = parse_program(load("example72.clp"))
-    starts = sample_starts(program, Q, random.Random(3), per_rule=5)
+    starts = sample_starts(program, Q, random.Random(3))
     # r2 (0 = 1) is unsatisfiable, the fact r1 and the rule r3 are sampled
-    assert calls == [5, 5]
+    assert calls == [OBJECTIVES_PER_RULE, OBJECTIVES_PER_RULE]
     assert {pred for pred, _ in starts} == {"p"}
+
+
+def test_sample_starts_decides_each_rule_with_one_feasibility_lp(monkeypatch):
+    """A rule whose head has arguments is decided by the point of its head
+    projection alone, an arity-0 head by one ``feasible`` test; the starts
+    stay what a feasibility test before the projection gave."""
+    calls = []
+    feasible_point = almterm.lp.feasible_point
+
+    def counted(sys):
+        calls.append(sys)
+        return feasible_point(sys)
+
+    monkeypatch.setattr(almterm.lp, "feasible_point", counted)
+    monkeypatch.setattr(almterm.derivation, "feasible_point", counted)
+    program = parse_program(
+        load("example72.clp")
+        + "q :- x >= 1, 2 >= x, p(x).\n"
+        + "q :- 1 >= x, x >= 2, p(x).\n"
+    )
+    starts = sample_starts(program, Q, random.Random(3))
+    assert len(calls) == len(program.rules) == 5
+    F = Fraction
+    p_args = [2, 3, F(13, 3), 0, -2, -1, F(5, 2), 72, 68, F(212, 3), F(220, 3)]
+    assert starts == [("p", (F(a),)) for a in p_args] + [("q", ())]

@@ -430,6 +430,32 @@ def test_drop_redundant_runs_no_minimisation(monkeypatch):
     assert drop_redundant(infeasible).rows == (({X: 1}, 1), ({X: -1}, 0))
 
 
+def test_feasibility_and_entailment_run_phase_one_only(monkeypatch):
+    """Both yes/no questions are one phase one on the row-multiplier
+    alternative; only ``minimize`` reaches phase two."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase two ran")
+
+    monkeypatch.setattr(lp, "_phase_two", refuse)
+    feasible_sys = LinearSystem(
+        (X, Y), (({X: 1}, 1), ({X: -1, Y: 1}, 0), ({Y: -1}, -5), ({X: 2, Y: 1}, 4))
+    )
+    assert feasible_point(feasible_sys) == {X: Fraction(4, 3), Y: Fraction(4, 3)}
+    assert entails(feasible_sys, {Y: 1}, 1)
+    assert not entails(feasible_sys, {X: 1}, 2)
+    infeasible = LinearSystem((X,), (({X: 1}, 2), ({X: -1}, -1)))
+    assert feasible_point(infeasible) is None
+    assert entails(infeasible, {X: -1}, 10)
+    no_rows = LinearSystem((X, Y), ())
+    assert feasible_point(no_rows) == {X: 0, Y: 0}
+    assert entails(no_rows, {}, 0)
+    assert not entails(no_rows, {X: 1}, 0)
+    canonical = LinearSystem((X, Y), (({}, 1),))
+    assert feasible_point(canonical) is None
+    assert entails(canonical, {X: 1, Y: -1}, 3)
+
+
 # --- the system's surface ----------------------------------------------------
 
 

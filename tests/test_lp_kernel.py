@@ -1,6 +1,7 @@
 """The integer-row simplex kernel against the Fraction reference oracle.
 
-``_solve_standard`` must return exactly what the dense Fraction tableau of
+``_phase_one`` followed by ``_phase_two`` (composed here as
+:func:`solve_standard`) must return exactly what the dense Fraction tableau of
 ``fraction_simplex`` returns: same status, point, value, phase-one duals and
 ray, because both make Bland's pivot choices on the same tableau values.
 """
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _solve_standard
+from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _phase_one, _phase_two
 from fraction_simplex import _solve_standard as reference_solve
 
 F = Fraction
@@ -45,8 +46,23 @@ def standard_lps(draw):
     return mat, d, costs
 
 
+def solve_standard(mat, d, costs):
+    """Two-phase simplex for ``min costs.w s.t. mat w = d, w >= 0``.
+
+    Returns (status, point, value, duals, ray).  ``duals`` are the phase-one
+    equality multipliers and are only returned on INFEASIBLE; ``ray`` only on
+    UNBOUNDED.
+    """
+    ncols = len(costs)
+    rows, basis, duals = _phase_one(mat, d, ncols)
+    if rows is None:
+        return INFEASIBLE, None, None, duals, None
+    status, point, value, ray = _phase_two(rows, basis, costs, ncols)
+    return status, point, value, None, ray
+
+
 def assert_matches_reference(mat, d, costs):
-    got = _solve_standard(mat, d, costs)
+    got = solve_standard(mat, d, costs)
     assert got == reference_solve(mat, d, costs)
     return got
 
