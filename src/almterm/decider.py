@@ -7,7 +7,7 @@ two required implications
     c  implies  |p(xs)| >= 1 + |q(ys)|        (strict decrease)
     c  implies  |q(ys)| >= 0                  (body stays nonnegative)
 
-are turned into linear systems over fresh nonnegative row multipliers and the
+are turned into linear systems over fresh row multipliers and the
 unknown level coefficients: an implication ``c -> e >= t`` holds exactly when
 some nonnegative combination of the rows of ``c`` (written as ``A x >= b``)
 produces ``e`` with combined bound at least ``t``.  The multipliers are local
@@ -18,17 +18,24 @@ solves the (low-dimensional) conjunction of the projections.  That keeps the
 solve linear in the number of rules.
 
 Both systems of a rule are instances of its dual cone
-``K = {(z, s) : some y >= 0 has A^T y = z and b.y >= s}``, since ``c -> e.x >= t``
-holds iff ``(e, t)`` lies in ``K`` (the generator view of the encoding:
-Bagnara, Mesnard, Pescetti and Zaffanella, Inf. Comput. 2012).  So ``K`` is
-built from the integer rows the rule holds, projected onto ``(z, s)`` once
-(its rows are homogeneous, so this is pure integer arithmetic), and the
-projection is instantiated twice: ``z`` the decrease objective with ``s = 1``,
-and ``z`` the body-level objective with ``s = 0``.  By Farkas' lemma ``c`` is
-unsatisfiable iff ``(0, 1)`` lies in ``K``, so the same projection tests the
-rule and no LP runs for it.  The explicit multiplier systems are never
-built; the test suite keeps them as the specification the cones are checked
-against.
+``K = {(z, s) : some y has A^T y = z and b.y >= s}``, with one multiplier
+``y_i`` per row of ``c`` (the domain's ``x >= 0`` rows included): ``y_i >= 0``
+for a ``>=`` row and ``y_i`` free for an equality.  By the affine Farkas
+lemma ``c -> e.x >= t`` holds iff ``(e, t)`` lies in ``K`` (the generator view
+of the encoding: Bagnara, Mesnard, Pescetti and Zaffanella, Inf. Comput.
+2012).  So ``K`` is built straight from the integer rows the rule holds,
+projected onto ``(z, s)`` once (its rows are homogeneous, so this is pure
+integer arithmetic; a free multiplier starts out in balance equalities and
+the bound row only, so the projection's equality substitution removes it
+whenever a balance row picks it), and the projection is instantiated twice.
+``z`` ranges over the rule's variables only, so the level constants ``c0``
+enter through ``s``: the decrease takes ``z`` the head's argument
+coefficients minus the body's and ``s = 1 - c0(head) + c0(body)``, the body
+level takes ``z`` the body's argument coefficients and ``s = -c0(body)``.  By
+Farkas' lemma ``c`` is unsatisfiable iff ``(0, 1)`` lies in ``K``, so the
+same projection tests the rule and no LP runs for it.  The explicit
+multiplier systems are never built; the test suite keeps them, over a pinned
+``one`` column, as the specification the cones are checked against.
 
 The verifier module re-checks any extracted mapping through plain primal
 minimisation, giving an independent second encoding of the same implications.
@@ -52,6 +59,7 @@ from .lp import (
 )
 from .model import (
     EQ,
+    GEQ,
     Domain,
     LevelMapping,
     ModelError,
@@ -75,11 +83,14 @@ ZERO = Fraction(0)
 class RuleCone:
     """The dual cone of one analysed binary rule, projected onto ``(z, s)``.
 
-    ``z_j`` (id ``j``) stands for column ``j`` of the rule's constraint
-    rows (laid out as by :func:`_encode`) and ``s`` for id ``columns``;
-    ``rows`` are ``>=`` rows (an equality gives two).  ``decrease`` and
-    ``nonneg`` give, per column, the coefficient-variable combination ``z``
-    takes in the two implications.  ``multipliers`` counts the primal rows.
+    ``columns`` counts the rule's variables: ``z_j`` (id ``j``) stands for
+    the ``j``-th in :func:`rule_cone`'s order, and ``s`` for id ``columns``.
+    ``rows`` are ``>=`` rows (a projected equality gives two).
+    ``decrease`` and ``nonneg`` give, per column and then for ``s``, the
+    coefficient-variable combination it takes in the two implications; the
+    constant part of ``s`` is the argument of :meth:`instantiate`.
+    ``multipliers`` counts the cone's multipliers, one per rule row and one
+    per ``x >= 0`` row of the domain.
     """
 
     rule: Rule
@@ -96,15 +107,15 @@ class RuleCone:
         return any(coeffs.get(self.columns, 0) < 0 for coeffs, _ in self.rows)
 
     def instantiate(self, layout: tuple[dict[int, int], ...], s: int) -> list[Row]:
-        """The rows with ``z := layout`` and ``s := s``, over the coefficient
-        variables; ``[0 >= 1]`` when the rule admits no coefficients."""
+        """The rows with ``z := layout`` and ``s := layout[columns] + s``,
+        over the coefficient variables; ``[0 >= 1]`` when the rule admits no
+        coefficients."""
         out: list[Row] = []
         for coeffs, _ in self.rows:
             row: dict[int, int] = {}
             for z, c in coeffs.items():
-                if z < self.columns:
-                    for mu, k in layout[z].items():
-                        row[mu] = row.get(mu, 0) + c * k
+                for mu, k in layout[z].items():
+                    row[mu] = row.get(mu, 0) + c * k
             row = {mu: c for mu, c in row.items() if c}
             bound = -coeffs.get(self.columns, 0) * s
             if row:
@@ -132,10 +143,14 @@ class AlmSystem:
 
     @property
     def num_rows(self) -> int:
-        """Rows of the explicit multiplier systems, two per analysed rule,
-        counted without building them: each has a balance row per column,
-        the bound row and a nonnegativity row per multiplier."""
-        return sum(2 * (cone.columns + 1 + cone.multipliers) for cone in self.cones)
+        """Rows of the test suite's explicit multiplier systems, two per
+        analysed rule, counted without building them.  Their primal pins a
+        ``one`` column to 1 and writes the pin and every equality as two
+        ``>=`` rows, so each system has a balance row per rule variable and
+        for ``one``, the bound row, and a nonnegativity row per primal row:
+        the cone's multipliers, one more per equality, and two for the pin."""
+        equalities = sum(rel == EQ for cone in self.cones for _, _, rel in cone.rule.rows)
+        return 2 * (sum(cone.columns + cone.multipliers + 4 for cone in self.cones) + equalities)
 
     def coeff_variables(self) -> tuple[int, ...]:
         return tuple(v for ids in self.coeff_ids.values() for v in ids)
@@ -179,83 +194,54 @@ def rule_constraint_satisfiable(rule: Rule, domain: Domain) -> bool:
     return feasible(integer_system(rule.rows, extra_nonneg=rule.nonneg_vars(domain)))
 
 
-def _encode(
-    rule: Rule,
-    domain: Domain,
-    one: int,
-    coeff_ids: dict[str, tuple[int, ...]],
-) -> tuple[LinearSystem, list[dict[int, int]], list[dict[int, int]]]:
-    """A binary rule's constraint with ``one`` pinned to 1, as integer rows
-    over ``(one, head args..., body args..., leftover constraint vars...)``,
-    and per column the coefficient-variable combination that multiplies it
-    in the decrease objective and in the body-level objective."""
-    head, body = rule.head, rule.body[0]
-    system = integer_system(
-        (({one: 1}, 1, EQ),) + rule.rows,
-        extra_nonneg=rule.nonneg_vars(domain),
-        order_hint=(one,) + head.args + body.args,
-    )
-    hc = coeff_ids[head.pred]
-    bc = coeff_ids[body.pred]
-    head_slot = {v: i for i, v in enumerate(head.args, start=1)}
-    body_slot = {v: i for i, v in enumerate(body.args, start=1)}
-    decrease: list[dict[int, int]] = []
-    nonneg: list[dict[int, int]] = []
-    for v in system.variables:
-        if v == one:
-            decrease.append({} if hc[0] == bc[0] else {hc[0]: 1, bc[0]: -1})
-            nonneg.append({bc[0]: 1})
-        elif v in head_slot:
-            decrease.append({hc[head_slot[v]]: 1})
-            nonneg.append({})
-        elif v in body_slot:
-            decrease.append({bc[body_slot[v]]: -1})
-            nonneg.append({bc[body_slot[v]]: 1})
-        else:
-            # leftover constraint variable (from body splitting): both
-            # objectives ignore it, so its multiplier combination must vanish
-            decrease.append({})
-            nonneg.append({})
-    return system, decrease, nonneg
-
-
-# the ``one`` column of a rule's cone: no pool id, since nothing outside the
-# cone refers to it
-_ONE = -1
-
-
 def rule_cone(
     rule: Rule, domain: Domain, coeff_ids: dict[str, tuple[int, ...]]
 ) -> RuleCone:
     """Project the dual cone of a binary rule with a body (see the module
     docstring).
 
-    The cone's variables are ``z_j`` (id ``j``) per primal column, ``s`` (id
-    ``n``) and one multiplier ``y_i`` (id ``n + 1 + i``) per primal row; its
-    rows are ``A^T y - z = 0``, ``b.y - s >= 0`` and ``y >= 0``, with the
-    multipliers in the order of the primal rows.
+    The cone's variables are ``z_j`` (id ``j``) per rule variable (head
+    arguments, body arguments, then the other constraint variables in row
+    order), ``s`` (id ``n``) and one multiplier ``y_i`` (id ``n + 1 + i``)
+    per row: the rule's rows in order, then the domain's ``x >= 0`` rows.
+    Its rows are ``A^T y - z = 0``, ``b.y - s >= 0`` and ``y_i >= 0`` for
+    each ``>=`` row; an equality's multiplier is free.
     """
-    system, decrease, nonneg = _encode(rule, domain, _ONE, coeff_ids)
-    n = system.num_vars
-    m = system.num_rows
-    column = {v: j for j, v in enumerate(system.variables)}
+    head, body = rule.head, rule.body[0]
+    column = {v: j for j, v in enumerate(dict.fromkeys(head.args + body.args + rule.variables))}
+    n = len(column)
+    rows = rule.rows + tuple(({v: 1}, 0, GEQ) for v in rule.nonneg_vars(domain))
     balance: list[dict[int, int]] = [{} for _ in range(n)]
     bound: dict[int, int] = {}
-    for y, (coeffs, b) in enumerate(system.rows, start=n + 1):
+    signs: list[Row] = []
+    for y, (coeffs, b, rel) in enumerate(rows, start=n + 1):
         for v, c in coeffs.items():
             balance[column[v]][y] = c
         if b:
             bound[y] = b
+        if rel != EQ:
+            signs.append(({y: 1}, 0))
     for j, row in enumerate(balance):
         row[j] = -1
     bound[n] = -1
     eqs = [(row, 0) for row in balance]
-    ineqs = [(bound, 0)] + [({y: 1}, 0) for y in range(n + 1, n + 1 + m)]
-    projected = project_constraints(eqs, ineqs, range(n + 1))
+    projected = project_constraints(eqs, [(bound, 0)] + signs, range(n + 1))
     assert projected is not None, "a cone always contains 0"
     eqs, ineqs = projected
     split = [r for c, _ in eqs for r in ((c, 0), ({v: -k for v, k in c.items()}, 0))]
-    return RuleCone(rule, n, m, tuple(split + ineqs), tuple(decrease), tuple(nonneg))
+    # per column, then for ``s``: the coefficient-variable combination each
+    # implication puts there; a leftover constraint variable (from body
+    # splitting) gets none, so its multiplier combination must vanish
+    hc, bc = coeff_ids[head.pred], coeff_ids[body.pred]
+    leftover = [{}] * (n - len(head.args) - len(body.args))
+    decrease = (
+        [{mu: 1} for mu in hc[1:]]
+        + [{mu: -1} for mu in bc[1:]]
+        + leftover
+        + [{} if hc[0] == bc[0] else {hc[0]: -1, bc[0]: 1}]
+    )
+    nonneg = [{}] * len(head.args) + [{mu: 1} for mu in bc[1:]] + leftover + [{bc[0]: -1}]
+    return RuleCone(rule, n, len(rows), tuple(split + ineqs), tuple(decrease), tuple(nonneg))
 
 
 def assemble(program: Program, domain: Domain) -> AlmSystem:

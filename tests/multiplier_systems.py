@@ -4,9 +4,12 @@ For a binary rule ``p(xs) :- c, q(ys)`` with satisfiable constraint ``c``
 (written ``A x >= b``), the implication ``c -> e.x >= t`` holds iff some
 ``y >= 0`` has ``A^T y = e`` and ``b.y >= t``.  This module builds those two
 systems (the decrease, ``t = 1``, and the body-level one, ``t = 0``) over
-fresh multipliers, exactly as written.  ``almterm.decider`` never builds
-them: it projects each rule's dual cone once and instantiates it twice.  The
-tests check the cones against these systems.
+fresh multipliers, exactly as written, from the rule's constraint with a
+``one`` column pinned to 1 and every equality written as two ``>=`` rows
+(:func:`_encode`).  ``almterm.decider`` never builds them: it projects each
+rule's dual cone once, straight from the rule's rows, and instantiates it
+twice.  The tests check the cones against these systems, which share no
+encoding code with them.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from almterm.decider import AlmSystem, _encode, rule_constraint_satisfiable
-from almterm.lp import LinearSystem
+from almterm.decider import AlmSystem, rule_constraint_satisfiable
+from almterm.lp import LinearSystem, integer_system
 from almterm.model import (
+    EQ,
     GEQ,
     Domain,
     LinearConstraint,
@@ -83,6 +87,46 @@ class DualSystem:
     @property
     def num_rows(self) -> int:
         return len(self.balance) + 1 + len(self.multipliers)
+
+
+def _encode(
+    rule: Rule,
+    domain: Domain,
+    one: int,
+    coeff_ids: dict[str, tuple[int, ...]],
+) -> tuple[LinearSystem, list[dict[int, int]], list[dict[int, int]]]:
+    """A binary rule's constraint with ``one`` pinned to 1, as integer rows
+    over ``(one, head args..., body args..., leftover constraint vars...)``,
+    and per column the coefficient-variable combination that multiplies it
+    in the decrease objective and in the body-level objective."""
+    head, body = rule.head, rule.body[0]
+    system = integer_system(
+        (({one: 1}, 1, EQ),) + rule.rows,
+        extra_nonneg=rule.nonneg_vars(domain),
+        order_hint=(one,) + head.args + body.args,
+    )
+    hc = coeff_ids[head.pred]
+    bc = coeff_ids[body.pred]
+    head_slot = {v: i for i, v in enumerate(head.args, start=1)}
+    body_slot = {v: i for i, v in enumerate(body.args, start=1)}
+    decrease: list[dict[int, int]] = []
+    nonneg: list[dict[int, int]] = []
+    for v in system.variables:
+        if v == one:
+            decrease.append({} if hc[0] == bc[0] else {hc[0]: 1, bc[0]: -1})
+            nonneg.append({bc[0]: 1})
+        elif v in head_slot:
+            decrease.append({hc[head_slot[v]]: 1})
+            nonneg.append({})
+        elif v in body_slot:
+            decrease.append({bc[body_slot[v]]: -1})
+            nonneg.append({bc[body_slot[v]]: 1})
+        else:
+            # leftover constraint variable (from body splitting): both
+            # objectives ignore it, so its multiplier combination must vanish
+            decrease.append({})
+            nonneg.append({})
+    return system, decrease, nonneg
 
 
 def build_rule_primal(

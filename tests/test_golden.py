@@ -31,6 +31,10 @@ here.
 
 Regenerate (only when the output is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
+
+A change to internals should also leave the output of the benchmark's seeded
+requests unchanged; ``tests/same_output.py`` prints it for one checkout, to be
+compared byte for byte with another's.
 """
 
 import contextlib

@@ -28,8 +28,8 @@ from almterm import decider
 from almterm.decider import rule_constraint_satisfiable
 from almterm.lp import LinearSystem, integer_system
 from almterm.model import constraint_row
-from helpers import load, random_binary_program_text
-from multiplier_systems import build_rule_systems
+from helpers import PROGRAMS, load, random_binary_program_text, random_flat_program_text
+from multiplier_systems import build_rule_systems, systems
 
 VARS = (0, 1, 2, 3)
 small = st.integers(min_value=-4, max_value=4)
@@ -145,3 +145,53 @@ def test_decide_projects_each_analysed_rule_once(monkeypatch):
     # the cone of the unsatisfiable rule finds it, and it is not analysed
     assert len(verdict.alm.cones) == len(with_body) - 1
     assert ("r6", "unsat") in verdict.alm.skipped
+
+
+def test_cone_has_a_balance_row_per_rule_variable_and_a_sign_row_per_inequality(monkeypatch):
+    """Each cone is built from the rule's own rows: one balance equality per
+    rule variable (no pinned ``one`` column), and besides the bound row one
+    ``y >= 0`` row per ``>=`` row of the rule or of the domain; an equality's
+    multiplier is free."""
+    program = binarize(
+        parse_program(
+            load("example4.clp") + "\n" + load("multibody.clp") + "\n"
+            "r(x, v) :- x >= 1, y = x - 1, z + w = x + v, 3 >= w, p(y), r(z, w).\n"
+            "p(x) :- x = 2*y, y >= 1, p(y).\n"
+        )
+    )
+    with_body = [rule for rule in program.rules if not rule.is_fact]
+    # split bodies leave variables in the constraint that neither atom has
+    assert any(set(rule.variables) - rule.atom_vars() for rule in with_body)
+    real = decider.project_constraints
+    for domain in (Q, QPLUS):
+        calls = []
+
+        def recording(eqs, ineqs, keep):
+            calls.append((eqs, ineqs))
+            return real(eqs, ineqs, keep)
+
+        monkeypatch.setattr(decider, "project_constraints", recording)
+        assemble(program, domain)
+        assert len(calls) == len(with_body)
+        for rule, (eqs, ineqs) in zip(with_body, calls):
+            inequalities = sum(rel == GEQ for _, _, rel in rule.rows)
+            assert len(eqs) == len(rule.variables)
+            assert len(ineqs) == 1 + inequalities + len(rule.nonneg_vars(domain))
+
+
+def test_num_rows_counts_the_explicit_multiplier_systems():
+    """``AlmSystem.num_rows`` (the benchmark's ``decider.assemble.rows``)
+    counts the rows of the specification's multiplier systems exactly."""
+    rng = random.Random(29)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.clp"))]
+    texts += [random_binary_program_text(rng) for _ in range(20)]
+    texts += [random_flat_program_text(rng) for _ in range(20)]
+    checked = 0
+    for text in texts:
+        program = binarize(parse_program(text))
+        for domain in (Q, QPLUS, N):
+            alm = assemble(program, domain)
+            explicit = systems(alm)
+            assert alm.num_rows == sum(ds.num_rows for ds in explicit)
+            checked += len(explicit)
+    assert checked >= 300
