@@ -44,8 +44,9 @@ substitution and its pruning.
 
 :func:`integer_system` builds a system from the rows a rule holds
 (:data:`almterm.model.ConstraintRow`), and objectives are coefficient dicts,
-so nothing is converted here; :func:`normalize`, the entry for
-:class:`LinearConstraint` input, maps ``constraint_row`` over the same builder.
+so nothing is converted here; :func:`normalize`, the entry for the library's
+:class:`LinearConstraint` input (the parser writes rows and never builds one),
+maps ``constraint_row`` over the same builder.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 Everything here is immutable after construction and exact, so no rounding can
 occur anywhere in an analysis.  A rule holds its constraint as primitive
-integer rows (:data:`ConstraintRow`); :class:`LinearConstraint` is the
-rational form constraints are written and shown in, and :func:`constraint_row`
-and :func:`row_constraint` convert one way each.  Variables are interned to
-dense integer ids; their source names live in a :class:`VariablePool` side
-table used only for reporting.
+integer rows (:data:`ConstraintRow`), which the parser writes directly;
+:class:`LinearConstraint` is the rational form the library takes constraints
+in and shows them in, and :func:`constraint_row` (for library input only)
+and :func:`row_constraint` (for display) convert one way each.  Variables
+are interned to dense integer ids; their source names live in a
+:class:`VariablePool` side table used only for reporting.
 """
 
 from __future__ import annotations
@@ -244,7 +245,9 @@ def constraint_row(c: LinearConstraint) -> ConstraintRow:
     """``c`` as a primitive integer row: the nonzero coefficients of
     ``lhs - rhs`` (lhs variables first, a variable that cancels left out) and
     the bound ``rhs.const - lhs.const``, scaled by a positive rational to
-    coprime integers."""
+    coprime integers.  This converts library input
+    (:func:`almterm.lp.normalize`); the parser writes the same row for the
+    same constraint text without it."""
     coeffs = dict(c.lhs.coeffs)
     for v, k in c.rhs.coeffs.items():
         s = coeffs.get(v, 0) - k

@@ -27,31 +27,24 @@ tuples; whitespace and comments make no token.  Only an error needs a
 position: :meth:`_Parser.fail` works out the line (counting ``\n``) and the
 column (in characters, from 1) from the offset when it raises.
 
-Expressions are built with :class:`LinearExpr` arithmetic; each finished
-constraint becomes one primitive integer row
-(:func:`almterm.model.constraint_row`), and a :class:`Rule` holds those rows
-in source order.  Later layers read the rows and never convert again.
+An expression is accumulated as integers only: ``(coeffs, const, den)``
+stands for ``(coeffs . x + const) / den`` with ``den > 0``.  ``+`` and ``-``
+bring both sides over one denominator and merge the coefficients, deleting
+one that sums to 0; ``*`` and ``/`` by a constant scale the numerators and
+``den``.  Each finished constraint is written straight as its primitive
+integer row :data:`ConstraintRow` (the row
+:func:`almterm.model.constraint_row` writes for the same constraint, key
+order included), and a :class:`Rule` holds those rows in source order.
+Later layers read the rows and never convert again.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
-from .model import (
-    EQ,
-    GEQ,
-    AlmtermError,
-    Atom,
-    ConstraintRow,
-    LinearConstraint,
-    LinearExpr,
-    Program,
-    Rule,
-    VariablePool,
-    constraint_row,
-)
+from .model import EQ, GEQ, AlmtermError, Atom, ConstraintRow, Program, Rule, VariablePool
 
 
 # the expression parser recurses about three frames per level, so this keeps
@@ -101,6 +94,35 @@ _TOKEN_RE = re.compile(
 
 # a token is (kind, text, offset); a symbol's kind is its text
 Token = tuple[str, str, int]
+
+# an expression ``(coeffs . x + const) / den``: nonzero int coefficients by
+# variable id, an int constant and an int ``den > 0``
+_Expr = tuple[dict[int, int], int, int]
+
+
+def _scaled(coeffs: dict[int, int], const: int, k: int) -> tuple[dict[int, int], int]:
+    return {v: a * k for v, a in coeffs.items()}, const * k
+
+
+def _sum(a: _Expr, b: _Expr, sign: int) -> _Expr:
+    """``a + sign * b`` over the least common denominator, merging ``b``'s
+    coefficients into ``a``'s dict (which the result owns) in ``b``'s order
+    and deleting one that sums to 0."""
+    coeffs, const, den = a
+    bcoeffs, bconst, bden = b
+    if bden != den:
+        common = lcm(den, bden)
+        if common != den:
+            coeffs, const = _scaled(coeffs, const, common // den)
+        sign *= common // bden
+        den = common
+    for v, k in bcoeffs.items():
+        s = coeffs.get(v, 0) + sign * k
+        if s:
+            coeffs[v] = s
+        else:
+            del coeffs[v]
+    return coeffs, const + sign * bconst, den
 
 
 class _ClauseScope:
@@ -216,7 +238,7 @@ class _Parser:
         if self.peek()[0] == "ident" and self.peek(1)[0] in ("(", ",", "."):
             atoms.append(self.atom(scope))
         else:
-            rows.append(constraint_row(self.constraint(scope)))
+            rows.append(self.constraint(scope))
 
     def atom(self, scope: _ClauseScope) -> Atom:
         name = self.expect("ident")
@@ -255,46 +277,60 @@ class _Parser:
 
     # -- constraints and expressions ---------------------------------------
 
-    def constraint(self, scope) -> LinearConstraint:
+    def constraint(self, scope) -> ConstraintRow:
+        """The primitive row of ``lhs - rhs``: lhs variables first, a
+        variable that cancels left out, divided by the gcd."""
         lhs = self.expr(scope)
         op = self.next()
-        if op[0] == "=":
-            return LinearConstraint(lhs, EQ, self.expr(scope))
-        if op[0] == "geq":
-            return LinearConstraint(lhs, GEQ, self.expr(scope))
-        if op[0] == "leq":
-            return LinearConstraint(self.expr(scope), GEQ, lhs)
-        self.fail("expected '=', '>=' or '<=' in constraint", op)
+        if op[0] in ("=", "geq"):
+            rhs = self.expr(scope)
+        elif op[0] == "leq":
+            lhs, rhs = self.expr(scope), lhs
+        else:
+            self.fail("expected '=', '>=' or '<=' in constraint", op)
+        coeffs, const, _ = _sum(lhs, rhs, -1)
+        rel = EQ if op[0] == "=" else GEQ
+        g = gcd(const, *coeffs.values())
+        if g > 1:
+            return {v: a // g for v, a in coeffs.items()}, -const // g, rel
+        return coeffs, -const, rel
 
-    def expr(self, scope) -> LinearExpr:
+    def expr(self, scope) -> _Expr:
         acc = self.mul(scope)
         while self.peek()[0] in ("+", "-"):
-            op = self.next()
-            rhs = self.mul(scope)
-            acc = acc + rhs if op[0] == "+" else acc - rhs
+            sign = 1 if self.next()[0] == "+" else -1
+            acc = _sum(acc, self.mul(scope), sign)
         return acc
 
-    def mul(self, scope) -> LinearExpr:
+    def mul(self, scope) -> _Expr:
         acc = self.unary(scope)
         while self.peek()[0] in ("*", "/"):
             op = self.next()
             rhs = self.unary(scope)
             if op[0] == "*":
-                if acc.is_const:
-                    acc = rhs.scale(acc.const)
-                elif rhs.is_const:
-                    acc = acc.scale(rhs.const)
-                else:
+                if not acc[0]:
+                    acc, rhs = rhs, acc
+                elif rhs[0]:
                     self.fail("non-linear term: product of two variables", op)
+                _, num, den = rhs
             else:
-                if not rhs.is_const:
+                if rhs[0]:
                     self.fail("non-linear term: division by a variable", op)
-                if rhs.const == 0:
+                _, den, num = rhs
+                if not den:
                     self.fail("division by zero", op)
-                acc = acc.scale(Fraction(1) / rhs.const)
+                if den < 0:
+                    num, den = -num, -den
+            # acc times num/den (den > 0); a zero factor leaves the empty
+            # expression
+            if num:
+                coeffs, const = _scaled(acc[0], acc[1], num)
+                acc = coeffs, const, acc[2] * den
+            else:
+                acc = {}, 0, 1
         return acc
 
-    def unary(self, scope) -> LinearExpr:
+    def unary(self, scope) -> _Expr:
         tok = self.next()
         kind, text, _ = tok
         if kind in ("-", "("):
@@ -302,7 +338,9 @@ class _Parser:
                 self.fail(f"expression nested more than {MAX_NESTING} deep", tok)
             self.depth += 1
             if kind == "-":
-                inner = -self.unary(scope)
+                coeffs, const, den = self.unary(scope)
+                coeffs, const = _scaled(coeffs, const, -1)
+                inner = coeffs, const, den
             else:
                 inner = self.expr(scope)
                 self.expect(")")
@@ -313,12 +351,12 @@ class _Parser:
                 value = int(text)
             except ValueError:  # more digits than the interpreter converts
                 self.fail(f"numeric literal of {len(text)} digits is too long", tok)
-            return LinearExpr.of_const(value)
+            return {}, value, 1
         if kind == "ident":
             if self.peek()[0] == "(":
                 self.fail("predicates cannot appear inside constraints", tok)
             scope.constraint_uses.append(tok)
-            return LinearExpr.of_var(scope.var(text))
+            return {scope.var(text): 1}, 0, 1
         self.fail(f"expected a term, found {text or 'end of input'!r}", tok)
 
     # -- flatness ----------------------------------------------------------

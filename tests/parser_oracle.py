@@ -1,0 +1,93 @@
+"""The parser's earlier expression path, kept as a test oracle.
+
+It builds every expression as a :class:`LinearExpr` with ``Fraction``
+arithmetic and converts each finished constraint with
+:func:`almterm.model.constraint_row`.  The parser proper now accumulates
+integers and writes the primitive row directly; the two must agree on every
+row (key order included) and on every error's class, span and message.
+Only the expression methods differ: the scanner, the clause grammar and the
+flatness checks are the parser's own.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from almterm.model import EQ, GEQ, LinearConstraint, LinearExpr, VariablePool, constraint_row
+from almterm.parser import MAX_NESTING, _Parser
+
+
+class OracleParser(_Parser):
+    def constraint(self, scope):
+        lhs = self.expr(scope)
+        op = self.next()
+        if op[0] == "=":
+            return constraint_row(LinearConstraint(lhs, EQ, self.expr(scope)))
+        if op[0] == "geq":
+            return constraint_row(LinearConstraint(lhs, GEQ, self.expr(scope)))
+        if op[0] == "leq":
+            return constraint_row(LinearConstraint(self.expr(scope), GEQ, lhs))
+        self.fail("expected '=', '>=' or '<=' in constraint", op)
+
+    def expr(self, scope) -> LinearExpr:
+        acc = self.mul(scope)
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()
+            rhs = self.mul(scope)
+            acc = acc + rhs if op[0] == "+" else acc - rhs
+        return acc
+
+    def mul(self, scope) -> LinearExpr:
+        acc = self.unary(scope)
+        while self.peek()[0] in ("*", "/"):
+            op = self.next()
+            rhs = self.unary(scope)
+            if op[0] == "*":
+                if acc.is_const:
+                    acc = rhs.scale(acc.const)
+                elif rhs.is_const:
+                    acc = acc.scale(rhs.const)
+                else:
+                    self.fail("non-linear term: product of two variables", op)
+            else:
+                if not rhs.is_const:
+                    self.fail("non-linear term: division by a variable", op)
+                if rhs.const == 0:
+                    self.fail("division by zero", op)
+                acc = acc.scale(Fraction(1) / rhs.const)
+        return acc
+
+    def unary(self, scope) -> LinearExpr:
+        tok = self.next()
+        kind, text, _ = tok
+        if kind in ("-", "("):
+            if self.depth == MAX_NESTING:
+                self.fail(f"expression nested more than {MAX_NESTING} deep", tok)
+            self.depth += 1
+            if kind == "-":
+                inner = -self.unary(scope)
+            else:
+                inner = self.expr(scope)
+                self.expect(")")
+            self.depth -= 1
+            return inner
+        if kind == "int":
+            try:
+                value = int(text)
+            except ValueError:  # more digits than the interpreter converts
+                self.fail(f"numeric literal of {len(text)} digits is too long", tok)
+            return LinearExpr.of_const(value)
+        if kind == "ident":
+            if self.peek()[0] == "(":
+                self.fail("predicates cannot appear inside constraints", tok)
+            scope.constraint_uses.append(tok)
+            return LinearExpr.of_var(scope.var(text))
+        self.fail(f"expected a term, found {text or 'end of input'!r}", tok)
+
+
+def oracle_parse_program(text: str, file: str = "<string>"):
+    return OracleParser(text, file, VariablePool()).program()
+
+
+def oracle_parse_query(text: str, file: str = "<string>"):
+    return OracleParser(text, file, VariablePool()).query()

@@ -1,13 +1,19 @@
-"""Print the output of every seeded benchmark request, to show that a change
-to internals leaves what the program prints unchanged.
+"""Print the parsed rows and the output of every seeded benchmark request, to
+show that a change to internals leaves what the program computes and prints
+unchanged.
 
     PYTHONPATH=<checkout>/src python tests/same_output.py SEED > <checkout>.out
 
 Run it once per checkout, at the same seed, and compare the outputs with
 ``cmp``.  It builds the inputs of ``perfbench/workloads.py`` for ``SEED``
-(importing that file read-only) under ``.perfbench-work/same-output/``, a
-fixed path, so the ``file`` fields of the two runs agree, and prints:
+(importing that file read-only) under the checkout's
+``.perfbench-work/same-output/``, so the file names of two runs differ only
+in the checkout's root; for checkouts in different directories, replace the
+root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
 
+- first, every generated input file's name and the ``repr`` of each parsed
+  rule's ``rows``, so that the rows the parser writes, coefficient key order
+  included, are compared too;
 - every ``small-mixed`` and ``project`` request as ``almterm check ... --json
   --witness --verify --project`` over ``q``, ``q+`` and ``n``;
 - every ``large`` request as the benchmark sends it (without ``--project``);
@@ -23,7 +29,7 @@ import sys
 from pathlib import Path
 
 import almterm
-from almterm import cli
+from almterm import cli, parse_program
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench-work" / "same-output"
@@ -36,8 +42,14 @@ def main(seed: int) -> None:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    for workload in workloads.WORKLOADS:
-        requests = workloads.build(workload, seed, WORK / workload)
+    built = {w: workloads.build(w, seed, WORK / w) for w in workloads.WORKLOADS}
+    for requests in built.values():
+        items = [i for r in requests for i in (r.items if hasattr(r, "items") else (r.item,))]
+        for path in dict.fromkeys(i.path for i in items):
+            print(f"rows {path}")
+            for rule in parse_program(Path(path).read_text(encoding="utf-8"), file=path).rules:
+                print(f"  {rule.rows!r}")
+    for workload, requests in built.items():
         if workload == "derive":
             for req in requests:
                 verdict, bound = req.send(almterm)

@@ -20,6 +20,7 @@ import almterm.parser
 from almterm import N, Q, QPLUS, check_length_bound, decide, verify
 from almterm.parser import MAX_NESTING
 from helpers import (
+    PROGRAMS,
     load,
     random_binary_program_text,
     random_flat_program_text,
@@ -217,7 +218,7 @@ def test_pipeline_converts_no_constraint_after_parsing(monkeypatch):
     def refuse(constraint):
         raise AssertionError("a constraint was converted after parsing")
 
-    for module in (almterm.model, almterm.lp, almterm.parser):
+    for module in (almterm.model, almterm.lp):
         monkeypatch.setattr(module, "constraint_row", refuse)
     certified = 0
     for program in programs:
@@ -231,3 +232,128 @@ def test_pipeline_converts_no_constraint_after_parsing(monkeypatch):
                 verdict.binary, verdict.witness, samples=3, domain=domain, step_cap=20
             )
     assert certified >= 10
+
+
+def _row_items(rows):
+    """Rows with their coefficient dicts as item lists, so key order counts."""
+    return [(list(coeffs.items()), bound, rel) for coeffs, bound, rel in rows]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x - x + y + x >= 0", ([("y", 1), ("x", 1)], 0, GEQ)),
+        ("2*x/4 <= 1/3", ([("x", -3)], -2, GEQ)),
+        ("x / -2 >= 1", ([("x", -1)], 2, GEQ)),
+        ("(1-1)*x + y = 0", ([("y", 1)], 0, EQ)),
+        ("0/5*y + x = y/(3-1)", ([("x", 2), ("y", -1)], 0, EQ)),
+        ("-(-(-x)) >= -y", ([("x", -1), ("y", 1)], 0, GEQ)),
+        ("0 = 0", ([], 0, EQ)),
+        ("0 >= 6", ([], 1, GEQ)),
+    ],
+)
+def test_named_constraints_give_pinned_rows(text, expected):
+    rule = parse_program(f"p(x, y) :- {text}.").rules[0]
+    names = dict(zip(rule.head.args, ("x", "y")))
+    ((coeffs, bound, rel),) = _row_items(rule.rows)
+    assert ([(names[v], k) for v, k in coeffs], bound, rel) == expected
+
+
+_TERMS = ("x", "y", "z", "0", "1", "2", "3", "12", "2/3", "5/4", str(2**64 + 3))
+_SNIPPETS = ("(2-2)*x", "0/5*y", "(1-1)", "x - x", "x / -2", "-(-(-y))", "(x - x + y + x)")
+_BAD_SNIPPETS = ("1/(1-1)", "x/(2-2)", "x*y", "(y+1)*z", "x/y", "1/0")
+_FACTORS = ("2", "3", "12", "2/3", "5/4", "-7", "(2-5)", str(2**64 + 3))
+
+
+def _random_expr(rng: random.Random, depth: int = 0) -> str:
+    parts = [_random_term(rng, depth)]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        parts += [rng.choice((" + ", " - ")), _random_term(rng, depth)]
+    return "".join(parts)
+
+
+def _random_term(rng: random.Random, depth: int) -> str:
+    pick = rng.random() * (0.5 if depth >= 3 else 1.0)
+    if pick < 0.36:
+        return rng.choice(_TERMS)
+    if pick < 0.38:
+        return rng.choice(_BAD_SNIPPETS)
+    if pick < 0.5:
+        return rng.choice(_SNIPPETS)
+    if pick < 0.6:
+        return "-" * rng.randint(1, 3) + _random_term(rng, depth + 1)
+    if pick < 0.75:
+        return f"({_random_expr(rng, depth + 1)})"
+    # mostly a variable-free factor, so that most products stay linear
+    factor = _random_term(rng, 3) if rng.random() < 0.2 else rng.choice(_FACTORS)
+    left = _random_term(rng, depth + 1)
+    op = rng.choice("*/")
+    return f"{left} {op} {factor}" if rng.random() < 0.5 or op == "/" else f"{factor} {op} {left}"
+
+
+def _random_constraint_text(rng: random.Random) -> str:
+    op = rng.choice(("=", ">=", "<=") * 6 + (">",))
+    text = f"{_random_expr(rng)} {op} {_random_expr(rng)}"
+    roll = rng.random()
+    if roll < 0.01:
+        text = "-" * (MAX_NESTING + 1) + text
+    elif roll < 0.02:
+        text = "9" * 5000 + " * " + text
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        result = parse(text, file="corpus")
+    except ParseError as err:
+        return type(err).__name__, err.span, str(err)
+    if isinstance(result, Program):
+        return [_row_items(rule.rows) for rule in result.rules]
+    rows, atoms = result
+    return _row_items(rows), [(a.pred, a.args) for a in atoms]
+
+
+def test_parser_rows_and_errors_match_the_linear_expr_oracle():
+    """The integer expression path writes the rows (key order included) and
+    raises the errors (class, span, message) of the ``LinearExpr`` path."""
+    from parser_oracle import oracle_parse_program, oracle_parse_query
+
+    rng = random.Random(1313)
+    parsed = failed = 0
+    for i in range(2400):
+        items = ", ".join(_random_constraint_text(rng) for _ in range(rng.randint(1, 2)))
+        if i % 4 == 3:
+            text, parse, oracle = f"?- {items}, p(x, y, z).", parse_query, oracle_parse_query
+        else:
+            text, parse, oracle = f"p(x, y, z) :- {items}.", parse_program, oracle_parse_program
+        got = _outcome(parse, text)
+        assert got == _outcome(oracle, text), text
+        if isinstance(got[0], str):
+            failed += 1
+        else:
+            parsed += 1
+    # both paths are exercised: rows written and errors raised
+    assert parsed >= 1000 and failed >= 1000
+
+
+def test_parsing_needs_no_linear_expr_arithmetic(monkeypatch):
+    """The parser writes rows without ``LinearExpr`` arithmetic or
+    ``constraint_row``: with both refusing, every program and query still
+    parses to the rows it gave before."""
+    texts = [load(path.name) for path in sorted(PROGRAMS.glob("*.clp"))]
+    texts.append(random_rational_program_text(random.Random(5)))
+    query = "?- x/2 + 1/3 >= -(y - x), y <= 7, p(x, y)."
+    before = [parse_program(text).rules for text in texts], parse_query(query)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parser used LinearExpr arithmetic")
+
+    for name in ("__add__", "scale", "of_var", "of_const"):
+        monkeypatch.setattr(almterm.model.LinearExpr, name, refuse)
+    monkeypatch.setattr(almterm.model, "constraint_row", refuse)
+    after = [parse_program(text).rules for text in texts], parse_query(query)
+    assert after == before
+    assert [_row_items(r.rows) for rules in after[0] for r in rules] == [
+        _row_items(r.rows) for rules in before[0] for r in rules
+    ]
+    assert _row_items(after[1][0]) == _row_items(before[1][0])
