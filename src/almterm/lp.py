@@ -7,20 +7,23 @@ solver.  The solver is a two-phase simplex with Bland's rule, so every run
 terminates and every answer (feasible / infeasible / unbounded / optimal
 value and point) is exact; no floating point appears anywhere.
 
-The simplex tableau is kept as integer rows: each row (and the reduced-cost
-row) is a list of Python ints, the numerators of its entries, over one
-positive denominator of its own.  Python ints never overflow and every update
-is an exact integer identity (a pivot brings a row and the pivot row to a
-common denominator before subtracting, then divides out the row's gcd), so the
-tableau holds exactly the rationals a Fraction tableau would hold, and Bland's
-choices, taken by integer sign tests and cross-multiplied ratio comparisons,
-are the same.  Only rows with a nonzero in the pivot column are updated, and
-within them only the pivot row's nonzero columns.
+The kernel is a revised simplex (Dantzig and Orchard-Hays, 1954).  It keeps
+only the basis inverse ``B^-1`` and the reduced-cost row over its columns,
+each row as Python ints: the numerators of its entries and of its rhs over one
+positive denominator of its own.  It reads the matrix as sparse integer
+columns and prices them by sparse dot products, only as far as Bland's rule
+looks.  Python ints never overflow and every update is an exact integer
+identity (a pivot brings a row and the pivot row to a common denominator
+before subtracting, then divides out the row's gcd), so the kernel holds
+exactly the rationals a Fraction tableau would hold, and Bland's choices,
+taken by integer sign tests and cross-multiplied ratio comparisons, are the
+same: every pivot, point, ray, value and dual is the dense tableau's.
 
 Phase one reads no costs, so :func:`minimize` runs it once per system and
-gives every objective its own phase two on a copy of the feasible tableau;
-each outcome is the one that objective alone would get.  The optimum is read
-off the reduced-cost row, whose rhs entry carries minus the objective value.
+gives every objective its own phase two on a copy of the feasible basis
+inverse; each outcome is the one that objective alone would get.  The
+optimum is read off the reduced-cost row, whose rhs entry carries minus the
+objective value.
 
 Only :func:`minimize` runs phase two.  Feasibility and entailment are yes/no
 questions, and each is one phase one on the system's row-multiplier
@@ -32,7 +35,7 @@ multipliers that cancel every variable and combine the right-hand sides to 1;
 when there are none, phase one's equality duals yield an exact point of the
 system for free.  :func:`entails` asks for multipliers that combine the rows
 into the tested row or refute the system, so each redundancy test of
-:func:`drop_redundant` is a tableau of a row per variable, not a primal LP
+:func:`drop_redundant` is a basis of a row per variable, not a primal LP
 over split variables and a surplus column per row.
 
 Projection works on the same rows.  :func:`project_constraints` is the one
@@ -158,6 +161,9 @@ def normalize(
 # simplex core: min cost.w  subject to  M w = d, w >= 0
 # ---------------------------------------------------------------------------
 
+# a column of M: its nonzero entries as (row, value) pairs
+Column = list[tuple[int, "int | Fraction"]]
+
 
 def _to_row(values) -> list[int]:
     """Rationals (Fractions or ints) as integer numerators over the lcm of
@@ -174,69 +180,88 @@ def _reduced(row: list[int]) -> list[int]:
     return [a // g for a in row] if g > 1 else row
 
 
-def _clear(row: list[int], prow: list[int], nz: list[int], c: int) -> list[int]:
-    """``row - row[c] * prow`` where ``prow`` holds 1 in column ``c``; only
-    the columns ``nz`` (the nonzeros of ``prow``) are combined."""
-    f = row[c]
+def _minus(row: list[int], prow: list[int], f: int) -> list[int]:
+    """``row - (f / d) * prow``, where ``d`` is the denominator of ``row``;
+    both are integer rows (numerators, then one denominator)."""
     p = prow[-1]
     g = gcd(f, p)
-    if g != p:
-        k = p // g
-        row = [a * k for a in row]
+    k = p // g
     f //= g
-    for j in nz:
-        row[j] -= f * prow[j]
-    return _reduced(row)
+    out = [a * k - f * b for a, b in zip(row, prow[:-1])]
+    out.append(row[-1] * k)
+    return _reduced(out)
 
 
-def _priced(rows, basis, costs) -> list[int]:
-    """Reduced-cost row c - c_B.B^-1.M for the current tableau."""
-    cost = _to_row(costs)
-    basic = [i for i, b in enumerate(basis) if cost[b]]
-    scale = lcm(*[rows[i][-1] for i in basic])
-    obj = [c * scale for c in cost[:-1]] + [0, cost[-1] * scale]
+def _column(inv, col: Column) -> list[int]:
+    """``B^-1`` times the column ``col``: an entry per row of ``inv``, the
+    numerator over that row's denominator."""
+    out = []
+    for row in inv:
+        a = 0
+        for k, v in col:
+            a += row[k] * v
+        out.append(a)
+    return out
+
+
+def _prices(inv, basis, costs: list[int]) -> list[int]:
+    """The reduced-cost row over the columns of ``B^-1`` and the rhs: minus
+    the simplex multipliers ``c_B.B^-1``, then minus the objective value, over
+    one denominator.  ``costs`` are ints and cover every basic column."""
+    basic = [i for i, b in enumerate(basis) if costs[b]]
+    den = lcm(*[inv[i][-1] for i in basic])
+    obj = [0] * (len(inv) + 1) + [den]
     for i in basic:
-        row = rows[i]
-        w = cost[basis[i]] * (scale // row[-1])
-        for j in range(len(row) - 1):
-            a = row[j]
-            if a:
-                obj[j] -= w * a
+        row = inv[i]
+        w = costs[basis[i]] * (den // row[-1])
+        for k in range(len(row) - 1):
+            if row[k]:
+                obj[k] -= w * row[k]
     return _reduced(obj)
 
 
-def _pivot(rows, basis, r, c, obj=None) -> None:
-    """Make column ``c`` basic in row ``r`` (and update ``obj`` in place)."""
-    prow = rows[r]
-    p = prow[c]
+def _pivot(inv, basis, r, c, col, obj=None, f=0) -> None:
+    """Make column ``c``, whose ``B^-1`` image is ``col``, basic in row ``r``.
+    ``f`` is its reduced cost over the denominator of ``obj``, which is
+    updated in place."""
+    p = col[r]
+    row = inv[r]
     # dividing the row by its pivot entry keeps the numerators over |p|
-    prow = prow[:-1] + [p] if p > 0 else [-a for a in prow[:-1]] + [-p]
-    prow = rows[r] = _reduced(prow)
-    nz = [j for j in range(len(prow) - 1) if prow[j]]
-    for i, row in enumerate(rows):
-        if i != r and row[c]:
-            rows[i] = _clear(row, prow, nz, c)
+    prow = row[:-1] + [p] if p > 0 else [-a for a in row[:-1]] + [-p]
+    prow = inv[r] = _reduced(prow)
+    for i, a in enumerate(col):
+        if a and i != r:
+            inv[i] = _minus(inv[i], prow, a)
     basis[r] = c
-    if obj is not None and obj[c]:
-        obj[:] = _clear(obj, prow, nz, c)
+    if f:
+        obj[:] = _minus(obj, prow, f)
 
 
-def _bland(rows, basis, obj, eligible: int):
+def _bland(cols, inv, basis, obj, costs, eligible: int):
     """Run Bland-rule pivots until optimal or unbounded.
 
-    Only columns < eligible may enter (artificials never re-enter).  Returns
-    ("optimal", -1) or ("unbounded", entering_column).
+    Column ``j``'s reduced cost is ``costs[j] + obj.M_j`` over the
+    denominator of ``obj``, priced only until the first negative one.  Only
+    columns < eligible may enter (artificials never re-enter).  Returns
+    ("optimal", -1, None) or ("unbounded", entering column, its ``B^-1``
+    image).
     """
     while True:
-        enter = next((j for j in range(eligible) if obj[j] < 0), -1)
-        if enter < 0:
-            return OPTIMAL, -1
+        den = obj[-1]
+        for enter in range(eligible):
+            f = costs[enter] * den
+            for k, v in cols[enter]:
+                f += obj[k] * v
+            if f < 0:
+                break
+        else:
+            return OPTIMAL, -1, None
+        col = _column(inv, cols[enter])
         leave = -1
-        for i, row in enumerate(rows):
-            a = row[enter]
+        for i, a in enumerate(col):
             if a > 0:
                 # ratios rhs/a share the row denominator: compare crosswise
-                b = row[-2]
+                b = inv[i][-2]
                 if (
                     leave < 0
                     or b * best_a < best_b * a
@@ -244,101 +269,108 @@ def _bland(rows, basis, obj, eligible: int):
                 ):
                     leave, best_b, best_a = i, b, a
         if leave < 0:
-            return UNBOUNDED, enter
-        _pivot(rows, basis, leave, enter, obj)
+            return UNBOUNDED, enter, col
+        _pivot(inv, basis, leave, enter, col, obj, f)
 
 
-def _phase_one(mat, d, ncols):
-    """Phase one of the simplex for ``mat w = d, w >= 0`` over ``ncols``
-    columns; it does not depend on any costs.
+def _phase_one(cols: list[Column], d):
+    """Phase one of the simplex for ``M w = d, w >= 0``, with ``cols`` the
+    columns of ``M`` (ints or Fractions) and ``d`` the rhs; it does not depend
+    on any costs.
 
-    Returns ``(rows, basis, None)``: a feasible tableau with the artificial
-    columns and redundant rows gone, ready for :func:`_phase_two`; or
-    ``(None, None, duals)`` with the phase-one equality multipliers when the
-    system is infeasible.
+    Returns ``((cols, inv, basis), None)``: ``M``'s columns with each row
+    scaled to integers, and ``B^-1`` and the basis of a feasible vertex, ready
+    for :func:`_phase_two`; or ``(None, duals)`` with the phase-one equality
+    multipliers when the system is infeasible.
 
-    Each row is ``[numerators of the columns..., numerator of the rhs,
-    denominator]`` (see :func:`_to_row`).
+    ``B`` is a basis of the scaled columns and the artificial ones, and row
+    ``i`` of ``inv`` is ``[numerators of row i of B^-1..., numerator of the
+    rhs, denominator]`` (see :func:`_to_row`).  An artificial left basic at
+    zero in a redundant row stays there: its row of ``B^-1 M`` is zero, so no
+    later pivot reads or changes it.
     """
-    m = len(mat)
-    rows: list[list[int]] = []
-    flipped: list[bool] = []
-    for i, (row, b) in enumerate(zip(mat, d)):
-        ints = _to_row([*row, b])
-        den = ints.pop()
-        if b < 0:
-            ints = [-a for a in ints]
-        # artificial identity block; artificials start basic
-        rhs = ints.pop()
-        ints += [0] * m
-        ints[ncols + i] = den
-        rows.append(ints + [rhs, den])
-        flipped.append(b < 0)
+    m = len(d)
+    ncols = len(cols)
+    scale = [1] * m
+    for col in cols:
+        for k, v in col:
+            if v.denominator != 1:
+                scale[k] = lcm(scale[k], v.denominator)
+    cols = [[(k, v.numerator * (scale[k] // v.denominator)) for k, v in col] for col in cols]
+
+    # the artificial of row i is the column sign(d_i) * scale_i * e_i, so
+    # that every artificial starts basic at |d_i|
+    inv: list[list[int]] = []
+    for i, b in enumerate(d):
+        den = lcm(scale[i], b.denominator)
+        row = [0] * (m + 2)
+        row[i] = den // scale[i] if b >= 0 else -den // scale[i]
+        row[m] = abs(b.numerator) * (den // b.denominator)
+        row[m + 1] = den
+        inv.append(row)
     basis = list(range(ncols, ncols + m))
 
-    obj = _priced(rows, basis, [0] * ncols + [1] * m)
-    status, _ = _bland(rows, basis, obj, ncols)
+    costs = [0] * ncols + [1] * m
+    obj = _prices(inv, basis, costs)
+    status, _, _ = _bland(cols, inv, basis, obj, costs, ncols)
     assert status == OPTIMAL, "phase one is bounded below by zero"
-    if any(row[-2] for row, bi in zip(rows, basis) if bi >= ncols):
-        den = obj[-1]
-        duals = [Fraction(den - obj[ncols + i], den) for i in range(m)]
-        duals = [-w if flipped[i] else w for i, w in enumerate(duals)]
-        return None, None, duals
+    if any(row[-2] for row, b in zip(inv, basis) if b >= ncols):
+        # the multipliers of the scaled rows, scaled alike, are M's
+        return None, [Fraction(-obj[i] * scale[i], obj[-1]) for i in range(m)]
 
-    # artificials never re-enter: drop their columns, drive leftover ones out
-    # of the basis and drop the redundant rows they sit in
-    rows = [row[:ncols] + row[-2:] for row in rows]
-    drop: list[int] = []
+    # drive leftover artificials out of the basis where their row of B^-1 M
+    # has a nonzero entry
     for i in range(m):
         if basis[i] >= ncols:
-            col = next((j for j in range(ncols) if rows[i][j]), -1)
-            if col >= 0:
-                _pivot(rows, basis, i, col)
-            else:
-                drop.append(i)
-    if drop:
-        rows = [row for i, row in enumerate(rows) if i not in drop]
-        basis = [bi for i, bi in enumerate(basis) if i not in drop]
-    return rows, basis, None
+            row = inv[i]
+            j = next((j for j in range(ncols) if sum(row[k] * v for k, v in cols[j])), -1)
+            if j >= 0:
+                _pivot(inv, basis, i, j, _column(inv, cols[j]))
+    return (cols, inv, basis), None
 
 
-def _phase_two(rows, basis, costs, width):
-    """Phase two from a :func:`_phase_one` tableau, which it pivots in
-    place: min costs.w.  Returns (status, point, value, ray), with the point
-    and the ray over the first ``width`` columns only; ``value`` is read off
-    the reduced-cost row and is None unless OPTIMAL, ``ray`` is None unless
-    UNBOUNDED."""
-    obj = _priced(rows, basis, costs)
-    status, enter = _bland(rows, basis, obj, len(costs))
+def _phase_two(cols, inv, basis, costs, width):
+    """Phase two from a :func:`_phase_one` state, whose ``inv`` and ``basis``
+    it pivots in place: min costs.w.  Returns (status, point, value, ray),
+    with the point and the ray over the first ``width`` columns only;
+    ``value`` is read off the reduced-cost row and is None unless OPTIMAL,
+    ``ray`` is None unless UNBOUNDED."""
+    ints = _to_row(costs)
+    scale = ints.pop()
+    # artificials left basic at zero cost nothing
+    ints += [0] * len(inv)
+    obj = _prices(inv, basis, ints)
+    status, enter, col = _bland(cols, inv, basis, obj, ints, len(costs))
 
     point = [ZERO] * width
-    for row, bi in zip(rows, basis):
-        if bi < width:
-            point[bi] = Fraction(row[-2], row[-1])
+    for row, b in zip(inv, basis):
+        if b < width:
+            point[b] = Fraction(row[-2], row[-1])
     if status == UNBOUNDED:
         ray = [ZERO] * width
         if enter < width:
             ray[enter] = ONE
-        for row, bi in zip(rows, basis):
-            if bi < width:
-                ray[bi] = Fraction(-row[enter], row[-1])
+        for a, row, b in zip(col, inv, basis):
+            if b < width:
+                ray[b] = Fraction(-a, row[-1])
         return UNBOUNDED, point, None, ray
-    return OPTIMAL, point, Fraction(-obj[-2], obj[-1]), None
+    return OPTIMAL, point, Fraction(-obj[-2], obj[-1] * scale), None
 
 
-def _alternative(sys: LinearSystem, order: Iterable[int], extra: int) -> list[list[int]]:
-    """The row-multiplier side of ``sys`` as a ``_phase_one`` matrix: a row per
-    variable of ``order`` (a superset of ``sys.variables``), then the bound
-    row, over a column per row of ``sys`` and ``extra`` zero columns after
-    them."""
-    m = sys.num_rows
+def _alternative(sys: LinearSystem, order: Iterable[int], extra: int) -> list[Column]:
+    """The row-multiplier side of ``sys`` as ``_phase_one`` columns: a column
+    per row of ``sys``, holding its coefficients in a row per variable of
+    ``order`` (a superset of ``sys.variables``) and its bound in the row
+    after them, then ``extra`` empty columns."""
     index = {v: k for k, v in enumerate(order)}
-    mat = [[0] * (m + extra) for _ in range(len(index) + 1)]
-    for i, (coeffs, bound) in enumerate(sys.rows):
-        for v, c in coeffs.items():
-            mat[index[v]][i] = c
-        mat[-1][i] = bound
-    return mat
+    last = len(index)
+    cols: list[Column] = []
+    for coeffs, bound in sys.rows:
+        col = [(index[v], c) for v, c in coeffs.items()]
+        if bound:
+            col.append((last, bound))
+        cols.append(col)
+    return cols + [[] for _ in range(extra)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +385,12 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
 
     Internally splits every variable into a difference of nonnegatives and
     adds one surplus column per row.  Phase one runs once for the system;
-    each objective then runs phase two on its own copy of that tableau, with
-    zero columns for the objective's variables outside the system.  Phase
-    one reads no costs, so every outcome is the one a call with that
-    objective alone returns.  The reported point is a vertex, deterministic
-    under Bland's order, over the system's variables and then the objective's
-    own (in the objective's order).
+    each objective then runs phase two on its own copy of that basis
+    inverse, with empty columns for the objective's variables outside the
+    system.  Phase one reads no costs, so every outcome is the one a call
+    with that objective alone returns.  The reported point is a vertex,
+    deterministic under Bland's order, over the system's variables and then
+    the objective's own (in the objective's order).
     """
     if not objectives:
         return ()
@@ -366,33 +398,34 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
     m = sys.num_rows
     index = {v: i for i, v in enumerate(sys.variables)}
 
-    mat: list[list] = []
+    cols: list[Column] = [[] for _ in range(2 * n + m)]
     for r, (coeffs, _) in enumerate(sys.rows):
-        row = [0] * (2 * n + m)
         for v, c in coeffs.items():
             k = index[v]
-            row[k] = c
-            row[n + k] = -c
-        row[2 * n + r] = -1
-        mat.append(row)
-    rows, basis, _ = _phase_one(mat, [bound for _, bound in sys.rows], 2 * n + m)
-    if rows is None:
+            cols[k].append((r, c))
+            cols[n + k].append((r, -c))
+        cols[2 * n + r].append((r, -1))
+    state, _ = _phase_one(cols, [bound for _, bound in sys.rows])
+    if state is None:
         return (LpOutcome(INFEASIBLE),) * len(objectives)
+    cols, inv, basis = state
 
     outcomes: list[LpOutcome] = []
     last = len(objectives) - 1
     for k, objective in enumerate(objectives):
         extra = [v for v in objective if v not in index]
         e = len(extra)
+        # the last objective may pivot the phase-one inverse itself
+        tinv = inv if k == last else [row[:] for row in inv]
         if e:
-            # the objective's own variables split into zero columns after the
-            # system's, as in a call with this objective alone; phase one
-            # never enters a zero column, so it is the same without them
-            tableau = [row[:n] + [0] * e + row[n : 2 * n] + [0] * e + row[2 * n :] for row in rows]
+            # the objective's own variables split into empty columns after
+            # the system's, as in a call with this objective alone; phase
+            # one never enters an empty column, so it is the same without them
+            empty: list[Column] = [[]] * e
+            tcols = cols[:n] + empty + cols[n : 2 * n] + empty + cols[2 * n :]
             tbasis = [b if b < n else b + e if b < 2 * n else b + 2 * e for b in basis]
         else:
-            # the last objective may pivot the phase-one tableau itself
-            tableau = rows if k == last else [row[:] for row in rows]
+            tcols = cols
             tbasis = list(basis)
         column = {v: i for i, v in enumerate([*sys.variables, *extra])}
         w = n + e
@@ -400,7 +433,7 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
         for v, c in objective.items():
             costs[column[v]] = c
             costs[w + column[v]] = -c
-        status, point, value, ray = _phase_two(tableau, tbasis, costs, 2 * w)
+        status, point, value, ray = _phase_two(tcols, tinv, tbasis, costs, 2 * w)
 
         def recombine(vec) -> dict[int, Fraction]:
             return {v: vec[i] - vec[w + i] if vec[w + i] else vec[i] for v, i in column.items()}
@@ -437,8 +470,8 @@ def feasible_point(sys: LinearSystem) -> dict[int, Fraction] | None:
     # the multipliers must cancel every variable and combine the rhs to 1;
     # the system is feasible exactly when they cannot, and then phase one's
     # equality duals, scaled by the bound row's, are a point of it
-    rows, _, duals = _phase_one(_alternative(sys, sys.variables, 0), [0] * n + [1], m)
-    if rows is not None:
+    state, duals = _phase_one(_alternative(sys, sys.variables, 0), [0] * n + [1])
+    if state is not None:
         return None
     scale = duals[n]
     assert scale > 0, "alternative-system duals must combine the rhs positively"
@@ -465,18 +498,20 @@ def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int 
     ``A^T y = lam * coeffs``, ``b.y - lam * bound - t = 0`` and
     ``lam + t = 1``?  With ``lam > 0``, ``y / lam`` combines rows into one
     that implies the tested row; with ``lam = 0``, ``y`` refutes ``sys``, which
-    then entails every row.  The tableau has a row per variable (of ``sys``
+    then entails every row.  The basis has a row per variable (of ``sys``
     and of ``coeffs``) and two more.
     """
     m = sys.num_rows
     index = {v: k for k, v in enumerate(dict.fromkeys([*sys.variables, *coeffs]))}
-    mat = _alternative(sys, index, 2)
-    for v, c in coeffs.items():
-        mat[index[v]][m] = -c
-    mat[-1][m:] = [-bound, -1]
-    mat.append([0] * m + [1, 1])
-    rows, _, _ = _phase_one(mat, [0] * (len(index) + 1) + [1], m + 2)
-    return rows is not None
+    last = len(index)
+    cols = _alternative(sys, index, 2)
+    cols[m] += [(index[v], -c) for v, c in coeffs.items() if c]
+    if bound:
+        cols[m].append((last, -bound))
+    cols[m].append((last + 1, 1))
+    cols[m + 1] += [(last, -1), (last + 1, 1)]
+    state, _ = _phase_one(cols, [0] * (last + 1) + [1])
+    return state is not None
 
 
 def equivalent_systems(a: LinearSystem, b: LinearSystem) -> bool:

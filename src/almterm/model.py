@@ -391,8 +391,10 @@ class Program:
         self._rules = tuple(rules)
         self._pool = pool
         table: dict[str, int] = dict(arities) if arities else {}
+        by_pred: dict[str, list[Rule]] = {}
         for rule in self._rules:
             rule.check_flatness(require_local_constraint_vars=check_constraint_vars)
+            by_pred.setdefault(rule.head.pred, []).append(rule)
             for atom in rule.atoms():
                 known = table.setdefault(atom.pred, atom.arity)
                 if known != atom.arity:
@@ -400,6 +402,7 @@ class Program:
                         f"predicate {atom.pred} used with arities {known} and {atom.arity}"
                     )
         self._arities = table
+        self._by_pred = {pred: tuple(rules) for pred, rules in by_pred.items()}
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -417,7 +420,8 @@ class Program:
         return tuple(self._arities)
 
     def rules_for(self, pred: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self._rules if r.head.pred == pred)
+        """The rules whose head is ``pred``, in program order."""
+        return self._by_pred.get(pred, ())
 
     def is_binary(self) -> bool:
         return all(len(r.body) <= 1 for r in self._rules)

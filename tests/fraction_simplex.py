@@ -1,11 +1,13 @@
 """Reference oracle for the simplex kernel of ``almterm.lp``.
 
 A dense two-phase simplex with Bland's rule over ``fractions.Fraction``
-tableau entries: the straightforward form of the algorithm that
-``almterm.lp._phase_one`` and ``almterm.lp._phase_two`` implement on integer
-rows (``test_lp_kernel.solve_standard`` composes them).  Both make the same
-pivot choices on the same tableau values, so for equal inputs they must
-return equal ``(status, point, value, duals, ray)`` tuples.
+tableau entries: the straightforward form of the algorithm, which carries
+every column through every pivot.  ``almterm.lp._phase_one`` and
+``almterm.lp._phase_two`` (``test_lp_kernel.solve_standard`` composes them)
+are a revised simplex over an integer basis inverse instead, an independent
+form of the same algorithm.  Both make the same pivot choices on the same
+rational values, so for equal inputs they must pivot alike and return equal
+``(status, point, value, duals, ray)`` tuples.
 """
 
 from __future__ import annotations

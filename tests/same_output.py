@@ -16,7 +16,9 @@ root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
   included, are compared too;
 - every ``small-mixed`` and ``project`` request as ``almterm check ... --json
   --witness --verify --project`` over ``q``, ``q+`` and ``n``;
-- every ``large`` request as the benchmark sends it (without ``--project``);
+- every ``large`` request as the benchmark sends it (without ``--project``),
+  then the first ``large`` program (120 rules) once more with ``--project``,
+  so that :func:`almterm.lp.entails` on wide systems is compared too;
 - each ``derive`` request's verdict and ``BoundRun``s.
 
 Each CLI request is printed as its arguments, its output and its exit code.
@@ -57,7 +59,9 @@ def main(seed: int) -> None:
                 for run in bound.runs if bound else ():
                     print(f"  {run}")
             continue
-        if workload != "large":
+        if workload == "large":
+            requests = [*requests, workloads.CliRequest(requests[0].items, "q", project=True)]
+        else:
             requests = [workloads.CliRequest(r.items, d, project=True) for r in requests for d in DOMAINS]
         for req in requests:
             code, text = req.send(cli)

@@ -1,17 +1,25 @@
-"""The integer-row simplex kernel against the Fraction reference oracle.
+"""The revised simplex kernel against the Fraction reference oracle.
 
 ``_phase_one`` followed by ``_phase_two`` (composed here as
 :func:`solve_standard`) must return exactly what the dense Fraction tableau of
 ``fraction_simplex`` returns: same status, point, value, phase-one duals and
-ray, because both make Bland's pivot choices on the same tableau values.
+ray.  The kernel carries only the basis inverse and prices columns on demand,
+the reference carries every column through every pivot; both take Bland's
+choices on the same rational values, so they must also make the same pivots,
+one by one, which :func:`assert_matches_reference` checks too.
 """
 
+import inspect
+import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_simplex
+from almterm import lp
 from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _phase_one, _phase_two
 from fraction_simplex import _solve_standard as reference_solve
 
@@ -54,16 +62,41 @@ def solve_standard(mat, d, costs):
     UNBOUNDED.
     """
     ncols = len(costs)
-    rows, basis, duals = _phase_one(mat, d, ncols)
-    if rows is None:
+    cols = [[(i, row[j]) for i, row in enumerate(mat) if row[j]] for j in range(ncols)]
+    state, duals = _phase_one(cols, d)
+    if state is None:
         return INFEASIBLE, None, None, duals, None
-    status, point, value, ray = _phase_two(rows, basis, costs, ncols)
+    status, point, value, ray = _phase_two(*state, costs, ncols)
     return status, point, value, None, ray
 
 
+@contextmanager
+def recorded_pivots(module):
+    """Record the (leaving basic column, entering column) of every call of
+    ``module._pivot``; both kernels name its basis, row and column
+    arguments ``basis``, ``r`` and ``c``."""
+    seen = []
+    inner = module._pivot
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(inner).bind(*args, **kwargs).arguments
+        seen.append((bound["basis"][bound["r"]], bound["c"]))
+        return inner(*args, **kwargs)
+
+    module._pivot = recording
+    try:
+        yield seen
+    finally:
+        module._pivot = inner
+
+
 def assert_matches_reference(mat, d, costs):
-    got = solve_standard(mat, d, costs)
-    assert got == reference_solve(mat, d, costs)
+    """Same result and the same pivots, one by one, as the reference."""
+    with recorded_pivots(lp) as got_pivots, recorded_pivots(fraction_simplex) as want_pivots:
+        got = solve_standard(mat, d, costs)
+        want = reference_solve(mat, d, costs)
+    assert got == want
+    assert got_pivots == want_pivots
     return got
 
 
@@ -114,3 +147,82 @@ CASES = {
 def test_kernel_matches_fraction_reference_on_edge_cases(name):
     mat, d, costs, status = CASES[name]
     assert assert_matches_reference(mat, d, costs)[0] == status
+
+
+def _entry(rng: random.Random) -> Fraction:
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((1, -1))
+    if kind == 1:
+        return F(rng.randint(-BIG, BIG) or 1, rng.randint(BIG - 10**3, BIG + 10**3))
+    return F(rng.choice((-3, -2, -1, 1, 1, 2, 3)))
+
+
+def final_solve_lp(seed: int, kind: str):
+    """A standard-form LP of the final solve's shape: at most 10 rows and 50
+    to 300 columns with one to three nonzeros each, some entries and bounds
+    with denominators near 1e12.  ``kind`` picks the outcome:
+
+    - ``optimal``: a feasible point ``w0`` sets the rhs, and a last row with a
+      positive entry in every column bounds the polyhedron;
+    - ``unbounded``: a feasible point sets the rhs, and a column with its
+      negation appended costs less than zero in sum: a ray;
+    - ``infeasible``: a row scaled by a constant disagrees with its rhs;
+    - ``alternative``: the row-multiplier alternative ``lp.feasible_point``
+      builds, with a zero rhs but for a 1 in the bound row; it is infeasible
+      at even seeds, where a point satisfies the system it stands for.
+
+    Some rows are scaled copies of earlier rows, with the rhs scaled alike
+    (redundant equalities).  ``w0`` is zero on the columns of the first row,
+    so that its rhs is zero and phase one makes degenerate pivots.
+    """
+    rng = random.Random(f"{kind}:{seed}")
+    m = rng.randint(2, 9)
+    n = rng.randint(50, 300)
+    mat = [[F(0)] * n for _ in range(m)]
+    for j in range(n):
+        for i in rng.sample(range(m), rng.randint(1, min(3, m))):
+            mat[i][j] = _entry(rng)
+    if kind == "alternative":
+        d = [F(0)] * (m - 1) + [F(1)]
+    else:
+        w0 = [abs(_entry(rng)) if rng.randrange(5) == 0 and not mat[0][j] else F(0) for j in range(n)]
+        d = [sum(a * w for a, w in zip(row, w0)) for row in mat]
+    for i in range(1, m - (kind == "alternative")):
+        if rng.randrange(4) == 0:
+            src = rng.randrange(i)
+            k = rng.choice([F(1), F(-1), F(2), F(-1, 3), F(BIG + 1, BIG)])
+            mat[i] = [k * a for a in mat[src]]
+            d[i] = k * d[src]
+    if kind == "alternative":
+        # the columns are the rows of a system over m - 1 variables, and the
+        # last row holds their bounds; at even seeds every system row holds
+        # at the point x0, so that the alternative is infeasible
+        x0 = [_entry(rng) for _ in range(m - 1)]
+        for j in range(n):
+            slack = rng.randint(0, 2) if seed % 2 == 0 else rng.randint(-9, 9)
+            mat[-1][j] = sum(mat[i][j] * x for i, x in enumerate(x0)) - slack
+    if kind == "optimal":
+        mat.append([F(rng.randint(1, 5)) for _ in range(n)])
+        d.append(sum(a * w for a, w in zip(mat[-1], w0)))
+    elif kind == "infeasible":
+        src = rng.randrange(m)
+        mat.append([3 * a for a in mat[src]])
+        d.append(3 * d[src] + F(1, BIG - 1))
+    costs = [_entry(rng) for _ in range(n)]
+    if kind == "unbounded":
+        j = rng.randrange(n)
+        for row in mat:
+            row.append(-row[j])
+        costs.append(-costs[j] - 1)
+    return mat, d, costs
+
+
+EXPECTED = {"optimal": OPTIMAL, "unbounded": UNBOUNDED, "infeasible": INFEASIBLE}
+
+
+@pytest.mark.parametrize("kind", ["optimal", "unbounded", "infeasible", "alternative"])
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_matches_fraction_reference_at_the_final_solve_shape(kind, seed):
+    status = assert_matches_reference(*final_solve_lp(seed, kind))[0]
+    assert status == EXPECTED.get(kind, status)

@@ -12,6 +12,7 @@ from almterm import (
     ModelError,
     Rule,
     VariablePool,
+    parse_program,
     rat,
 )
 from almterm.model import constraint_row, equal
@@ -147,3 +148,12 @@ def test_level_mapping_scale_and_bound():
     assert lm.bound_for("p", [72]) == 2
     assert lm.bound_for("p", [100]) == 1
     assert lm.bound_for("p", [-100]) == 174
+
+
+def test_rules_for_keeps_program_order():
+    text = "p(x) :- x >= 1, y = x - 1, q(y).\nq(x) :- x >= 0.\np(x) :- x >= 5.\nq(x) :- y = x - 2, p(y).\n"
+    program = parse_program(text)
+    for pred in ("p", "q"):
+        assert program.rules_for(pred) == tuple(r for r in program.rules if r.head.pred == pred)
+    assert [r.head.pred for r in program.rules_for("p")] == ["p", "p"]
+    assert program.rules_for("r") == ()
