@@ -15,12 +15,21 @@ inequalities left are pruned as the projection prunes them (primitive form,
 the strongest row per direction).  The substitution maps the rule's
 solutions one to one onto the solutions of the inequalities that are left,
 so each minimum over the reduced system is the minimum over the rule
-constraint.  Both minima of a pair come from one :func:`minimize`
-call over those inequalities, with integer objectives (the mapping is scaled
-to integers once per :func:`verify` call); the level constants, and what the
+constraint.  Both minima of a pair are found together over those
+inequalities, with integer objectives (the mapping is scaled to integers
+once per :func:`verify` call); the level constants, and what the
 substitution adds to them, are added to the minima outside the LP.  The
 eliminated variables are worked out again, in reverse order, only to build a
 counterexample.
+
+When every inequality left mentions one variable, the reduced system is a
+box: after pruning, each variable has at most one lower bound ``x >= lo``
+and one upper bound ``-x >= -hi``.  Both minima are then read off the
+bounds, with the statuses and values :func:`minimize` would give: the box
+is empty when some ``lo > hi``; otherwise each objective term ``c * x``
+takes ``c * lo`` or ``c * hi``, and is unbounded below when that bound is
+missing.  Any system with a row over two or more variables goes to one
+:func:`minimize` call for both minima (one shared phase one).
 
 The decider never runs these minimisations (it works on the multiplier side,
 with the projected cone), and no cone or multiplier enters here, so agreement
@@ -61,11 +70,12 @@ class RuleCheck:
     """Result for one (rule, body atom) pair.
 
     ``decrease`` / ``body_floor`` hold the two minimisation outcomes: the
-    exact minima, and points and rays over the variables of the LP that was
-    solved, which are the rule's variables left once its equalities are
-    substituted away.  On failure ``counterexample`` assigns every rule
-    variable a rational, witnessing the violated implication (a ground
-    instance of the rule).
+    exact minima, and points and rays over the variables of the reduced
+    system, which are the rule's variables left once its equalities are
+    substituted away (then any objective variable outside it).  The points
+    are the simplex's vertices or, for a box, read off its bounds.  On
+    failure ``counterexample`` assigns every rule variable a rational,
+    witnessing the violated implication (a ground instance of the rule).
     """
 
     rule_id: str
@@ -154,6 +164,53 @@ def _reduce(coeffs: dict[int, int], const: int, scale: int, steps) -> _Objective
     return row[0], row[1], scale
 
 
+def _box_minima(system: LinearSystem, objectives) -> tuple[LpOutcome, ...]:
+    """The outcome of each objective over ``system``, a box whose rows are
+    ``x >= lo`` and ``-x >= -hi`` (primitive, one per direction, as
+    ``_prune`` leaves them), with the statuses and minima of
+    :func:`minimize`.  Each point lies in the box, over the system's
+    variables and then the objective's own; an unbounded outcome's ray is
+    ``-sign(c) e_v`` for its first variable ``v`` that the box leaves free
+    in the direction the objective pulls it."""
+    lo: dict[int, int | Fraction] = {}
+    hi: dict[int, int | Fraction] = {}
+    for coeffs, bound in system.rows:
+        ((v, a),) = coeffs.items()
+        if a > 0:
+            lo[v] = bound
+        else:
+            hi[v] = -bound
+    if any(b > hi[v] for v, b in lo.items() if v in hi):
+        return (LpOutcome(INFEASIBLE),) * len(objectives)
+    corner = {v: Fraction(lo[v] if v in lo else hi.get(v, 0)) for v in system.variables}
+    outcomes = []
+    for objective in objectives:
+        point = {**corner, **{v: Fraction(0) for v in objective if v not in corner}}
+        value = 0
+        for v, c in objective.items():
+            if not c:
+                continue
+            b = (lo if c > 0 else hi).get(v)
+            if b is None:
+                ray = dict.fromkeys(point, Fraction(0))
+                ray[v] = Fraction(-1 if c > 0 else 1)
+                outcomes.append(LpOutcome(UNBOUNDED, point=point, ray=ray))
+                break
+            point[v] = Fraction(b)
+            value += c * b
+        else:
+            outcomes.append(LpOutcome(OPTIMAL, Fraction(value), point))
+    return tuple(outcomes)
+
+
+def _minima(system: LinearSystem, *objectives) -> tuple[LpOutcome, ...]:
+    """Each objective's minimum over the reduced ``system``: read off the
+    bounds of a box, by :func:`minimize` for any other system."""
+    if all(len(coeffs) == 1 for coeffs, _ in system.rows):
+        return _box_minima(system, objectives)
+    return minimize(system, *objectives)
+
+
 def _shifted(out: LpOutcome, objective: _Objective) -> LpOutcome:
     """``out`` with the minimum of ``coeffs . x`` turned into the
     objective's own."""
@@ -209,7 +266,7 @@ def _check_pair(
     drop = _reduce(drop_coeffs, hconst - bconst, scale, steps)
     body_level = _reduce(bcoeffs, bconst, scale, steps)
 
-    decrease, body_floor = minimize(system, drop[0], body_level[0])
+    decrease, body_floor = _minima(system, drop[0], body_level[0])
     if decrease.status == INFEASIBLE:
         return None
     decrease = _shifted(decrease, drop)
