@@ -30,7 +30,6 @@ from .derivation import (
     SelectionRule,
     Trace,
     check_length_bound,
-    explore,
     ground_start,
     run_ground,
     state_from_query,
@@ -49,9 +48,7 @@ from .lp import (
     feasible,
     feasible_point,
     fm_project,
-    maximize,
     minimize,
-    normalize,
     project_constraints,
 )
 from .model import (
@@ -67,8 +64,6 @@ from .model import (
     Atom,
     Domain,
     LevelMapping,
-    LinearConstraint,
-    LinearExpr,
     ModelError,
     Program,
     Rule,

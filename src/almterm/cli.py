@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .decider import SKIP_FACT, SKIP_UNSAT, decide
 from .derivation import check_length_bound
-from .model import DOMAINS, AlmtermError, Domain, LevelMapping, Program
+from .model import DOMAINS, GEQ, AlmtermError, Domain, LevelMapping, Program, render_row
 from .parser import ParseError, parse_program
 from .verifier import VerifyReport, verify
 
@@ -65,18 +65,15 @@ def _witness_json(lm: LevelMapping) -> dict:
 def _projection_json(verdict) -> list[dict]:
     system = verdict.projection
     pool = verdict.alm.pool
-    out = []
-    for row in system.constraints():
-        coeffs = row.lhs.coeffs
-        out.append(
-            {
-                "terms": {pool.name(v): str(coeffs[v]) for v in system.variables if v in coeffs},
-                "rel": ">=",
-                "rhs": str(row.rhs.const),
-                "text": row.render(pool),
-            }
-        )
-    return out
+    return [
+        {
+            "terms": {pool.name(v): str(coeffs[v]) for v in system.variables if v in coeffs},
+            "rel": GEQ,
+            "rhs": str(bound),
+            "text": render_row(coeffs, bound, GEQ, pool),
+        }
+        for coeffs, bound in system.rows
+    ]
 
 
 def _rules_json(binary: Program, skipped: dict[str, str], report: VerifyReport | None) -> list[dict]:

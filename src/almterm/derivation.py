@@ -44,19 +44,16 @@ from .lp import (
 )
 from .model import (
     EQ,
-    GEQ,
     AlmtermError,
     Atom,
     ConstraintRow,
     Domain,
     LevelMapping,
-    LinearConstraint,
     Program,
     Q,
     Rule,
     VariablePool,
     rat,
-    row_constraint,
 )
 from .verifier import verify
 
@@ -82,16 +79,6 @@ class DerivationState:
 
     goal: tuple[Atom, ...]
     rows: tuple[list[Row], list[Row]] | None
-
-    @property
-    def store(self) -> tuple[LinearConstraint, ...] | None:
-        """The store as constraints, equalities first (built on each access)."""
-        if self.rows is None:
-            return None
-        eqs, ineqs = self.rows
-        return tuple([row_constraint(c, b, EQ) for c, b in eqs]) + tuple(
-            [row_constraint(c, b, GEQ) for c, b in ineqs]
-        )
 
     @property
     def failed(self) -> bool:
@@ -413,38 +400,3 @@ def check_length_bound(
         )
         runs.append(BoundRun(pred, args, level, budget, trace.steps, trace.outcome))
     return BoundReport(tuple(runs))
-
-
-def explore(
-    program: Program,
-    pred: str,
-    args: Sequence[int | Fraction],
-    depth: int,
-    domain: Domain = Q,
-) -> tuple[int, bool]:
-    """Exhaustively follow every rule choice (leftmost selection) up to
-    ``depth`` rewrites.  Returns (longest complete derivation, whether every
-    branch finished within the depth).  Meant for small programs."""
-    pool = program.pool.clone()
-    start = ground_start(program, pred, args, pool, domain)
-    longest = 0
-    complete = True
-    stack: list[tuple[DerivationState, int]] = [(start, 0)]
-    sel = SelectionRule(LEFTMOST)
-    while stack:
-        state, used = stack.pop()
-        if state.failed or state.done:
-            longest = max(longest, used)
-            continue
-        if used >= depth:
-            complete = False
-            continue
-        atom = state.goal[0]
-        candidates = program.rules_for(atom.pred)
-        if not candidates:
-            longest = max(longest, used)
-            continue
-        for rule in candidates:
-            nxt = step(program, state, sel, lambda _rs, _r=rule: _r, pool, domain)
-            stack.append((nxt, used + 1))
-    return longest, complete

@@ -47,9 +47,7 @@ substitution and its pruning.
 
 :func:`integer_system` builds a system from the rows a rule holds
 (:data:`almterm.model.ConstraintRow`), and objectives are coefficient dicts,
-so nothing is converted here; :func:`normalize`, the entry for the library's
-:class:`LinearConstraint` input (the parser writes rows and never builds one),
-maps ``constraint_row`` over the same builder.
+so nothing is converted here.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .model import EQ, GEQ, ConstraintRow, LinearConstraint, constraint_row, row_constraint
+from .model import EQ, ConstraintRow
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -105,9 +103,6 @@ class LinearSystem:
             for coeffs, bound in self.rows
         )
 
-    def constraints(self) -> list[LinearConstraint]:
-        return [row_constraint(coeffs, bound, GEQ) for coeffs, bound in self.rows]
-
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -145,16 +140,6 @@ def integer_system(
     variables = dict.fromkeys([*order_hint, *[v for coeffs, _ in out for v in coeffs], *extra])
     out += [({v: 1}, 0) for v in extra]
     return LinearSystem(tuple(variables), tuple(out))
-
-
-def normalize(
-    constraints: Iterable[LinearConstraint],
-    extra_nonneg: Iterable[int] = (),
-    order_hint: Sequence[int] = (),
-) -> LinearSystem:
-    """:func:`integer_system` of the constraints' rows
-    (:func:`almterm.model.constraint_row`)."""
-    return integer_system(map(constraint_row, constraints), extra_nonneg, order_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +428,6 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
         else:
             outcomes.append(LpOutcome(OPTIMAL, value, recombine(point)))
     return tuple(outcomes)
-
-
-def maximize(sys: LinearSystem, objective: Mapping[int, int | Fraction]) -> LpOutcome:
-    """Exact maximum of the one ``objective``; see :func:`minimize`.
-    Unbounded means unbounded above."""
-    (out,) = minimize(sys, {v: -c for v, c in objective.items()})
-    if out.status != OPTIMAL:
-        return out
-    return LpOutcome(OPTIMAL, -out.value, out.point)
 
 
 def feasible_point(sys: LinearSystem) -> dict[int, Fraction] | None:

@@ -2,18 +2,16 @@
 
 Everything here is immutable after construction and exact, so no rounding can
 occur anywhere in an analysis.  A rule holds its constraint as primitive
-integer rows (:data:`ConstraintRow`), which the parser writes directly;
-:class:`LinearConstraint` is the rational form the library takes constraints
-in and shows them in, and :func:`constraint_row` (for library input only)
-and :func:`row_constraint` (for display) convert one way each.  Variables
-are interned to dense integer ids; their source names live in a
+integer rows (:data:`ConstraintRow`), which the parser writes directly, and
+:func:`render_row` prints a row in the concrete grammar.  Variables are
+interned to dense integer ids; their source names live in a
 :class:`VariablePool` side table used only for reporting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -114,168 +112,27 @@ class VariablePool:
         return len(self._names)
 
 
-@dataclass(frozen=True)
-class LinearExpr:
-    """A linear expression ``sum(coeffs[v] * v) + const`` over variable ids.
-
-    Zero coefficients are never stored, so structural equality coincides with
-    mathematical equality.
-    """
-
-    coeffs: Mapping[int, Fraction] = field(default_factory=dict)
-    const: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        cleaned = {v: rat(c) for v, c in self.coeffs.items() if c != 0}
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "const", rat(self.const))
-
-    @classmethod
-    def _made(cls, coeffs: dict[int, Fraction], const: Fraction) -> "LinearExpr":
-        """An expression from parts that are already normalised (Fraction
-        values, no zero coefficients): the results of arithmetic on
-        expressions skip the coercion of the public constructor."""
-        expr = object.__new__(cls)
-        object.__setattr__(expr, "coeffs", coeffs)
-        object.__setattr__(expr, "const", const)
-        return expr
-
-    @staticmethod
-    def of_var(vid: int, coeff: int | Fraction = 1) -> "LinearExpr":
-        return LinearExpr({vid: rat(coeff)})
-
-    @staticmethod
-    def of_const(value: int | str | Fraction) -> "LinearExpr":
-        return LinearExpr._made({}, rat(value))
-
-    def variables(self) -> set[int]:
-        return set(self.coeffs)
-
-    @property
-    def is_const(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LinearExpr") -> "LinearExpr":
-        merged = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            s = merged.get(v, 0) + c
-            if s:
-                merged[v] = s
-            else:
-                del merged[v]
-        return LinearExpr._made(merged, self.const + other.const)
-
-    def __sub__(self, other: "LinearExpr") -> "LinearExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "LinearExpr":
-        return self.scale(Fraction(-1))
-
-    def scale(self, k: int | Fraction) -> "LinearExpr":
-        k = rat(k)
-        if not k:
-            return LinearExpr._made({}, Fraction(0))
-        return LinearExpr._made({v: c * k for v, c in self.coeffs.items()}, self.const * k)
-
-    def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
-        total = self.const
-        for v, c in self.coeffs.items():
-            if v not in assignment:
-                raise ModelError(f"no value for variable id {v}")
-            total += c * assignment[v]
-        return total
-
-    def render(self, names: "VariablePool | None" = None) -> str:
-        def vname(v: int) -> str:
-            return names.name(v) if names is not None else f"_v{v}"
-
-        parts: list[str] = []
-        for v in sorted(self.coeffs):
-            c = self.coeffs[v]
-            term = vname(v) if abs(c) == 1 else f"{abs(c)}*{vname(v)}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        if self.const != 0 or not parts:
-            if not parts:
-                parts.append(str(self.const))
-            elif self.const > 0:
-                parts.append(f"+ {self.const}")
-            else:
-                parts.append(f"- {-self.const}")
-        return " ".join(parts)
-
-
-def as_expr(value: "LinearExpr | int | str | Fraction") -> LinearExpr:
-    if isinstance(value, LinearExpr):
-        return value
-    return LinearExpr.of_const(rat(value))
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """``lhs = rhs`` or ``lhs >= rhs`` between two linear expressions."""
-
-    lhs: LinearExpr
-    rel: str
-    rhs: LinearExpr
-
-    def __post_init__(self) -> None:
-        if self.rel not in (EQ, GEQ):
-            raise ModelError(f"unsupported relation {self.rel!r}")
-
-    def gap(self) -> LinearExpr:
-        """lhs - rhs, i.e. the expression constrained to be = 0 or >= 0."""
-        return self.lhs - self.rhs
-
-    def variables(self) -> set[int]:
-        return self.lhs.variables() | self.rhs.variables()
-
-    def render(self, names: "VariablePool | None" = None) -> str:
-        return f"{self.lhs.render(names)} {self.rel} {self.rhs.render(names)}"
-
-
 # ``coeffs . x = bound`` or ``coeffs . x >= bound`` (``rel`` is EQ or GEQ):
 # nonzero int coefficients by variable id and an int bound, all coprime
 ConstraintRow = tuple[dict[int, int], int, str]
 
 
-def constraint_row(c: LinearConstraint) -> ConstraintRow:
-    """``c`` as a primitive integer row: the nonzero coefficients of
-    ``lhs - rhs`` (lhs variables first, a variable that cancels left out) and
-    the bound ``rhs.const - lhs.const``, scaled by a positive rational to
-    coprime integers.  This converts library input
-    (:func:`almterm.lp.normalize`); the parser writes the same row for the
-    same constraint text without it."""
-    coeffs = dict(c.lhs.coeffs)
-    for v, k in c.rhs.coeffs.items():
-        s = coeffs.get(v, 0) - k
-        if s:
-            coeffs[v] = s
-        else:
-            del coeffs[v]
-    bound = c.rhs.const - c.lhs.const
-    den = math.lcm(bound.denominator, *[k.denominator for k in coeffs.values()])
-    ints = {v: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
-    b = bound.numerator * (den // bound.denominator)
-    g = math.gcd(b, *ints.values())
-    if g > 1:
-        return {v: k // g for v, k in ints.items()}, b // g, c.rel
-    return ints, b, c.rel
-
-
-def row_constraint(coeffs: Mapping[int, int], bound: int | Fraction, rel: str) -> LinearConstraint:
-    """The row ``coeffs . x (rel) bound`` as a constraint, for display."""
-    return LinearConstraint(LinearExpr(coeffs), rel, LinearExpr.of_const(bound))
-
-
-def geq(lhs, rhs) -> LinearConstraint:
-    return LinearConstraint(as_expr(lhs), GEQ, as_expr(rhs))
-
-
-def equal(lhs, rhs) -> LinearConstraint:
-    return LinearConstraint(as_expr(lhs), EQ, as_expr(rhs))
+def render_row(
+    coeffs: Mapping[int, int], bound: int | Fraction, rel: str, pool: VariablePool
+) -> str:
+    """The row ``coeffs . x (rel) bound`` in the concrete grammar: terms in
+    variable id order (a unit coefficient unwritten, a negative first term
+    led by ``-``), ``0`` when there are none, and ``str(bound)``."""
+    terms: list[str] = []
+    for v in sorted(coeffs):
+        c = coeffs[v]
+        term = pool.name(v) if abs(c) == 1 else f"{abs(c)}*{pool.name(v)}"
+        if terms:
+            term = f"+ {term}" if c > 0 else f"- {term}"
+        elif c < 0:
+            term = f"-{term}"
+        terms.append(term)
+    return f"{' '.join(terms) or 0} {rel} {bound}"
 
 
 @dataclass(frozen=True)
@@ -321,28 +178,14 @@ class Rule:
         object.__setattr__(self, "body", tuple(self.body))
 
     @property
-    def constraints(self) -> tuple[LinearConstraint, ...]:
-        """The rows as constraints, for display (built on each access)."""
-        return tuple([row_constraint(*row) for row in self.rows])
-
-    @property
     def is_fact(self) -> bool:
         return not self.body
 
     def atoms(self) -> tuple[Atom, ...]:
         return (self.head,) + self.body
 
-    def atom_vars(self) -> set[int]:
-        out: set[int] = set()
-        for a in self.atoms():
-            out.update(a.args)
-        return out
-
     def constraint_vars(self) -> set[int]:
         return {v for coeffs, _, _ in self.rows for v in coeffs}
-
-    def all_vars(self) -> set[int]:
-        return set(self.variables)
 
     def nonneg_vars(self, domain: Domain) -> tuple[int, ...]:
         """The variables ``domain`` keeps nonnegative, sorted: every variable

@@ -32,10 +32,8 @@ stands for ``(coeffs . x + const) / den`` with ``den > 0``.  ``+`` and ``-``
 bring both sides over one denominator and merge the coefficients, deleting
 one that sums to 0; ``*`` and ``/`` by a constant scale the numerators and
 ``den``.  Each finished constraint is written straight as its primitive
-integer row :data:`ConstraintRow` (the row
-:func:`almterm.model.constraint_row` writes for the same constraint, key
-order included), and a :class:`Rule` holds those rows in source order.
-Later layers read the rows and never convert again.
+integer row :data:`ConstraintRow`, and a :class:`Rule` holds those rows in
+source order.  Later layers read the rows and never convert again.
 """
 
 from __future__ import annotations
@@ -44,7 +42,17 @@ import re
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .model import EQ, GEQ, AlmtermError, Atom, ConstraintRow, Program, Rule, VariablePool
+from .model import (
+    EQ,
+    GEQ,
+    AlmtermError,
+    Atom,
+    ConstraintRow,
+    Program,
+    Rule,
+    VariablePool,
+    render_row,
+)
 
 
 # the expression parser recurses about three frames per level, so this keeps
@@ -401,7 +409,7 @@ def pretty_print(program: Program) -> str:
     lines = []
     for rule in program.rules:
         head = rule.head.render(pool)
-        items = [c.render(pool) for c in rule.constraints]
+        items = [render_row(*row, pool) for row in rule.rows]
         items += [a.render(pool) for a in rule.body]
         lines.append(f"{head} :- {', '.join(items)}." if items else f"{head}.")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,11 +1,13 @@
-"""Reference derivation step on ``LinearConstraint`` stores (test oracle).
+"""Reference derivation step on ``linear.LinearConstraint`` stores (test
+oracle).
 
 A rewrite renames the chosen rule apart, conjoins the current store, the
 link equalities and the renamed rule constraint as ``LinearConstraint``s,
 decides the conjunction with one exact LP (``feasible(normalize(...))``) and
 then projects it onto the new goal's variables with ``project_constraints``.
 ``almterm.derivation`` decides the same rewrite with the projection alone;
-the tests compare the two on traces, failure states and stores.
+the tests compare the two on traces, failure states and stores, and on the
+exhaustive walk :func:`explore`, driven once by each.
 """
 
 from __future__ import annotations
@@ -15,19 +17,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from almterm.derivation import FAILURE, FLOUNDERED, MAX_STEPS, SUCCESS, SelectionRule
-from almterm.lp import feasible, normalize, project_constraints
-from almterm.model import (
-    EQ,
-    GEQ,
-    Atom,
-    Domain,
+from almterm.lp import feasible, project_constraints
+from almterm.model import EQ, GEQ, Atom, Domain, Program, Q, Rule, VariablePool
+from linear import (
     LinearConstraint,
     LinearExpr,
-    Program,
-    Q,
-    Rule,
-    VariablePool,
     constraint_row,
+    equal,
+    geq,
+    normalize,
     row_constraint,
 )
 
@@ -86,10 +84,10 @@ def step(
         raise LookupError(atom.pred)
     renamed = rename_apart(choose(candidates), pool)
     links = tuple(
-        LinearConstraint(LinearExpr.of_var(a), "=", LinearExpr.of_var(h))
+        equal(LinearExpr.of_var(a), LinearExpr.of_var(h))
         for a, h in zip(atom.args, renamed.head.args)
     )
-    grown = tuple(state.store) + links + renamed.constraints
+    grown = tuple(state.store) + links + tuple(row_constraint(*row) for row in renamed.rows)
     if not store_satisfiable(grown, domain):
         return OracleState((), None)
     goal = state.goal[:idx] + renamed.body + state.goal[idx + 1 :]
@@ -106,10 +104,7 @@ def compact_store(state: OracleState, domain: Domain) -> OracleState:
         seen: set[int] = set()
         for c in constraints:
             seen.update(c.variables())
-        constraints += [
-            LinearConstraint(LinearExpr.of_var(v), ">=", LinearExpr.of_const(0))
-            for v in sorted(seen)
-        ]
+        constraints += [geq(LinearExpr.of_var(v), 0) for v in sorted(seen)]
     rows = [constraint_row(c) for c in constraints]
     eqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
     ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == GEQ]
@@ -121,14 +116,35 @@ def compact_store(state: OracleState, domain: Domain) -> OracleState:
     return OracleState(state.goal, tuple(store))
 
 
+def start(
+    program: Program, pred: str, args: Sequence, pool: VariablePool, domain: Domain = Q
+) -> OracleState:
+    """The ground atom ``pred(args)`` with its arguments pinned in the store
+    (the signature of ``almterm.derivation.ground_start``)."""
+    vs = tuple(pool.fresh(f"{pred}_arg{i + 1}") for i in range(len(args)))
+    store = tuple(equal(LinearExpr.of_var(v), a) for v, a in zip(vs, args))
+    return OracleState((Atom(pred, vs),), store)
+
+
 def explore(
-    program: Program, pred: str, args: Sequence, depth: int, domain: Domain = Q
+    program: Program,
+    pred: str,
+    args: Sequence,
+    depth: int,
+    start: Callable = start,
+    step: Callable = step,
+    compact: Callable = compact_store,
+    domain: Domain = Q,
 ) -> tuple[int, bool]:
-    """What ``almterm.explore`` returns: every rule choice, leftmost selection."""
+    """Follow every rule choice (leftmost selection) up to ``depth``
+    rewrites, each state made by ``step`` then ``compact``: the longest
+    complete derivation, and whether every branch finished within the depth.
+    The defaults are this oracle's functions; ``almterm.derivation``'s
+    ``ground_start`` and ``step`` (which compacts itself) drive the same walk."""
     pool = program.pool.clone()
     longest = 0
     complete = True
-    stack = [(start(pred, args, pool), 0)]
+    stack = [(start(program, pred, args, pool, domain), 0)]
     sel = SelectionRule()
     while stack:
         state, used = stack.pop()
@@ -144,17 +160,8 @@ def explore(
             continue
         for rule in candidates:
             nxt = step(program, state, sel, lambda _rs, _r=rule: _r, pool, domain)
-            stack.append((compact_store(nxt, domain), used + 1))
+            stack.append((compact(nxt, domain), used + 1))
     return longest, complete
-
-
-def start(pred: str, args: Sequence, pool: VariablePool) -> OracleState:
-    vs = tuple(pool.fresh(f"{pred}_arg{i + 1}") for i in range(len(args)))
-    store = tuple(
-        LinearConstraint(LinearExpr.of_var(v), "=", LinearExpr.of_const(a))
-        for v, a in zip(vs, args)
-    )
-    return OracleState((Atom(pred, vs),), store)
 
 
 def run_ground(
@@ -169,7 +176,7 @@ def run_ground(
     """The states, rewrite count and outcome of ``almterm.run_ground``."""
     rng = random.Random(seed)
     pool = program.pool.clone()
-    state = start(pred, args, pool)
+    state = start(program, pred, args, pool)
     states = [state]
     steps = 0
     while True:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from almterm.model import EQ, GEQ, LinearConstraint, LinearExpr
+from almterm.model import EQ, GEQ
+from linear import LinearConstraint, row_constraint
 
 ZERO = Fraction(0)
 
@@ -179,9 +180,6 @@ def project_constraints(
     if ineq_rows is None:
         return None
 
-    def constraint(coeffs: dict[int, Fraction], bound: Fraction, rel: str) -> LinearConstraint:
-        return LinearConstraint(LinearExpr(coeffs), rel, LinearExpr.of_const(bound))
-
-    out = [constraint(c, b, EQ) for c, b in eqs if c]
-    out += [constraint(c, b, GEQ) for c, b in ineq_rows]
+    out = [row_constraint(c, b, EQ) for c, b in eqs if c]
+    out += [row_constraint(c, b, GEQ) for c, b in ineq_rows]
     return out

@@ -19,16 +19,8 @@ from fractions import Fraction
 
 from almterm.decider import AlmSystem, rule_constraint_satisfiable
 from almterm.lp import LinearSystem, integer_system
-from almterm.model import (
-    EQ,
-    GEQ,
-    Domain,
-    LinearConstraint,
-    LinearExpr,
-    ModelError,
-    Rule,
-    VariablePool,
-)
+from almterm.model import EQ, Domain, ModelError, Rule, VariablePool
+from linear import LinearConstraint, LinearExpr, equal, geq
 
 DECREASE = "decrease"
 BODY_NONNEG = "body-nonneg"
@@ -75,14 +67,8 @@ class DualSystem:
     bound: Fraction
 
     def all_constraints(self) -> tuple[LinearConstraint, ...]:
-        nonneg = tuple(
-            LinearConstraint(LinearExpr.of_var(y), GEQ, LinearExpr.of_const(0))
-            for y in self.multipliers
-        )
-        bound_row = LinearConstraint(
-            self.objective, GEQ, LinearExpr.of_const(self.bound)
-        )
-        return self.balance + (bound_row,) + nonneg
+        nonneg = tuple(geq(LinearExpr.of_var(y), 0) for y in self.multipliers)
+        return self.balance + (geq(self.objective, self.bound),) + nonneg
 
     @property
     def num_rows(self) -> int:
@@ -171,7 +157,7 @@ def _dualize(
     balance = []
     for v, target in zip(sys.variables, layout):
         combo = LinearExpr({y: coeffs.get(v, 0) for y, (coeffs, _) in zip(ys, sys.rows)})
-        balance.append(LinearConstraint(combo, "=", target))
+        balance.append(equal(combo, target))
     objective = LinearExpr({y: b for y, (_, b) in zip(ys, sys.rows)})
     return DualSystem(primal.rule_id, kind, ys, tuple(balance), objective, bound)
 

@@ -1,8 +1,8 @@
 """The parser's earlier expression path, kept as a test oracle.
 
-It builds every expression as a :class:`LinearExpr` with ``Fraction``
-arithmetic and converts each finished constraint with
-:func:`almterm.model.constraint_row`.  The parser proper now accumulates
+It builds every expression as a :class:`linear.LinearExpr` with
+``Fraction`` arithmetic and converts each finished constraint with
+:func:`linear.constraint_row`.  The parser proper now accumulates
 integers and writes the primitive row directly; the two must agree on every
 row (key order included) and on every error's class, span and message.
 Only the expression methods differ: the scanner, the clause grammar and the
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from almterm.model import EQ, GEQ, LinearConstraint, LinearExpr, VariablePool, constraint_row
+from almterm.model import EQ, GEQ, VariablePool
 from almterm.parser import MAX_NESTING, _Parser
+from linear import LinearConstraint, LinearExpr, constraint_row
 
 
 class OracleParser(_Parser):

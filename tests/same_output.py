@@ -11,9 +11,10 @@ Run it once per checkout, at the same seed, and compare the outputs with
 in the checkout's root; for checkouts in different directories, replace the
 root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
 
-- first, every generated input file's name and the ``repr`` of each parsed
-  rule's ``rows``, so that the rows the parser writes, coefficient key order
-  included, are compared too;
+- first, every generated input file's name, the ``repr`` of each parsed
+  rule's ``rows`` and :func:`almterm.pretty_print` of the program, so that
+  the rows the parser writes, coefficient key order included, and their
+  printed form are compared too;
 - every ``small-mixed`` and ``project`` request as ``almterm check ... --json
   --witness --verify --project`` over ``q``, ``q+`` and ``n``;
 - every ``large`` request as the benchmark sends it (without ``--project``),
@@ -31,7 +32,7 @@ import sys
 from pathlib import Path
 
 import almterm
-from almterm import cli, parse_program
+from almterm import cli, parse_program, pretty_print
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench-work" / "same-output"
@@ -49,8 +50,10 @@ def main(seed: int) -> None:
         items = [i for r in requests for i in (r.items if hasattr(r, "items") else (r.item,))]
         for path in dict.fromkeys(i.path for i in items):
             print(f"rows {path}")
-            for rule in parse_program(Path(path).read_text(encoding="utf-8"), file=path).rules:
+            program = parse_program(Path(path).read_text(encoding="utf-8"), file=path)
+            for rule in program.rules:
                 print(f"  {rule.rows!r}")
+            print(pretty_print(program), end="")
     for workload, requests in built.items():
         if workload == "derive":
             for req in requests:

@@ -13,8 +13,8 @@ def test_splits_two_atom_body():
     assert [a.pred for a in second.body] == ["d"]
     assert first.origin == ("r1", 1) and second.origin == ("r1", 2)
     # constraint copied verbatim into both children
-    assert first.constraints == program.rules[0].constraints
-    assert second.constraints == program.rules[0].constraints
+    assert first.rows == program.rules[0].rows
+    assert second.rows == program.rules[0].rows
 
 
 def test_binary_program_unchanged():
@@ -43,8 +43,8 @@ def test_child_rules_keep_dropped_atom_variables_in_constraint():
     assert len(recursive) == 2
     # the z = x - 2 constraint survives in the child that dropped f(z)
     child_y = recursive[0]
-    assert len(child_y.constraints) == 3
-    assert not child_y.constraint_vars() <= child_y.atom_vars()
+    assert len(child_y.rows) == 3
+    assert not child_y.constraint_vars() <= {v for a in child_y.atoms() for v in a.args}
 
 
 def test_certificate_transfers_both_ways():

@@ -19,9 +19,7 @@ from almterm import (
     check_length_bound,
     decide,
     equivalent_systems,
-    explore,
     feasible,
-    normalize,
     parse_program,
     run_ground,
     state_from_query,
@@ -38,9 +36,23 @@ from almterm.derivation import (
     ground_start,
     sample_starts,
 )
-from almterm.model import equal, LinearExpr
+from almterm.model import EQ, GEQ
 from almterm.parser import parse_query
 from helpers import load, random_flat_program_text
+from linear import equal, normalize, row_constraint, var
+
+
+def store(state):
+    """The state's store as constraints, equalities first."""
+    eqs, ineqs = state.rows
+    return tuple(row_constraint(c, b, EQ) for c, b in eqs) + tuple(
+        row_constraint(c, b, GEQ) for c, b in ineqs
+    )
+
+
+def explore(program, pred, args, depth):
+    """The oracle's exhaustive walk driven by the package's rewrites."""
+    return oracle.explore(program, pred, args, depth, ground_start, step, lambda s, _d: s)
 
 
 def choose_named(rule_id):
@@ -68,13 +80,13 @@ def test_step_with_recursive_rule():
     assert [a.pred for a in nxt.goal] == ["p"]
     # the store entails y' = 73 for the new goal variable
     y = nxt.goal[0].args[0]
-    pinned = normalize(list(nxt.store) + [equal(LinearExpr.of_var(y), 73)])
+    pinned = normalize(store(nxt) + (equal(var(y), 73),))
     assert feasible(pinned)
-    off = normalize(list(nxt.store) + [equal(LinearExpr.of_var(y), 74)])
+    off = normalize(store(nxt) + (equal(var(y), 74),))
     assert not feasible(off)
     # the store is projected onto the new goal: it mentions nothing else
     goal_vars = {v for a in nxt.goal for v in a.args}
-    assert all(c.variables() <= goal_vars for c in nxt.store)
+    assert all(c.variables() <= goal_vars for c in store(nxt))
 
 
 def test_step_with_unsatisfiable_rule_fails():
@@ -94,10 +106,10 @@ def test_step_with_fact_rule_fails_when_inconsistent():
 def test_step_renames_rules_apart():
     program, pool, state = golden_start()
     sel = SelectionRule(LEFTMOST)
-    state_vars = {v for c in state.store for v in c.variables()}
+    state_vars = {v for c in store(state) for v in c.variables()}
     nxt = step(program, state, sel, choose_named("r3"), pool)
-    new_vars = {v for c in nxt.store for v in c.variables()} - state_vars
-    rule_vars = program.rules[2].all_vars()
+    new_vars = {v for c in store(nxt) for v in c.variables()} - state_vars
+    rule_vars = set(program.rules[2].variables)
     assert new_vars and not (new_vars & rule_vars)
 
 
@@ -107,8 +119,8 @@ def test_compact_store_preserves_goal_solutions():
     nxt = step(program, state, sel, choose_named("r3"), pool)
     slim = compact_store(nxt, Q)
     y = slim.goal[0].args[0]
-    assert all(c.variables() <= {y} for c in slim.store)
-    assert feasible(normalize(list(slim.store) + [equal(LinearExpr.of_var(y), 73)]))
+    assert all(c.variables() <= {y} for c in store(slim))
+    assert feasible(normalize(store(slim) + (equal(var(y), 73),)))
 
 
 def test_run_ground_examples():
@@ -140,7 +152,7 @@ def test_store_stays_satisfiable_unless_failed():
     trace = run_ground(program, "q", [30], seed=4, max_steps=60)
     for state in trace.states:
         if not state.failed:
-            assert feasible(normalize(state.store))
+            assert feasible(normalize(store(state)))
 
 
 def test_exhaustive_exploration_of_golden_program():
@@ -245,8 +257,8 @@ def agree_with_oracle(program, pred, args, selection, max_steps, seed, domain):
     assert [s.failed for s in trace.states] == [s.failed for s in states]
     for ours, theirs in zip(trace.states, states):
         assert ours.goal == theirs.goal
-        if not ours.failed and ours.store != theirs.store:
-            assert equivalent_systems(normalize(ours.store), normalize(theirs.store))
+        if not ours.failed and store(ours) != theirs.store:
+            assert equivalent_systems(normalize(store(ours)), normalize(theirs.store))
     return trace
 
 
@@ -281,7 +293,7 @@ def test_wide_goals_agree_with_lp_oracle():
     trace = agree_with_oracle(chain, "p", [25, 0], SelectionRule(RIGHTMOST), 40, 0, Q)
     assert trace.outcome == FAILURE and trace.steps == 26
     widest = trace.states[-2]
-    assert len(widest.goal) == 26 and len(widest.store) >= 50
+    assert len(widest.goal) == 26 and len(store(widest)) >= 50
 
 
 def test_run_ground_runs_no_lp(monkeypatch):

@@ -9,7 +9,6 @@ from almterm import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    LinearExpr,
     LinearSystem,
     deduplicate,
     drop_redundant,
@@ -18,17 +17,14 @@ from almterm import (
     feasible,
     feasible_point,
     fm_project,
-    maximize,
     minimize,
-    normalize,
 )
 from almterm import lp
-from almterm.model import equal, geq
+from almterm.model import EQ, GEQ
 import entailment_oracle
+from linear import LinearExpr, const, equal, geq, normalize, var
 
 X, Y, Z = 0, 1, 2
-var = LinearExpr.of_var
-const = LinearExpr.of_const
 
 
 # --- independent feasibility oracle: textbook variable elimination ----------
@@ -61,7 +57,7 @@ def dense_system(variables, rows) -> LinearSystem:
     )
 
 
-# --- normalize ---------------------------------------------------------------
+# --- systems from constraints: linear.normalize over lp.integer_system -------
 
 
 def test_normalize_splits_equalities():
@@ -164,13 +160,6 @@ def test_minimize_objective_is_a_coefficient_dict():
     assert out.value == Fraction(3, 2)
     (out,) = minimize(normalize([geq(var(X), 3)]), {X: 2})
     assert out.value == 6 and isinstance(out.value, Fraction)
-
-
-def test_maximize_examples():
-    out = maximize(normalize([geq(var(X), 0), geq(-var(X), -1)]), {X: 1})
-    assert out.status == OPTIMAL and out.value == 1
-    out = maximize(normalize([geq(var(X), 0)]), {X: 1})
-    assert out.status == UNBOUNDED
 
 
 @settings(max_examples=80, deadline=None)
@@ -280,7 +269,8 @@ def make_bounded_lp(rng: random.Random):
 
 
 def explicit_dual(sys: LinearSystem, objective: dict):
-    """max b.y  s.t.  A^T y = c, y >= 0, with fresh variables per row."""
+    """max b.y  s.t.  A^T y = c, y >= 0, with fresh variables per row, as the
+    system and the objective ``-b`` to minimise."""
     m = sys.num_rows
     ys = tuple(range(100, 100 + m))
     constraints = []
@@ -289,7 +279,7 @@ def explicit_dual(sys: LinearSystem, objective: dict):
         constraints.append(equal(combo, objective.get(v, 0)))
     for y in ys:
         constraints.append(geq(var(y), 0))
-    dual_obj = {y: b for y, (_, b) in zip(ys, sys.rows)}
+    dual_obj = {y: -b for y, (_, b) in zip(ys, sys.rows)}
     return normalize(constraints, order_hint=ys), dual_obj
 
 
@@ -301,9 +291,9 @@ def test_duality_random_suite_small():
         (primal,) = minimize(sys, cost)
         assert primal.status == OPTIMAL
         dual_sys, dual_obj = explicit_dual(sys, cost)
-        dual = maximize(dual_sys, dual_obj)
+        (dual,) = minimize(dual_sys, dual_obj)
         assert dual.status == OPTIMAL
-        assert dual.value == primal.value
+        assert -dual.value == primal.value
         hits += 1
 
 
@@ -349,8 +339,8 @@ def test_fm_project_soundness_and_completeness(raw_rows):
         assert full is None
     else:
         # completeness: projection points extend to full solutions
-        pins = [equal(var(v), shadow.get(v, 0)) for v in (X, Y)]
-        pinned = normalize(list(sys.constraints()) + pins)
+        pins = [({v: 1}, shadow.get(v, 0), EQ) for v in (X, Y)]
+        pinned = lp.integer_system([(coeffs, bound, GEQ) for coeffs, bound in sys.rows] + pins)
         assert feasible(pinned)
 
 

@@ -8,14 +8,13 @@ from almterm import (
     Atom,
     Domain,
     LevelMapping,
-    LinearExpr,
     ModelError,
     Rule,
     VariablePool,
     parse_program,
     rat,
 )
-from almterm.model import constraint_row, equal
+from linear import LinearExpr, constraint_row, equal
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=50
@@ -85,7 +84,7 @@ def test_linear_expr_constructor_rejects_floats():
         LinearExpr({0: 0.5})
     with pytest.raises(ModelError):
         LinearExpr({}, 0.5)
-    # arithmetic keeps exact Fractions without going through the constructor
+    # arithmetic keeps exact Fractions
     e = LinearExpr({0: 1, 1: Fraction(1, 2)}, 3) - LinearExpr({0: 1}).scale(2)
     assert e.coeffs == {0: -1, 1: Fraction(1, 2)} and e.const == 3
     assert all(type(c) is Fraction for c in [*e.coeffs.values(), e.const])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,8 @@ from almterm import (
     parse_query,
     pretty_print,
 )
-import almterm.lp
-import almterm.model
-import almterm.parser
-from almterm import N, Q, QPLUS, check_length_bound, decide, verify
+from almterm import N, Q, QPLUS, VariablePool, decide
+from almterm.model import render_row
 from almterm.parser import MAX_NESTING
 from helpers import (
     PROGRAMS,
@@ -26,6 +25,7 @@ from helpers import (
     random_flat_program_text,
     random_rational_program_text,
 )
+from linear import row_constraint
 
 
 def test_parse_golden_program():
@@ -49,7 +49,7 @@ def test_parse_single_fact():
     program = parse_program("p(x) :- x = 2.")
     assert len(program.rules) == 1
     assert program.rules[0].is_fact
-    assert program.rules[0].constraints[0].rel == EQ
+    assert program.rules[0].rows[0][2] == EQ
 
 
 def test_repeated_variable_in_atom_rejected():
@@ -91,10 +91,9 @@ def test_arity_consistency():
 
 def test_leq_sugar_and_negative_literals():
     program = parse_program("q(x) :- -20 <= x, x <= 20, y + 5 = x, q(y).")
-    first = program.rules[0].constraints[0]
+    (x,) = program.rules[0].head.args
     # -20 <= x becomes x >= -20
-    assert first.rel == GEQ
-    assert first.lhs.coeffs and first.rhs.is_const and first.rhs.const == -20
+    assert program.rules[0].rows[0] == ({x: 1}, -20, GEQ)
 
 
 def test_rational_literals_and_comments():
@@ -115,7 +114,7 @@ def test_parse_rule_convenience():
 
     rule = parse_rule("p(x) :- 72 >= x, y = x + 1, p(y).", rule_id="golden")
     assert rule.rule_id == "golden"
-    assert len(rule.constraints) == 2 and len(rule.body) == 1
+    assert len(rule.rows) == 2 and len(rule.body) == 1
 
 
 def test_parse_errors_carry_spans():
@@ -182,6 +181,43 @@ def test_roundtrip_random_programs():
             assert again == program, text
 
 
+def test_pretty_print_golden_program():
+    assert pretty_print(parse_program(load("example72.clp"))) == (
+        "p(x) :- x = 2.\n"
+        "p(x) :- 0 = 1.\n"
+        "p(x) :- -x >= -72, -x + y = 1, p(y).\n"
+    )
+    # a row whose variables all cancel has no terms and prints as 0
+    assert pretty_print(parse_program("p(X) :- X - X >= -1, p(Y).")) == "p(X) :- 0 >= -1, p(Y).\n"
+
+
+def test_render_row_matches_the_linear_constraint_reference():
+    """``render_row`` prints a row as ``LinearConstraint.render`` does: every
+    rule row of the corpus and of seeded random programs, and every row of
+    their projections over q, q+ and n."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.clp"))]
+    texts += [random_rational_program_text(random.Random(seed)) for seed in range(200)]
+    fraction_bounds = 0
+    for text in texts:
+        program = parse_program(text)
+        cases = [(row, program.pool) for rule in program.rules for row in rule.rows]
+        for domain in (Q, QPLUS, N):
+            verdict = decide(program, domain, want_projection=True)
+            if verdict.projection is not None:
+                cases += [((c, b, GEQ), verdict.alm.pool) for c, b in verdict.projection.rows]
+        for row, pool in cases:
+            assert render_row(*row, pool) == row_constraint(*row).render(pool)
+            fraction_bounds += isinstance(row[1], Fraction)
+    assert fraction_bounds
+    pool = VariablePool(["x", "y"])
+    for row, text in (
+        (({}, -1, GEQ), "0 >= -1"),
+        (({1: 1, 0: -2}, Fraction(-1, 3), GEQ), "-2*x + y >= -1/3"),
+        (({0: 1, 1: -3}, 0, EQ), "x - 3*y = 0"),
+    ):
+        assert render_row(*row, pool) == row_constraint(*row).render(pool) == text
+
+
 def test_parsed_programs_satisfy_model_invariants():
     rng = random.Random(7)
     for _ in range(40):
@@ -201,37 +237,11 @@ def test_constraints_become_primitive_integer_rows():
     assert [list(coeffs) for coeffs, _, _ in rule.rows] == [[x], [y, x]]
     (rule,) = parse_program("p(x) :- w + x >= w + 1/2, q(w).").rules
     assert rule.rows == (({rule.head.args[0]: 2}, 1, GEQ),)
-    # the display view is built from the rows
-    assert [c.render(program.pool) for c in program.rules[0].constraints] == [
+    # rows print in the concrete grammar
+    assert [render_row(*row, program.pool) for row in program.rules[0].rows] == [
         "3*x >= 2",
         "-x + y = -1",
     ]
-
-
-def test_pipeline_converts_no_constraint_after_parsing(monkeypatch):
-    """Parsing turns every constraint into rows once; deciding, verifying and
-    sampling read those rows and never call the converter again."""
-    texts = [load(name) for name in ("example72.clp", "example4.clp", "multibody.clp")]
-    texts += [random_rational_program_text(random.Random(seed)) for seed in range(12)]
-    programs = [parse_program(text) for text in texts]
-
-    def refuse(constraint):
-        raise AssertionError("a constraint was converted after parsing")
-
-    for module in (almterm.model, almterm.lp):
-        monkeypatch.setattr(module, "constraint_row", refuse)
-    certified = 0
-    for program in programs:
-        for domain in (Q, QPLUS, N):
-            verdict = decide(program, domain, want_projection=True)
-            if verdict.witness is None:
-                continue
-            certified += 1
-            assert verify(verdict.binary, verdict.witness, domain).passed
-            check_length_bound(
-                verdict.binary, verdict.witness, samples=3, domain=domain, step_cap=20
-            )
-    assert certified >= 10
 
 
 def _row_items(rows):
@@ -334,26 +344,3 @@ def test_parser_rows_and_errors_match_the_linear_expr_oracle():
             parsed += 1
     # both paths are exercised: rows written and errors raised
     assert parsed >= 1000 and failed >= 1000
-
-
-def test_parsing_needs_no_linear_expr_arithmetic(monkeypatch):
-    """The parser writes rows without ``LinearExpr`` arithmetic or
-    ``constraint_row``: with both refusing, every program and query still
-    parses to the rows it gave before."""
-    texts = [load(path.name) for path in sorted(PROGRAMS.glob("*.clp"))]
-    texts.append(random_rational_program_text(random.Random(5)))
-    query = "?- x/2 + 1/3 >= -(y - x), y <= 7, p(x, y)."
-    before = [parse_program(text).rules for text in texts], parse_query(query)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the parser used LinearExpr arithmetic")
-
-    for name in ("__add__", "scale", "of_var", "of_const"):
-        monkeypatch.setattr(almterm.model.LinearExpr, name, refuse)
-    monkeypatch.setattr(almterm.model, "constraint_row", refuse)
-    after = [parse_program(text).rules for text in texts], parse_query(query)
-    assert after == before
-    assert [_row_items(r.rows) for rules in after[0] for r in rules] == [
-        _row_items(r.rows) for rules in before[0] for r in rules
-    ]
-    assert _row_items(after[1][0]) == _row_items(before[1][0])

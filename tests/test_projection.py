@@ -14,21 +14,18 @@ from almterm import (
     N,
     Q,
     QPLUS,
-    LinearConstraint,
-    LinearExpr,
     assemble,
     binarize,
     decide,
     equivalent_systems,
-    normalize,
     parse_program,
     project_constraints,
 )
 from almterm import decider
 from almterm.decider import rule_constraint_satisfiable
 from almterm.lp import LinearSystem, integer_system
-from almterm.model import constraint_row
 from helpers import PROGRAMS, load, random_binary_program_text, random_flat_program_text
+from linear import LinearConstraint, LinearExpr, constraint_row, geq, normalize
 from multiplier_systems import build_rule_systems, systems
 
 VARS = (0, 1, 2, 3)
@@ -81,7 +78,7 @@ def explicit_projection(system, keep):
     ``A x >= b`` system over ``keep``."""
     projected = fraction_fm.project_constraints(system.all_constraints(), keep)
     if projected is None:
-        projected = [LinearConstraint(LinearExpr(), GEQ, LinearExpr.of_const(1))]
+        projected = [geq(0, 1)]
     return normalize(projected, order_hint=keep)
 
 
@@ -161,7 +158,9 @@ def test_cone_has_a_balance_row_per_rule_variable_and_a_sign_row_per_inequality(
     )
     with_body = [rule for rule in program.rules if not rule.is_fact]
     # split bodies leave variables in the constraint that neither atom has
-    assert any(set(rule.variables) - rule.atom_vars() for rule in with_body)
+    assert any(
+        set(rule.variables) - {v for a in rule.atoms() for v in a.args} for rule in with_body
+    )
     real = decider.project_constraints
     for domain in (Q, QPLUS):
         calls = []

@@ -14,11 +14,10 @@ from almterm import (
     binarize,
     decide,
     minimize,
-    normalize,
     parse_program,
     verify,
 )
-from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearSystem
+from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearSystem, integer_system
 from almterm.model import EQ
 from almterm.verifier import EPSILON, FAIL, PASS, VACUOUS_FACT, VACUOUS_UNSAT
 from helpers import load, random_binary_program_text
@@ -103,7 +102,7 @@ def test_ground_instances_respect_definition_exactly():
     program = parse_program(load("example72.clp"))
     lm = LevelMapping({"p": (73, -1)})
     rule = program.rules[2]
-    sys = normalize(rule.constraints)
+    sys = integer_system(rule.rows)
     rng = random.Random(2024)
     x = rule.head.args[0]
     y = rule.body[0].args[0]
@@ -298,7 +297,7 @@ def test_verify_agrees_with_one_pinned_oracle(monkeypatch):
                     failures += 1
                     rule = next(r for r in program.rules if r.rule_id == check.rule_id)
                     point = check.counterexample
-                    assert set(point) == rule.all_vars()
+                    assert set(point) == set(rule.variables)
                     assert all(_holds(row, point) for row in rule.rows)
                     if domain.nonneg:
                         assert all(value >= 0 for value in point.values())
@@ -344,7 +343,7 @@ def test_verifier_lps_hold_inequalities_of_their_rule_only(monkeypatch):
             verify(Program([rule], program.pool, check_constraint_vars=False), lm, domain)
             assert len(systems) == len(rule.body)
             for sys in systems:
-                assert set(sys.variables) <= rule.all_vars()
+                assert set(sys.variables) <= set(rule.variables)
                 rows = {(frozenset(coeffs.items()), bound) for coeffs, bound in sys.rows}
                 for coeffs, bound in sys.rows:
                     negation = (frozenset((v, -c) for v, c in coeffs.items()), -bound)
