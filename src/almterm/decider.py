@@ -19,15 +19,16 @@ solve linear in the number of rules.
 
 Both systems of a rule are instances of its dual cone
 ``K = {(z, s) : some y has A^T y = z and b.y >= s}``, with one multiplier
-``y_i`` per row of ``c`` (the domain's ``x >= 0`` rows included): ``y_i >= 0``
-for a ``>=`` row and ``y_i`` free for an equality.  By the affine Farkas
-lemma ``c -> e.x >= t`` holds iff ``(e, t)`` lies in ``K`` (the generator view
-of the encoding: Bagnara, Mesnard, Pescetti and Zaffanella, Inf. Comput.
-2012).  So ``K`` is built straight from the integer rows the rule holds,
-projected onto ``(z, s)`` once (its rows are homogeneous, so this is pure
-integer arithmetic; a free multiplier starts out in balance equalities and
-the bound row only, so the projection's equality substitution removes it
-whenever a balance row picks it), and the projection is instantiated twice.
+``y_i`` per row of ``c`` over the domain (``Rule.domain_rows``, the domain's
+``x >= 0`` rows included): ``y_i >= 0`` for a ``>=`` row and ``y_i`` free for
+an equality.  By the affine Farkas lemma ``c -> e.x >= t`` holds iff
+``(e, t)`` lies in ``K`` (the generator view of the encoding: Bagnara,
+Mesnard, Pescetti and Zaffanella, Inf. Comput. 2012).  So ``K`` is built
+straight from the integer rows the rule holds, projected onto ``(z, s)``
+once (its rows are homogeneous, so this is pure integer arithmetic; a free
+multiplier starts out in balance equalities and the bound row only, so the
+projection's equality substitution removes it whenever a balance row picks
+it), and the projection is instantiated twice.
 ``z`` ranges over the rule's variables only, so the level constants ``c0``
 enter through ``s``: the decrease takes ``z`` the head's argument
 coefficients minus the body's and ``s = 1 - c0(head) + c0(body)``, the body
@@ -59,7 +60,6 @@ from .lp import (
 )
 from .model import (
     EQ,
-    GEQ,
     Domain,
     LevelMapping,
     ModelError,
@@ -191,7 +191,7 @@ def coeff_table(program: Program, pool: VariablePool) -> dict[str, tuple[int, ..
 def rule_constraint_satisfiable(rule: Rule, domain: Domain) -> bool:
     """Satisfiability of the rule constraint, including the domain's implicit
     nonnegativity rows, over the rationals (exact)."""
-    return feasible(integer_system(rule.rows, extra_nonneg=rule.nonneg_vars(domain)))
+    return feasible(integer_system(rule.domain_rows(domain)))
 
 
 def rule_cone(
@@ -203,14 +203,15 @@ def rule_cone(
     The cone's variables are ``z_j`` (id ``j``) per rule variable (head
     arguments, body arguments, then the other constraint variables in row
     order), ``s`` (id ``n``) and one multiplier ``y_i`` (id ``n + 1 + i``)
-    per row: the rule's rows in order, then the domain's ``x >= 0`` rows.
+    per row of ``rule.domain_rows(domain)``: the rule's rows in order, then
+    the domain's ``x >= 0`` rows.
     Its rows are ``A^T y - z = 0``, ``b.y - s >= 0`` and ``y_i >= 0`` for
     each ``>=`` row; an equality's multiplier is free.
     """
     head, body = rule.head, rule.body[0]
     column = {v: j for j, v in enumerate(dict.fromkeys(head.args + body.args + rule.variables))}
     n = len(column)
-    rows = rule.rows + tuple(({v: 1}, 0, GEQ) for v in rule.nonneg_vars(domain))
+    rows = rule.domain_rows(domain)
     balance: list[dict[int, int]] = [{} for _ in range(n)]
     bound: dict[int, int] = {}
     signs: list[Row] = []

@@ -91,10 +91,10 @@ class DerivationState:
 
 @dataclass(frozen=True)
 class SelectionRule:
-    """Which goal atom gets rewritten next; deterministic given the seed."""
+    """Which goal atom gets rewritten next: the leftmost, the rightmost, or
+    one drawn from the caller's ``rng`` (required for RANDOM)."""
 
     strategy: str = LEFTMOST
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.strategy not in (LEFTMOST, RIGHTMOST, RANDOM):
@@ -105,7 +105,8 @@ class SelectionRule:
             return 0
         if self.strategy == RIGHTMOST:
             return len(goal) - 1
-        rng = rng or random.Random(self.seed)
+        if rng is None:
+            raise AlmtermError("random selection needs an rng")
         return rng.randrange(len(goal))
 
 
@@ -288,9 +289,7 @@ def sample_starts(
 
     for rule in program.rules:
         head = rule.head
-        system = integer_system(
-            rule.rows, extra_nonneg=rule.nonneg_vars(domain), order_hint=head.args
-        )
+        system = integer_system(rule.domain_rows(domain), order_hint=head.args)
         if head.arity == 0:
             if feasible(system):
                 add(head.pred, ())

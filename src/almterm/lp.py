@@ -21,9 +21,10 @@ same: every pivot, point, ray, value and dual is the dense tableau's.
 
 Phase one reads no costs, so :func:`minimize` runs it once per system and
 gives every objective its own phase two on a copy of the feasible basis
-inverse; each outcome is the one that objective alone would get.  The
-optimum is read off the reduced-cost row, whose rhs entry carries minus the
-objective value.
+inverse; each outcome is the one that objective alone would get.  A system
+has one column layout: an objective that names variables outside it is
+minimised over the system widened by those variables.  The optimum is read
+off the reduced-cost row, whose rhs entry carries minus the objective value.
 
 Only :func:`minimize` runs phase two.  Feasibility and entailment are yes/no
 questions, and each is one phase one on the system's row-multiplier
@@ -46,8 +47,9 @@ system's rows to it unchanged; the verifier's presolve reuses its equality
 substitution and its pruning.
 
 :func:`integer_system` builds a system from the rows a rule holds
-(:data:`almterm.model.ConstraintRow`), and objectives are coefficient dicts,
-so nothing is converted here.
+(:data:`almterm.model.ConstraintRow`), over a domain from
+:meth:`almterm.model.Rule.domain_rows` with its ``x >= 0`` rows, and
+objectives are coefficient dicts, so nothing is converted here.
 """
 
 from __future__ import annotations
@@ -118,27 +120,21 @@ class LpOutcome:
     ray: dict[int, Fraction] | None = None
 
 
-def integer_system(
-    rows: Iterable[ConstraintRow],
-    extra_nonneg: Iterable[int] = (),
-    order_hint: Sequence[int] = (),
-) -> LinearSystem:
+def integer_system(rows: Iterable[ConstraintRow], order_hint: Sequence[int] = ()) -> LinearSystem:
     """Mixed =/>= integer rows as one system of ``>=`` rows.
 
-    Rows keep their order, and an equality is followed by its negation.
-    Every variable in ``extra_nonneg`` adds one ``x >= 0`` row at the end.
-    Variable order is deterministic: ``order_hint`` first, then first
-    occurrence.  Bland's path, and so every point the solver returns, depends
-    on both orders.
+    Rows keep their order, and an equality is followed by its negation; a
+    domain's ``x >= 0`` rows are ordinary rows here, as
+    :meth:`almterm.model.Rule.domain_rows` writes them.  Variable order is
+    deterministic: ``order_hint`` first, then first occurrence.  Bland's
+    path, and so every point the solver returns, depends on both orders.
     """
-    extra = sorted(extra_nonneg)
     out: list[Row] = []
     for coeffs, bound, rel in rows:
         out.append((coeffs, bound))
         if rel == EQ:
             out.append(({v: -k for v, k in coeffs.items()}, -bound))
-    variables = dict.fromkeys([*order_hint, *[v for coeffs, _ in out for v in coeffs], *extra])
-    out += [({v: 1}, 0) for v in extra]
+    variables = dict.fromkeys([*order_hint, *[v for coeffs, _ in out for v in coeffs]])
     return LinearSystem(tuple(variables), tuple(out))
 
 
@@ -371,11 +367,12 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
     Internally splits every variable into a difference of nonnegatives and
     adds one surplus column per row.  Phase one runs once for the system;
     each objective then runs phase two on its own copy of that basis
-    inverse, with empty columns for the objective's variables outside the
-    system.  Phase one reads no costs, so every outcome is the one a call
-    with that objective alone returns.  The reported point is a vertex,
+    inverse.  Phase one reads no costs, so every outcome is the one a call
+    with that objective alone returns.  An objective that names variables
+    outside ``sys`` is minimised by its own call over ``sys`` widened by
+    them, in the objective's order.  The reported point is a vertex,
     deterministic under Bland's order, over the system's variables and then
-    the objective's own (in the objective's order).
+    the objective's own.
     """
     if not objectives:
         return ()
@@ -395,34 +392,23 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
         return (LpOutcome(INFEASIBLE),) * len(objectives)
     cols, inv, basis = state
 
+    def recombine(vec) -> dict[int, Fraction]:
+        return {v: vec[i] - vec[n + i] if vec[n + i] else vec[i] for v, i in index.items()}
+
     outcomes: list[LpOutcome] = []
     last = len(objectives) - 1
     for k, objective in enumerate(objectives):
-        extra = [v for v in objective if v not in index]
-        e = len(extra)
+        extra = tuple([v for v in objective if v not in index])
+        if extra:
+            outcomes += minimize(LinearSystem(sys.variables + extra, sys.rows), objective)
+            continue
         # the last objective may pivot the phase-one inverse itself
         tinv = inv if k == last else [row[:] for row in inv]
-        if e:
-            # the objective's own variables split into empty columns after
-            # the system's, as in a call with this objective alone; phase
-            # one never enters an empty column, so it is the same without them
-            empty: list[Column] = [[]] * e
-            tcols = cols[:n] + empty + cols[n : 2 * n] + empty + cols[2 * n :]
-            tbasis = [b if b < n else b + e if b < 2 * n else b + 2 * e for b in basis]
-        else:
-            tcols = cols
-            tbasis = list(basis)
-        column = {v: i for i, v in enumerate([*sys.variables, *extra])}
-        w = n + e
-        costs = [0] * (2 * w + m)
+        costs = [0] * (2 * n + m)
         for v, c in objective.items():
-            costs[column[v]] = c
-            costs[w + column[v]] = -c
-        status, point, value, ray = _phase_two(tcols, tinv, tbasis, costs, 2 * w)
-
-        def recombine(vec) -> dict[int, Fraction]:
-            return {v: vec[i] - vec[w + i] if vec[w + i] else vec[i] for v, i in column.items()}
-
+            costs[index[v]] = c
+            costs[n + index[v]] = -c
+        status, point, value, ray = _phase_two(cols, tinv, list(basis), costs, 2 * n)
         if status == UNBOUNDED:
             outcomes.append(LpOutcome(UNBOUNDED, point=recombine(point), ray=recombine(ray)))
         else:

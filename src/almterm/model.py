@@ -187,10 +187,13 @@ class Rule:
     def constraint_vars(self) -> set[int]:
         return {v for coeffs, _, _ in self.rows for v in coeffs}
 
-    def nonneg_vars(self, domain: Domain) -> tuple[int, ...]:
-        """The variables ``domain`` keeps nonnegative, sorted: every variable
-        of the rule on ``q+``, ``r+`` and ``n``, none on ``q`` and ``r``."""
-        return tuple(sorted(self.variables)) if domain.nonneg else ()
+    def domain_rows(self, domain: Domain) -> tuple[ConstraintRow, ...]:
+        """The constraint over ``domain``: ``rows`` on ``q`` and ``r``; on
+        ``q+``, ``r+`` and ``n`` also one ``x >= 0`` row per rule variable
+        after them, in variable id order."""
+        if not domain.nonneg:
+            return self.rows
+        return self.rows + tuple([({v: 1}, 0, GEQ) for v in sorted(self.variables)])
 
     @cached_property
     def variables(self) -> tuple[int, ...]:

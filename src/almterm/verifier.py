@@ -7,20 +7,20 @@ Given a concrete level mapping, each rule must satisfy, for every body atom,
 
 with the measures instantiated to plain rationals.
 
-Each rule is presolved once, for all its body atoms: every equality of its
-constraint is substituted away (the row arithmetic of the projection's
-equality step) from the other equalities, the inequalities and the domain's
-nonnegativity rows, and from both objectives of every pair, and the
-inequalities left are pruned as the projection prunes them (primitive form,
-the strongest row per direction).  The substitution maps the rule's
-solutions one to one onto the solutions of the inequalities that are left,
-so each minimum over the reduced system is the minimum over the rule
-constraint.  Both minima of a pair are found together over those
-inequalities, with integer objectives (the mapping is scaled to integers
-once per :func:`verify` call); the level constants, and what the
-substitution adds to them, are added to the minima outside the LP.  The
-eliminated variables are worked out again, in reverse order, only to build a
-counterexample.
+Each rule is presolved once, for all its body atoms, over its rows on the
+domain (``Rule.domain_rows``, the domain's nonnegativity rows included): every
+equality is substituted away (the row arithmetic of the projection's equality
+step) from the other equalities and the inequalities, and from both
+objectives of every pair, and the inequalities left are pruned as the
+projection prunes them (primitive form, the strongest row per direction).
+The substitution maps the rule's solutions one to one onto the solutions of
+the inequalities that are left, so each minimum over the reduced system is
+the minimum over the rule constraint.  Both minima of a pair are found
+together over those inequalities, with integer objectives (the mapping is
+scaled to integers once per :func:`verify` call); the level constants, and
+what the substitution adds to them, are added to the minima outside the LP.
+The eliminated variables are worked out again, in reverse order, only to
+build a counterexample.
 
 When every inequality left mentions one variable, the reduced system is a
 box: after pruning, each variable has at most one lower bound ``x >= lo``
@@ -118,13 +118,14 @@ _Objective = tuple[dict[int, int], "int | Fraction", int]
 
 
 def _presolve(rule: Rule, domain: Domain) -> _Reduced | None:
-    """Substitute each equality of ``rule`` away, first its variable with
-    the smallest coefficient, and prune the inequalities left as the
-    projection does (primitive form, one row per direction); None when a row
-    reduces to ``0 = b`` with ``b != 0`` or to ``0 >= b`` with ``b > 0``."""
-    eqs = [(coeffs, bound) for coeffs, bound, rel in rule.rows if rel == EQ]
-    ineqs = [(coeffs, bound) for coeffs, bound, rel in rule.rows if rel != EQ]
-    ineqs += [({v: 1}, 0) for v in rule.nonneg_vars(domain)]
+    """Substitute each equality of ``rule.domain_rows(domain)`` away, first
+    its variable with the smallest coefficient, and prune the inequalities
+    left as the projection does (primitive form, one row per direction);
+    None when a row reduces to ``0 = b`` with ``b != 0`` or to ``0 >= b``
+    with ``b > 0``."""
+    rows = rule.domain_rows(domain)
+    eqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
+    ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel != EQ]
     steps: list[tuple[int, Row]] = []
     for k in range(len(eqs)):
         eq = eqs[k]
@@ -305,7 +306,7 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
     checks: list[RuleCheck] = []
     for rule in program.rules:
         if rule.is_fact:
-            sat = feasible(integer_system(rule.rows, extra_nonneg=rule.nonneg_vars(domain)))
+            sat = feasible(integer_system(rule.domain_rows(domain)))
             checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT if sat else VACUOUS_UNSAT))
             continue
         reduced = _presolve(rule, domain)

@@ -150,10 +150,19 @@ def row_constraint(coeffs: Mapping[int, int], bound: int | Fraction, rel: str) -
     return LinearConstraint(LinearExpr(coeffs), rel, LinearExpr.of_const(bound))
 
 
+def nonneg_rows(variables: Iterable[int]) -> tuple[ConstraintRow, ...]:
+    """One ``x >= 0`` row per variable, in variable id order: the rows a
+    domain with implicit nonnegativity adds, written here independently of
+    :meth:`almterm.model.Rule.domain_rows`."""
+    return tuple([({v: 1}, 0, GEQ) for v in sorted(variables)])
+
+
 def normalize(
     constraints: Iterable[LinearConstraint],
     extra_nonneg: Iterable[int] = (),
     order_hint: Sequence[int] = (),
 ) -> LinearSystem:
-    """:func:`almterm.lp.integer_system` of the constraints' rows."""
-    return integer_system(map(constraint_row, constraints), extra_nonneg, order_hint)
+    """:func:`almterm.lp.integer_system` of the constraints' rows, then the
+    ``x >= 0`` rows of ``extra_nonneg``."""
+    rows = [*map(constraint_row, constraints), *nonneg_rows(extra_nonneg)]
+    return integer_system(rows, order_hint)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from almterm.decider import AlmSystem, rule_constraint_satisfiable
 from almterm.lp import LinearSystem, integer_system
 from almterm.model import EQ, Domain, ModelError, Rule, VariablePool
-from linear import LinearConstraint, LinearExpr, equal, geq
+from linear import LinearConstraint, LinearExpr, equal, geq, nonneg_rows
 
 DECREASE = "decrease"
 BODY_NONNEG = "body-nonneg"
@@ -86,9 +86,9 @@ def _encode(
     and per column the coefficient-variable combination that multiplies it
     in the decrease objective and in the body-level objective."""
     head, body = rule.head, rule.body[0]
+    nonneg = nonneg_rows(rule.variables) if domain.nonneg else ()
     system = integer_system(
-        (({one: 1}, 1, EQ),) + rule.rows,
-        extra_nonneg=rule.nonneg_vars(domain),
+        (({one: 1}, 1, EQ),) + rule.rows + nonneg,
         order_hint=(one,) + head.args + body.args,
     )
     hc = coeff_ids[head.pred]

@@ -20,7 +20,12 @@ root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
 - every ``large`` request as the benchmark sends it (without ``--project``),
   then the first ``large`` program (120 rules) once more with ``--project``,
   so that :func:`almterm.lp.entails` on wide systems is compared too;
-- each ``derive`` request's verdict and ``BoundRun``s.
+- each ``derive`` request's verdict and ``BoundRun``s;
+- a library section, for paths no benchmark request reaches: the ``repr`` of
+  :func:`almterm.lp.minimize` on seeded random systems whose objectives name
+  variables outside the system, and of :func:`almterm.verify` for two random
+  mappings per seeded ``tests/helpers.random_flat_program_text`` program,
+  over ``q``, ``q+`` and ``n``.
 
 Each CLI request is printed as its arguments, its output and its exit code.
 The file name keeps pytest from collecting it.
@@ -28,15 +33,20 @@ The file name keeps pytest from collecting it.
 
 from __future__ import annotations
 
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import almterm
-from almterm import cli, parse_program, pretty_print
+from almterm import Domain, LevelMapping, LinearSystem, cli, minimize, parse_program, pretty_print, verify
+from helpers import random_flat_program_text
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench-work" / "same-output"
 DOMAINS = ("q", "q+", "n")
+MINIMIZE_CALLS = 300
+VERIFY_PROGRAMS = 100
 
 
 def main(seed: int) -> None:
@@ -70,6 +80,41 @@ def main(seed: int) -> None:
             code, text = req.send(cli)
             print(" ".join(req.argv()))
             print(f"{text}exit {code}")
+
+    library(seed)
+
+
+def library(seed: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(MINIMIZE_CALLS):
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = {v: c for v in range(n) if (c := rng.randint(-3, 3))}
+            rows.append((coeffs, rng.randint(-5, 5)))
+        system = LinearSystem(tuple(range(n)), tuple(rows))
+        # ids n, n + 1, n + 2 lie outside the system; the first objective
+        # always names one of them
+        objectives = [
+            {v: rng.randint(-3, 3) for v in rng.sample(range(n + 3), rng.randint(1, 3))}
+            for _ in range(rng.randint(1, 3))
+        ]
+        objectives[0][n + rng.randrange(3)] = rng.choice((-2, -1, 1, 2))
+        print(f"minimize {system!r} {objectives!r}")
+        print(f"  {minimize(system, *objectives)!r}")
+    for _ in range(VERIFY_PROGRAMS):
+        text = random_flat_program_text(rng)
+        program = parse_program(text)
+        print(f"verify {text!r}")
+        for _ in range(2):
+            lm = LevelMapping(
+                {
+                    pred: tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(arity + 1))
+                    for pred, arity in program.arities.items()
+                }
+            )
+            for tag in DOMAINS:
+                print(f"  {tag} {verify(program, lm, Domain(tag))!r}")
 
 
 if __name__ == "__main__":

@@ -89,6 +89,12 @@ def test_step_with_recursive_rule():
     assert all(c.variables() <= goal_vars for c in store(nxt))
 
 
+def test_random_selection_needs_an_rng():
+    program, pool, state = golden_start()
+    with pytest.raises(AlmtermError, match="needs an rng"):
+        step(program, state, SelectionRule(RANDOM), choose_named("r3"), pool)
+
+
 def test_step_with_unsatisfiable_rule_fails():
     program, pool, state = golden_start()
     sel = SelectionRule(LEFTMOST)
@@ -190,7 +196,7 @@ def test_check_length_bound_specific_starts():
                 program,
                 "p",
                 args,
-                selection=SelectionRule(RANDOM, seed=seed),
+                selection=SelectionRule(RANDOM),
                 max_steps=budget + 1,
                 seed=seed,
             )
@@ -273,7 +279,7 @@ def test_run_ground_agrees_with_lp_oracle(seed, domain, strategy):
     program = parse_program(random_flat_program_text(rng))
     pred = rng.choice(sorted(program.arities))
     args = [rng.randint(0, 9) for _ in range(program.arities[pred])]
-    selection = SelectionRule(strategy, seed=seed)
+    selection = SelectionRule(strategy)
     # six rewrites: with several coupled body atoms, the projected stores of
     # both versions can grow doubly exponentially with derivation length
     # (thousands of rows after six rewrites), and the oracle pays an LP each

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from almterm import (
+    GEQ,
     Atom,
     Domain,
     LevelMapping,
@@ -121,6 +122,17 @@ def test_rule_flatness_checks():
     with pytest.raises(ModelError):
         loose.check_flatness()
     loose.check_flatness(require_local_constraint_vars=False)
+
+
+def test_domain_rows_append_sorted_nonnegativity_rows():
+    (rule,) = parse_program("p(x, y) :- z = x + y, y >= 1, q(z).\n").rules
+    # the rule's variable order (row order first) is not id order
+    assert list(rule.variables) != sorted(rule.variables)
+    for tag in ("q", "r"):
+        assert rule.domain_rows(Domain(tag)) == rule.rows
+    nonneg = tuple(({v: 1}, 0, GEQ) for v in sorted(rule.variables))
+    for tag in ("q+", "r+", "n"):
+        assert rule.domain_rows(Domain(tag)) == rule.rows + nonneg
 
 
 def test_domain_parsing():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fraction_fm
 from almterm import (
+    DOMAINS,
     EQ,
     GEQ,
     N,
@@ -22,7 +23,7 @@ from almterm import (
     project_constraints,
 )
 from almterm import decider
-from almterm.decider import rule_constraint_satisfiable
+from almterm.decider import coeff_table, rule_cone, rule_constraint_satisfiable
 from almterm.lp import LinearSystem, integer_system
 from helpers import PROGRAMS, load, random_binary_program_text, random_flat_program_text
 from linear import LinearConstraint, LinearExpr, constraint_row, geq, normalize
@@ -68,7 +69,7 @@ def test_projection_matches_fraction_oracle(constraints, keep):
     assert [primitive(*r) for r in eqs] == [primitive(*r) for r in their_eqs]
     order = sorted(keep)
     assert equivalent_systems(
-        integer_system([(c, b, EQ) for c, b in eqs] + [(c, b, GEQ) for c, b in ineqs], (), order),
+        integer_system([(c, b, EQ) for c, b in eqs] + [(c, b, GEQ) for c, b in ineqs], order),
         normalize(oracle, order_hint=order),
     )
 
@@ -173,9 +174,25 @@ def test_cone_has_a_balance_row_per_rule_variable_and_a_sign_row_per_inequality(
         assemble(program, domain)
         assert len(calls) == len(with_body)
         for rule, (eqs, ineqs) in zip(with_body, calls):
-            inequalities = sum(rel == GEQ for _, _, rel in rule.rows)
+            inequalities = sum(rel == GEQ for _, _, rel in rule.domain_rows(domain))
             assert len(eqs) == len(rule.variables)
-            assert len(ineqs) == 1 + inequalities + len(rule.nonneg_vars(domain))
+            assert len(ineqs) == 1 + inequalities
+
+
+def test_cone_has_a_multiplier_per_domain_row():
+    """One multiplier per row of ``Rule.domain_rows``: the rule's rows, and
+    on a nonnegative domain one more per rule variable."""
+    for path in sorted(PROGRAMS.glob("*.clp")):
+        program = binarize(parse_program(path.read_text(encoding="utf-8")))
+        coeff_ids = coeff_table(program, program.pool.clone())
+        for rule in program.rules:
+            if rule.is_fact:
+                continue
+            for domain in DOMAINS:
+                rows = rule.domain_rows(domain)
+                assert rule_cone(rule, domain, coeff_ids).multipliers == len(rows)
+                extra = len(rule.variables) if domain.nonneg else 0
+                assert len(rows) == len(rule.rows) + extra
 
 
 def test_num_rows_counts_the_explicit_multiplier_systems():

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, feasible, integer_system, minimize
-from almterm.model import EQ, Atom, Domain, LevelMapping, Program, Q, Rule
+from almterm.model import EQ, Atom, ConstraintRow, Domain, LevelMapping, Program, Q, Rule
 from almterm.verifier import (
     EPSILON,
     FAIL,
@@ -26,6 +26,12 @@ from almterm.verifier import (
     RuleCheck,
     VerifyReport,
 )
+from linear import nonneg_rows
+
+
+def _domain_rows(rule: Rule, domain: Domain) -> tuple[ConstraintRow, ...]:
+    """The rule's rows, then its ``x >= 0`` rows on a nonnegative domain."""
+    return rule.rows + (nonneg_rows(rule.variables) if domain.nonneg else ())
 
 
 def _level(lm: LevelMapping, atom: Atom, one_var: int) -> dict[int, Fraction]:
@@ -54,8 +60,7 @@ def _check_pair(
 ) -> RuleCheck | None:
     body_atom = rule.body[body_index]
     system = integer_system(
-        (({one_var: 1}, 1, EQ),) + rule.rows,
-        extra_nonneg=rule.nonneg_vars(domain),
+        (({one_var: 1}, 1, EQ),) + _domain_rows(rule, domain),
         order_hint=(one_var,) + rule.head.args + body_atom.args,
     )
     head_level = _level(lm, rule.head, one_var)
@@ -95,7 +100,7 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
     checks: list[RuleCheck] = []
     for rule in program.rules:
         if rule.is_fact:
-            sat = feasible(integer_system(rule.rows, extra_nonneg=rule.nonneg_vars(domain)))
+            sat = feasible(integer_system(_domain_rows(rule, domain)))
             checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT if sat else VACUOUS_UNSAT))
             continue
         one_var = pool.fresh(f"one[{rule.rule_id}]")
