@@ -13,9 +13,10 @@ from .model import Program, Rule
 
 def binarize(program: Program) -> Program:
     """Return an equivalent program in which every rule has at most one body
-    atom.  Rules that are already facts or single-atom are kept unchanged, so
-    the transformation is idempotent.  Child rules are named ``<id>.<k>`` and
-    carry ``origin = (id, k)`` for diagnostics."""
+    atom: a binary program itself; otherwise each multi-atom rule ``id`` is
+    split into children ``<id>.<k>`` that carry ``origin = (id, k)``."""
+    if program.is_binary():
+        return program
     rules: list[Rule] = []
     for rule in program.rules:
         if len(rule.body) <= 1:
@@ -31,9 +32,4 @@ def binarize(program: Program) -> Program:
                     origin=(rule.rule_id, k),
                 )
             )
-    return Program(
-        rules,
-        program.pool,
-        arities=program.arities,
-        check_constraint_vars=False,
-    )
+    return Program(rules, program.pool, arities=program.arities)

@@ -88,7 +88,7 @@ class VariablePool:
     """Interns variables as dense integer ids and remembers display names.
 
     Ids are never reused.  Analyses that need scratch variables must work on
-    a :meth:`clone` so that programs stay shareable across threads.
+    a :meth:`clone`, so that the program's own pool never changes.
     """
 
     __slots__ = ("_names",)
@@ -207,9 +207,10 @@ class Rule:
             order += a.args
         return tuple(dict.fromkeys(order))
 
-    def check_flatness(self, require_local_constraint_vars: bool = True) -> None:
-        """Raise ModelError unless atom tuples are pairwise disjoint (and,
-        optionally, every constraint variable occurs in some atom)."""
+    def check_flatness(self) -> None:
+        """Raise ModelError unless atom tuples are pairwise disjoint and,
+        unless the rule was split off a multi-atom body (``origin`` set),
+        every constraint variable occurs in some atom."""
         seen: set[int] = set()
         for a in self.atoms():
             hit = seen.intersection(a.args)
@@ -218,28 +219,28 @@ class Rule:
                     f"rule {self.rule_id}: variable shared between atom tuples"
                 )
             seen.update(a.args)
-        if require_local_constraint_vars and not self.constraint_vars() <= seen:
+        if self.origin is None and not self.constraint_vars() <= seen:
             raise ModelError(
                 f"rule {self.rule_id}: constraint mentions a variable outside its atoms"
             )
 
 
 class Program:
-    """An immutable flat program with its predicate arity table."""
+    """An immutable flat program with its predicate arity table; each rule
+    must pass :meth:`Rule.check_flatness`."""
 
     def __init__(
         self,
         rules: Iterable[Rule],
         pool: VariablePool,
         arities: Mapping[str, int] | None = None,
-        check_constraint_vars: bool = True,
     ):
         self._rules = tuple(rules)
         self._pool = pool
         table: dict[str, int] = dict(arities) if arities else {}
         by_pred: dict[str, list[Rule]] = {}
         for rule in self._rules:
-            rule.check_flatness(require_local_constraint_vars=check_constraint_vars)
+            rule.check_flatness()
             by_pred.setdefault(rule.head.pred, []).append(rule)
             for atom in rule.atoms():
                 known = table.setdefault(atom.pred, atom.arity)

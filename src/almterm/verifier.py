@@ -7,12 +7,12 @@ Given a concrete level mapping, each rule must satisfy, for every body atom,
 
 with the measures instantiated to plain rationals.
 
-Each rule is presolved once, for all its body atoms, over its rows on the
-domain (``Rule.domain_rows``, the domain's nonnegativity rows included): every
-equality is substituted away (the row arithmetic of the projection's equality
-step) from the other equalities and the inequalities, and from both
-objectives of every pair, and the inequalities left are pruned as the
-projection prunes them (primitive form, the strongest row per direction).
+Each rule (facts too) is presolved once, for all its body atoms, over its
+rows on the domain (``Rule.domain_rows``, the domain's nonnegativity rows
+included): every equality is substituted away (the row arithmetic of the
+projection's equality step) from the other equalities and the inequalities,
+and from both objectives of every pair, and the inequalities left are pruned
+as the projection prunes them (primitive form, one row per direction).
 The substitution maps the rule's solutions one to one onto the solutions of
 the inequalities that are left, so each minimum over the reduced system is
 the minimum over the rule constraint.  Both minima of a pair are found
@@ -29,7 +29,9 @@ bounds, with the statuses and values :func:`minimize` would give: the box
 is empty when some ``lo > hi``; otherwise each objective term ``c * x``
 takes ``c * lo`` or ``c * hi``, and is unbounded below when that bound is
 missing.  Any system with a row over two or more variables goes to one
-:func:`minimize` call for both minima (one shared phase one).
+:func:`minimize` call for both minima (one shared phase one).  A fact has
+no pair: it is satisfiable when its reduced system is nonempty, which the
+same dispatch decides with the zero objective.
 
 The decider never runs these minimisations (it works on the multiplier side,
 with the projected cone), and no cone or multiplier enters here, so agreement
@@ -51,8 +53,6 @@ from .lp import (
     Row,
     _prune,
     _substitute,
-    feasible,
-    integer_system,
     minimize,
 )
 from .model import EQ, Atom, Domain, LevelMapping, Program, Q, Rule
@@ -305,11 +305,11 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
     scaled = lm.scale(scale)
     checks: list[RuleCheck] = []
     for rule in program.rules:
+        reduced = _presolve(rule, domain)
         if rule.is_fact:
-            sat = feasible(integer_system(rule.domain_rows(domain)))
+            sat = reduced is not None and _minima(reduced[0], {})[0].status != INFEASIBLE
             checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT if sat else VACUOUS_UNSAT))
             continue
-        reduced = _presolve(rule, domain)
         for idx in range(len(rule.body)):
             check = _check_pair(rule, idx, scaled, scale, reduced)
             if check is None:

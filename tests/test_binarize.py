@@ -19,21 +19,31 @@ def test_splits_two_atom_body():
 
 def test_binary_program_unchanged():
     program = parse_program(load("example72.clp"))
-    assert binarize(program) == program
+    assert binarize(program) is program
 
 
 def test_facts_only_unchanged():
     program = parse_program("p(x) :- x = 1.\nq :- 0 = 0.")
-    assert binarize(program) == program
+    assert binarize(program) is program
 
 
 def test_idempotent_and_binary():
+    """A binary program comes back itself; any other is rebuilt with one
+    child per body atom of each multi-atom rule."""
     rng = random.Random(31)
+    split = 0
     for _ in range(60):
         program = parse_program(random_flat_program_text(rng))
         once = binarize(program)
         assert all(len(r.body) <= 1 for r in once.rules)
-        assert binarize(once) == once
+        assert binarize(once) is once
+        if program.is_binary():
+            assert once is program
+            continue
+        split += 1
+        children = [r for r in once.rules if r.origin]
+        assert len(children) == sum(len(r.body) for r in program.rules if len(r.body) > 1)
+    assert split >= 20
 
 
 def test_child_rules_keep_dropped_atom_variables_in_constraint():

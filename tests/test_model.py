@@ -10,6 +10,7 @@ from almterm import (
     Domain,
     LevelMapping,
     ModelError,
+    Program,
     Rule,
     VariablePool,
     parse_program,
@@ -121,7 +122,12 @@ def test_rule_flatness_checks():
     loose = Rule("r3", head, (constraint_row(stray),), (body,))
     with pytest.raises(ModelError):
         loose.check_flatness()
-    loose.check_flatness(require_local_constraint_vars=False)
+    with pytest.raises(ModelError):
+        Program([loose], VariablePool())
+    # a rule split from a multi-atom body keeps the dropped atoms' variables
+    split = Rule("r3.1", head, (constraint_row(stray),), (body,), origin=("r3", 1))
+    split.check_flatness()
+    Program([split], VariablePool())
 
 
 def test_domain_rows_append_sorted_nonnegativity_rows():

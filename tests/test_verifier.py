@@ -5,22 +5,31 @@ from fractions import Fraction
 import pytest
 
 from almterm import (
+    DOMAINS,
     QPLUS,
     LevelMapping,
     ModelError,
     N,
     Program,
     Q,
+    assemble,
     binarize,
     decide,
     minimize,
     parse_program,
     verify,
 )
+from almterm.decider import SKIP_FACT, SKIP_UNSAT
 from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearSystem, integer_system
 from almterm.model import EQ
 from almterm.verifier import EPSILON, FAIL, PASS, VACUOUS_FACT, VACUOUS_UNSAT
-from helpers import load, random_binary_program_text
+from helpers import (
+    PROGRAMS,
+    load,
+    random_binary_program_text,
+    random_flat_program_text,
+    random_rational_program_text,
+)
 import verifier_oracle
 
 
@@ -120,7 +129,8 @@ def test_ground_instances_respect_definition_exactly():
 def test_verify_makes_one_minimisation_per_analysed_rule(monkeypatch):
     """Both minimisations of a (rule, body atom) pair share one system, so
     they share one call of the verifier's one dispatch point (and one phase
-    one when the simplex runs)."""
+    one when the simplex runs); a fact takes one call with the zero
+    objective."""
     from almterm import verifier
 
     program = parse_program(
@@ -138,7 +148,7 @@ def test_verify_makes_one_minimisation_per_analysed_rule(monkeypatch):
 
     monkeypatch.setattr(verifier, "_minima", counting)
     report = verify(program, LevelMapping({"p": (73, -1)}), Q)
-    assert calls == [2, 2, 2]
+    assert calls == [1, 2, 2, 2]
     assert [(c.rule_id, c.body_index, c.status) for c in report.checks] == [
         ("r1", None, VACUOUS_FACT),
         ("r2", 0, PASS),
@@ -173,10 +183,11 @@ def test_box_rules_skip_the_simplex(monkeypatch):
         assert _outcomes(report) == _outcomes(verifier_oracle.verify(program, lm, Q))
 
 
-def test_verify_runs_a_satisfiability_lp_only_for_facts(monkeypatch):
+def test_verify_runs_no_satisfiability_lp(monkeypatch):
     """A rule with a body learns that its constraint is unsatisfiable from
-    the status of its first minimisation; only facts take an LP of their
-    own.  Reports are unchanged."""
+    the status of its first minimisation, and a fact from its presolved
+    system; the multiplier-side satisfiability LP never runs.  Reports are
+    unchanged."""
     from almterm import lp
 
     program = parse_program(
@@ -194,7 +205,7 @@ def test_verify_runs_a_satisfiability_lp_only_for_facts(monkeypatch):
 
     monkeypatch.setattr(lp, "feasible_point", counting)
     report = verify(program, LevelMapping({"p": (73, -1)}), Q)
-    assert len(calls) == 2
+    assert calls == []
     assert [(c.rule_id, c.body_index, c.status) for c in report.checks] == [
         ("r1", None, VACUOUS_FACT),
         ("r2", None, VACUOUS_UNSAT),
@@ -202,6 +213,31 @@ def test_verify_runs_a_satisfiability_lp_only_for_facts(monkeypatch):
         ("r4", 0, PASS),
     ]
     assert report.passed
+
+
+def test_fact_statuses_match_the_deciders_skip_reasons():
+    """The verifier decides a fact by its presolved system and the decider
+    by the multiplier-side LP: on every fact of the bundled and of seeded
+    random programs, over every domain, a satisfiable fact is ``fact`` to
+    one and ``vacuous-fact`` to the other, an unsatisfiable one ``unsat``
+    and ``vacuous-unsat``."""
+    expected = {SKIP_FACT: VACUOUS_FACT, SKIP_UNSAT: VACUOUS_UNSAT}
+    texts = [load(path.name) for path in sorted(PROGRAMS.glob("*.clp"))]
+    rng = random.Random(59)
+    texts += [random_flat_program_text(rng) for _ in range(150)]
+    texts += [random_rational_program_text(rng) for _ in range(150)]
+    seen = Counter()
+    for text in texts:
+        program = parse_program(text)
+        facts = Program([r for r in program.rules if r.is_fact], program.pool)
+        for domain in DOMAINS:
+            skipped = assemble(facts, domain).skipped
+            report = verify(facts, LevelMapping({}), domain)
+            assert [(c.rule_id, c.status) for c in report.checks] == [
+                (rule_id, expected[reason]) for rule_id, reason in skipped
+            ], (text, domain)
+            seen.update(c.status for c in report.checks)
+    assert seen[VACUOUS_FACT] >= 50 and seen[VACUOUS_UNSAT] >= 50, seen
 
 
 def test_verify_rejects_a_mapping_of_the_wrong_arity():
@@ -340,7 +376,7 @@ def test_verifier_lps_hold_inequalities_of_their_rule_only(monkeypatch):
     for domain in (Q, QPLUS, N):
         for rule in program.rules:
             systems.clear()
-            verify(Program([rule], program.pool, check_constraint_vars=False), lm, domain)
+            verify(Program([rule], program.pool), lm, domain)
             assert len(systems) == len(rule.body)
             for sys in systems:
                 assert set(sys.variables) <= set(rule.variables)
