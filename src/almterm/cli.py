@@ -148,7 +148,7 @@ def _analyze(program: Program, opts: Options, report: dict) -> tuple[dict, int]:
     """Fill in ``report`` for a parsed program: verdict, witness, projection,
     verifier checks and samples, as ``opts`` asks."""
     try:
-        verdict = decide(program, opts.domain, want_projection=opts.project)
+        verdict = decide(program, opts.domain)
     except AlmtermError as exc:
         report["error"] = str(exc)
         return report, EXIT_INPUT_ERROR

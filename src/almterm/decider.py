@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .binarize import binarize
 from .lp import (
@@ -158,22 +159,30 @@ class AlmSystem:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of the decision procedure.
+    """Outcome of the decision procedure, as :func:`decide` builds it.
 
-    ``witness`` is present exactly on affirmative kinds.  Over the naturals
-    the procedure is sound but incomplete, so kinds become "sound-yes" /
-    "unknown" instead of yes/no.
+    ``witness`` is present exactly on affirmative kinds.  ``coefficients`` is
+    the deduplicated coefficient system the final solve decided, kept on
+    negative verdicts too.  Over the naturals the procedure is sound but
+    incomplete, so kinds become "sound-yes" / "unknown" instead of yes/no.
     """
 
     kind: str
-    witness: LevelMapping | None = None
-    projection: LinearSystem | None = None
-    alm: AlmSystem | None = None
-    binary: Program | None = None
+    witness: LevelMapping | None
+    coefficients: LinearSystem
+    alm: AlmSystem
+    binary: Program
 
     @property
     def affirmative(self) -> bool:
         return self.kind in (ALM_RECURRENT, SOUND_YES)
+
+    @cached_property
+    def projection(self) -> LinearSystem | None:
+        """The irredundant coefficient system of an affirmative verdict (None
+        otherwise).  The first read runs one entailment test per row of
+        ``coefficients``; later reads return the same system."""
+        return drop_redundant(self.coefficients) if self.affirmative else None
 
 
 def coeff_table(program: Program, pool: VariablePool) -> dict[str, tuple[int, ...]]:
@@ -293,16 +302,15 @@ def extract_witness(alm: AlmSystem, point: dict[int, Fraction]) -> LevelMapping:
     )
 
 
-def decide(
-    program: Program, domain: Domain, want_projection: bool = False
-) -> Verdict:
+def decide(program: Program, domain: Domain) -> Verdict:
     """Full decision pipeline: binarize, project each rule's dual cone,
     instantiate it for both implications, solve the conjunction, and extract
     a witness mapping.
 
     Over q/q+/r/r+ the answer is exact in both directions.  Over n a
     satisfiable system still proves termination (sound-yes) but an
-    unsatisfiable one proves nothing (unknown).
+    unsatisfiable one proves nothing (unknown).  The verdict keeps the
+    coefficient system; its ``projection`` is computed on first read.
     """
     binary = binarize(program)
     alm = assemble(binary, domain)
@@ -311,11 +319,7 @@ def decide(
 
     if point is None:
         kind = UNKNOWN if domain.sound_only else NOT_ALM_RECURRENT
-        return Verdict(kind, alm=alm, binary=binary)
+        return Verdict(kind, None, coeff_system, alm, binary)
 
-    witness = extract_witness(alm, point)
-    projection = None
-    if want_projection:
-        projection = drop_redundant(coeff_system)
     kind = SOUND_YES if domain.sound_only else ALM_RECURRENT
-    return Verdict(kind, witness, projection, alm=alm, binary=binary)
+    return Verdict(kind, extract_witness(alm, point), coeff_system, alm, binary)

@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 from .lp import (
     OPTIMAL,
     Row,
-    feasible,
     feasible_point,
     fm_project,
     integer_system,
@@ -273,10 +272,11 @@ def sample_starts(
     """Ground start atoms: vertices of each rule's head-projected constraint
     polyhedron, plus random in-domain perturbations of them.
 
-    Each rule is decided once: a head with arguments by :func:`feasible_point`
-    on the projection (Fourier-Motzkin keeps satisfiability exactly), a head
-    without by :func:`feasible`.  An unsatisfiable rule draws nothing from
-    ``rng``."""
+    Each rule is decided once, by :func:`feasible_point` on its projection
+    onto the head's arguments (Fourier-Motzkin keeps satisfiability exactly);
+    an arity-0 head's projection has no variables, so it is either empty or
+    ``0 >= 1``.  An unsatisfiable rule, and a head without arguments, draws
+    nothing from ``rng``."""
     starts: list[tuple[str, tuple[Fraction, ...]]] = []
     seen: set[tuple[str, tuple[Fraction, ...]]] = set()
 
@@ -290,10 +290,6 @@ def sample_starts(
     for rule in program.rules:
         head = rule.head
         system = integer_system(rule.domain_rows(domain), order_hint=head.args)
-        if head.arity == 0:
-            if feasible(system):
-                add(head.pred, ())
-            continue
         projected = fm_project(system, head.args)
         base = feasible_point(projected)
         if base is None:

@@ -17,7 +17,10 @@ identity (a pivot brings a row and the pivot row to a common denominator
 before subtracting, then divides out the row's gcd), so the kernel holds
 exactly the rationals a Fraction tableau would hold, and Bland's choices,
 taken by integer sign tests and cross-multiplied ratio comparisons, are the
-same: every pivot, point, ray, value and dual is the dense tableau's.
+same: every pivot, point, ray, value and dual is the dense tableau's.  A
+builder that puts a fractional bound into a column multiplies that column by
+the bound's denominator: scaling a column by ``k > 0`` changes no sign test
+and no ratio comparison of Bland's rule, so no pivot and no phase-one dual.
 
 Phase one reads no costs, so :func:`minimize` runs it once per system and
 gives every objective its own phase two on a copy of the feasible basis
@@ -143,7 +146,7 @@ def integer_system(rows: Iterable[ConstraintRow], order_hint: Sequence[int] = ()
 # ---------------------------------------------------------------------------
 
 # a column of M: its nonzero entries as (row, value) pairs
-Column = list[tuple[int, "int | Fraction"]]
+Column = list[tuple[int, int]]
 
 
 def _to_row(values) -> list[int]:
@@ -256,38 +259,29 @@ def _bland(cols, inv, basis, obj, costs, eligible: int):
 
 def _phase_one(cols: list[Column], d):
     """Phase one of the simplex for ``M w = d, w >= 0``, with ``cols`` the
-    columns of ``M`` (ints or Fractions) and ``d`` the rhs; it does not depend
-    on any costs.
+    integer columns of ``M`` and ``d`` the rhs (ints or Fractions); it does
+    not depend on any costs.
 
-    Returns ``((cols, inv, basis), None)``: ``M``'s columns with each row
-    scaled to integers, and ``B^-1`` and the basis of a feasible vertex, ready
-    for :func:`_phase_two`; or ``(None, duals)`` with the phase-one equality
-    multipliers when the system is infeasible.
+    Returns ``((inv, basis), None)``: ``B^-1`` and the basis of a feasible
+    vertex, ready for :func:`_phase_two`; or ``(None, duals)`` with the
+    phase-one equality multipliers when the system is infeasible.
 
-    ``B`` is a basis of the scaled columns and the artificial ones, and row
-    ``i`` of ``inv`` is ``[numerators of row i of B^-1..., numerator of the
-    rhs, denominator]`` (see :func:`_to_row`).  An artificial left basic at
-    zero in a redundant row stays there: its row of ``B^-1 M`` is zero, so no
+    ``B`` is a basis of the columns and the artificial ones, and row ``i`` of
+    ``inv`` is ``[numerators of row i of B^-1..., numerator of the rhs,
+    denominator]`` (see :func:`_to_row`).  An artificial left basic at zero
+    in a redundant row stays there: its row of ``B^-1 M`` is zero, so no
     later pivot reads or changes it.
     """
     m = len(d)
     ncols = len(cols)
-    scale = [1] * m
-    for col in cols:
-        for k, v in col:
-            if v.denominator != 1:
-                scale[k] = lcm(scale[k], v.denominator)
-    cols = [[(k, v.numerator * (scale[k] // v.denominator)) for k, v in col] for col in cols]
-
-    # the artificial of row i is the column sign(d_i) * scale_i * e_i, so
-    # that every artificial starts basic at |d_i|
+    # the artificial of row i is the column sign(d_i) * e_i, so that every
+    # artificial starts basic at |d_i|
     inv: list[list[int]] = []
     for i, b in enumerate(d):
-        den = lcm(scale[i], b.denominator)
         row = [0] * (m + 2)
-        row[i] = den // scale[i] if b >= 0 else -den // scale[i]
-        row[m] = abs(b.numerator) * (den // b.denominator)
-        row[m + 1] = den
+        row[i] = b.denominator if b >= 0 else -b.denominator
+        row[m] = abs(b.numerator)
+        row[m + 1] = b.denominator
         inv.append(row)
     basis = list(range(ncols, ncols + m))
 
@@ -296,8 +290,7 @@ def _phase_one(cols: list[Column], d):
     status, _, _ = _bland(cols, inv, basis, obj, costs, ncols)
     assert status == OPTIMAL, "phase one is bounded below by zero"
     if any(row[-2] for row, b in zip(inv, basis) if b >= ncols):
-        # the multipliers of the scaled rows, scaled alike, are M's
-        return None, [Fraction(-obj[i] * scale[i], obj[-1]) for i in range(m)]
+        return None, [Fraction(-obj[i], obj[-1]) for i in range(m)]
 
     # drive leftover artificials out of the basis where their row of B^-1 M
     # has a nonzero entry
@@ -307,15 +300,15 @@ def _phase_one(cols: list[Column], d):
             j = next((j for j in range(ncols) if sum(row[k] * v for k, v in cols[j])), -1)
             if j >= 0:
                 _pivot(inv, basis, i, j, _column(inv, cols[j]))
-    return (cols, inv, basis), None
+    return (inv, basis), None
 
 
 def _phase_two(cols, inv, basis, costs, width):
-    """Phase two from a :func:`_phase_one` state, whose ``inv`` and ``basis``
-    it pivots in place: min costs.w.  Returns (status, point, value, ray),
-    with the point and the ray over the first ``width`` columns only;
-    ``value`` is read off the reduced-cost row and is None unless OPTIMAL,
-    ``ray`` is None unless UNBOUNDED."""
+    """Phase two over the columns ``cols`` from a :func:`_phase_one` state,
+    whose ``inv`` and ``basis`` it pivots in place: min costs.w.  Returns
+    (status, point, value, ray), with the point and the ray over the first
+    ``width`` columns only; ``value`` is read off the reduced-cost row and is
+    None unless OPTIMAL, ``ray`` is None unless UNBOUNDED."""
     ints = _to_row(costs)
     scale = ints.pop()
     # artificials left basic at zero cost nothing
@@ -342,14 +335,16 @@ def _alternative(sys: LinearSystem, order: Iterable[int], extra: int) -> list[Co
     """The row-multiplier side of ``sys`` as ``_phase_one`` columns: a column
     per row of ``sys``, holding its coefficients in a row per variable of
     ``order`` (a superset of ``sys.variables``) and its bound in the row
-    after them, then ``extra`` empty columns."""
+    after them, all times the bound's denominator, then ``extra`` empty
+    columns."""
     index = {v: k for k, v in enumerate(order)}
     last = len(index)
     cols: list[Column] = []
     for coeffs, bound in sys.rows:
-        col = [(index[v], c) for v, c in coeffs.items()]
+        den = bound.denominator
+        col = [(index[v], c * den) for v, c in coeffs.items()]
         if bound:
-            col.append((last, bound))
+            col.append((last, bound.numerator))
         cols.append(col)
     return cols + [[] for _ in range(extra)]
 
@@ -390,7 +385,7 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
     state, _ = _phase_one(cols, [bound for _, bound in sys.rows])
     if state is None:
         return (LpOutcome(INFEASIBLE),) * len(objectives)
-    cols, inv, basis = state
+    inv, basis = state
 
     def recombine(vec) -> dict[int, Fraction]:
         return {v: vec[i] - vec[n + i] if vec[n + i] else vec[i] for v, i in index.items()}
@@ -467,10 +462,12 @@ def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int 
     index = {v: k for k, v in enumerate(dict.fromkeys([*sys.variables, *coeffs]))}
     last = len(index)
     cols = _alternative(sys, index, 2)
-    cols[m] += [(index[v], -c) for v, c in coeffs.items() if c]
-    if bound:
-        cols[m].append((last, -bound))
-    cols[m].append((last + 1, 1))
+    # lam's column times the lcm of the tested row's denominators
+    *nums, b, den = _to_row([*coeffs.values(), bound])
+    cols[m] += [(index[v], -a) for v, a in zip(coeffs, nums) if a]
+    if b:
+        cols[m].append((last, -b))
+    cols[m].append((last + 1, den))
     cols[m + 1] += [(last, -1), (last + 1, 1)]
     state, _ = _phase_one(cols, [0] * (last + 1) + [1])
     return state is not None

@@ -23,9 +23,15 @@ root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
 - each ``derive`` request's verdict and ``BoundRun``s;
 - a library section, for paths no benchmark request reaches: the ``repr`` of
   :func:`almterm.lp.minimize` on seeded random systems whose objectives name
-  variables outside the system, and of :func:`almterm.verify` for two random
-  mappings per seeded ``tests/helpers.random_flat_program_text`` program,
-  over ``q``, ``q+`` and ``n``.
+  variables outside the system; of :func:`almterm.lp.feasible_point` on
+  seeded random systems with fractional bounds, and of
+  :func:`almterm.lp.entails` on them with a tested row whose coefficients
+  and bound are fractional; of :func:`almterm.verify` for two random mappings
+  per seeded ``tests/helpers.random_flat_program_text`` program, over ``q``,
+  ``q+`` and ``n``; and of :func:`almterm.derivation.sample_starts` over
+  ``q``, ``q+`` and ``n`` on the binarized form of seeded
+  ``random_flat_program_text`` programs that have a rule with an arity-0
+  head (satisfiable or not).
 
 Each CLI request is printed as its arguments, its output and its exit code.
 The file name keeps pytest from collecting it.
@@ -39,14 +45,29 @@ from fractions import Fraction
 from pathlib import Path
 
 import almterm
-from almterm import Domain, LevelMapping, LinearSystem, cli, minimize, parse_program, pretty_print, verify
+from almterm import (
+    Domain,
+    LevelMapping,
+    LinearSystem,
+    binarize,
+    cli,
+    entails,
+    feasible_point,
+    minimize,
+    parse_program,
+    pretty_print,
+    verify,
+)
+from almterm.derivation import sample_starts
 from helpers import random_flat_program_text
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench-work" / "same-output"
 DOMAINS = ("q", "q+", "n")
 MINIMIZE_CALLS = 300
+ENTAILS_CALLS = 300
 VERIFY_PROGRAMS = 100
+SAMPLED_PROGRAMS = 100
 
 
 def main(seed: int) -> None:
@@ -102,6 +123,18 @@ def library(seed: int) -> None:
         objectives[0][n + rng.randrange(3)] = rng.choice((-2, -1, 1, 2))
         print(f"minimize {system!r} {objectives!r}")
         print(f"  {minimize(system, *objectives)!r}")
+    for _ in range(ENTAILS_CALLS):
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = {v: c for v in range(n) if (c := rng.randint(-3, 3))}
+            rows.append((coeffs, Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+        system = LinearSystem(tuple(range(n)), tuple(rows))
+        # id n lies outside the system
+        coeffs = {v: c for v in range(n + 1) if (c := Fraction(rng.randint(-6, 6), rng.randint(1, 4)))}
+        bound = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        print(f"entails {system!r} {coeffs!r} {bound!r}")
+        print(f"  {feasible_point(system)!r} {entails(system, coeffs, bound)!r}")
     for _ in range(VERIFY_PROGRAMS):
         text = random_flat_program_text(rng)
         program = parse_program(text)
@@ -115,6 +148,17 @@ def library(seed: int) -> None:
             )
             for tag in DOMAINS:
                 print(f"  {tag} {verify(program, lm, Domain(tag))!r}")
+    sampled = 0
+    while sampled < SAMPLED_PROGRAMS:
+        text = random_flat_program_text(rng)
+        program = binarize(parse_program(text))
+        if all(rule.head.arity for rule in program.rules):
+            continue
+        sampled += 1
+        print(f"sample_starts {text!r}")
+        for tag in DOMAINS:
+            starts = sample_starts(program, Domain(tag), random.Random(rng.getrandbits(32)))
+            print(f"  {tag} {starts!r}")
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ def criterion(number: int, limit_seconds: float, label: str):
 def test_criterion_01_golden_certificate():
     with criterion(1, 1.0, "golden program certified; projection matches the known rows"):
         program = parse_program(load("example72.clp"))
-        verdict = decide(program, Q, want_projection=True)
+        verdict = decide(program, Q)
         assert verdict.kind == ALM_RECURRENT
         mu0, mu1 = verdict.alm.coeff_ids["p"]
         expected = normalize(

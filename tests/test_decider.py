@@ -25,7 +25,7 @@ from almterm import (
     parse_program,
     verify,
 )
-from almterm import lp
+from almterm import decider, lp
 from helpers import load, random_binary_program_text
 from linear import LinearExpr, equal, geq, normalize, var
 from multiplier_systems import all_constraints, build_rule_primal, build_rule_systems, systems
@@ -190,7 +190,7 @@ def test_assemble_tests_each_rule_satisfiability_once(monkeypatch):
 
 def test_decide_golden_program():
     program, _, _ = golden_context()
-    verdict = decide(program, Q, want_projection=True)
+    verdict = decide(program, Q)
     assert verdict.kind == ALM_RECURRENT
     mu0, mu1 = verdict.alm.coeff_ids["p"]
     witness_vec = verdict.witness.coeffs["p"]
@@ -218,8 +218,31 @@ def test_full_system_projection_matches_decide_projection():
     assert monolithic.num_rows == 2
     assert equivalent_systems(monolithic, expected)
     assert equivalent_systems(
-        monolithic, decide(program, Q, want_projection=True).projection
+        monolithic, decide(program, Q).projection
     )
+
+
+def test_projection_is_computed_on_first_read_only(monkeypatch):
+    """``decide`` keeps the coefficient system and runs no redundancy
+    elimination; the first read of ``projection`` runs it once, later reads
+    reuse it, and a negative verdict has none."""
+    calls = []
+    real = decider.drop_redundant
+
+    def counted(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(decider, "drop_redundant", counted)
+    program, _, _ = golden_context()
+    verdict = decide(program, Q)
+    assert calls == []
+    first, second = verdict.projection, verdict.projection
+    assert first is second and calls == [verdict.coefficients]
+    assert first == real(verdict.coefficients)
+    negative = decide(parse_program(load("diverge.clp")), Q)
+    assert negative.kind == NOT_ALM_RECURRENT and negative.coefficients.num_rows > 0
+    assert negative.projection is None and len(calls) == 1
 
 
 def test_empty_and_bare_fact_programs():
@@ -274,7 +297,7 @@ def test_extract_witness_examples():
 
 def test_witness_satisfies_projection_and_projection_points_extend():
     program, _, _ = golden_context()
-    verdict = decide(program, Q, want_projection=True)
+    verdict = decide(program, Q)
     point = {
         v: c
         for v, c in zip(

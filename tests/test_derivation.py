@@ -340,18 +340,25 @@ def test_sample_starts_makes_one_minimize_call_per_rule(monkeypatch):
 
 
 def test_sample_starts_decides_each_rule_with_one_feasibility_lp(monkeypatch):
-    """A rule whose head has arguments is decided by the point of its head
-    projection alone, an arity-0 head by one ``feasible`` test; the starts
-    stay what a feasibility test before the projection gave."""
+    """Every rule, an arity-0 head's included, is projected onto its head's
+    arguments once and decided by the point of that projection alone; the
+    starts stay what a feasibility test before the projection gave."""
     calls = []
+    projections = []
     feasible_point = almterm.lp.feasible_point
+    fm_project = almterm.derivation.fm_project
 
     def counted(sys):
         calls.append(sys)
         return feasible_point(sys)
 
+    def counted_projection(sys, keep):
+        projections.append(keep)
+        return fm_project(sys, keep)
+
     monkeypatch.setattr(almterm.lp, "feasible_point", counted)
     monkeypatch.setattr(almterm.derivation, "feasible_point", counted)
+    monkeypatch.setattr(almterm.derivation, "fm_project", counted_projection)
     program = parse_program(
         load("example72.clp")
         + "q :- x >= 1, 2 >= x, p(x).\n"
@@ -359,6 +366,7 @@ def test_sample_starts_decides_each_rule_with_one_feasibility_lp(monkeypatch):
     )
     starts = sample_starts(program, Q, random.Random(3))
     assert len(calls) == len(program.rules) == 5
+    assert projections == [rule.head.args for rule in program.rules]
     F = Fraction
     p_args = [2, 3, F(13, 3), 0, -2, -1, F(5, 2), 72, 68, F(212, 3), F(220, 3)]
     assert starts == [("p", (F(a),)) for a in p_args] + [("q", ())]

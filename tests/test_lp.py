@@ -446,6 +446,28 @@ def test_feasibility_and_entailment_run_phase_one_only(monkeypatch):
     assert entails(canonical, {X: 1, Y: -1}, 3)
 
 
+def test_the_kernel_reads_integer_columns_only(monkeypatch):
+    """``_alternative`` scales each row's column by its bound's denominator,
+    and ``entails`` scales the tested row's column by the lcm of its
+    denominators, so no Fraction reaches ``_phase_one``'s columns."""
+    sys = LinearSystem((X, Y), (({X: 2, Y: -1}, Fraction(1, 2)), ({Y: 3}, Fraction(-7, 3)), ({X: 1}, 4)))
+    cols = lp._alternative(sys, (X, Y), 1)
+    assert cols == [[(0, 4), (1, -2), (2, 1)], [(1, 9), (2, -7)], [(0, 1), (2, 4)], []]
+    seen = []
+    phase_one = lp._phase_one
+
+    def recording(cols, d):
+        seen.append(cols)
+        return phase_one(cols, d)
+
+    monkeypatch.setattr(lp, "_phase_one", recording)
+    coeffs, bound = {X: Fraction(1, 2), Y: Fraction(2, 3)}, Fraction(5, 4)
+    assert entails(sys, coeffs, bound) == entailment_oracle.entails(sys, coeffs, bound)
+    assert seen[0][3] == [(0, -6), (1, -8), (2, -15), (3, 12)]
+    assert feasible_point(sys) is not None
+    assert all(type(v) is int for cols in seen for col in cols for _, v in col)
+
+
 # --- the system's surface ----------------------------------------------------
 
 

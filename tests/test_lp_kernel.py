@@ -7,12 +7,20 @@ ray.  The kernel carries only the basis inverse and prices columns on demand,
 the reference carries every column through every pivot; both take Bland's
 choices on the same rational values, so they must also make the same pivots,
 one by one, which :func:`assert_matches_reference` checks too.
+
+The kernel reads integer columns, so each matrix here has its columns scaled
+to integers (:func:`integer_columns`) before either side sees it.  Scaling a
+column by ``k > 0`` changes no pivot and no phase-one dual, which is what
+lets ``lp``'s builders scale a column that holds a fractional bound;
+:func:`test_scaling_columns_changes_no_pivot_and_no_dual` checks that against
+the reference on the unscaled matrix.
 """
 
 import inspect
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -62,12 +70,19 @@ def solve_standard(mat, d, costs):
     UNBOUNDED.
     """
     ncols = len(costs)
-    cols = [[(i, row[j]) for i, row in enumerate(mat) if row[j]] for j in range(ncols)]
+    cols = [[(i, int(row[j])) for i, row in enumerate(mat) if row[j]] for j in range(ncols)]
     state, duals = _phase_one(cols, d)
     if state is None:
         return INFEASIBLE, None, None, duals, None
-    status, point, value, ray = _phase_two(*state, costs, ncols)
+    status, point, value, ray = _phase_two(cols, *state, costs, ncols)
     return status, point, value, None, ray
+
+
+def integer_columns(mat, ncols):
+    """``mat`` (``ncols`` columns) with each column times the lcm of its
+    entries' denominators, and those multipliers."""
+    scales = [lcm(*[row[j].denominator for row in mat]) for j in range(ncols)]
+    return [[a * k for a, k in zip(row, scales)] for row in mat], scales
 
 
 @contextmanager
@@ -91,7 +106,9 @@ def recorded_pivots(module):
 
 
 def assert_matches_reference(mat, d, costs):
-    """Same result and the same pivots, one by one, as the reference."""
+    """Same result and the same pivots, one by one, as the reference, both on
+    ``mat`` with its columns scaled to integers."""
+    mat, _ = integer_columns(mat, len(costs))
     with recorded_pivots(lp) as got_pivots, recorded_pivots(fraction_simplex) as want_pivots:
         got = solve_standard(mat, d, costs)
         want = reference_solve(mat, d, costs)
@@ -104,6 +121,22 @@ def assert_matches_reference(mat, d, costs):
 @given(standard_lps())
 def test_kernel_matches_fraction_reference(lp):
     assert_matches_reference(*lp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(standard_lps())
+def test_scaling_columns_changes_no_pivot_and_no_dual(lp_):
+    """The kernel on integer columns and costs, each scaled by ``k_j > 0``,
+    pivots as the reference does on the unscaled ones, with the same status,
+    value and phase-one duals, and the point scaled by ``1 / k_j``."""
+    mat, d, costs = lp_
+    scaled, scales = integer_columns(mat, len(costs))
+    with recorded_pivots(lp) as got_pivots, recorded_pivots(fraction_simplex) as want_pivots:
+        status, point, value, duals, _ = solve_standard(scaled, d, [c * k for c, k in zip(costs, scales)])
+        want_status, want_point, want_value, want_duals, _ = reference_solve(mat, d, costs)
+    assert (status, value, duals) == (want_status, want_value, want_duals)
+    assert point is None or [a * k for a, k in zip(point, scales)] == want_point
+    assert got_pivots == want_pivots
 
 
 CASES = {

@@ -202,7 +202,7 @@ def test_render_row_matches_the_linear_constraint_reference():
         program = parse_program(text)
         cases = [(row, program.pool) for rule in program.rules for row in rule.rows]
         for domain in (Q, QPLUS, N):
-            verdict = decide(program, domain, want_projection=True)
+            verdict = decide(program, domain)
             if verdict.projection is not None:
                 cases += [((c, b, GEQ), verdict.alm.pool) for c, b in verdict.projection.rows]
         for row, pool in cases:
