@@ -32,4 +32,4 @@ def binarize(program: Program) -> Program:
                     origin=(rule.rule_id, k),
                 )
             )
-    return Program(rules, program.pool, arities=program.arities)
+    return Program(rules, program.pool)

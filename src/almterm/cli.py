@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -28,18 +27,6 @@ SCHEMA_VERSION = 1
 EXIT_CERTIFIED = 0
 EXIT_NOT_CERTIFIED = 1
 EXIT_INPUT_ERROR = 2
-
-
-@dataclass
-class Options:
-    domain: Domain
-    witness: bool
-    project: bool
-    verify: bool
-    sample: int | None
-    seed: int
-    max_steps: int | None
-    as_json: bool
 
 
 @contextmanager
@@ -112,7 +99,7 @@ def _rules_json(binary: Program, skipped: dict[str, str], report: VerifyReport |
     return rows
 
 
-def analyze_file(path: str, opts: Options) -> tuple[dict, int]:
+def analyze_file(path: str, opts: argparse.Namespace) -> tuple[dict, int]:
     """Produce the report dictionary and exit code for one input file.
 
     The program text is parsed under the interpreter's digit limit; every
@@ -144,7 +131,7 @@ def analyze_file(path: str, opts: Options) -> tuple[dict, int]:
         return _analyze(program, opts, report)
 
 
-def _analyze(program: Program, opts: Options, report: dict) -> tuple[dict, int]:
+def _analyze(program: Program, opts: argparse.Namespace, report: dict) -> tuple[dict, int]:
     """Fill in ``report`` for a parsed program: verdict, witness, projection,
     verifier checks and samples, as ``opts`` asks."""
     try:
@@ -270,7 +257,22 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-_CONFIG_KEYS = ("domain", "witness", "project", "verify", "sample", "seed", "max-steps", "json")
+def _yes(value: str) -> bool:
+    return value.lower() in ("1", "true", "yes", "on")
+
+
+# config key -> (argparse dest, default, reader of a config value), in the
+# order options resolve: a flag wins, then the config file, then the default
+_OPTIONS = {
+    "domain": ("domain", "q", str),
+    "witness": ("witness", False, _yes),
+    "project": ("project", False, _yes),
+    "verify": ("verify", True, _yes),
+    "sample": ("sample", None, int),
+    "seed": ("seed", 0, int),
+    "max-steps": ("max_steps", None, int),
+    "json": ("as_json", False, _yes),
+}
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -283,13 +285,10 @@ def _read_config(path: str) -> dict[str, str]:
             raise AlmtermError(f"bad config line (expected key = value): {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise AlmtermError(f"unknown config key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+        if key not in _OPTIONS:
+            raise AlmtermError(f"unknown config key {key!r} (known: {', '.join(_OPTIONS)})")
         values[key] = value.strip()
     return values
-
-
-_TRUE = ("1", "true", "yes", "on")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,48 +331,32 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)
 
 
-def _resolve_options(args: argparse.Namespace) -> Options:
-    config: dict[str, str] = {}
-    if args.config:
-        config = _read_config(args.config)
-
-    def flag(name: str, parsed, default, conv):
-        if parsed is not None:
-            return parsed
-        if name in config:
-            return conv(config[name])
-        return default
-
-    def count(name: str, parsed) -> int | None:
-        value = flag(name, parsed, None, int)
-        if value is not None and value < 0:
-            raise AlmtermError(f"{name} must be a nonnegative count, got {value}")
-        return value
-
-    return Options(
-        domain=Domain.parse(flag("domain", args.domain, "q", str)),
-        witness=flag("witness", args.witness, False, lambda s: s.lower() in _TRUE),
-        project=flag("project", args.project, False, lambda s: s.lower() in _TRUE),
-        verify=flag("verify", args.verify, True, lambda s: s.lower() in _TRUE),
-        sample=count("sample", args.sample),
-        seed=flag("seed", args.seed, 0, int),
-        max_steps=count("max-steps", args.max_steps),
-        as_json=flag("json", args.as_json, False, lambda s: s.lower() in _TRUE),
-    )
+def _resolve_options(args: argparse.Namespace) -> None:
+    """Fill every option of ``args`` that no flag set, in table order."""
+    config = _read_config(args.config) if args.config else {}
+    for key, (dest, default, read) in _OPTIONS.items():
+        value = getattr(args, dest)
+        if value is None:
+            value = read(config[key]) if key in config else default
+        if dest == "domain":
+            value = Domain.parse(value)
+        elif dest in ("sample", "max_steps") and value is not None and value < 0:
+            raise AlmtermError(f"{key} must be a nonnegative count, got {value}")
+        setattr(args, dest, value)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        opts = _resolve_options(args)
+        _resolve_options(args)
     except (AlmtermError, OSError, ValueError) as exc:
         print(f"almterm: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     worst = EXIT_CERTIFIED
     for path in args.files:
-        report, code = analyze_file(path, opts)
-        if opts.as_json:
+        report, code = analyze_file(path, args)
+        if args.as_json:
             print(json.dumps(report))
         else:
             print(_render_text(report))

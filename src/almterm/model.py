@@ -229,15 +229,10 @@ class Program:
     """An immutable flat program with its predicate arity table; each rule
     must pass :meth:`Rule.check_flatness`."""
 
-    def __init__(
-        self,
-        rules: Iterable[Rule],
-        pool: VariablePool,
-        arities: Mapping[str, int] | None = None,
-    ):
+    def __init__(self, rules: Iterable[Rule], pool: VariablePool):
         self._rules = tuple(rules)
         self._pool = pool
-        table: dict[str, int] = dict(arities) if arities else {}
+        table: dict[str, int] = {}
         by_pred: dict[str, list[Rule]] = {}
         for rule in self._rules:
             rule.check_flatness()

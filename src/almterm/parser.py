@@ -34,6 +34,13 @@ one that sums to 0; ``*`` and ``/`` by a constant scale the numerators and
 ``den``.  Each finished constraint is written straight as its primitive
 integer row :data:`ConstraintRow`, and a :class:`Rule` holds those rows in
 source order.  Later layers read the rows and never convert again.
+
+Variables are interned as ids of a :class:`VariablePool`.
+:func:`parse_program` gives each program a fresh pool.  :func:`parse_query`
+takes the pool that the query's derivation draws its fresh ids from
+(``program.pool.clone()``): a query parsed into a pool of its own would
+number its variables from 0, and the first rewrite would hand the same ids
+to the rule's renamed variables.
 """
 
 from __future__ import annotations
@@ -379,22 +386,23 @@ class _Parser:
                 )
 
 
-def parse_program(text: str, file: str = "<string>", pool: VariablePool | None = None) -> Program:
+def parse_program(text: str, file: str = "<string>") -> Program:
     """Parse a flat program, enforcing all flatness rules at parse time."""
-    return _Parser(text, file, pool or VariablePool()).program()
+    return _Parser(text, file, VariablePool()).program()
 
 
 def parse_query(
-    text: str, file: str = "<string>", pool: VariablePool | None = None
+    text: str, pool: VariablePool, file: str = "<string>"
 ) -> tuple[list[ConstraintRow], list[Atom]]:
     """Parse ``?- items.`` into (constraint rows, atoms) under the same
-    checks."""
-    return _Parser(text, file, pool or VariablePool()).query()
+    checks, with ids drawn from ``pool``: the pool its derivation will draw
+    from, such as ``program.pool.clone()``."""
+    return _Parser(text, file, pool).query()
 
 
-def parse_rule(text: str, rule_id: str = "r1", pool: VariablePool | None = None) -> Rule:
+def parse_rule(text: str, rule_id: str = "r1") -> Rule:
     """Convenience for tests and tools: parse a single clause."""
-    program = parse_program(text, pool=pool)
+    program = parse_program(text)
     if len(program.rules) != 1:
         raise AlmtermError("expected exactly one clause")
     rule = program.rules[0]

@@ -31,7 +31,16 @@ root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
   ``q+`` and ``n``; and of :func:`almterm.derivation.sample_starts` over
   ``q``, ``q+`` and ``n`` on the binarized form of seeded
   ``random_flat_program_text`` programs that have a rule with an arity-0
-  head (satisfiable or not).
+  head (satisfiable or not);
+- an options section, for option resolution, which every benchmark request
+  passes as flags only: ``cli.main`` on the bundled programs with seeded
+  flag combinations and config files (each option absent, a flag, a config
+  value or both; comments, blank lines, a byte-order mark and now and then
+  a bad value among them),
+  then one config file for each input error: a missing file, an unknown
+  key, a line without ``=``, a bad domain, an unreadable int and negative
+  counts.  Each call is printed as its arguments, its config file's text,
+  its stdout, its stderr and its exit code.
 
 Each CLI request is printed as its arguments, its output and its exit code.
 The file name keeps pytest from collecting it.
@@ -39,6 +48,8 @@ The file name keeps pytest from collecting it.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 import sys
 from fractions import Fraction
@@ -68,6 +79,16 @@ MINIMIZE_CALLS = 300
 ENTAILS_CALLS = 300
 VERIFY_PROGRAMS = 100
 SAMPLED_PROGRAMS = 100
+OPTION_CALLS = 120
+BAD_CONFIGS = (
+    "witnes = true\n",
+    "domain q+\n",
+    "domain = z\nsample = -1\n",
+    "seed = x\n",
+    "sample = 1\nmax-steps = y\n",
+    "sample = -1\n",
+    "sample = 2\nmax-steps = -5\n",
+)
 
 
 def main(seed: int) -> None:
@@ -103,6 +124,7 @@ def main(seed: int) -> None:
             print(f"{text}exit {code}")
 
     library(seed)
+    options(seed)
 
 
 def library(seed: int) -> None:
@@ -159,6 +181,60 @@ def library(seed: int) -> None:
         for tag in DOMAINS:
             starts = sample_starts(program, Domain(tag), random.Random(rng.getrandbits(32)))
             print(f"  {tag} {starts!r}")
+
+
+def options(seed: int) -> None:
+    rng = random.Random(seed)
+    programs = sorted(str(p) for p in (ROOT / "programs").glob("*.clp"))
+    config = WORK / "options.cfg"
+    config.parent.mkdir(parents=True, exist_ok=True)
+    yes = ("1", "true", "Yes", "ON", "0", "no", "off", "")
+    for _ in range(OPTION_CALLS):
+        argv = ["check", *rng.sample(programs, rng.randint(1, 2))]
+        lines = []
+        for key, flag, values in (
+            ("domain", lambda v: ["--domain", v], ("q", "q+", "r", "r+", "n")),
+            ("witness", lambda v: ["--witness"], yes),
+            ("project", lambda v: ["--project"], yes),
+            ("verify", lambda v: [rng.choice(("--verify", "--no-verify"))], yes),
+            ("sample", lambda v: ["--sample", v], ("0", "1", "2")),
+            ("seed", lambda v: ["--seed", v], ("0", "3", "-7")),
+            ("max-steps", lambda v: ["--max-steps", v], ("0", "1", "5")),
+            ("json", lambda v: ["--json"], yes),
+        ):
+            where = rng.choice(("none", "flag", "config", "both"))
+            if where in ("flag", "both"):
+                argv += flag(rng.choice(values))
+            if where in ("config", "both"):
+                # now and then a value that only a flag keeps from being read
+                value = rng.choice(values) if rng.random() < 0.95 else rng.choice(("z", "-1"))
+                lines.append(f"{key}{rng.choice(('', ' '))}={rng.choice(('', '  '))}{value}")
+            if rng.random() < 0.1:
+                lines.append(rng.choice(("", "# comment", "% comment", "  ")))
+        rng.shuffle(lines)
+        text = "".join(f"{line}\n" for line in lines)
+        if rng.random() < 0.1:
+            text = "\ufeff" + text
+        run_options(argv, text if lines or rng.random() < 0.5 else None, config)
+    argv = ["check", programs[0], "--json"]
+    run_options([*argv, "--config", str(WORK / "missing.cfg")], None, config)
+    for text in BAD_CONFIGS:
+        run_options(argv, text, config)
+
+
+def run_options(argv: list[str], text: str | None, config: Path) -> None:
+    """Print ``cli.main(argv)`` with ``text`` as its config file (none if
+    ``text`` is None): arguments, config, stdout, stderr and exit code."""
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+        argv = [*argv, "--config", str(config)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    print(f"options {' '.join(argv)}")
+    print(f"  config {text!r}")
+    print(f"{out.getvalue()}stderr {err.getvalue()!r}")
+    print(f"exit {code}")
 
 
 if __name__ == "__main__":

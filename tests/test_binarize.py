@@ -46,6 +46,19 @@ def test_idempotent_and_binary():
     assert split >= 20
 
 
+def test_arity_table_kept_in_source_order():
+    """The table's order fixes the coefficient ids, and so the witnesses."""
+    rng = random.Random(59)
+    split = 0
+    for _ in range(200):
+        program = parse_program(random_flat_program_text(rng, max_body=4))
+        if program.is_binary():
+            continue
+        split += 1
+        assert list(binarize(program).arities.items()) == list(program.arities.items())
+    assert split >= 100
+
+
 def test_child_rules_keep_dropped_atom_variables_in_constraint():
     program = parse_program(load("multibody.clp"))
     out = binarize(program)

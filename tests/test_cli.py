@@ -316,6 +316,37 @@ def test_unknown_config_key_is_an_input_error(capsys, tmp_path):
     assert "unknown config key 'witnes'" in captured.err
 
 
+def test_flags_win_over_config_values(capsys, tmp_path):
+    """A config value under a flag is never read, so a bad one is no error."""
+    config = tmp_path / "almterm.conf"
+    config.write_text("seed = x\nverify = true\n")
+    code, (report,) = run_json(
+        capsys, "check", str(PROGRAMS / "example72.clp"),
+        "--config", str(config), "--seed", "3", "--no-verify",
+    )
+    assert code == EXIT_CERTIFIED
+    assert all("checks" not in entry for entry in report["rules"])
+
+
+def test_options_resolve_in_table_order(capsys, tmp_path):
+    config = tmp_path / "almterm.conf"
+    config.write_text("sample = -1\ndomain = z\n")
+    code = main(["check", str(PROGRAMS / "example72.clp"), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.err == (
+        "almterm: unknown domain 'z'; expected one of ('q', 'q+', 'r', 'r+', 'n')\n"
+    )
+    config.write_text("json = yes\nwitnes = true\n")
+    code = main(["check", str(PROGRAMS / "example72.clp"), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.err == (
+        "almterm: unknown config key 'witnes' "
+        "(known: domain, witness, project, verify, sample, seed, max-steps, json)\n"
+    )
+
+
 def test_negative_sample_or_step_cap_is_an_input_error(capsys, tmp_path):
     program = str(PROGRAMS / "example72.clp")
     for flags, key in (

@@ -15,6 +15,7 @@ from almterm import (
     Q,
     QPLUS,
     SelectionRule,
+    VariablePool,
     binarize,
     check_length_bound,
     decide,
@@ -169,10 +170,25 @@ def test_exhaustive_exploration_of_golden_program():
 
 
 def test_query_seeds_a_state():
-    constraints, atoms = parse_query("?- x = 72, p(x).")
+    constraints, atoms = parse_query("?- x = 72, p(x).", VariablePool())
     state = state_from_query(constraints, atoms)
     assert [a.pred for a in state.goal] == ["p"]
     assert not state.failed
+
+
+def test_query_ids_do_not_collide_with_fresh_rewrite_ids():
+    """A query parsed into the pool its derivation draws from keeps its ids
+    apart from the renamed rule variables.  From a pool of its own, ``d``
+    would share its id with the fresh ``x``, and the link row ``d - x = 0``
+    would collapse to ``-d = 0``, against ``d = 4``."""
+    program = parse_program("p(x) :- x >= 1, y = x - 1, p(y).\nq(x) :- x >= 0.")
+    pool = program.pool.clone()
+    rows, atoms = parse_query("?- a = 1, b = 2, c = 3, d = 4, q(a), q(b), q(c), p(d).", pool)
+    state = step(program, state_from_query(rows, atoms), SelectionRule(RIGHTMOST), choose_named("r1"), pool)
+    assert not state.failed
+    assert [a.pred for a in state.goal] == ["q", "q", "q", "p"]
+    (y,) = state.goal[-1].args
+    assert ({y: 1}, 3) in state.rows[0]
 
 
 def test_check_length_bound_golden():

@@ -47,7 +47,15 @@ from pathlib import Path
 
 import pytest
 
-from almterm import Domain, ParseError, check_length_bound, decide, parse_program, parse_query
+from almterm import (
+    Domain,
+    ParseError,
+    VariablePool,
+    check_length_bound,
+    decide,
+    parse_program,
+    parse_query,
+)
 from almterm.cli import main
 from helpers import (
     random_binary_program_text,
@@ -154,7 +162,7 @@ def _mutate(rng: random.Random, text: str) -> str:
 def _parse_line(name: str, text: str, query: bool) -> str:
     try:
         if query:
-            rows, atoms = parse_query(text, file=name)
+            rows, atoms = parse_query(text, VariablePool(), file=name)
             found = f"rows={rows!r} atoms={[(a.pred, a.args) for a in atoms]!r}"
         else:
             rules = parse_program(text, file=name).rules

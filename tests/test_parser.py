@@ -67,7 +67,7 @@ def test_shared_variable_between_atoms_rejected():
     with pytest.raises(FlatnessError):
         parse_program("p(x) :- q(x).")
     with pytest.raises(FlatnessError):
-        parse_query("?- p(x), q(x).")
+        parse_query("?- p(x), q(x).", VariablePool())
 
 
 def test_constraint_variable_outside_atoms_rejected():
@@ -76,10 +76,10 @@ def test_constraint_variable_outside_atoms_rejected():
 
 
 def test_queries():
-    rows, atoms = parse_query("?- x = 72, p(x).")
+    rows, atoms = parse_query("?- x = 72, p(x).", VariablePool())
     assert [a.pred for a in atoms] == ["p"]
     assert rows == [({atoms[0].args[0]: 1}, 72, EQ)]
-    rows, atoms = parse_query("?- x >= 0, p(x).")
+    rows, atoms = parse_query("?- x >= 0, p(x).", VariablePool())
     assert rows == [({atoms[0].args[0]: 1}, 0, GEQ)]
 
 
@@ -312,6 +312,10 @@ def _random_constraint_text(rng: random.Random) -> str:
     return text
 
 
+def _parse_query(text, file):
+    return parse_query(text, VariablePool(), file)
+
+
 def _outcome(parse, text):
     try:
         result = parse(text, file="corpus")
@@ -333,7 +337,7 @@ def test_parser_rows_and_errors_match_the_linear_expr_oracle():
     for i in range(2400):
         items = ", ".join(_random_constraint_text(rng) for _ in range(rng.randint(1, 2)))
         if i % 4 == 3:
-            text, parse, oracle = f"?- {items}, p(x, y, z).", parse_query, oracle_parse_query
+            text, parse, oracle = f"?- {items}, p(x, y, z).", _parse_query, oracle_parse_query
         else:
             text, parse, oracle = f"p(x, y, z) :- {items}.", parse_program, oracle_parse_program
         got = _outcome(parse, text)

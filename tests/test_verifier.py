@@ -100,7 +100,6 @@ def test_monotone_under_rule_removal():
             subset = Program(
                 [r for i, r in enumerate(program.rules) if i != drop],
                 program.pool,
-                arities=program.arities,
             )
             assert verify(subset, verdict.witness, Q).passed
 
