@@ -257,8 +257,25 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+# the config words for a boolean, matched in any case
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _yes(value: str) -> bool:
-    return value.lower() in ("1", "true", "yes", "on")
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean ({', '.join(_BOOLEANS)})") from None
+
+
+def _int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("not an integer") from None
 
 
 # config key -> (argparse dest, default, reader of a config value), in the
@@ -268,9 +285,9 @@ _OPTIONS = {
     "witness": ("witness", False, _yes),
     "project": ("project", False, _yes),
     "verify": ("verify", True, _yes),
-    "sample": ("sample", None, int),
-    "seed": ("seed", 0, int),
-    "max-steps": ("max_steps", None, int),
+    "sample": ("sample", None, _int),
+    "seed": ("seed", 0, _int),
+    "max-steps": ("max_steps", None, _int),
     "json": ("as_json", False, _yes),
 }
 
@@ -337,7 +354,12 @@ def _resolve_options(args: argparse.Namespace) -> None:
     for key, (dest, default, read) in _OPTIONS.items():
         value = getattr(args, dest)
         if value is None:
-            value = read(config[key]) if key in config else default
+            value = default
+            if key in config:
+                try:
+                    value = read(config[key])
+                except ValueError as exc:
+                    raise AlmtermError(f"{args.config}: {key} = {config[key]!r} is {exc}") from None
         if dest == "domain":
             value = Domain.parse(value)
         elif dest in ("sample", "max_steps") and value is not None and value < 0:

@@ -1,16 +1,20 @@
 """Small-step execution of programs on ground start atoms.
 
 States are ``<goal atoms || constraint store>``.  A rewrite picks one goal
-atom, renames a rule of its predicate apart, equates the atom's arguments
-with the renamed head, and conjoins the rule constraint.  The grown store is
-existentially projected onto the variables the new goal mentions, and those
-are then eliminated as well: full Fourier-Motzkin elimination is a decision
-procedure over the rationals, so one projection both decides the rewrite and
-yields the next store.  If either step finds a contradiction the state
-collapses to the failure state ``<[] || false>`` (represented by a ``None``
-store); otherwise the atom is replaced by the rule body and the projection
-is the new store.  Only the start atom is ground; later bindings stay
-symbolic in the store.
+atom, renames a rule of its predicate apart, binds the renamed head to the
+atom (each head argument becomes the atom's argument: head arguments are
+distinct and goal atoms pairwise disjoint, so this is the polyhedron that
+equating them would give) and conjoins the rule constraint.  The grown store
+is existentially projected onto the variables the new goal mentions, and the
+projection is decided: a store in which every row has a variable that no
+other row mentions is satisfiable (each row is met by moving that variable;
+a ground store pins each live variable by its own equality), and any other
+store is decided by eliminating its variables as well, since full
+Fourier-Motzkin elimination is a decision procedure over the rationals.  If
+either step finds a contradiction the state collapses to the failure state
+``<[] || false>`` (represented by a ``None`` store); otherwise the atom is
+replaced by the rule body and the projection is the new store.  Only the
+start atom is ground; later bindings stay symbolic in the store.
 
 Projecting changes nothing observable (the projection has the same solutions
 over the live variables, and rules are renamed apart so no future constraint
@@ -110,10 +114,20 @@ class SelectionRule:
 
 
 def store_satisfiable(rows: tuple[list[Row], list[Row]]) -> bool:
-    """Exact satisfiability of a store over the rationals: Fourier-Motzkin
-    elimination of every variable.  Over the naturals this is the rational
-    relaxation (sound for the length-bound check, since integer solutions are
-    a subset of the rational ones)."""
+    """Exact satisfiability of a store over the rationals.  When every row
+    has a variable of its own (one no other row mentions), each row is met by
+    moving that variable alone, so the store is satisfiable; otherwise
+    Fourier-Motzkin elimination of every variable decides it.  Over the
+    naturals this is the rational relaxation (sound for the length-bound
+    check, since integer solutions are a subset of the rational ones)."""
+    every = rows[0] + rows[1]
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for coeffs, _ in every:
+        for v in coeffs:
+            (shared if v in seen else seen).add(v)
+    if all(not coeffs.keys() <= shared for coeffs, _ in every):
+        return True
     return project_constraints(*rows, ()) is not None
 
 
@@ -138,10 +152,13 @@ def step(
     if not candidates:
         raise Floundered(f"no rule for predicate {atom.pred}")
     rule = choose(candidates)
-    # rename apart: fresh ids in the rule's variable order
+    # rename apart: fresh ids in the rule's variable order, the head's
+    # included, so that the body's ids are those of renaming the whole rule
+    # apart; then bind each head argument to the atom's
     fresh = {v: pool.fresh(pool.name(v) + "'") for v in rule.variables}
+    fresh.update(zip(rule.head.args, atom.args))
     store_eqs, store_ineqs = state.rows
-    eqs = store_eqs + [({a: 1, fresh[h]: -1}, 0) for a, h in zip(atom.args, rule.head.args)]
+    eqs = list(store_eqs)
     ineqs = list(store_ineqs)
     for coeffs, bound, rel in rule.rows:
         (eqs if rel == EQ else ineqs).append(({fresh[v]: c for v, c in coeffs.items()}, bound))
@@ -152,9 +169,9 @@ def step(
 
 def compact_store(state: DerivationState, domain: Domain) -> DerivationState:
     """Project the store onto the variables the goal still mentions, and
-    decide it by eliminating those as well (:func:`store_satisfiable`): the
-    failure state if either finds a contradiction.  Domains with implicit
-    nonnegativity restrict every store variable."""
+    decide the projection (:func:`store_satisfiable`): the failure state if
+    either finds a contradiction.  Domains with implicit nonnegativity
+    restrict every store variable."""
     if state.rows is None:
         return state
     eqs, ineqs = state.rows

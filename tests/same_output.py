@@ -32,6 +32,13 @@ root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
   ``q``, ``q+`` and ``n`` on the binarized form of seeded
   ``random_flat_program_text`` programs that have a rule with an arity-0
   head (satisfiable or not);
+- a derivation section, for stores no ``derive`` request builds (that
+  workload runs only ``q``, binary programs and one-atom goals):
+  :func:`almterm.run_ground` from a seeded ground atom of each seeded
+  ``random_flat_program_text`` program over ``q``, ``q+`` and ``n``, with
+  leftmost, rightmost and random selection and at most six rewrites (as in
+  ``test_run_ground_agrees_with_lp_oracle``), printed as the step count, the
+  outcome and each visited state's goal;
 - an options section, for option resolution, which every benchmark request
   passes as flags only: ``cli.main`` on the bundled programs with seeded
   flag combinations and config files (each option absent, a flag, a config
@@ -60,6 +67,7 @@ from almterm import (
     Domain,
     LevelMapping,
     LinearSystem,
+    SelectionRule,
     binarize,
     cli,
     entails,
@@ -67,6 +75,7 @@ from almterm import (
     minimize,
     parse_program,
     pretty_print,
+    run_ground,
     verify,
 )
 from almterm.derivation import sample_starts
@@ -79,6 +88,8 @@ MINIMIZE_CALLS = 300
 ENTAILS_CALLS = 300
 VERIFY_PROGRAMS = 100
 SAMPLED_PROGRAMS = 100
+DERIVED_PROGRAMS = 100
+SELECTIONS = ("leftmost", "rightmost", "random")
 OPTION_CALLS = 120
 BAD_CONFIGS = (
     "witnes = true\n",
@@ -124,6 +135,7 @@ def main(seed: int) -> None:
             print(f"{text}exit {code}")
 
     library(seed)
+    derivations(seed)
     options(seed)
 
 
@@ -181,6 +193,26 @@ def library(seed: int) -> None:
         for tag in DOMAINS:
             starts = sample_starts(program, Domain(tag), random.Random(rng.getrandbits(32)))
             print(f"  {tag} {starts!r}")
+
+
+def derivations(seed: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(DERIVED_PROGRAMS):
+        text = random_flat_program_text(rng)
+        program = parse_program(text)
+        pred = rng.choice(sorted(program.arities))
+        args = [rng.randint(0, 9) for _ in range(program.arities[pred])]
+        print(f"run_ground {text!r} {pred} {args}")
+        for tag in DOMAINS:
+            for strategy in SELECTIONS:
+                # six rewrites, as in the oracle test: coupled body atoms can
+                # grow a store doubly exponentially with derivation length
+                trace = run_ground(
+                    program, pred, args, SelectionRule(strategy), 6, rng.getrandbits(32), Domain(tag)
+                )
+                print(f"  {tag} {strategy} {trace.steps} {trace.outcome}")
+                for state in trace.states:
+                    print(f"    {state.goal!r}")
 
 
 def options(seed: int) -> None:

@@ -347,6 +347,32 @@ def test_options_resolve_in_table_order(capsys, tmp_path):
     )
 
 
+def test_config_value_that_is_not_a_value_is_an_input_error(capsys, tmp_path):
+    """A boolean must be one of eight words and an int must read as one; the
+    error names the config file and the key."""
+    config = tmp_path / "almterm.conf"
+    for text, why in (
+        ("verify = ture\n", "'ture' is not a boolean (1, true, yes, on, 0, false, no, off)"),
+        ("json =\n", "'' is not a boolean (1, true, yes, on, 0, false, no, off)"),
+        ("seed = x\n", "'x' is not an integer"),
+        ("sample = 1\nmax-steps = 2.5\n", "'2.5' is not an integer"),
+    ):
+        config.write_text(text)
+        code = main(["check", str(PROGRAMS / "example72.clp"), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        key = text.splitlines()[-1].split("=")[0].strip()
+        assert captured.err == f"almterm: {config}: {key} = {why}\n"
+    config.write_text("witness = YES\nproject = Off\nverify = 0\n")
+    code, (report,) = run_json(
+        capsys, "check", str(PROGRAMS / "example72.clp"), "--config", str(config)
+    )
+    assert code == EXIT_CERTIFIED
+    assert report["witness"] and report["projection"] is None
+    assert all("checks" not in entry for entry in report["rules"])
+
+
 def test_negative_sample_or_step_cap_is_an_input_error(capsys, tmp_path):
     program = str(PROGRAMS / "example72.clp")
     for flags, key in (

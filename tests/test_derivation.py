@@ -36,7 +36,9 @@ from almterm.derivation import (
     compact_store,
     ground_start,
     sample_starts,
+    store_satisfiable,
 )
+from almterm.lp import integer_system
 from almterm.model import EQ, GEQ
 from almterm.parser import parse_query
 from helpers import load, random_flat_program_text
@@ -178,15 +180,16 @@ def test_query_seeds_a_state():
 
 def test_query_ids_do_not_collide_with_fresh_rewrite_ids():
     """A query parsed into the pool its derivation draws from keeps its ids
-    apart from the renamed rule variables.  From a pool of its own, ``d``
-    would share its id with the fresh ``x``, and the link row ``d - x = 0``
-    would collapse to ``-d = 0``, against ``d = 4``."""
+    apart from the renamed rule variables.  From a pool of its own, ``e``
+    would share its id with the fresh ``y``, so the rule row ``y = x - 1``,
+    with ``x`` bound to ``d``, would read ``e = d - 1``, against ``d = 4``
+    and ``e = 5``, and the rewrite would fail."""
     program = parse_program("p(x) :- x >= 1, y = x - 1, p(y).\nq(x) :- x >= 0.")
     pool = program.pool.clone()
-    rows, atoms = parse_query("?- a = 1, b = 2, c = 3, d = 4, q(a), q(b), q(c), p(d).", pool)
+    rows, atoms = parse_query("?- a = 1, b = 2, c = 3, d = 4, e = 5, q(a), q(b), q(c), q(e), p(d).", pool)
     state = step(program, state_from_query(rows, atoms), SelectionRule(RIGHTMOST), choose_named("r1"), pool)
     assert not state.failed
-    assert [a.pred for a in state.goal] == ["q", "q", "q", "p"]
+    assert [a.pred for a in state.goal] == ["q", "q", "q", "q", "p"]
     (y,) = state.goal[-1].args
     assert ({y: 1}, 3) in state.rows[0]
 
@@ -335,6 +338,52 @@ def test_run_ground_runs_no_lp(monkeypatch):
         for domain in (Q, QPLUS, N)
     ]
     assert max(steps) > 3 and calls == []
+
+
+def test_each_rewrite_from_a_ground_atom_projects_once(monkeypatch):
+    """The head is bound to the selected atom, so no link row is substituted
+    away, and a ground store pins each live variable by an equality of its
+    own, so it is decided without a second elimination: one projection per
+    rewrite, the final failing one included."""
+    calls = []
+    project_constraints = almterm.derivation.project_constraints
+
+    def counted(eqs, ineqs, keep):
+        calls.append(keep)
+        return project_constraints(eqs, ineqs, keep)
+
+    monkeypatch.setattr(almterm.derivation, "project_constraints", counted)
+    for text, args in (
+        ("p(x) :- x >= 1, y = x - 1, p(y).", [7]),
+        ("p(x, u) :- x >= 1, y = x - 1, v = u + x, p(y, v).", [7, 2]),
+    ):
+        calls.clear()
+        trace = run_ground(parse_program(text), "p", args, seed=0)
+        assert (trace.steps, trace.outcome) == (8, FAILURE)
+        assert len(calls) == trace.steps
+        # the last store before the failing rewrite pins every argument
+        eqs, ineqs = trace.states[-2].rows
+        assert len(eqs) == len(args) and not ineqs
+
+
+small_rows = st.lists(
+    st.tuples(
+        st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool), max_size=3),
+        st.integers(-4, 4),
+        st.sampled_from([EQ, GEQ]),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_rows)
+def test_store_satisfiable_agrees_with_lp(rows):
+    """Deciding a store by the rows' own variables, or by elimination when
+    some row has none, agrees with one exact LP on every system."""
+    eqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
+    ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel != EQ]
+    assert store_satisfiable((eqs, ineqs)) == feasible(integer_system(rows))
 
 
 def test_sample_starts_makes_one_minimize_call_per_rule(monkeypatch):
