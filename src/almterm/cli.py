@@ -128,18 +128,19 @@ def analyze_file(path: str, opts: argparse.Namespace) -> tuple[dict, int]:
         report["error"] = str(exc)
         return report, EXIT_INPUT_ERROR
     with _exact_digits():
-        return _analyze(program, opts, report)
+        try:
+            return _analyze(program, opts, report)
+        except AlmtermError as exc:
+            # an input the analysis rejects, or a failed self-check
+            # (``internal: ...``) wherever it happened
+            report["error"] = str(exc)
+            return report, EXIT_INPUT_ERROR
 
 
 def _analyze(program: Program, opts: argparse.Namespace, report: dict) -> tuple[dict, int]:
     """Fill in ``report`` for a parsed program: verdict, witness, projection,
     verifier checks and samples, as ``opts`` asks."""
-    try:
-        verdict = decide(program, opts.domain)
-    except AlmtermError as exc:
-        report["error"] = str(exc)
-        return report, EXIT_INPUT_ERROR
-
+    verdict = decide(program, opts.domain)
     report["verdict"] = verdict.kind
     if opts.domain.sound_only:
         report["notes"].append(

@@ -61,6 +61,7 @@ from .lp import (
 )
 from .model import (
     EQ,
+    AlmtermError,
     Domain,
     LevelMapping,
     ModelError,
@@ -236,7 +237,8 @@ def rule_cone(
     bound[n] = -1
     eqs = [(row, 0) for row in balance]
     projected = project_constraints(eqs, [(bound, 0)] + signs, range(n + 1))
-    assert projected is not None, "a cone always contains 0"
+    if projected is None:
+        raise AlmtermError("internal: a cone does not contain 0")
     eqs, ineqs = projected
     split = [r for c, _ in eqs for r in ((c, 0), ({v: -k for v, k in c.items()}, 0))]
     # per column, then for ``s``: the coefficient-variable combination each

@@ -1,15 +1,22 @@
 """Small-step execution of programs on ground start atoms.
 
 States are ``<goal atoms || constraint store>``.  A rewrite picks one goal
-atom, renames a rule of its predicate apart, binds the renamed head to the
-atom (each head argument becomes the atom's argument: head arguments are
-distinct and goal atoms pairwise disjoint, so this is the polyhedron that
-equating them would give) and conjoins the rule constraint.  The grown store
+atom and renames a rule of its predicate apart: one block of fresh ids,
+drawn in the rule's variable order by one pool call
+(:meth:`VariablePool.fresh_block`), under the rule's variable names primed,
+which a run computes once per rule (:func:`primed_names`).  It then binds
+the renamed head to the atom (each head argument becomes the atom's
+argument: head arguments are distinct and goal atoms pairwise disjoint, so
+this is the polyhedron that equating them would give) and conjoins the rule
+constraint.  The grown store
 is existentially projected onto the variables the new goal mentions, and the
-projection is decided: a store in which every row has a variable that no
-other row mentions is satisfiable (each row is met by moving that variable;
-a ground store pins each live variable by its own equality), and any other
-store is decided by eliminating its variables as well, since full
+projection is decided without a second elimination where its form allows:
+equalities that each pin a variable of their own are put into the
+inequalities (integer cross-multiplication) and dropped, which decides a
+ground store on every domain, the ``x >= 0`` rows of ``q+``, ``r+`` and
+``n`` included; a store in which every row left has a variable that no other
+row mentions is satisfiable (each row is met by moving that variable); any
+other store is decided by eliminating its variables as well, since full
 Fourier-Motzkin elimination is a decision procedure over the rationals.  If
 either step finds a contradiction the state collapses to the failure state
 ``<[] || false>`` (represented by a ``None`` store); otherwise the atom is
@@ -24,6 +31,11 @@ into equalities and inequalities; a rule holds its constraint as integer rows
 from the parser on (``Rule.rows``), so renaming it apart only remaps variable
 ids while the rows are split by relation.
 
+One rewrite loop serves both callers: a generator of the states of a seeded
+run that returns its rewrite count and outcome.  :func:`run_ground` keeps
+every state in its :class:`Trace`; :func:`check_length_bound` needs only the
+count and the outcome, so its sampled runs keep no states.
+
 Step counting: every rewrite application counts, including the final failing
 or fact-resolving one.
 """
@@ -34,11 +46,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Generator, Mapping, Sequence
 
 from .lp import (
     OPTIMAL,
     Row,
+    _substitute,
     feasible_point,
     fm_project,
     integer_system,
@@ -114,13 +127,39 @@ class SelectionRule:
 
 
 def store_satisfiable(rows: tuple[list[Row], list[Row]]) -> bool:
-    """Exact satisfiability of a store over the rationals.  When every row
-    has a variable of its own (one no other row mentions), each row is met by
-    moving that variable alone, so the store is satisfiable; otherwise
-    Fourier-Motzkin elimination of every variable decides it.  Over the
-    naturals this is the rational relaxation (sound for the length-bound
-    check, since integer solutions are a subset of the rational ones)."""
-    every = rows[0] + rows[1]
+    """Exact satisfiability of a store over the rationals.  When the
+    equalities each pin a variable of their own (one variable, a different
+    one each), the pins are put into the inequalities and dropped, since each
+    is met by its variable's value: a row left without variables is decided
+    by its bound.  Then, when every row left has a variable of its own (one
+    no other row mentions), each row is met by moving that variable alone, so
+    the store is satisfiable; otherwise Fourier-Motzkin elimination of every
+    variable decides it.  Over the naturals this is the rational relaxation
+    (sound for the length-bound check, since integer solutions are a subset
+    of the rational ones)."""
+    eqs, ineqs = rows
+    pins: dict[int, Row] = {}
+    for eq in eqs:
+        if len(eq[0]) != 1:
+            break
+        (v,) = eq[0]
+        if v in pins:
+            break
+        pins[v] = eq
+    else:
+        eqs = []
+        left = []
+        for row in ineqs:
+            for v in row[0].keys() & pins.keys():
+                row = _substitute(row, v, pins[v])
+            if row[0]:
+                left.append(row)
+            elif row[1] > 0:
+                return False
+        if not left:
+            return True
+        ineqs = left
+    every = eqs + ineqs
     seen: set[int] = set()
     shared: set[int] = set()
     for coeffs, _ in every:
@@ -128,7 +167,14 @@ def store_satisfiable(rows: tuple[list[Row], list[Row]]) -> bool:
             (shared if v in seen else seen).add(v)
     if all(not coeffs.keys() <= shared for coeffs, _ in every):
         return True
-    return project_constraints(*rows, ()) is not None
+    return project_constraints(eqs, ineqs, ()) is not None
+
+
+def primed_names(program: Program) -> dict[int, list[str]]:
+    """The names of each rule's fresh variables, by ``id(rule)``: the names
+    of ``rule.variables``, in that order, primed."""
+    name = program.pool.name
+    return {id(rule): [name(v) + "'" for v in rule.variables] for rule in program.rules}
 
 
 def step(
@@ -139,32 +185,42 @@ def step(
     pool: VariablePool,
     domain: Domain = Q,
     rng: random.Random | None = None,
+    primed: Mapping[int, list[str]] | None = None,
 ) -> DerivationState:
     """One rewrite of ``state``, with its store already compacted (see
     :func:`compact_store`).  ``choose`` picks among the rules of the selected
-    atom's predicate (the semantics itself is nondeterministic).  Raises
-    :class:`Floundered` when that predicate has no rules."""
-    if state.failed or state.done:
+    atom's predicate (the semantics itself is nondeterministic).  ``primed``
+    is :func:`primed_names` of ``program``; without it the chosen rule's
+    names are primed from ``pool``.  Raises :class:`Floundered` when that
+    predicate has no rules."""
+    goal = state.goal
+    if state.rows is None or not goal:
         raise AlmtermError("cannot step a finished state")
-    idx = selection.select(state.goal, rng)
-    atom = state.goal[idx]
+    idx = selection.select(goal, rng)
+    atom = goal[idx]
     candidates = program.rules_for(atom.pred)
     if not candidates:
         raise Floundered(f"no rule for predicate {atom.pred}")
     rule = choose(candidates)
-    # rename apart: fresh ids in the rule's variable order, the head's
-    # included, so that the body's ids are those of renaming the whole rule
-    # apart; then bind each head argument to the atom's
-    fresh = {v: pool.fresh(pool.name(v) + "'") for v in rule.variables}
+    # rename apart: one block of fresh ids in the rule's variable order, the
+    # head's included, so that the body's ids are those of renaming the whole
+    # rule apart; then bind each head argument to the atom's
+    if primed is None:
+        names = [pool.name(v) + "'" for v in rule.variables]
+    else:
+        names = primed[id(rule)]
+    first = pool.fresh_block(names)
+    fresh = dict(zip(rule.variables, range(first, first + len(names))))
     fresh.update(zip(rule.head.args, atom.args))
     store_eqs, store_ineqs = state.rows
     eqs = list(store_eqs)
     ineqs = list(store_ineqs)
     for coeffs, bound, rel in rule.rows:
         (eqs if rel == EQ else ineqs).append(({fresh[v]: c for v, c in coeffs.items()}, bound))
-    body = tuple(Atom(a.pred, tuple([fresh[v] for v in a.args])) for a in rule.body)
-    goal = state.goal[:idx] + body + state.goal[idx + 1 :]
-    return compact_store(DerivationState(goal, (eqs, ineqs)), domain)
+    body = tuple([Atom(a.pred, tuple([fresh[v] for v in a.args])) for a in rule.body])
+    if len(goal) > 1:
+        body = goal[:idx] + body + goal[idx + 1 :]
+    return compact_store(DerivationState(body, (eqs, ineqs)), domain)
 
 
 def compact_store(state: DerivationState, domain: Domain) -> DerivationState:
@@ -232,6 +288,58 @@ def state_from_query(rows: Sequence[ConstraintRow], atoms: Sequence[Atom]) -> De
     return DerivationState(tuple(atoms), (eqs, ineqs))
 
 
+def _rewrite_loop(
+    program: Program,
+    pred: str,
+    args: Sequence[int | Fraction],
+    selection: SelectionRule,
+    max_steps: int,
+    seed: int,
+    domain: Domain,
+    primed: Mapping[int, list[str]],
+) -> Generator[DerivationState, None, tuple[int, str]]:
+    """The rewrite loop of :func:`run_ground` and :func:`check_length_bound`:
+    the states of one derivation from the ground atom ``pred(args)`` with
+    seeded random rule choice, until success, failure, floundering, or the
+    step budget runs out.  Yields the start state first, then each
+    rewrite's; returns the rewrite count and the outcome."""
+    rng = random.Random(seed)
+    pool = program.pool.clone()
+    state = ground_start(program, pred, args, pool, domain)
+    yield state
+    choose = rng.choice
+    steps = 0
+    while True:
+        if state.rows is None:
+            return steps, FAILURE
+        if not state.goal:
+            return steps, SUCCESS
+        if steps >= max_steps:
+            return steps, MAX_STEPS
+        try:
+            state = step(program, state, selection, choose, pool, domain, rng, primed)
+        except Floundered:
+            return steps, FLOUNDERED
+        steps += 1
+        yield state
+
+
+def _finish(
+    rewrites: Generator[DerivationState, None, tuple[int, str]],
+    states: list[DerivationState] | None,
+) -> tuple[int, str]:
+    """Drive ``rewrites`` to its end and return its rewrite count and
+    outcome; every state goes to ``states``, or is dropped when that is
+    None."""
+    try:
+        while True:
+            state = next(rewrites)
+            if states is not None:
+                states.append(state)
+    except StopIteration as end:
+        return end.value
+
+
 def run_ground(
     program: Program,
     pred: str,
@@ -242,28 +350,13 @@ def run_ground(
     domain: Domain = Q,
 ) -> Trace:
     """Run one derivation from a ground atom with seeded random rule choice,
-    until success, failure, floundering, or the step budget runs out."""
-    rng = random.Random(seed)
+    until success, failure, floundering, or the step budget runs out; the
+    trace keeps every visited state."""
     selection = selection or SelectionRule(LEFTMOST)
-    pool = program.pool.clone()
-    state = ground_start(program, pred, args, pool, domain)
-    states = [state]
-    steps = 0
-    while True:
-        if state.failed:
-            return Trace(states, steps, FAILURE)
-        if state.done:
-            return Trace(states, steps, SUCCESS)
-        if steps >= max_steps:
-            return Trace(states, steps, MAX_STEPS)
-        try:
-            state = step(
-                program, state, selection, rng.choice, pool, domain, rng
-            )
-        except Floundered:
-            return Trace(states, steps, FLOUNDERED)
-        steps += 1
-        states.append(state)
+    states: list[DerivationState] = []
+    primed = primed_names(program)
+    rewrites = _rewrite_loop(program, pred, args, selection, max_steps, seed, domain, primed)
+    return Trace(states, *_finish(rewrites, states))
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +488,16 @@ def check_length_bound(
     starts = sample_starts(program, domain, rng)
     if not starts:
         return BoundReport(())
+    selection = SelectionRule(RANDOM)
+    primed = primed_names(program)
     runs: list[BoundRun] = []
     for k in range(samples):
         pred, args = starts[k % len(starts)]
         level = lm.level_of(pred, args)
         budget = lm.bound_for(pred, args)
         limit = budget + 1 if step_cap is None else min(budget + 1, step_cap)
-        trace = run_ground(
-            program,
-            pred,
-            args,
-            selection=SelectionRule(RANDOM),
-            max_steps=limit,
-            seed=seed * 7919 + k,
-            domain=domain,
-        )
-        runs.append(BoundRun(pred, args, level, budget, trace.steps, trace.outcome))
+        # the run of run_ground with this start, seed and cap, its states
+        # dropped as they come
+        rewrites = _rewrite_loop(program, pred, args, selection, limit, seed * 7919 + k, domain, primed)
+        runs.append(BoundRun(pred, args, level, budget, *_finish(rewrites, None)))
     return BoundReport(tuple(runs))

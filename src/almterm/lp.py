@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .model import EQ, ConstraintRow
+from .model import EQ, AlmtermError, ConstraintRow
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -288,7 +288,8 @@ def _phase_one(cols: list[Column], d):
     costs = [0] * ncols + [1] * m
     obj = _prices(inv, basis, costs)
     status, _, _ = _bland(cols, inv, basis, obj, costs, ncols)
-    assert status == OPTIMAL, "phase one is bounded below by zero"
+    if status != OPTIMAL:
+        raise AlmtermError("internal: phase one is not bounded below by zero")
     if any(row[-2] for row, b in zip(inv, basis) if b >= ncols):
         return None, [Fraction(-obj[i], obj[-1]) for i in range(m)]
 
@@ -418,7 +419,8 @@ def feasible_point(sys: LinearSystem) -> dict[int, Fraction] | None:
     docstring), whose size is governed by the variable count rather than the
     row count: the point is read off the phase-one duals, and phase two never
     runs.  The returned point is checked against the system before being
-    handed out.
+    handed out; a point that fails the check raises :class:`AlmtermError`
+    (``internal: ...``), under ``python -O`` too.
     """
     m = sys.num_rows
     n = sys.num_vars
@@ -431,9 +433,11 @@ def feasible_point(sys: LinearSystem) -> dict[int, Fraction] | None:
     if state is not None:
         return None
     scale = duals[n]
-    assert scale > 0, "alternative-system duals must combine the rhs positively"
+    if scale <= 0:
+        raise AlmtermError("internal: alternative-system duals do not combine the rhs positively")
     point = {v: -duals[k] / scale for k, v in enumerate(sys.variables)}
-    assert sys.satisfied_by(point), "extracted point must satisfy the system"
+    if not sys.satisfied_by(point):
+        raise AlmtermError("internal: extracted point does not satisfy the system")
     return point
 
 
@@ -603,20 +607,27 @@ def project_constraints(
     (all over ``keep``) and the pruned inequalities, or None when the input
     is (exactly) unsatisfiable.
     """
-    keep = set(keep)
+    if not isinstance(keep, set):
+        keep = set(keep)
     eqs = list(eqs)
+    ineqs = list(ineqs)
     k = 0
     while k < len(eqs):
-        eq = eqs[k]
-        var = next((v for v in eq[0] if v not in keep), None)
-        if var is None:
+        for var in eqs[k][0]:
+            if var not in keep:
+                break
+        else:
             k += 1
             continue
-        del eqs[k]
-        eqs = [_substitute(row, var, eq) for row in eqs]
-        ineqs = [_substitute(row, var, eq) for row in ineqs]
-    if any(not coeffs and bound for coeffs, bound in eqs):
-        return None
+        eq = eqs.pop(k)
+        # only the rows that mention ``var`` change, in place
+        for rows in (eqs, ineqs):
+            for i, row in enumerate(rows):
+                if var in row[0]:
+                    rows[i] = _substitute(row, var, eq)
+    for coeffs, bound in eqs:
+        if not coeffs and bound:
+            return None
 
     rows = _prune(ineqs)
     if rows is None:

@@ -38,7 +38,10 @@ root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
   ``random_flat_program_text`` program over ``q``, ``q+`` and ``n``, with
   leftmost, rightmost and random selection and at most six rewrites (as in
   ``test_run_ground_agrees_with_lp_oracle``), printed as the step count, the
-  outcome and each visited state's goal;
+  outcome and each visited state's goal and store rows; then every
+  ``BoundRun`` of :func:`almterm.check_length_bound` over ``q+`` and ``n``
+  on the binarized form of seeded ``random_flat_program_text`` and
+  ``random_binary_program_text`` programs that get a witness there;
 - an options section, for option resolution, which every benchmark request
   passes as flags only: ``cli.main`` on the bundled programs with seeded
   flag combinations and config files (each option absent, a flag, a config
@@ -69,7 +72,9 @@ from almterm import (
     LinearSystem,
     SelectionRule,
     binarize,
+    check_length_bound,
     cli,
+    decide,
     entails,
     feasible_point,
     minimize,
@@ -79,7 +84,7 @@ from almterm import (
     verify,
 )
 from almterm.derivation import sample_starts
-from helpers import random_flat_program_text
+from helpers import random_binary_program_text, random_flat_program_text
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench-work" / "same-output"
@@ -89,6 +94,8 @@ ENTAILS_CALLS = 300
 VERIFY_PROGRAMS = 100
 SAMPLED_PROGRAMS = 100
 DERIVED_PROGRAMS = 100
+BOUND_PROGRAMS = 100
+BOUND_SAMPLES = 12
 SELECTIONS = ("leftmost", "rightmost", "random")
 OPTION_CALLS = 120
 BAD_CONFIGS = (
@@ -212,7 +219,21 @@ def derivations(seed: int) -> None:
                 )
                 print(f"  {tag} {strategy} {trace.steps} {trace.outcome}")
                 for state in trace.states:
-                    print(f"    {state.goal!r}")
+                    print(f"    {state.goal!r} {state.rows!r}")
+    for k in range(BOUND_PROGRAMS):
+        generate = (random_flat_program_text, random_binary_program_text)[k % 2]
+        text = generate(rng)
+        program = binarize(parse_program(text))
+        print(f"check_length_bound {text!r}")
+        for tag in ("q+", "n"):
+            verdict = decide(program, Domain(tag))
+            print(f"  {tag} {verdict.kind}")
+            if verdict.witness is not None:
+                report = check_length_bound(
+                    program, verdict.witness, BOUND_SAMPLES, rng.getrandbits(16), Domain(tag)
+                )
+                for run in report.runs:
+                    print(f"    {run}")
 
 
 def options(seed: int) -> None:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -9,6 +11,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import almterm.derivation
+from almterm import AlmtermError, LinearSystem
 from almterm.cli import (
     EXIT_CERTIFIED,
     EXIT_INPUT_ERROR,
@@ -403,3 +407,44 @@ def test_zero_sample_and_step_cap_are_accepted(capsys):
     code, (report,) = run_json(capsys, "check", str(PROGRAMS / "example72.clp"), "--sample", "0")
     assert code == EXIT_CERTIFIED
     assert report["sampling"]["samples"] == 0
+
+
+def test_failed_kernel_self_check_is_an_internal_error(capsys, monkeypatch):
+    """A point the simplex extracts and then finds outside its system is
+    reported as an ``internal:`` error with exit 2, not a traceback."""
+    monkeypatch.setattr(LinearSystem, "satisfied_by", lambda self, point: False)
+    code, (report,) = run_json(capsys, "check", str(PROGRAMS / "example72.clp"))
+    assert code == EXIT_INPUT_ERROR
+    assert report["error"].startswith("internal:")
+
+
+def test_failed_kernel_self_check_survives_optimize_flag(tmp_path):
+    """The self-check is no ``assert``: under ``python -O`` it still ends
+    the report in an ``internal:`` error and exit 2."""
+    script = (
+        "import sys\n"
+        "from almterm.cli import main\n"
+        "from almterm.lp import LinearSystem\n"
+        "LinearSystem.satisfied_by = lambda self, point: False\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = Path(almterm.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-O", "-c", script, "check", str(PROGRAMS / "example72.clp"), "--json"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == EXIT_INPUT_ERROR, done.stderr
+    assert json.loads(done.stdout)["error"].startswith("internal:")
+
+
+def test_internal_error_while_sampling_ends_in_a_report(capsys, monkeypatch):
+    """A failed self-check after the verdict (here in the sampler's LP)
+    still ends in one report and exit 2."""
+
+    def failing(sys):
+        raise AlmtermError("internal: extracted point does not satisfy the system")
+
+    monkeypatch.setattr(almterm.derivation, "feasible_point", failing)
+    code, (report,) = run_json(capsys, "check", str(PROGRAMS / "example72.clp"), "--sample", "5")
+    assert code == EXIT_INPUT_ERROR
+    assert report["verdict"] == "alm-recurrent"
+    assert report["error"].startswith("internal:")

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import almterm.lp
@@ -35,13 +36,14 @@ from almterm.derivation import (
     RIGHTMOST,
     compact_store,
     ground_start,
+    primed_names,
     sample_starts,
     store_satisfiable,
 )
 from almterm.lp import integer_system
 from almterm.model import EQ, GEQ
 from almterm.parser import parse_query
-from helpers import load, random_flat_program_text
+from helpers import load, random_binary_program_text, random_flat_program_text
 from linear import equal, normalize, row_constraint, var
 
 
@@ -343,8 +345,9 @@ def test_run_ground_runs_no_lp(monkeypatch):
 def test_each_rewrite_from_a_ground_atom_projects_once(monkeypatch):
     """The head is bound to the selected atom, so no link row is substituted
     away, and a ground store pins each live variable by an equality of its
-    own, so it is decided without a second elimination: one projection per
-    rewrite, the final failing one included."""
+    own, so it is decided without a second elimination, the ``x >= 0`` rows
+    of a nonnegative domain included: one projection per rewrite, the final
+    failing one included."""
     calls = []
     project_constraints = almterm.derivation.project_constraints
 
@@ -353,17 +356,72 @@ def test_each_rewrite_from_a_ground_atom_projects_once(monkeypatch):
         return project_constraints(eqs, ineqs, keep)
 
     monkeypatch.setattr(almterm.derivation, "project_constraints", counted)
-    for text, args in (
-        ("p(x) :- x >= 1, y = x - 1, p(y).", [7]),
-        ("p(x, u) :- x >= 1, y = x - 1, v = u + x, p(y, v).", [7, 2]),
+    for domain, (text, args) in itertools.product(
+        (Q, QPLUS, N),
+        (
+            ("p(x) :- x >= 1, y = x - 1, p(y).", [7]),
+            ("p(x, u) :- x >= 1, y = x - 1, v = u + x, p(y, v).", [7, 2]),
+        ),
     ):
         calls.clear()
-        trace = run_ground(parse_program(text), "p", args, seed=0)
+        trace = run_ground(parse_program(text), "p", args, seed=0, domain=domain)
         assert (trace.steps, trace.outcome) == (8, FAILURE)
         assert len(calls) == trace.steps
-        # the last store before the failing rewrite pins every argument
+        # the last store before the failing rewrite pins every argument,
+        # beside its x >= 0 row over q+ and n
         eqs, ineqs = trace.states[-2].rows
-        assert len(eqs) == len(args) and not ineqs
+        live = trace.states[-2].goal[0].args
+        assert sorted(v for coeffs, _ in eqs for v in coeffs) == sorted(live)
+        nonneg = [({v: 1}, 0) for v in live] if domain.nonneg else []
+        assert sorted(ineqs, key=repr) == sorted(nonneg, key=repr)
+
+
+def test_sampled_runs_match_run_ground():
+    """Each sampled run of ``check_length_bound`` takes the steps and ends
+    in the outcome of ``run_ground`` from its start with its seed and cap,
+    on seeded binary programs over q, q+ and n, with and without a step
+    cap."""
+    outcomes = set()
+    for domain in (Q, QPLUS, N):
+        for seed in range(60):
+            program = parse_program(random_binary_program_text(random.Random(seed)))
+            verdict = decide(program, domain)
+            if verdict.witness is None:
+                continue
+            lm = verdict.witness
+            starts = sample_starts(program, domain, random.Random(seed))
+            for step_cap in (None, 2):
+                report = check_length_bound(program, lm, samples=8, seed=seed, domain=domain, step_cap=step_cap)
+                for k, run in enumerate(report.runs):
+                    assert (run.pred, run.args) == starts[k % len(starts)]
+                    limit = lm.bound_for(run.pred, run.args) + 1
+                    if step_cap is not None:
+                        limit = min(limit, step_cap)
+                    trace = run_ground(
+                        program, run.pred, run.args, SelectionRule(RANDOM), limit, seed * 7919 + k, domain
+                    )
+                    assert (run.steps, run.outcome) == (trace.steps, trace.outcome)
+                    outcomes.add(run.outcome)
+    assert outcomes == {"success", FAILURE, "floundered", MAX_STEPS}
+
+
+def test_step_primes_rule_names_from_the_pool_or_the_table():
+    """A rewrite draws one block of fresh ids, named by the rule's variable
+    names primed, whether the names come from the run's table or from the
+    pool."""
+    program = parse_program("p(x, u) :- x >= 1, y = x - 1, v = u + x, p(y, v).")
+    rule = program.rules[0]
+    states = []
+    for primed in (None, primed_names(program)):
+        pool = program.pool.clone()
+        start = ground_start(program, "p", [7, 2], pool)
+        before = len(pool)
+        states.append(step(program, start, SelectionRule(LEFTMOST), choose_named("r1"), pool, Q, None, primed))
+        assert len(pool) == before + len(rule.variables)
+        assert [pool.name(v) for v in range(before, len(pool))] == [
+            program.pool.name(v) + "'" for v in rule.variables
+        ]
+    assert states[0] == states[1]
 
 
 small_rows = st.lists(
@@ -384,6 +442,30 @@ def test_store_satisfiable_agrees_with_lp(rows):
     eqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
     ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel != EQ]
     assert store_satisfiable((eqs, ineqs)) == feasible(integer_system(rows))
+
+
+pins = st.dictionaries(st.integers(0, 3), st.tuples(st.integers(-3, 3).filter(bool), st.integers(-4, 4)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pins, small_rows)
+# rows left over unpinned variables that contradict each other, with and
+# without a pin feeding them, and one pin that rows cannot meet
+@example({0: (1, 2)}, [({1: 1}, 1, GEQ), ({1: -1}, 0, GEQ)])
+@example({0: (2, 3)}, [({0: 2, 1: 1}, 4, GEQ), ({1: -1}, 0, GEQ)])
+@example({0: (-1, 2), 1: (1, 1)}, [({0: 1, 1: 1}, 0, GEQ), ({2: 1, 3: 1}, 1, GEQ), ({2: -1, 3: -1}, 0, GEQ)])
+@example({0: (3, 1)}, [({0: 3}, 2, GEQ)])
+def test_pinned_store_satisfiable_agrees_with_lp(pinned, rows):
+    """A store whose equalities each pin a variable of their own is decided
+    by putting the pins into the other rows; that agrees with one exact LP,
+    with and without further equalities."""
+    eqs = [({v: a}, b) for v, (a, b) in pinned.items()]
+    ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel != EQ]
+    every = [(coeffs, bound, EQ) for coeffs, bound in eqs] + [(c, b, GEQ) for c, b in ineqs]
+    assert store_satisfiable((eqs, ineqs)) == feasible(integer_system(every))
+    more = eqs + [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
+    every += [row for row in rows if row[2] == EQ]
+    assert store_satisfiable((more, ineqs)) == feasible(integer_system(every))
 
 
 def test_sample_starts_makes_one_minimize_call_per_rule(monkeypatch):
