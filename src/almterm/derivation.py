@@ -3,22 +3,21 @@
 States are ``<goal atoms || constraint store>``.  A rewrite picks one goal
 atom and renames a rule of its predicate apart: one block of fresh ids,
 drawn in the rule's variable order by one pool call
-(:meth:`VariablePool.fresh_block`), under the rule's variable names primed,
-which a run computes once per rule (:func:`primed_names`).  It then binds
-the renamed head to the atom (each head argument becomes the atom's
-argument: head arguments are distinct and goal atoms pairwise disjoint, so
-this is the polyhedron that equating them would give) and conjoins the rule
-constraint.  The grown store
-is existentially projected onto the variables the new goal mentions, and the
-projection is decided without a second elimination where its form allows:
-equalities that each pin a variable of their own are put into the
-inequalities (integer cross-multiplication) and dropped, which decides a
-ground store on every domain, the ``x >= 0`` rows of ``q+``, ``r+`` and
-``n`` included; a store in which every row left has a variable that no other
-row mentions is satisfiable (each row is met by moving that variable); any
-other store is decided by eliminating its variables as well, since full
-Fourier-Motzkin elimination is a decision procedure over the rationals.  If
-either step finds a contradiction the state collapses to the failure state
+(:meth:`VariablePool.fresh_block`), under the rule's variable names primed.
+It then binds the renamed head to the atom (each head argument becomes the
+atom's argument: head arguments are distinct and goal atoms pairwise
+disjoint, so this is the polyhedron that equating them would give) and
+conjoins the rule constraint.  The grown store is existentially projected
+onto the variables the new goal mentions, and the projection is decided
+without a second projection where its form allows: equalities that each pin
+a variable of their own are put into the inequalities (integer
+cross-multiplication) and dropped, which decides a ground store on every
+domain, the ``x >= 0`` rows of ``q+``, ``r+`` and ``n`` included; a store in
+which every row left has a variable that no other row mentions is
+satisfiable (each row is met by moving that variable); any other store is
+decided by eliminating its variables as well, since full Fourier-Motzkin
+elimination is a decision procedure over the rationals.  If either step
+finds a contradiction the state collapses to the failure state
 ``<[] || false>`` (represented by a ``None`` store); otherwise the atom is
 replaced by the rule body and the projection is the new store.  Only the
 start atom is ground; later bindings stay symbolic in the store.
@@ -31,10 +30,10 @@ into equalities and inequalities; a rule holds its constraint as integer rows
 from the parser on (``Rule.rows``), so renaming it apart only remaps variable
 ids while the rows are split by relation.
 
-One rewrite loop serves both callers: a generator of the states of a seeded
-run that returns its rewrite count and outcome.  :func:`run_ground` keeps
-every state in its :class:`Trace`; :func:`check_length_bound` needs only the
-count and the outcome, so its sampled runs keep no states.
+One rewrite loop serves both callers and returns a seeded run's rewrite
+count and outcome.  :func:`run_ground` has it keep every state for its
+:class:`Trace`; :func:`check_length_bound` needs only the count and the
+outcome, so its sampled runs keep no states.
 
 Step counting: every rewrite application counts, including the final failing
 or fact-resolving one.
@@ -46,7 +45,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Generator, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .lp import (
     OPTIMAL,
@@ -170,13 +169,6 @@ def store_satisfiable(rows: tuple[list[Row], list[Row]]) -> bool:
     return project_constraints(eqs, ineqs, ()) is not None
 
 
-def primed_names(program: Program) -> dict[int, list[str]]:
-    """The names of each rule's fresh variables, by ``id(rule)``: the names
-    of ``rule.variables``, in that order, primed."""
-    name = program.pool.name
-    return {id(rule): [name(v) + "'" for v in rule.variables] for rule in program.rules}
-
-
 def step(
     program: Program,
     state: DerivationState,
@@ -185,14 +177,11 @@ def step(
     pool: VariablePool,
     domain: Domain = Q,
     rng: random.Random | None = None,
-    primed: Mapping[int, list[str]] | None = None,
 ) -> DerivationState:
     """One rewrite of ``state``, with its store already compacted (see
     :func:`compact_store`).  ``choose`` picks among the rules of the selected
-    atom's predicate (the semantics itself is nondeterministic).  ``primed``
-    is :func:`primed_names` of ``program``; without it the chosen rule's
-    names are primed from ``pool``.  Raises :class:`Floundered` when that
-    predicate has no rules."""
+    atom's predicate (the semantics itself is nondeterministic).  Raises
+    :class:`Floundered` when that predicate has no rules."""
     goal = state.goal
     if state.rows is None or not goal:
         raise AlmtermError("cannot step a finished state")
@@ -205,10 +194,7 @@ def step(
     # rename apart: one block of fresh ids in the rule's variable order, the
     # head's included, so that the body's ids are those of renaming the whole
     # rule apart; then bind each head argument to the atom's
-    if primed is None:
-        names = [pool.name(v) + "'" for v in rule.variables]
-    else:
-        names = primed[id(rule)]
+    names = [pool.name(v) + "'" for v in rule.variables]
     first = pool.fresh_block(names)
     fresh = dict(zip(rule.variables, range(first, first + len(names))))
     fresh.update(zip(rule.head.args, atom.args))
@@ -296,17 +282,18 @@ def _rewrite_loop(
     max_steps: int,
     seed: int,
     domain: Domain,
-    primed: Mapping[int, list[str]],
-) -> Generator[DerivationState, None, tuple[int, str]]:
+    states: list[DerivationState] | None,
+) -> tuple[int, str]:
     """The rewrite loop of :func:`run_ground` and :func:`check_length_bound`:
-    the states of one derivation from the ground atom ``pred(args)`` with
-    seeded random rule choice, until success, failure, floundering, or the
-    step budget runs out.  Yields the start state first, then each
-    rewrite's; returns the rewrite count and the outcome."""
+    one derivation from the ground atom ``pred(args)`` with seeded random
+    rule choice, until success, failure, floundering, or the step budget
+    runs out.  Appends the start state and each rewrite's to ``states``
+    unless that is None; returns the rewrite count and the outcome."""
     rng = random.Random(seed)
     pool = program.pool.clone()
     state = ground_start(program, pred, args, pool, domain)
-    yield state
+    if states is not None:
+        states.append(state)
     choose = rng.choice
     steps = 0
     while True:
@@ -317,27 +304,12 @@ def _rewrite_loop(
         if steps >= max_steps:
             return steps, MAX_STEPS
         try:
-            state = step(program, state, selection, choose, pool, domain, rng, primed)
+            state = step(program, state, selection, choose, pool, domain, rng)
         except Floundered:
             return steps, FLOUNDERED
         steps += 1
-        yield state
-
-
-def _finish(
-    rewrites: Generator[DerivationState, None, tuple[int, str]],
-    states: list[DerivationState] | None,
-) -> tuple[int, str]:
-    """Drive ``rewrites`` to its end and return its rewrite count and
-    outcome; every state goes to ``states``, or is dropped when that is
-    None."""
-    try:
-        while True:
-            state = next(rewrites)
-            if states is not None:
-                states.append(state)
-    except StopIteration as end:
-        return end.value
+        if states is not None:
+            states.append(state)
 
 
 def run_ground(
@@ -354,9 +326,7 @@ def run_ground(
     trace keeps every visited state."""
     selection = selection or SelectionRule(LEFTMOST)
     states: list[DerivationState] = []
-    primed = primed_names(program)
-    rewrites = _rewrite_loop(program, pred, args, selection, max_steps, seed, domain, primed)
-    return Trace(states, *_finish(rewrites, states))
+    return Trace(states, *_rewrite_loop(program, pred, args, selection, max_steps, seed, domain, states))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +459,6 @@ def check_length_bound(
     if not starts:
         return BoundReport(())
     selection = SelectionRule(RANDOM)
-    primed = primed_names(program)
     runs: list[BoundRun] = []
     for k in range(samples):
         pred, args = starts[k % len(starts)]
@@ -498,6 +467,6 @@ def check_length_bound(
         limit = budget + 1 if step_cap is None else min(budget + 1, step_cap)
         # the run of run_ground with this start, seed and cap, its states
         # dropped as they come
-        rewrites = _rewrite_loop(program, pred, args, selection, limit, seed * 7919 + k, domain, primed)
-        runs.append(BoundRun(pred, args, level, budget, *_finish(rewrites, None)))
+        outcome = _rewrite_loop(program, pred, args, selection, limit, seed * 7919 + k, domain, None)
+        runs.append(BoundRun(pred, args, level, budget, *outcome))
     return BoundReport(tuple(runs))

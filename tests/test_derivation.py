@@ -36,7 +36,6 @@ from almterm.derivation import (
     RIGHTMOST,
     compact_store,
     ground_start,
-    primed_names,
     sample_starts,
     store_satisfiable,
 )
@@ -371,6 +370,7 @@ def test_each_rewrite_from_a_ground_atom_projects_once(monkeypatch):
         # beside its x >= 0 row over q+ and n
         eqs, ineqs = trace.states[-2].rows
         live = trace.states[-2].goal[0].args
+        assert len(eqs) == len(args) and all(len(coeffs) == 1 for coeffs, _ in eqs)
         assert sorted(v for coeffs, _ in eqs for v in coeffs) == sorted(live)
         nonneg = [({v: 1}, 0) for v in live] if domain.nonneg else []
         assert sorted(ineqs, key=repr) == sorted(nonneg, key=repr)
@@ -403,25 +403,6 @@ def test_sampled_runs_match_run_ground():
                     assert (run.steps, run.outcome) == (trace.steps, trace.outcome)
                     outcomes.add(run.outcome)
     assert outcomes == {"success", FAILURE, "floundered", MAX_STEPS}
-
-
-def test_step_primes_rule_names_from_the_pool_or_the_table():
-    """A rewrite draws one block of fresh ids, named by the rule's variable
-    names primed, whether the names come from the run's table or from the
-    pool."""
-    program = parse_program("p(x, u) :- x >= 1, y = x - 1, v = u + x, p(y, v).")
-    rule = program.rules[0]
-    states = []
-    for primed in (None, primed_names(program)):
-        pool = program.pool.clone()
-        start = ground_start(program, "p", [7, 2], pool)
-        before = len(pool)
-        states.append(step(program, start, SelectionRule(LEFTMOST), choose_named("r1"), pool, Q, None, primed))
-        assert len(pool) == before + len(rule.variables)
-        assert [pool.name(v) for v in range(before, len(pool))] == [
-            program.pool.name(v) + "'" for v in rule.variables
-        ]
-    assert states[0] == states[1]
 
 
 small_rows = st.lists(
