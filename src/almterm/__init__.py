@@ -27,12 +27,10 @@ from .derivation import (
     BoundRun,
     DerivationState,
     Floundered,
-    SelectionRule,
     Trace,
     check_length_bound,
     ground_start,
     run_ground,
-    state_from_query,
     step,
 )
 from .lp import (
@@ -75,7 +73,6 @@ from .parser import (
     ParseError,
     SourceSpan,
     parse_program,
-    parse_query,
     parse_rule,
     pretty_print,
 )

@@ -1,26 +1,27 @@
-"""Small-step execution of programs on ground start atoms.
+"""Small-step execution of binary programs on ground start atoms.
 
-States are ``<goal atoms || constraint store>``.  A rewrite picks one goal
-atom and renames a rule of its predicate apart: one block of fresh ids,
-drawn in the rule's variable order by one pool call
-(:meth:`VariablePool.fresh_block`), under the rule's variable names primed.
-It then binds the renamed head to the atom (each head argument becomes the
-atom's argument: head arguments are distinct and goal atoms pairwise
-disjoint, so this is the polyhedron that equating them would give) and
-conjoins the rule constraint.  The grown store is existentially projected
-onto the variables the new goal mentions, and the projection is decided
-without a second projection where its form allows: equalities that each pin
-a variable of their own are put into the inequalities (integer
-cross-multiplication) and dropped, which decides a ground store on every
-domain, the ``x >= 0`` rows of ``q+``, ``r+`` and ``n`` included; a store in
-which every row left has a variable that no other row mentions is
-satisfiable (each row is met by moving that variable); any other store is
-decided by eliminating its variables as well, since full Fourier-Motzkin
-elimination is a decision procedure over the rationals.  If either step
-finds a contradiction the state collapses to the failure state
-``<[] || false>`` (represented by a ``None`` store); otherwise the atom is
-replaced by the rule body and the projection is the new store.  Only the
-start atom is ground; later bindings stay symbolic in the store.
+A state is ``<goal || constraint store>`` where the goal is one atom or none:
+a derivation starts from one ground atom, and each rule of a binary program
+has at most one body atom.  A rewrite renames a rule of the goal atom's
+predicate apart: one block of fresh ids, drawn in the rule's variable order
+by one pool call (:meth:`VariablePool.fresh_block`), under the rule's
+variable names primed.  It then binds the renamed head to the atom (each head
+argument becomes the atom's argument: head arguments are distinct, so this is
+the polyhedron that equating them would give) and conjoins the rule
+constraint.  The grown store is existentially projected onto the variables of
+the rule's body atom, and the projection is decided without a second
+projection where its form allows: equalities that each pin a variable of
+their own are put into the inequalities (integer cross-multiplication) and
+dropped, which decides a ground store on every domain, the ``x >= 0`` rows of
+``q+``, ``r+`` and ``n`` included; a store in which every row left has a
+variable that no other row mentions is satisfiable (each row is met by moving
+that variable); any other store is decided by eliminating its variables as
+well, since full Fourier-Motzkin elimination is a decision procedure over the
+rationals.  If either step finds a contradiction the state collapses to the
+failure state ``<[] || false>`` (represented by a ``None`` store); otherwise
+the body atom, or none for a fact, is the new goal and the projection is the
+new store.  Only the start atom is ground; later bindings stay symbolic in
+the store.
 
 Projecting changes nothing observable (the projection has the same solutions
 over the live variables, and rules are renamed apart so no future constraint
@@ -61,7 +62,6 @@ from .model import (
     EQ,
     AlmtermError,
     Atom,
-    ConstraintRow,
     Domain,
     LevelMapping,
     Program,
@@ -77,20 +77,16 @@ FAILURE = "failure"
 FLOUNDERED = "floundered"
 MAX_STEPS = "max-steps"
 
-LEFTMOST = "leftmost"
-RIGHTMOST = "rightmost"
-RANDOM = "random"
-
 
 class Floundered(AlmtermError):
-    """Raised when the selected atom's predicate has no rules at all."""
+    """Raised when the goal atom's predicate has no rules at all."""
 
 
 @dataclass(frozen=True)
 class DerivationState:
-    """``goal`` atoms still to resolve; ``rows`` is the constraint store as
-    integer equality and inequality rows, or None for the unsatisfiable
-    marker."""
+    """``goal`` is the atom still to resolve, as a tuple of one atom, or
+    empty once resolved; ``rows`` is the constraint store as integer
+    equality and inequality rows, or None for the unsatisfiable marker."""
 
     goal: tuple[Atom, ...]
     rows: tuple[list[Row], list[Row]] | None
@@ -102,27 +98,6 @@ class DerivationState:
     @property
     def done(self) -> bool:
         return not self.goal
-
-
-@dataclass(frozen=True)
-class SelectionRule:
-    """Which goal atom gets rewritten next: the leftmost, the rightmost, or
-    one drawn from the caller's ``rng`` (required for RANDOM)."""
-
-    strategy: str = LEFTMOST
-
-    def __post_init__(self) -> None:
-        if self.strategy not in (LEFTMOST, RIGHTMOST, RANDOM):
-            raise AlmtermError(f"unknown selection strategy {self.strategy!r}")
-
-    def select(self, goal: Sequence[Atom], rng: random.Random | None = None) -> int:
-        if self.strategy == LEFTMOST:
-            return 0
-        if self.strategy == RIGHTMOST:
-            return len(goal) - 1
-        if rng is None:
-            raise AlmtermError("random selection needs an rng")
-        return rng.randrange(len(goal))
 
 
 def store_satisfiable(rows: tuple[list[Row], list[Row]]) -> bool:
@@ -172,25 +147,26 @@ def store_satisfiable(rows: tuple[list[Row], list[Row]]) -> bool:
 def step(
     program: Program,
     state: DerivationState,
-    selection: SelectionRule,
     choose: Callable[[Sequence[Rule]], Rule],
     pool: VariablePool,
     domain: Domain = Q,
-    rng: random.Random | None = None,
 ) -> DerivationState:
-    """One rewrite of ``state``, with its store already compacted (see
-    :func:`compact_store`).  ``choose`` picks among the rules of the selected
-    atom's predicate (the semantics itself is nondeterministic).  Raises
-    :class:`Floundered` when that predicate has no rules."""
-    goal = state.goal
-    if state.rows is None or not goal:
+    """One rewrite of ``state``'s goal atom, with the new store already
+    compacted (see :func:`compact_store`).  ``choose`` picks among the rules
+    of the atom's predicate (the semantics itself is nondeterministic).  The
+    new goal is the chosen rule's body atom, or none for a fact; a rule with
+    more body atoms raises :class:`AlmtermError`, since derivations expect a
+    binary program.  Raises :class:`Floundered` when that predicate has no
+    rules."""
+    if state.rows is None or not state.goal:
         raise AlmtermError("cannot step a finished state")
-    idx = selection.select(goal, rng)
-    atom = goal[idx]
+    (atom,) = state.goal
     candidates = program.rules_for(atom.pred)
     if not candidates:
         raise Floundered(f"no rule for predicate {atom.pred}")
     rule = choose(candidates)
+    if len(rule.body) > 1:
+        raise AlmtermError(f"rule {rule.rule_id} has several body atoms; derivations expect a binary program")
     # rename apart: one block of fresh ids in the rule's variable order, the
     # head's included, so that the body's ids are those of renaming the whole
     # rule apart; then bind each head argument to the atom's
@@ -203,28 +179,26 @@ def step(
     ineqs = list(store_ineqs)
     for coeffs, bound, rel in rule.rows:
         (eqs if rel == EQ else ineqs).append(({fresh[v]: c for v, c in coeffs.items()}, bound))
-    body = tuple([Atom(a.pred, tuple([fresh[v] for v in a.args])) for a in rule.body])
-    if len(goal) > 1:
-        body = goal[:idx] + body + goal[idx + 1 :]
-    return compact_store(DerivationState(body, (eqs, ineqs)), domain)
+    goal = tuple([Atom(a.pred, tuple([fresh[v] for v in a.args])) for a in rule.body])
+    return compact_store(goal, (eqs, ineqs), domain)
 
 
-def compact_store(state: DerivationState, domain: Domain) -> DerivationState:
-    """Project the store onto the variables the goal still mentions, and
-    decide the projection (:func:`store_satisfiable`): the failure state if
-    either finds a contradiction.  Domains with implicit nonnegativity
-    restrict every store variable."""
-    if state.rows is None:
-        return state
-    eqs, ineqs = state.rows
+def compact_store(
+    goal: tuple[Atom, ...], rows: tuple[list[Row], list[Row]], domain: Domain
+) -> DerivationState:
+    """The state of ``goal`` with the store ``rows`` projected onto the
+    goal's variables and the projection decided (:func:`store_satisfiable`):
+    the failure state if either finds a contradiction.  Domains with
+    implicit nonnegativity restrict every store variable."""
+    eqs, ineqs = rows
     if domain.nonneg:
         seen = {v for coeffs, _ in eqs + ineqs for v in coeffs}
         ineqs = ineqs + [({v: 1}, 0) for v in sorted(seen)]
-    live = {v for a in state.goal for v in a.args}
+    live = set(goal[0].args) if goal else set()
     projected = project_constraints(eqs, ineqs, live)
     if projected is None or not store_satisfiable(projected):
         return DerivationState((), None)
-    return DerivationState(state.goal, projected)
+    return DerivationState(goal, projected)
 
 
 @dataclass
@@ -267,18 +241,10 @@ def ground_start(
     return DerivationState((Atom(pred, vs),), (pins, []))
 
 
-def state_from_query(rows: Sequence[ConstraintRow], atoms: Sequence[Atom]) -> DerivationState:
-    """Initial state for a parsed query (:func:`almterm.parser.parse_query`)."""
-    eqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
-    ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel != EQ]
-    return DerivationState(tuple(atoms), (eqs, ineqs))
-
-
 def _rewrite_loop(
     program: Program,
     pred: str,
     args: Sequence[int | Fraction],
-    selection: SelectionRule,
     max_steps: int,
     seed: int,
     domain: Domain,
@@ -304,7 +270,7 @@ def _rewrite_loop(
         if steps >= max_steps:
             return steps, MAX_STEPS
         try:
-            state = step(program, state, selection, choose, pool, domain, rng)
+            state = step(program, state, choose, pool, domain)
         except Floundered:
             return steps, FLOUNDERED
         steps += 1
@@ -316,17 +282,18 @@ def run_ground(
     program: Program,
     pred: str,
     args: Sequence[int | Fraction],
-    selection: SelectionRule | None = None,
     max_steps: int = 200,
     seed: int = 0,
     domain: Domain = Q,
 ) -> Trace:
-    """Run one derivation from a ground atom with seeded random rule choice,
-    until success, failure, floundering, or the step budget runs out; the
-    trace keeps every visited state."""
-    selection = selection or SelectionRule(LEFTMOST)
+    """Run one derivation of a binary program (checked up front) from a
+    ground atom with seeded random rule choice, until success, failure,
+    floundering, or the step budget runs out; the trace keeps every visited
+    state."""
+    if not program.is_binary():
+        raise AlmtermError("derivations expect a binary program")
     states: list[DerivationState] = []
-    return Trace(states, *_rewrite_loop(program, pred, args, selection, max_steps, seed, domain, states))
+    return Trace(states, *_rewrite_loop(program, pred, args, max_steps, seed, domain, states))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +425,6 @@ def check_length_bound(
     starts = sample_starts(program, domain, rng)
     if not starts:
         return BoundReport(())
-    selection = SelectionRule(RANDOM)
     runs: list[BoundRun] = []
     for k in range(samples):
         pred, args = starts[k % len(starts)]
@@ -467,6 +433,6 @@ def check_length_bound(
         limit = budget + 1 if step_cap is None else min(budget + 1, step_cap)
         # the run of run_ground with this start, seed and cap, its states
         # dropped as they come
-        outcome = _rewrite_loop(program, pred, args, selection, limit, seed * 7919 + k, domain, None)
+        outcome = _rewrite_loop(program, pred, args, limit, seed * 7919 + k, domain, None)
         runs.append(BoundRun(pred, args, level, budget, *outcome))
     return BoundReport(tuple(runs))

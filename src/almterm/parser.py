@@ -4,7 +4,6 @@ Grammar (a repo convention; Prolog-flavoured):
 
     program     :=  clause*
     clause      :=  atom [ ":-" items ] "."
-    query       :=  "?-" items "."
     items       :=  item ("," item)*
     item        :=  atom | constraint
     atom        :=  ident [ "(" var ("," var)* ")" ]
@@ -36,11 +35,7 @@ integer row :data:`ConstraintRow`, and a :class:`Rule` holds those rows in
 source order.  Later layers read the rows and never convert again.
 
 Variables are interned as ids of a :class:`VariablePool`.
-:func:`parse_program` gives each program a fresh pool.  :func:`parse_query`
-takes the pool that the query's derivation draws its fresh ids from
-(``program.pool.clone()``): a query parsed into a pool of its own would
-number its variables from 0, and the first rewrite would hand the same ids
-to the rule's renamed variables.
+:func:`parse_program` gives each program a fresh pool.
 """
 
 from __future__ import annotations
@@ -90,7 +85,8 @@ class FlatnessError(ParseError):
 
 
 # whitespace and comments are unnamed alternatives, so they make no token;
-# ``bad`` catches any other character (a newline is whitespace)
+# ``bad`` catches any other character (a newline is whitespace); ``?-`` (a
+# Prolog query) is in no clause, but as one token an error names it, not ``?``
 _TOKEN_RE = re.compile(
     r"""
     \s+
@@ -229,17 +225,6 @@ class _Parser:
                     tok,
                 )
         return Rule(rule_id, head, tuple(rows), tuple(body))
-
-    def query(self) -> tuple[list[ConstraintRow], list[Atom]]:
-        self.expect("query")
-        scope = _ClauseScope(self.pool)
-        rows: list[ConstraintRow] = []
-        atoms: list[Atom] = []
-        self.items(scope, rows, atoms)
-        self.expect(".")
-        self.expect("eof")
-        self._check_flat(scope)
-        return rows, atoms
 
     def items(self, scope, rows: list, atoms: list) -> None:
         while True:
@@ -389,15 +374,6 @@ class _Parser:
 def parse_program(text: str, file: str = "<string>") -> Program:
     """Parse a flat program, enforcing all flatness rules at parse time."""
     return _Parser(text, file, VariablePool()).program()
-
-
-def parse_query(
-    text: str, pool: VariablePool, file: str = "<string>"
-) -> tuple[list[ConstraintRow], list[Atom]]:
-    """Parse ``?- items.`` into (constraint rows, atoms) under the same
-    checks, with ids drawn from ``pool``: the pool its derivation will draw
-    from, such as ``program.pool.clone()``."""
-    return _Parser(text, file, pool).query()
 
 
 def parse_rule(text: str, rule_id: str = "r1") -> Rule:

@@ -1,10 +1,11 @@
 """Reference derivation step on ``linear.LinearConstraint`` stores (test
 oracle).
 
-A rewrite renames the chosen rule apart, conjoins the current store, the
-link equalities and the renamed rule constraint as ``LinearConstraint``s,
-decides the conjunction with one exact LP (``feasible(normalize(...))``) and
-then projects it onto the new goal's variables with ``project_constraints``.
+A rewrite of the goal atom (one atom or none, as in ``almterm.derivation``)
+renames the chosen rule apart, conjoins the current store, the link
+equalities and the renamed rule constraint as ``LinearConstraint``s, decides
+the conjunction with one exact LP (``feasible(normalize(...))``) and then
+projects it onto the new goal's variables with ``project_constraints``.
 ``almterm.derivation`` decides the same rewrite with the projection alone;
 the tests compare the two on traces, failure states and stores, and on the
 exhaustive walk :func:`explore`, driven once by each.
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from almterm.derivation import FAILURE, FLOUNDERED, MAX_STEPS, SUCCESS, SelectionRule
+from almterm.derivation import FAILURE, FLOUNDERED, MAX_STEPS, SUCCESS
 from almterm.lp import feasible, project_constraints
 from almterm.model import EQ, GEQ, Atom, Domain, Program, Q, Rule, VariablePool
 from linear import (
@@ -70,15 +71,12 @@ def store_satisfiable(constraints: Sequence[LinearConstraint], domain: Domain) -
 def step(
     program: Program,
     state: OracleState,
-    selection: SelectionRule,
     choose: Callable[[Sequence[Rule]], Rule],
     pool: VariablePool,
     domain: Domain = Q,
-    rng: random.Random | None = None,
 ) -> OracleState:
-    """One rewrite; the grown store is left uncompacted."""
-    idx = selection.select(state.goal, rng)
-    atom = state.goal[idx]
+    """One rewrite of the goal atom; the grown store is left uncompacted."""
+    (atom,) = state.goal
     candidates = program.rules_for(atom.pred)
     if not candidates:
         raise LookupError(atom.pred)
@@ -90,8 +88,7 @@ def step(
     grown = tuple(state.store) + links + tuple(row_constraint(*row) for row in renamed.rows)
     if not store_satisfiable(grown, domain):
         return OracleState((), None)
-    goal = state.goal[:idx] + renamed.body + state.goal[idx + 1 :]
-    return OracleState(goal, grown)
+    return OracleState(renamed.body, grown)
 
 
 def compact_store(state: OracleState, domain: Domain) -> OracleState:
@@ -136,16 +133,15 @@ def explore(
     compact: Callable = compact_store,
     domain: Domain = Q,
 ) -> tuple[int, bool]:
-    """Follow every rule choice (leftmost selection) up to ``depth``
-    rewrites, each state made by ``step`` then ``compact``: the longest
-    complete derivation, and whether every branch finished within the depth.
+    """Follow every rule choice up to ``depth`` rewrites, each state made by
+    ``step`` then ``compact``: the longest complete derivation, and whether
+    every branch finished within the depth.
     The defaults are this oracle's functions; ``almterm.derivation``'s
     ``ground_start`` and ``step`` (which compacts itself) drive the same walk."""
     pool = program.pool.clone()
     longest = 0
     complete = True
     stack = [(start(program, pred, args, pool, domain), 0)]
-    sel = SelectionRule()
     while stack:
         state, used = stack.pop()
         if state.failed or not state.goal:
@@ -159,7 +155,7 @@ def explore(
             longest = max(longest, used)
             continue
         for rule in candidates:
-            nxt = step(program, state, sel, lambda _rs, _r=rule: _r, pool, domain)
+            nxt = step(program, state, lambda _rs, _r=rule: _r, pool, domain)
             stack.append((compact(nxt, domain), used + 1))
     return longest, complete
 
@@ -168,7 +164,6 @@ def run_ground(
     program: Program,
     pred: str,
     args: Sequence,
-    selection: SelectionRule,
     max_steps: int,
     seed: int,
     domain: Domain,
@@ -187,7 +182,7 @@ def run_ground(
         if steps >= max_steps:
             return states, steps, MAX_STEPS
         try:
-            state = step(program, state, selection, rng.choice, pool, domain, rng)
+            state = step(program, state, rng.choice, pool, domain)
         except LookupError:
             return states, steps, FLOUNDERED
         steps += 1

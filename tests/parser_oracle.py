@@ -88,7 +88,3 @@ class OracleParser(_Parser):
 
 def oracle_parse_program(text: str, file: str = "<string>"):
     return OracleParser(text, file, VariablePool()).program()
-
-
-def oracle_parse_query(text: str, file: str = "<string>"):
-    return OracleParser(text, file, VariablePool()).query()

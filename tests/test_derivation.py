@@ -15,8 +15,6 @@ from almterm import (
     LevelMapping,
     Q,
     QPLUS,
-    SelectionRule,
-    VariablePool,
     binarize,
     check_length_bound,
     decide,
@@ -24,16 +22,12 @@ from almterm import (
     feasible,
     parse_program,
     run_ground,
-    state_from_query,
     step,
 )
 from almterm.derivation import (
     FAILURE,
-    LEFTMOST,
     MAX_STEPS,
     OBJECTIVES_PER_RULE,
-    RANDOM,
-    RIGHTMOST,
     compact_store,
     ground_start,
     sample_starts,
@@ -41,7 +35,6 @@ from almterm.derivation import (
 )
 from almterm.lp import integer_system
 from almterm.model import EQ, GEQ
-from almterm.parser import parse_query
 from helpers import load, random_binary_program_text, random_flat_program_text
 from linear import equal, normalize, row_constraint, var
 
@@ -78,8 +71,7 @@ def golden_start():
 
 def test_step_with_recursive_rule():
     program, pool, state = golden_start()
-    sel = SelectionRule(LEFTMOST)
-    nxt = step(program, state, sel, choose_named("r3"), pool)
+    nxt = step(program, state, choose_named("r3"), pool)
     assert not nxt.failed
     assert [a.pred for a in nxt.goal] == ["p"]
     # the store entails y' = 73 for the new goal variable
@@ -93,31 +85,22 @@ def test_step_with_recursive_rule():
     assert all(c.variables() <= goal_vars for c in store(nxt))
 
 
-def test_random_selection_needs_an_rng():
-    program, pool, state = golden_start()
-    with pytest.raises(AlmtermError, match="needs an rng"):
-        step(program, state, SelectionRule(RANDOM), choose_named("r3"), pool)
-
-
 def test_step_with_unsatisfiable_rule_fails():
     program, pool, state = golden_start()
-    sel = SelectionRule(LEFTMOST)
-    nxt = step(program, state, sel, choose_named("r2"), pool)
+    nxt = step(program, state, choose_named("r2"), pool)
     assert nxt.failed and nxt.goal == ()
 
 
 def test_step_with_fact_rule_fails_when_inconsistent():
     program, pool, state = golden_start()
-    sel = SelectionRule(LEFTMOST)
-    nxt = step(program, state, sel, choose_named("r1"), pool)  # 72 = 2
+    nxt = step(program, state, choose_named("r1"), pool)  # 72 = 2
     assert nxt.failed
 
 
 def test_step_renames_rules_apart():
     program, pool, state = golden_start()
-    sel = SelectionRule(LEFTMOST)
     state_vars = {v for c in store(state) for v in c.variables()}
-    nxt = step(program, state, sel, choose_named("r3"), pool)
+    nxt = step(program, state, choose_named("r3"), pool)
     new_vars = {v for c in store(nxt) for v in c.variables()} - state_vars
     rule_vars = set(program.rules[2].variables)
     assert new_vars and not (new_vars & rule_vars)
@@ -125,9 +108,8 @@ def test_step_renames_rules_apart():
 
 def test_compact_store_preserves_goal_solutions():
     program, pool, state = golden_start()
-    sel = SelectionRule(LEFTMOST)
-    nxt = step(program, state, sel, choose_named("r3"), pool)
-    slim = compact_store(nxt, Q)
+    nxt = step(program, state, choose_named("r3"), pool)
+    slim = compact_store(nxt.goal, nxt.rows, Q)
     y = slim.goal[0].args[0]
     assert all(c.variables() <= {y} for c in store(slim))
     assert feasible(normalize(store(slim) + (equal(var(y), 73),)))
@@ -172,29 +154,6 @@ def test_exhaustive_exploration_of_golden_program():
     assert longest <= 2
 
 
-def test_query_seeds_a_state():
-    constraints, atoms = parse_query("?- x = 72, p(x).", VariablePool())
-    state = state_from_query(constraints, atoms)
-    assert [a.pred for a in state.goal] == ["p"]
-    assert not state.failed
-
-
-def test_query_ids_do_not_collide_with_fresh_rewrite_ids():
-    """A query parsed into the pool its derivation draws from keeps its ids
-    apart from the renamed rule variables.  From a pool of its own, ``e``
-    would share its id with the fresh ``y``, so the rule row ``y = x - 1``,
-    with ``x`` bound to ``d``, would read ``e = d - 1``, against ``d = 4``
-    and ``e = 5``, and the rewrite would fail."""
-    program = parse_program("p(x) :- x >= 1, y = x - 1, p(y).\nq(x) :- x >= 0.")
-    pool = program.pool.clone()
-    rows, atoms = parse_query("?- a = 1, b = 2, c = 3, d = 4, e = 5, q(a), q(b), q(c), q(e), p(d).", pool)
-    state = step(program, state_from_query(rows, atoms), SelectionRule(RIGHTMOST), choose_named("r1"), pool)
-    assert not state.failed
-    assert [a.pred for a in state.goal] == ["q", "q", "q", "q", "p"]
-    (y,) = state.goal[-1].args
-    assert ({y: 1}, 3) in state.rows[0]
-
-
 def test_check_length_bound_golden():
     program = parse_program(load("example72.clp"))
     lm = LevelMapping({"p": (73, -1)})
@@ -212,14 +171,7 @@ def test_check_length_bound_specific_starts():
     lm = LevelMapping({"p": (73, -1)})
     for args, budget in (([73], 1), ([-100], 174)):
         for seed in range(5):
-            trace = run_ground(
-                program,
-                "p",
-                args,
-                selection=SelectionRule(RANDOM),
-                max_steps=budget + 1,
-                seed=seed,
-            )
+            trace = run_ground(program, "p", args, max_steps=budget + 1, seed=seed)
             assert trace.steps <= budget
     # level 0 at p(73): nothing applies, exactly the one failing resolution
     trace = run_ground(program, "p", [73], seed=123)
@@ -272,54 +224,46 @@ def test_multibody_bound_on_binarized_program():
     assert report.passed
 
 
-def agree_with_oracle(program, pred, args, selection, max_steps, seed, domain):
-    """Run ``run_ground`` and the LP-per-rewrite oracle on the same start and
-    check that they agree state by state; returns the trace."""
-    trace = run_ground(program, pred, args, selection, max_steps, seed, domain)
-    states, steps, outcome = oracle.run_ground(
-        program, pred, args, selection, max_steps, seed, domain
-    )
+def test_derivations_require_a_binary_program():
+    """``run_ground`` rejects a non-binary program up front, and ``step``
+    rejects a rule with two body atoms, so no state has a goal of two atoms."""
+    program = parse_program(load("multibody.clp"))
+    with pytest.raises(AlmtermError, match="binary"):
+        run_ground(program, "f", [3])
+    pool = program.pool.clone()
+    state = ground_start(program, "f", [3], pool)
+    with pytest.raises(AlmtermError, match="binary"):
+        step(program, state, choose_named("r1"), pool)
+    assert run_ground(binarize(program), "f", [3]).terminated
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([Q, QPLUS, N]))
+def test_run_ground_agrees_with_lp_oracle(seed, domain):
+    """``run_ground`` and the LP-per-rewrite oracle agree state by state on
+    the same start, on binarized random programs."""
+    rng = random.Random(seed)
+    program = binarize(parse_program(random_flat_program_text(rng)))
+    pred = rng.choice(sorted(program.arities))
+    args = [rng.randint(0, 9) for _ in range(program.arities[pred])]
+    # six rewrites, since the oracle pays an LP for each
+    trace = run_ground(program, pred, args, 6, seed, domain)
+    states, steps, outcome = oracle.run_ground(program, pred, args, 6, seed, domain)
     assert (trace.steps, trace.outcome) == (steps, outcome)
     assert [s.failed for s in trace.states] == [s.failed for s in states]
     for ours, theirs in zip(trace.states, states):
         assert ours.goal == theirs.goal
         if not ours.failed and store(ours) != theirs.store:
             assert equivalent_systems(normalize(store(ours)), normalize(theirs.store))
-    return trace
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(
-    st.integers(0, 10**6),
-    st.sampled_from([Q, QPLUS, N]),
-    st.sampled_from(["leftmost", "rightmost", "random"]),
-)
-def test_run_ground_agrees_with_lp_oracle(seed, domain, strategy):
-    rng = random.Random(seed)
-    program = parse_program(random_flat_program_text(rng))
-    pred = rng.choice(sorted(program.arities))
-    args = [rng.randint(0, 9) for _ in range(program.arities[pred])]
-    selection = SelectionRule(strategy)
-    # six rewrites: with several coupled body atoms, the projected stores of
-    # both versions can grow doubly exponentially with derivation length
-    # (thousands of rows after six rewrites), and the oracle pays an LP each
-    agree_with_oracle(program, pred, args, selection, 6, seed, domain)
 
 
 def test_wide_goals_agree_with_lp_oracle():
-    program = parse_program(load("multibody.clp"))
+    """The two-atom body of ``multibody.clp``, split by ``binarize``: the
+    exhaustive walk driven by the package's rewrites finds what the
+    oracle's finds."""
+    program = binarize(parse_program(load("multibody.clp")))
     for x in (3, 6):
         assert explore(program, "f", [x], depth=12) == oracle.explore(program, "f", [x], 12)
-    # with rightmost selection every q atom stays live, each tied to the one
-    # before it, so the store grows by two rows per rewrite until p runs out
-    chain = parse_program(
-        "p(x, u) :- x >= 1, y = x - 1, w = u, v >= w + 1, w + 2 >= v, q(w), p(y, v).\n"
-        "q(x) :- x >= 0.\n"
-    )
-    trace = agree_with_oracle(chain, "p", [25, 0], SelectionRule(RIGHTMOST), 40, 0, Q)
-    assert trace.outcome == FAILURE and trace.steps == 26
-    widest = trace.states[-2]
-    assert len(widest.goal) == 26 and len(store(widest)) >= 50
 
 
 def test_run_ground_runs_no_lp(monkeypatch):
@@ -397,9 +341,7 @@ def test_sampled_runs_match_run_ground():
                     limit = lm.bound_for(run.pred, run.args) + 1
                     if step_cap is not None:
                         limit = min(limit, step_cap)
-                    trace = run_ground(
-                        program, run.pred, run.args, SelectionRule(RANDOM), limit, seed * 7919 + k, domain
-                    )
+                    trace = run_ground(program, run.pred, run.args, limit, seed * 7919 + k, domain)
                     assert (run.steps, run.outcome) == (trace.steps, trace.outcome)
                     outcomes.add(run.outcome)
     assert outcomes == {"success", FAILURE, "floundered", MAX_STEPS}

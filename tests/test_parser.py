@@ -12,7 +12,6 @@ from almterm import (
     ParseError,
     Program,
     parse_program,
-    parse_query,
     pretty_print,
 )
 from almterm import N, Q, QPLUS, VariablePool, decide
@@ -66,21 +65,11 @@ def test_nonlinear_term_rejected():
 def test_shared_variable_between_atoms_rejected():
     with pytest.raises(FlatnessError):
         parse_program("p(x) :- q(x).")
-    with pytest.raises(FlatnessError):
-        parse_query("?- p(x), q(x).", VariablePool())
 
 
 def test_constraint_variable_outside_atoms_rejected():
     with pytest.raises(FlatnessError):
         parse_program("p(x) :- y >= 0.")
-
-
-def test_queries():
-    rows, atoms = parse_query("?- x = 72, p(x).", VariablePool())
-    assert [a.pred for a in atoms] == ["p"]
-    assert rows == [({atoms[0].args[0]: 1}, 72, EQ)]
-    rows, atoms = parse_query("?- x >= 0, p(x).", VariablePool())
-    assert rows == [({atoms[0].args[0]: 1}, 0, GEQ)]
 
 
 def test_arity_consistency():
@@ -312,36 +301,26 @@ def _random_constraint_text(rng: random.Random) -> str:
     return text
 
 
-def _parse_query(text, file):
-    return parse_query(text, VariablePool(), file)
-
-
 def _outcome(parse, text):
     try:
         result = parse(text, file="corpus")
     except ParseError as err:
         return type(err).__name__, err.span, str(err)
-    if isinstance(result, Program):
-        return [_row_items(rule.rows) for rule in result.rules]
-    rows, atoms = result
-    return _row_items(rows), [(a.pred, a.args) for a in atoms]
+    return [_row_items(rule.rows) for rule in result.rules]
 
 
 def test_parser_rows_and_errors_match_the_linear_expr_oracle():
     """The integer expression path writes the rows (key order included) and
     raises the errors (class, span, message) of the ``LinearExpr`` path."""
-    from parser_oracle import oracle_parse_program, oracle_parse_query
+    from parser_oracle import oracle_parse_program
 
     rng = random.Random(1313)
     parsed = failed = 0
-    for i in range(2400):
+    for _ in range(2400):
         items = ", ".join(_random_constraint_text(rng) for _ in range(rng.randint(1, 2)))
-        if i % 4 == 3:
-            text, parse, oracle = f"?- {items}, p(x, y, z).", _parse_query, oracle_parse_query
-        else:
-            text, parse, oracle = f"p(x, y, z) :- {items}.", parse_program, oracle_parse_program
-        got = _outcome(parse, text)
-        assert got == _outcome(oracle, text), text
+        text = f"p(x, y, z) :- {items}."
+        got = _outcome(parse_program, text)
+        assert got == _outcome(oracle_parse_program, text), text
         if isinstance(got[0], str):
             failed += 1
         else:
