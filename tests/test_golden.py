@@ -22,12 +22,11 @@ count and outcome shows up here.
 
 ``parse-errors.txt`` holds what the parser makes of a seeded corpus of
 mutated inputs: the bundled programs and the random corpus, each also with
-grammar pieces inserted, deleted and substituted (among them
-a tab, a carriage return, a NUL, a non-ASCII letter, a comment that runs to
-a later line, an overlong literal and deep nesting).  Each line names the
-input and gives the error class, its span and ``str(err)``, or the parsed
-rows and atoms.  Any change to an error message, line or column shows up
-here.
+grammar pieces inserted, deleted and substituted (among them a tab, a
+carriage return, a NUL, a non-ASCII letter, a comment that runs to a later
+line, an overlong literal and deep nesting).  Each line names the input and
+gives the error class, its span and ``str(err)``, or the parsed rules' rows.
+Any change to an error message, line or column shows up here.
 
 Regenerate (only when the output is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
