@@ -142,7 +142,7 @@ def _analyze(program: Program, opts: argparse.Namespace, report: dict) -> tuple[
     verifier checks and samples, as ``opts`` asks."""
     verdict = decide(program, opts.domain)
     report["verdict"] = verdict.kind
-    if opts.domain.sound_only:
+    if opts.domain.integral:
         report["notes"].append(
             "over the naturals this analysis is sound but not complete: "
             "'sound-yes' proves termination, 'unknown' proves nothing"

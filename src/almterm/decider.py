@@ -34,9 +34,10 @@ enter through ``s``: the decrease takes ``z`` the head's argument
 coefficients minus the body's and ``s = 1 - c0(head) + c0(body)``, the body
 level takes ``z`` the body's argument coefficients and ``s = -c0(body)``.  By
 Farkas' lemma ``c`` is unsatisfiable iff ``(0, 1)`` lies in ``K``, so the
-same projection tests the rule and no LP runs for it.  The explicit
-multiplier systems are never built; the test suite keeps them, over a pinned
-``one`` column, as the specification the cones are checked against.
+same projection tests the rule and no LP runs for it.  A fact is tested by
+its cone too, so the final solve is the one LP :func:`decide` runs.  The
+explicit multiplier systems are never built; the test suite keeps them, over
+a pinned ``one`` column, as the specification the cones are checked against.
 
 The verifier module re-checks any extracted mapping through plain primal
 minimisation, giving an independent second encoding of the same implications.
@@ -54,9 +55,7 @@ from .lp import (
     Row,
     deduplicate,
     drop_redundant,
-    feasible,
     feasible_point,
-    integer_system,
     project_constraints,
 )
 from .model import (
@@ -198,16 +197,10 @@ def coeff_table(program: Program, pool: VariablePool) -> dict[str, tuple[int, ..
     return table
 
 
-def rule_constraint_satisfiable(rule: Rule, domain: Domain) -> bool:
-    """Satisfiability of the rule constraint, including the domain's implicit
-    nonnegativity rows, over the rationals (exact)."""
-    return feasible(integer_system(rule.domain_rows(domain)))
-
-
 def rule_cone(
     rule: Rule, domain: Domain, coeff_ids: dict[str, tuple[int, ...]]
 ) -> RuleCone:
-    """Project the dual cone of a binary rule with a body (see the module
+    """Project the dual cone of a rule of a binary program (see the module
     docstring).
 
     The cone's variables are ``z_j`` (id ``j``) per rule variable (head
@@ -216,10 +209,12 @@ def rule_cone(
     per row of ``rule.domain_rows(domain)``: the rule's rows in order, then
     the domain's ``x >= 0`` rows.
     Its rows are ``A^T y - z = 0``, ``b.y - s >= 0`` and ``y_i >= 0`` for
-    each ``>=`` row; an equality's multiplier is free.
+    each ``>=`` row; an equality's multiplier is free.  A fact's cone only
+    tells whether its constraint is satisfiable, so its layouts are empty.
     """
-    head, body = rule.head, rule.body[0]
-    column = {v: j for j, v in enumerate(dict.fromkeys(head.args + body.args + rule.variables))}
+    head = rule.head
+    body_args = rule.body[0].args if rule.body else ()
+    column = {v: j for j, v in enumerate(dict.fromkeys(head.args + body_args + rule.variables))}
     n = len(column)
     rows = rule.domain_rows(domain)
     balance: list[dict[int, int]] = [{} for _ in range(n)]
@@ -241,11 +236,13 @@ def rule_cone(
         raise AlmtermError("internal: a cone does not contain 0")
     eqs, ineqs = projected
     split = [r for c, _ in eqs for r in ((c, 0), ({v: -k for v, k in c.items()}, 0))]
+    if not rule.body:
+        return RuleCone(rule, n, len(rows), tuple(split + ineqs), (), ())
     # per column, then for ``s``: the coefficient-variable combination each
     # implication puts there; a leftover constraint variable (from body
     # splitting) gets none, so its multiplier combination must vanish
-    hc, bc = coeff_ids[head.pred], coeff_ids[body.pred]
-    leftover = [{}] * (n - len(head.args) - len(body.args))
+    hc, bc = coeff_ids[head.pred], coeff_ids[rule.body[0].pred]
+    leftover = [{}] * (n - len(head.args) - len(body_args))
     decrease = (
         [{mu: 1} for mu in hc[1:]]
         + [{mu: -1} for mu in bc[1:]]
@@ -257,10 +254,9 @@ def rule_cone(
 
 
 def assemble(program: Program, domain: Domain) -> AlmSystem:
-    """Project the dual cone of every rule of a binary program (facts and
-    rules with unsatisfiable constraints are skipped, with the reason
-    recorded).  Facts take one exact satisfiability test each; every other
-    rule is tested by its cone."""
+    """Project the dual cone of every rule of a binary program, which tests
+    the rule's constraint for satisfiability; facts and rules with
+    unsatisfiable constraints are skipped, with the reason recorded."""
     if not program.is_binary():
         raise ModelError("assemble requires a binary program; binarize first")
     pool = program.pool.clone()
@@ -268,15 +264,13 @@ def assemble(program: Program, domain: Domain) -> AlmSystem:
     cones: list[RuleCone] = []
     skipped: list[tuple[str, str]] = []
     for rule in program.rules:
-        if rule.is_fact:
-            sat = rule_constraint_satisfiable(rule, domain)
-            skipped.append((rule.rule_id, SKIP_FACT if sat else SKIP_UNSAT))
-            continue
         cone = rule_cone(rule, domain, coeff_ids)
-        if cone.satisfiable:
-            cones.append(cone)
-        else:
+        if not cone.satisfiable:
             skipped.append((rule.rule_id, SKIP_UNSAT))
+        elif rule.is_fact:
+            skipped.append((rule.rule_id, SKIP_FACT))
+        else:
+            cones.append(cone)
     return AlmSystem(domain, tuple(cones), coeff_ids, tuple(skipped), pool)
 
 
@@ -320,8 +314,8 @@ def decide(program: Program, domain: Domain) -> Verdict:
     point = feasible_point(coeff_system)
 
     if point is None:
-        kind = UNKNOWN if domain.sound_only else NOT_ALM_RECURRENT
+        kind = UNKNOWN if domain.integral else NOT_ALM_RECURRENT
         return Verdict(kind, None, coeff_system, alm, binary)
 
-    kind = SOUND_YES if domain.sound_only else ALM_RECURRENT
+    kind = SOUND_YES if domain.integral else ALM_RECURRENT
     return Verdict(kind, extract_witness(alm, point), coeff_system, alm, binary)

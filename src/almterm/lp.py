@@ -22,25 +22,22 @@ builder that puts a fractional bound into a column multiplies that column by
 the bound's denominator: scaling a column by ``k > 0`` changes no sign test
 and no ratio comparison of Bland's rule, so no pivot and no phase-one dual.
 
-Phase one reads no costs, so :func:`minimize` runs it once per system and
-gives every objective its own phase two on a copy of the feasible basis
-inverse; each outcome is the one that objective alone would get.  A system
-has one column layout: an objective that names variables outside it is
-minimised over the system widened by those variables.  The optimum is read
-off the reduced-cost row, whose rhs entry carries minus the objective value.
-
-Only :func:`minimize` runs phase two.  Feasibility and entailment are yes/no
-questions, and each is one phase one on the system's row-multiplier
-alternative (the affine Farkas lemma), built by the one private builder
+Every LP question is asked on the system's row-multiplier side (the affine
+Farkas lemma and LP duality), over the columns of the one private builder
 ``_alternative``: a row per *variable*, then the bound row, over a column per
 system row.  Deciding systems with thousands of rows over a handful of
-variables so stays cheap.  :func:`feasible_point` asks for nonnegative
-multipliers that cancel every variable and combine the right-hand sides to 1;
-when there are none, phase one's equality duals yield an exact point of the
-system for free.  :func:`entails` asks for multipliers that combine the rows
-into the tested row or refute the system, so each redundancy test of
-:func:`drop_redundant` is a basis of a row per variable, not a primal LP
-over split variables and a surplus column per row.
+variables so stays cheap.  Feasibility and entailment are yes/no questions,
+each one phase one.  :func:`feasible_point` asks for nonnegative multipliers
+that cancel every variable and combine the right-hand sides to 1; when there
+are none, phase one's equality duals yield an exact point of the system for
+free.  :func:`entails` asks for multipliers that combine the rows into the
+tested row or refute the system, so each redundancy test of
+:func:`drop_redundant` is a basis of a row per variable.  :func:`minimize`
+solves each objective's dual, multipliers that combine the rows into the
+objective with the largest combined bound, by one phase one and one phase
+two; the optimum's point is the final basis's simplex multipliers, and the
+basic multipliers are the certificate it is checked against before it is
+returned.
 
 Projection works on the same rows.  :func:`project_constraints` is the one
 routine: equality substitution, then Fourier-Motzkin elimination with
@@ -59,13 +56,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .model import EQ, AlmtermError, ConstraintRow
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -227,8 +224,8 @@ def _bland(cols, inv, basis, obj, costs, eligible: int):
     Column ``j``'s reduced cost is ``costs[j] + obj.M_j`` over the
     denominator of ``obj``, priced only until the first negative one.  Only
     columns < eligible may enter (artificials never re-enter).  Returns
-    ("optimal", -1, None) or ("unbounded", entering column, its ``B^-1``
-    image).
+    OPTIMAL, or UNBOUNDED when the entering column's ``B^-1`` image has no
+    positive entry.
     """
     while True:
         den = obj[-1]
@@ -239,7 +236,7 @@ def _bland(cols, inv, basis, obj, costs, eligible: int):
             if f < 0:
                 break
         else:
-            return OPTIMAL, -1, None
+            return OPTIMAL
         col = _column(inv, cols[enter])
         leave = -1
         for i, a in enumerate(col):
@@ -253,7 +250,7 @@ def _bland(cols, inv, basis, obj, costs, eligible: int):
                 ):
                     leave, best_b, best_a = i, b, a
         if leave < 0:
-            return UNBOUNDED, enter, col
+            return UNBOUNDED
         _pivot(inv, basis, leave, enter, col, obj, f)
 
 
@@ -287,8 +284,7 @@ def _phase_one(cols: list[Column], d):
 
     costs = [0] * ncols + [1] * m
     obj = _prices(inv, basis, costs)
-    status, _, _ = _bland(cols, inv, basis, obj, costs, ncols)
-    if status != OPTIMAL:
+    if _bland(cols, inv, basis, obj, costs, ncols) != OPTIMAL:
         raise AlmtermError("internal: phase one is not bounded below by zero")
     if any(row[-2] for row, b in zip(inv, basis) if b >= ncols):
         return None, [Fraction(-obj[i], obj[-1]) for i in range(m)]
@@ -304,32 +300,19 @@ def _phase_one(cols: list[Column], d):
     return (inv, basis), None
 
 
-def _phase_two(cols, inv, basis, costs, width):
+def _phase_two(cols, inv, basis, costs):
     """Phase two over the columns ``cols`` from a :func:`_phase_one` state,
     whose ``inv`` and ``basis`` it pivots in place: min costs.w.  Returns
-    (status, point, value, ray), with the point and the ray over the first
-    ``width`` columns only; ``value`` is read off the reduced-cost row and is
-    None unless OPTIMAL, ``ray`` is None unless UNBOUNDED."""
+    (status, value), with ``value`` read off the reduced-cost row, None
+    unless OPTIMAL."""
     ints = _to_row(costs)
     scale = ints.pop()
     # artificials left basic at zero cost nothing
     ints += [0] * len(inv)
     obj = _prices(inv, basis, ints)
-    status, enter, col = _bland(cols, inv, basis, obj, ints, len(costs))
-
-    point = [ZERO] * width
-    for row, b in zip(inv, basis):
-        if b < width:
-            point[b] = Fraction(row[-2], row[-1])
-    if status == UNBOUNDED:
-        ray = [ZERO] * width
-        if enter < width:
-            ray[enter] = ONE
-        for a, row, b in zip(col, inv, basis):
-            if b < width:
-                ray[b] = Fraction(-a, row[-1])
-        return UNBOUNDED, point, None, ray
-    return OPTIMAL, point, Fraction(-obj[-2], obj[-1] * scale), None
+    if _bland(cols, inv, basis, obj, ints, len(costs)) == UNBOUNDED:
+        return UNBOUNDED, None
+    return OPTIMAL, Fraction(-obj[-2], obj[-1] * scale)
 
 
 def _alternative(sys: LinearSystem, order: Iterable[int], extra: int) -> list[Column]:
@@ -358,58 +341,79 @@ def _alternative(sys: LinearSystem, order: Iterable[int], extra: int) -> list[Co
 def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tuple[LpOutcome, ...]:
     """Exact minimum of each objective ``sum(c * v for v, c in
     objective.items())`` over ``sys`` (variables unrestricted): one outcome
-    per objective, in order.
+    per objective, in order, with points and rays over the system's
+    variables and then the objective's own.
 
-    Internally splits every variable into a difference of nonnegatives and
-    adds one surplus column per row.  Phase one runs once for the system;
-    each objective then runs phase two on its own copy of that basis
-    inverse.  Phase one reads no costs, so every outcome is the one a call
-    with that objective alone returns.  An objective that names variables
-    outside ``sys`` is minimised by its own call over ``sys`` widened by
-    them, in the objective's order.  The reported point is a vertex,
-    deterministic under Bland's order, over the system's variables and then
-    the objective's own.
+    Each objective ``c`` is solved as its LP dual (Gale, Kuhn and Tucker,
+    1951), max ``b.y`` over ``y >= 0`` with ``A^T y = c``, on
+    ``_alternative``'s columns with the bound row as costs: one phase one
+    and one phase two, over a basis of a row per variable.  With no such
+    ``y``, minus phase one's equality duals are a ray ``r`` (``A r >= 0``,
+    ``c.r < 0``), and the outcome is UNBOUNDED at :func:`feasible_point`'s
+    point, found once per call, or INFEASIBLE without one; an unbounded
+    ``b.y`` means INFEASIBLE too.  Otherwise the point is the final basis's
+    simplex multipliers, deterministic under Bland's order, and the optimum
+    is checked by :func:`_check_optimum` before it is returned.
     """
-    if not objectives:
-        return ()
-    n = sys.num_vars
-    m = sys.num_rows
-    index = {v: i for i, v in enumerate(sys.variables)}
-
-    cols: list[Column] = [[] for _ in range(2 * n + m)]
-    for r, (coeffs, _) in enumerate(sys.rows):
-        for v, c in coeffs.items():
-            k = index[v]
-            cols[k].append((r, c))
-            cols[n + k].append((r, -c))
-        cols[2 * n + r].append((r, -1))
-    state, _ = _phase_one(cols, [bound for _, bound in sys.rows])
-    if state is None:
-        return (LpOutcome(INFEASIBLE),) * len(objectives)
-    inv, basis = state
-
-    def recombine(vec) -> dict[int, Fraction]:
-        return {v: vec[i] - vec[n + i] if vec[n + i] else vec[i] for v, i in index.items()}
-
+    cols = _alternative(sys, sys.variables, 0)
+    # each column's bound entry, popped, is its cost in min -b.y
+    costs = [-col.pop()[1] if bound else 0 for col, (_, bound) in zip(cols, sys.rows)]
+    base = cache(lambda: feasible_point(sys))
     outcomes: list[LpOutcome] = []
-    last = len(objectives) - 1
-    for k, objective in enumerate(objectives):
-        extra = tuple([v for v in objective if v not in index])
-        if extra:
-            outcomes += minimize(LinearSystem(sys.variables + extra, sys.rows), objective)
+    for objective in objectives:
+        order = tuple(dict.fromkeys([*sys.variables, *objective]))
+        c = [objective.get(v, 0) for v in order]
+        state, duals = _phase_one(cols, c)
+        if state is None:
+            point = base()
+            if point is None:
+                outcomes.append(LpOutcome(INFEASIBLE))
+            else:
+                point = {**point, **{v: ZERO for v in order[sys.num_vars :]}}
+                ray = {v: -duals[k] for k, v in enumerate(order)}
+                outcomes.append(LpOutcome(UNBOUNDED, point=point, ray=ray))
             continue
-        # the last objective may pivot the phase-one inverse itself
-        tinv = inv if k == last else [row[:] for row in inv]
-        costs = [0] * (2 * n + m)
-        for v, c in objective.items():
-            costs[index[v]] = c
-            costs[n + index[v]] = -c
-        status, point, value, ray = _phase_two(cols, tinv, list(basis), costs, 2 * n)
+        inv, basis = state
+        status, value = _phase_two(cols, inv, basis, costs)
         if status == UNBOUNDED:
-            outcomes.append(LpOutcome(UNBOUNDED, point=recombine(point), ray=recombine(ray)))
-        else:
-            outcomes.append(LpOutcome(OPTIMAL, value, recombine(point)))
+            outcomes.append(LpOutcome(INFEASIBLE))
+            continue
+        prices = _prices(inv, basis, costs + [0] * len(inv))
+        _check_optimum(cols, costs, c, state, prices, -value)
+        point = {v: Fraction(prices[k], prices[-1]) for k, v in enumerate(order)}
+        outcomes.append(LpOutcome(OPTIMAL, -value, point))
     return tuple(outcomes)
+
+
+def _check_optimum(cols, costs, c, state, prices, value) -> None:
+    """Raise :class:`AlmtermError` (``internal: ...``) unless the point
+    ``x``, the numerators ``prices[:len(c)]`` over ``prices[-1]``, satisfies
+    every row and attains ``value`` on the objective ``c``, and the basic
+    multipliers ``y`` of ``state`` are ``>= 0`` with ``A^T y = c`` and
+    ``b.y = value``: by weak duality, ``value`` is then the minimum.  The
+    rows are read as integers off ``minimize``'s columns and costs: column
+    ``j`` holds row ``j`` times its bound's denominator, and ``-costs[j]``
+    the bound's numerator."""
+    x, den = prices[: len(c)], prices[-1]
+    inv, basis = state
+    basic = [row for row, j in zip(inv, basis) if j < len(cols)]
+    yden = lcm(*[row[-1] for row in basic])
+    combined = [0] * len(c)
+    bound = 0
+    for row, j in zip(inv, basis):
+        if j < len(cols):
+            y = row[-2] * (yden // row[-1])
+            for k, a in cols[j]:
+                combined[k] += a * y
+            bound -= costs[j] * y
+    if not (
+        all(sum(a * x[k] for k, a in col) >= -cost * den for col, cost in zip(cols, costs))
+        and sum(a * b for a, b in zip(c, x)) == value * den
+        and all(row[-2] >= 0 for row in basic)
+        and combined == [a * yden for a in c]
+        and bound == value * yden
+    ):
+        raise AlmtermError("internal: an optimum fails its certificate")
 
 
 def feasible_point(sys: LinearSystem) -> dict[int, Fraction] | None:
@@ -446,11 +450,6 @@ def feasible(sys: LinearSystem) -> bool:
     return feasible_point(sys) is not None
 
 
-def _holds(out: LpOutcome, bound: int | Fraction) -> bool:
-    """Does the minimisation ``out`` show its objective stays ``>= bound``?"""
-    return out.status == INFEASIBLE or (out.status == OPTIMAL and out.value >= bound)
-
-
 def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int | Fraction) -> bool:
     """Does every solution of ``sys`` satisfy ``coeffs . x >= bound``?
 
@@ -479,14 +478,13 @@ def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int 
 
 def equivalent_systems(a: LinearSystem, b: LinearSystem) -> bool:
     """Solution-set equality over the union of both variable tuples,
-    established by mutual row entailment: one :func:`minimize` call per side,
-    with every row of the one side an objective over the other (exact LPs, no
-    tolerance)."""
-    for sys, other in ((a, b), (b, a)):
-        outs = minimize(other, *[coeffs for coeffs, _ in sys.rows])
-        if not all(_holds(out, bound) for out, (_, bound) in zip(outs, sys.rows)):
-            return False
-    return True
+    established by mutual row entailment: one :func:`entails` test per row
+    of each side against the other (exact, no tolerance)."""
+    return all(
+        entails(other, coeffs, bound)
+        for sys, other in ((a, b), (b, a))
+        for coeffs, bound in sys.rows
+    )
 
 
 # ---------------------------------------------------------------------------

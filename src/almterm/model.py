@@ -46,8 +46,9 @@ class Domain:
     """Numeric domain a program is interpreted over.
 
     ``q+``, ``r+`` and ``n`` place an implicit ``x >= 0`` on every variable.
-    ``n`` is special: the analysis is sound but not complete there, so
-    affirmative answers become "sound-yes" and negative ones "unknown".
+    ``n`` alone is ``integral``: the analysis is sound but not complete
+    there, so affirmative answers become "sound-yes" and negative ones
+    "unknown".
     """
 
     tag: str
@@ -61,10 +62,6 @@ class Domain:
     @property
     def nonneg(self) -> bool:
         return self.tag in ("q+", "r+", "n")
-
-    @property
-    def sound_only(self) -> bool:
-        return self.tag == "n"
 
     @property
     def integral(self) -> bool:

@@ -29,13 +29,15 @@ bounds, with the statuses and values :func:`minimize` would give: the box
 is empty when some ``lo > hi``; otherwise each objective term ``c * x``
 takes ``c * lo`` or ``c * hi``, and is unbounded below when that bound is
 missing.  Any system with a row over two or more variables goes to one
-:func:`minimize` call for both minima (one shared phase one).  A fact has
-no pair: it is satisfiable when its reduced system is nonempty, which the
-same dispatch decides with the zero objective.
+:func:`minimize` call for both minima.  A fact has no pair: it is
+satisfiable when its reduced system is nonempty, which the same dispatch
+decides with the zero objective.
 
-The decider never runs these minimisations (it works on the multiplier side,
-with the projected cone), and no cone or multiplier enters here, so agreement
-between the two is a genuine cross-check of both encodings.
+The decider never runs these minimisations (it works with the projected
+cone), and no cone enters here, so agreement between the two is a genuine
+cross-check of both encodings.  Both share the LP kernel and its columns
+(:func:`minimize` solves the dual), so :func:`minimize` checks each optimum
+against its point and its multipliers before returning it.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class RuleCheck:
     exact minima, and points and rays over the variables of the reduced
     system, which are the rule's variables left once its equalities are
     substituted away (then any objective variable outside it).  The points
-    are the simplex's vertices or, for a box, read off its bounds.  On
+    are :func:`minimize`'s or, for a box, read off its bounds.  On
     failure ``counterexample`` assigns every rule variable a rational,
     witnessing the violated implication (a ground instance of the rule).
     """

@@ -1,11 +1,12 @@
-"""Reference row entailment by primal minimisation (test oracle).
+"""Reference row entailment by minimisation (test oracle).
 
 ``entails`` minimises the tested row's coefficients over the system with
-:func:`almterm.lp.minimize` (a two-phase primal simplex over split variables
-and one surplus column per row) and compares the optimum with the bound.
+:func:`almterm.lp.minimize` (the LP dual solved to its optimum, with a phase
+two over the bound row's costs) and compares the optimum with the bound.
 ``drop_redundant`` is the same greedy loop as the library's, over this
 ``entails``.  ``almterm.lp`` decides entailment with one Farkas feasibility
-test on the multiplier side instead; the tests check that both answer alike.
+test instead, phase one alone on other columns; the tests check that both
+answer alike.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from almterm.decider import AlmSystem, rule_constraint_satisfiable
-from almterm.lp import LinearSystem, integer_system
+from almterm.decider import AlmSystem
+from almterm.lp import LinearSystem, feasible, integer_system
 from almterm.model import EQ, Domain, ModelError, Rule, VariablePool
 from linear import LinearConstraint, LinearExpr, equal, geq, nonneg_rows
 
@@ -127,7 +127,7 @@ def build_rule_primal(
         return None
     if len(rule.body) != 1:
         raise ModelError(f"rule {rule.rule_id} is not binary")
-    if not rule_constraint_satisfiable(rule, domain):
+    if not feasible(integer_system(rule.domain_rows(domain))):
         return None
     one = pool.fresh(f"one[{rule.rule_id}]")
     system, decrease, nonneg = _encode(rule, domain, one, coeff_ids)

@@ -164,8 +164,8 @@ def test_assemble_counts():
 
 
 def test_assemble_tests_each_rule_satisfiability_once(monkeypatch):
-    """Facts take one LP each; a rule with a body is tested by its projected
-    dual cone (Farkas), with no LP at all."""
+    """Every rule, a fact included, is tested by its projected dual cone
+    (Farkas): one projection per rule and no LP at all."""
     program = parse_program(
         "p(x) :- x = 2.\n"
         "p(x) :- 0 = 1.\n"
@@ -173,19 +173,26 @@ def test_assemble_tests_each_rule_satisfiability_once(monkeypatch):
         "p(x) :- 72 >= x, y = x + 1, p(y).\n"
         "q(x) :- x >= 1, y = x - 1, p(y).\n"
     )
-    calls = []
-    real = lp.feasible_point
+    projections = []
+    real = decider.project_constraints
 
-    def counting(sys):
-        calls.append(sys)
-        return real(sys)
+    def counting(eqs, ineqs, keep):
+        projections.append(keep)
+        return real(eqs, ineqs, keep)
 
-    monkeypatch.setattr(lp, "feasible_point", counting)
+    def refuse(*args):
+        raise AssertionError("assemble ran an LP")
+
+    monkeypatch.setattr(decider, "project_constraints", counting)
+    monkeypatch.setattr(lp, "_phase_one", refuse)
     alm = assemble(program, Q)
     ids = [rule.rule_id for rule in program.rules]
-    assert len(calls) == sum(rule.is_fact for rule in program.rules) == 2
+    assert len(projections) == len(program.rules)
     assert alm.skipped == ((ids[0], "fact"), (ids[1], "unsat"), (ids[2], "unsat"))
-    assert len(systems(alm)) == 4
+    assert [cone.rule.rule_id for cone in alm.cones] == ids[3:]
+    # an unsatisfiable fact is skipped as such
+    alm = assemble(parse_program("p(x) :- x >= 1, 0 >= x.\n"), QPLUS)
+    assert alm.skipped == ((alm.skipped[0][0], "unsat"),)
 
 
 def test_decide_golden_program():

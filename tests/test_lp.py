@@ -20,7 +20,7 @@ from almterm import (
     minimize,
 )
 from almterm import lp
-from almterm.model import EQ, GEQ
+from almterm.model import EQ, GEQ, AlmtermError
 import entailment_oracle
 from linear import LinearExpr, const, equal, geq, normalize, var
 
@@ -180,7 +180,15 @@ def test_optimal_points_satisfy_all_rows(raw_rows, obj):
             sum(Fraction(c) * out.point[v] for c, v in zip(obj, (X, Y))) == out.value
         )
     elif out.status == UNBOUNDED:
-        assert sys.satisfied_by(out.point)
+        assert_ray(sys, {X: obj[0], Y: obj[1]}, out)
+
+
+def assert_ray(sys, objective, out):
+    """An unbounded outcome's point satisfies ``sys`` and its ray ``r`` is
+    one by definition: ``A r >= 0`` and ``c.r < 0``."""
+    assert out.status == UNBOUNDED and sys.satisfied_by(out.point)
+    assert all(sum(c * out.ray[v] for v, c in coeffs.items()) >= 0 for coeffs, _ in sys.rows)
+    assert sum(c * out.ray[v] for v, c in objective.items()) < 0
 
 
 W, V = 3, 4  # variables no row of the systems below mentions
@@ -210,10 +218,10 @@ def assert_same_as_one_at_a_time(sys, objectives):
     ),
 )
 def test_minimize_many_objectives_equals_one_at_a_time(raw_rows, objectives):
-    """Phase one reads no costs, so one call with several objectives gives
-    the outcomes of one call per objective, field for field: over random
-    (also infeasible) systems, with unbounded objectives, and with objectives
-    over variables outside the system."""
+    """One call with several objectives gives the outcomes of one call per
+    objective, field for field: over random (also infeasible) systems, with
+    unbounded objectives, and with objectives over variables outside the
+    system."""
     sys = dense_system((X, Y, Z), raw_rows)
     assert_same_as_one_at_a_time(sys, objectives)
 
@@ -235,6 +243,24 @@ def test_minimize_many_objectives_named_cases():
     assert [o.status for o in outs] == [INFEASIBLE, INFEASIBLE]
 
     assert minimize(box) == ()
+
+
+def test_minimize_checks_the_optimum_before_returning_it(monkeypatch):
+    """A phase two that reports a value one too high is caught before the
+    value is returned: the point does not attain it, and the multipliers do
+    not certify it."""
+    real = lp._phase_two
+
+    def one_too_high(*args):
+        return tuple(v + 1 if isinstance(v, Fraction) else v for v in real(*args))
+
+    sys = normalize([geq(var(X), 3), geq(var(Y) - var(X), 1)])
+    assert minimize(sys, {X: 1, Y: 1})[0].value == 7
+    monkeypatch.setattr(lp, "_phase_two", one_too_high)
+    with pytest.raises(AlmtermError, match="^internal: "):
+        minimize(sys, {X: 1, Y: 1})
+    # an outcome without an optimum carries no value to check
+    assert minimize(sys, {X: -1})[0].status == UNBOUNDED
 
 
 # --- duality -----------------------------------------------------------------
@@ -284,9 +310,13 @@ def explicit_dual(sys: LinearSystem, objective: dict):
 
 
 def test_duality_random_suite_small():
+    """Bounded LPs have the optimum of their explicit duals.  Over random
+    systems, also infeasible and unbounded ones, the outcome agrees with the
+    explicit dual's: equal optima, an unbounded objective with a ray by
+    definition and an infeasible dual, and an infeasible system with a dual
+    that has no optimum."""
     rng = random.Random(99)
-    hits = 0
-    while hits < 40:
+    for _ in range(40):
         sys, cost = make_bounded_lp(rng)
         (primal,) = minimize(sys, cost)
         assert primal.status == OPTIMAL
@@ -294,7 +324,24 @@ def test_duality_random_suite_small():
         (dual,) = minimize(dual_sys, dual_obj)
         assert dual.status == OPTIMAL
         assert -dual.value == primal.value
-        hits += 1
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        rows = [([rng.randint(-4, 4) for _ in range(n)], rng.randint(-4, 4)) for _ in range(rng.randint(0, 5))]
+        sys = dense_system(range(n), rows)
+        cost = {i: rng.randint(-4, 4) for i in range(n)}
+        (primal,) = minimize(sys, cost)
+        dual_sys, dual_obj = explicit_dual(sys, cost)
+        (dual,) = minimize(dual_sys, dual_obj)
+        if primal.status == OPTIMAL:
+            assert dual.status == OPTIMAL and -dual.value == primal.value
+        elif primal.status == UNBOUNDED:
+            assert_ray(sys, cost, primal)
+            assert dual.status == INFEASIBLE
+        else:
+            assert not feasible(sys) and dual.status != OPTIMAL
+        seen.add(primal.status)
+    assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
 
 
 # --- projection --------------------------------------------------------------
@@ -449,7 +496,8 @@ def test_feasibility_and_entailment_run_phase_one_only(monkeypatch):
 def test_the_kernel_reads_integer_columns_only(monkeypatch):
     """``_alternative`` scales each row's column by its bound's denominator,
     and ``entails`` scales the tested row's column by the lcm of its
-    denominators, so no Fraction reaches ``_phase_one``'s columns."""
+    denominators, so no Fraction reaches ``_phase_one``'s columns, from
+    ``minimize`` included."""
     sys = LinearSystem((X, Y), (({X: 2, Y: -1}, Fraction(1, 2)), ({Y: 3}, Fraction(-7, 3)), ({X: 1}, 4)))
     cols = lp._alternative(sys, (X, Y), 1)
     assert cols == [[(0, 4), (1, -2), (2, 1)], [(1, 9), (2, -7)], [(0, 1), (2, 4)], []]
@@ -465,6 +513,7 @@ def test_the_kernel_reads_integer_columns_only(monkeypatch):
     assert entails(sys, coeffs, bound) == entailment_oracle.entails(sys, coeffs, bound)
     assert seen[0][3] == [(0, -6), (1, -8), (2, -15), (3, 12)]
     assert feasible_point(sys) is not None
+    minimize(sys, coeffs, {X: -1})
     assert all(type(v) is int for cols in seen for col in cols for _, v in col)
 
 

@@ -67,15 +67,32 @@ def solve_standard(mat, d, costs):
 
     Returns (status, point, value, duals, ray).  ``duals`` are the phase-one
     equality multipliers and are only returned on INFEASIBLE; ``ray`` only on
-    UNBOUNDED.
+    UNBOUNDED.  The point and the ray are read off the basis that
+    ``_phase_two`` leaves: the ray's column is the one Bland's rule stopped
+    at, the first that the basis prices negative.
     """
     ncols = len(costs)
     cols = [[(i, int(row[j])) for i, row in enumerate(mat) if row[j]] for j in range(ncols)]
     state, duals = _phase_one(cols, d)
     if state is None:
         return INFEASIBLE, None, None, duals, None
-    status, point, value, ray = _phase_two(cols, *state, costs, ncols)
-    return status, point, value, None, ray
+    inv, basis = state
+    status, value = _phase_two(cols, inv, basis, costs)
+    point = [F(0)] * ncols
+    for row, b in zip(inv, basis):
+        if b < ncols:
+            point[b] = F(row[-2], row[-1])
+    if status == OPTIMAL:
+        return status, point, value, None, None
+    ints = lp._to_row(costs)[:-1] + [0] * len(inv)
+    obj = lp._prices(inv, basis, ints)
+    enter = next(j for j in range(ncols) if ints[j] * obj[-1] + sum(obj[k] * v for k, v in cols[j]) < 0)
+    ray = [F(0)] * ncols
+    ray[enter] = F(1)
+    for a, row, b in zip(lp._column(inv, cols[enter]), inv, basis):
+        if b < ncols:
+            ray[b] = F(-a, row[-1])
+    return status, point, None, None, ray
 
 
 def integer_columns(mat, ncols):

@@ -143,7 +143,7 @@ def test_domain_rows_append_sorted_nonnegativity_rows():
 
 def test_domain_parsing():
     assert Domain.parse("Q+").nonneg
-    assert Domain.parse("n").sound_only
+    assert Domain.parse("n").integral
     assert not Domain.parse("q").nonneg
     with pytest.raises(ModelError):
         Domain.parse("z")

@@ -23,8 +23,8 @@ from almterm import (
     project_constraints,
 )
 from almterm import decider
-from almterm.decider import coeff_table, rule_cone, rule_constraint_satisfiable
-from almterm.lp import LinearSystem, integer_system
+from almterm.decider import coeff_table, rule_cone
+from almterm.lp import LinearSystem, feasible, integer_system
 from helpers import PROGRAMS, load, random_binary_program_text, random_flat_program_text
 from linear import LinearConstraint, LinearExpr, constraint_row, geq, normalize
 from multiplier_systems import build_rule_systems, systems
@@ -106,20 +106,18 @@ def test_instantiated_cones_match_explicit_systems():
 
 def test_cone_satisfiability_agrees_with_lp():
     """Farkas: (0, 1) lies in a rule's dual cone iff its constraint is
-    unsatisfiable."""
+    unsatisfiable, for facts too."""
     rng = random.Random(23)
     seen = set()
     for _ in range(60):
         program = binarize(parse_program(random_binary_program_text(rng)))
         for domain in (Q, QPLUS):
             for rule in program.rules:
-                if rule.is_fact:
-                    continue
                 cone = decider.rule_cone(rule, domain, decider.coeff_table(program, program.pool.clone()))
-                sat = rule_constraint_satisfiable(rule, domain)
+                sat = feasible(integer_system(rule.domain_rows(domain)))
                 assert cone.satisfiable == sat
-                seen.add(sat)
-    assert seen == {True, False}
+                seen.add((rule.is_fact, sat))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_decide_projects_each_analysed_rule_once(monkeypatch):
@@ -138,18 +136,19 @@ def test_decide_projects_each_analysed_rule_once(monkeypatch):
 
     monkeypatch.setattr(decider, "project_constraints", counting)
     verdict = decide(program, Q)
+    # facts are tested by their cones too, and not analysed
+    assert len(calls) == len(binary.rules)
     with_body = [rule for rule in binary.rules if not rule.is_fact]
-    assert len(calls) == len(with_body)
     # the cone of the unsatisfiable rule finds it, and it is not analysed
     assert len(verdict.alm.cones) == len(with_body) - 1
     assert ("r6", "unsat") in verdict.alm.skipped
 
 
 def test_cone_has_a_balance_row_per_rule_variable_and_a_sign_row_per_inequality(monkeypatch):
-    """Each cone is built from the rule's own rows: one balance equality per
-    rule variable (no pinned ``one`` column), and besides the bound row one
-    ``y >= 0`` row per ``>=`` row of the rule or of the domain; an equality's
-    multiplier is free."""
+    """Each cone, a fact's included, is built from the rule's own rows: one
+    balance equality per rule variable (no pinned ``one`` column), and
+    besides the bound row one ``y >= 0`` row per ``>=`` row of the rule or of
+    the domain; an equality's multiplier is free."""
     program = binarize(
         parse_program(
             load("example4.clp") + "\n" + load("multibody.clp") + "\n"
@@ -172,8 +171,8 @@ def test_cone_has_a_balance_row_per_rule_variable_and_a_sign_row_per_inequality(
 
         monkeypatch.setattr(decider, "project_constraints", recording)
         assemble(program, domain)
-        assert len(calls) == len(with_body)
-        for rule, (eqs, ineqs) in zip(with_body, calls):
+        assert len(calls) == len(program.rules)
+        for rule, (eqs, ineqs) in zip(program.rules, calls):
             inequalities = sum(rel == GEQ for _, _, rel in rule.domain_rows(domain))
             assert len(eqs) == len(rule.variables)
             assert len(ineqs) == 1 + inequalities
@@ -186,8 +185,6 @@ def test_cone_has_a_multiplier_per_domain_row():
         program = binarize(parse_program(path.read_text(encoding="utf-8")))
         coeff_ids = coeff_table(program, program.pool.clone())
         for rule in program.rules:
-            if rule.is_fact:
-                continue
             for domain in DOMAINS:
                 rows = rule.domain_rows(domain)
                 assert rule_cone(rule, domain, coeff_ids).multipliers == len(rows)
