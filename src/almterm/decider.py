@@ -180,8 +180,9 @@ class Verdict:
     @cached_property
     def projection(self) -> LinearSystem | None:
         """The irredundant coefficient system of an affirmative verdict (None
-        otherwise).  The first read runs one entailment test per row of
-        ``coefficients``; later reads return the same system."""
+        otherwise).  The first read runs :func:`drop_redundant`, which decides
+        each row of ``coefficients`` by a certificate or an entailment test;
+        later reads return the same system."""
         return drop_redundant(self.coefficients) if self.affirmative else None
 
 

@@ -25,17 +25,21 @@ and no ratio comparison of Bland's rule, so no pivot and no phase-one dual.
 Every LP question is asked on the system's row-multiplier side (the affine
 Farkas lemma and LP duality), over the columns of the one private builder
 ``_alternative``: a row per *variable*, then the bound row, over a column per
-system row.  Deciding systems with thousands of rows over a handful of
-variables so stays cheap.  Feasibility and entailment are yes/no questions,
-each one phase one.  :func:`feasible_point` asks for nonnegative multipliers
-that cancel every variable and combine the right-hand sides to 1; when there
-are none, phase one's equality duals yield an exact point of the system for
-free.  :func:`entails` asks for multipliers that combine the rows into the
-tested row or refute the system, so each redundancy test of
-:func:`drop_redundant` is a basis of a row per variable.  :func:`minimize`
-solves each objective's dual, multipliers that combine the rows into the
-objective with the largest combined bound, by one phase one and one phase
-two; the optimum's point is the final basis's simplex multipliers, and the
+system row (``_tested`` adds a tested row's two).  Deciding systems with
+thousands of rows over a handful of variables so stays cheap.  Feasibility
+and entailment are yes/no questions, each one phase one.
+:func:`feasible_point` asks for nonnegative multipliers that cancel every
+variable and combine the right-hand sides to 1; when there are none, phase
+one's equality duals yield an exact point of the system for free.
+:func:`entails` asks for multipliers that combine the rows into the tested
+row or refute the system.  :func:`drop_redundant` asks that of a row only
+when no certificate read off one feasible point decides it without a pivot:
+a ray from the point that crosses the row before any other row keeps it, and
+a box of one-variable rows on which the row holds drops it.
+:func:`minimize` solves each objective's dual, multipliers that combine the
+rows into the objective with the largest combined bound, by one phase one
+and one phase two; the optimum's point is the final basis's simplex
+multipliers, read off the reduced-cost row phase two ends with, and the
 basic multipliers are the certificate it is checked against before it is
 returned.
 
@@ -58,6 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .model import EQ, AlmtermError, ConstraintRow
@@ -303,24 +308,25 @@ def _phase_one(cols: list[Column], d):
 def _phase_two(cols, inv, basis, costs):
     """Phase two over the columns ``cols`` from a :func:`_phase_one` state,
     whose ``inv`` and ``basis`` it pivots in place: min costs.w.  Returns
-    (status, value), with ``value`` read off the reduced-cost row, None
+    (status, value, obj): ``obj`` is the reduced-cost row of ``costs`` at the
+    final basis, as :func:`_prices` writes it with the costs' common
+    denominator taken into its own, and ``value``, read off it, is None
     unless OPTIMAL."""
     ints = _to_row(costs)
     scale = ints.pop()
     # artificials left basic at zero cost nothing
     ints += [0] * len(inv)
     obj = _prices(inv, basis, ints)
-    if _bland(cols, inv, basis, obj, ints, len(costs)) == UNBOUNDED:
-        return UNBOUNDED, None
-    return OPTIMAL, Fraction(-obj[-2], obj[-1] * scale)
+    status = _bland(cols, inv, basis, obj, ints, len(costs))
+    obj[-1] *= scale
+    return status, Fraction(-obj[-2], obj[-1]) if status == OPTIMAL else None, obj
 
 
-def _alternative(sys: LinearSystem, order: Iterable[int], extra: int) -> list[Column]:
+def _alternative(sys: LinearSystem, order: Iterable[int]) -> list[Column]:
     """The row-multiplier side of ``sys`` as ``_phase_one`` columns: a column
     per row of ``sys``, holding its coefficients in a row per variable of
     ``order`` (a superset of ``sys.variables``) and its bound in the row
-    after them, all times the bound's denominator, then ``extra`` empty
-    columns."""
+    after them, all times the bound's denominator."""
     index = {v: k for k, v in enumerate(order)}
     last = len(index)
     cols: list[Column] = []
@@ -330,7 +336,21 @@ def _alternative(sys: LinearSystem, order: Iterable[int], extra: int) -> list[Co
         if bound:
             col.append((last, bound.numerator))
         cols.append(col)
-    return cols + [[] for _ in range(extra)]
+    return cols
+
+
+def _tested(coeffs: Mapping[int, int | Fraction], bound, index: Mapping[int, int]) -> list[Column]:
+    """The two columns that test the row ``coeffs . x >= bound`` against
+    ``_alternative``'s columns over ``index`` (see :func:`entails`): ``lam``'s,
+    minus the row in the variable rows and the bound row and 1 in the row
+    after them, all times the lcm of the row's denominators; and ``t``'s."""
+    last = len(index)
+    *nums, b, den = _to_row([*coeffs.values(), bound])
+    lam = [(index[v], -a) for v, a in zip(coeffs, nums) if a]
+    if b:
+        lam.append((last, -b))
+    lam.append((last + 1, den))
+    return [lam, [(last, -1), (last + 1, 1)]]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +375,7 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
     simplex multipliers, deterministic under Bland's order, and the optimum
     is checked by :func:`_check_optimum` before it is returned.
     """
-    cols = _alternative(sys, sys.variables, 0)
+    cols = _alternative(sys, sys.variables)
     # each column's bound entry, popped, is its cost in min -b.y
     costs = [-col.pop()[1] if bound else 0 for col, (_, bound) in zip(cols, sys.rows)]
     base = cache(lambda: feasible_point(sys))
@@ -374,11 +394,10 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
                 outcomes.append(LpOutcome(UNBOUNDED, point=point, ray=ray))
             continue
         inv, basis = state
-        status, value = _phase_two(cols, inv, basis, costs)
+        status, value, prices = _phase_two(cols, inv, basis, costs)
         if status == UNBOUNDED:
             outcomes.append(LpOutcome(INFEASIBLE))
             continue
-        prices = _prices(inv, basis, costs + [0] * len(inv))
         _check_optimum(cols, costs, c, state, prices, -value)
         point = {v: Fraction(prices[k], prices[-1]) for k, v in enumerate(order)}
         outcomes.append(LpOutcome(OPTIMAL, -value, point))
@@ -433,7 +452,7 @@ def feasible_point(sys: LinearSystem) -> dict[int, Fraction] | None:
     # the multipliers must cancel every variable and combine the rhs to 1;
     # the system is feasible exactly when they cannot, and then phase one's
     # equality duals, scaled by the bound row's, are a point of it
-    state, duals = _phase_one(_alternative(sys, sys.variables, 0), [0] * n + [1])
+    state, duals = _phase_one(_alternative(sys, sys.variables), [0] * n + [1])
     if state is not None:
         return None
     scale = duals[n]
@@ -461,18 +480,9 @@ def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int 
     then entails every row.  The basis has a row per variable (of ``sys``
     and of ``coeffs``) and two more.
     """
-    m = sys.num_rows
     index = {v: k for k, v in enumerate(dict.fromkeys([*sys.variables, *coeffs]))}
-    last = len(index)
-    cols = _alternative(sys, index, 2)
-    # lam's column times the lcm of the tested row's denominators
-    *nums, b, den = _to_row([*coeffs.values(), bound])
-    cols[m] += [(index[v], -a) for v, a in zip(coeffs, nums) if a]
-    if b:
-        cols[m].append((last, -b))
-    cols[m].append((last + 1, den))
-    cols[m + 1] += [(last, -1), (last + 1, 1)]
-    state, _ = _phase_one(cols, [0] * (last + 1) + [1])
+    cols = _alternative(sys, index) + _tested(coeffs, bound, index)
+    state, _ = _phase_one(cols, [0] * (len(index) + 1) + [1])
     return state is not None
 
 
@@ -648,17 +658,115 @@ def deduplicate(sys: LinearSystem) -> LinearSystem:
 
 
 def drop_redundant(sys: LinearSystem) -> LinearSystem:
-    """Greedy exact redundancy elimination: a row is removed when the
-    remaining rows entail it (one :func:`entails` feasibility test each)."""
-    rows = sys.rows
+    """Greedy exact redundancy elimination: in row order, a row is removed
+    when the remaining rows entail it.
+
+    A test needs no pivot when an exact certificate is at hand at the point
+    ``x0`` of :func:`feasible_point`, which stays in the polyhedron because
+    only entailed rows are removed: :func:`_bound_drops` shows the row
+    entailed, :func:`_ray_keeps` shows it is not.  Otherwise, and for an
+    infeasible system, the test is :func:`entails`' phase one over the
+    columns of the remaining rows, each built once per call.
+    """
+    index = {v: k for k, v in enumerate(sys.variables)}
+    cols = _alternative(sys, index)
+    d = [0] * (len(index) + 1) + [1]
+    point = feasible_point(sys)
+    if point is not None:
+        rows = _rows_at(cols, len(index), [point[v] for v in sys.variables])
+    live = list(range(sys.num_rows))
     i = 0
-    while i < len(rows):
-        others = rows[:i] + rows[i + 1 :]
-        if entails(LinearSystem(sys.variables, others), *rows[i]):
-            rows = others
+    while i < len(live):
+        j = live[i]
+        others = live[:i] + live[i + 1 :]
+        if point is not None and _bound_drops(rows, j, others):
+            entailed = True
+        elif point is not None and _ray_keeps(rows, j, others):
+            entailed = False
+        else:
+            state, _ = _phase_one([cols[k] for k in others] + _tested(*sys.rows[j], index), d)
+            entailed = state is not None
+        if entailed:
+            live = others
         else:
             i += 1
-    return LinearSystem(sys.variables, rows)
+    return LinearSystem(sys.variables, tuple(sys.rows[j] for j in live))
+
+
+def _rows_at(cols: list[Column], n: int, point: Sequence[Fraction]):
+    """``_alternative``'s columns over ``n`` variables as the rows that
+    :func:`_ray_keeps` and :func:`_bound_drops` read: each row's coefficients
+    by variable index and its bound's numerator, both times the bound's
+    denominator; its slack at ``point`` times one positive integer, common to
+    every row; and for a row ``c x_v >= b`` on one variable, ``(v, c > 0, b /
+    c)``: a lower bound on ``x_v`` if ``c > 0``, else an upper one."""
+    x = _to_row(point)
+    x[-1] = -x[-1]
+    coeffs = []
+    nums = []
+    bounds = []
+    for col in cols:
+        row = [0] * (n + 1)
+        for k, a in col:
+            row[k] += a
+        nums.append(row.pop())
+        coeffs.append(row)
+        support = [(v, c) for v, c in enumerate(row) if c]
+        if len(support) == 1:
+            ((v, c),) = support
+            bounds.append((v, c > 0, Fraction(nums[-1], c)))
+        else:
+            bounds.append(None)
+    slacks = [sum(a * x[k] for k, a in col) for col in cols]
+    return coeffs, nums, slacks, bounds
+
+
+def _ray_keeps(rows, i: int, others: Iterable[int]) -> bool:
+    """Does a ray from the point cross row ``i`` strictly before it crosses
+    any row of ``others``?  Then the points just past row ``i`` violate it and
+    satisfy ``others``, which so do not entail it (Fukuda's ray shooting).
+
+    ``rows`` are :func:`_rows_at`'s.  The rays go along ``-a_i``, then along
+    ``-sign(a_iv) e_v`` for each variable ``v`` of the row.  Along ``-r`` row
+    ``j``'s slack falls at the rate ``a_j.r`` and reaches 0 at ``slack_j /
+    (a_j.r)``; the crossings are compared by cross-multiplying.
+    """
+    coeffs, _, slacks, _ = rows
+    a = coeffs[i]
+    units = [[0] * v + [1 if c > 0 else -1] + [0] * (len(a) - v - 1) for v, c in enumerate(a) if c]
+    if not units:
+        # no ray crosses a row without variables
+        return False
+    s = slacks[i]
+    for ray in (a, *units):
+        rate = sum(map(mul, a, ray))
+        for j in others:
+            falls = sum(map(mul, coeffs[j], ray))
+            if falls > 0 and s * falls >= slacks[j] * rate:
+                break
+        else:
+            return True
+    return False
+
+
+def _bound_drops(rows, i: int, others: Iterable[int]) -> bool:
+    """Is the minimum of row ``i``'s left side over the box of the
+    one-variable rows among ``others`` at least its bound?  Then those rows
+    entail it.  ``rows`` are :func:`_rows_at`'s; a row without variables
+    needs no box."""
+    coeffs, nums, _, bounds = rows
+    a = coeffs[i]
+    box: dict[int, Fraction] = {}
+    for j in others:
+        if bounds[j] is not None:
+            v, lower, t = bounds[j]
+            # row i's minimum reads the bound on the side of its sign
+            if a[v] and (a[v] > 0) == lower:
+                old = box.get(v)
+                if old is None or (t > old if lower else t < old):
+                    box[v] = t
+    support = [(v, c) for v, c in enumerate(a) if c]
+    return len(box) == len(support) and sum(c * box[v] for v, c in support) >= nums[i]
 
 
 def fm_project(sys: LinearSystem, keep: Iterable[int]) -> LinearSystem:

@@ -32,6 +32,12 @@ root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
   ``q``, ``q+`` and ``n`` on the binarized form of seeded
   ``random_flat_program_text`` programs that have a rule with an arity-0
   head (satisfiable or not);
+- a ``drop_redundant`` section: :func:`almterm.lp.drop_redundant` on seeded
+  random systems of the shape ``--project`` prunes (2-4 variables, up to 11
+  rows, fractional bounds), with one-variable rows, duplicated rows, rows
+  without variables and rows followed by their negation, so that implicit
+  equalities and infeasible systems, which no benchmark request hands it,
+  are compared too;
 - a derivation section, for stores no ``derive`` request builds (that
   workload runs only ``q`` and one rule per predicate):
   :func:`almterm.run_ground` from a seeded ground atom of the binarized form
@@ -76,6 +82,7 @@ from almterm import (
     check_length_bound,
     cli,
     decide,
+    drop_redundant,
     entails,
     feasible_point,
     minimize,
@@ -92,6 +99,7 @@ WORK = ROOT / ".perfbench-work" / "same-output"
 DOMAINS = ("q", "q+", "n")
 MINIMIZE_CALLS = 300
 ENTAILS_CALLS = 300
+REDUNDANCY_CALLS = 300
 VERIFY_PROGRAMS = 100
 SAMPLED_PROGRAMS = 100
 DERIVED_PROGRAMS = 100
@@ -142,6 +150,7 @@ def main(seed: int) -> None:
             print(f"{text}exit {code}")
 
     library(seed)
+    redundancy(seed)
     derivations(seed)
     options(seed)
 
@@ -200,6 +209,33 @@ def library(seed: int) -> None:
         for tag in DOMAINS:
             starts = sample_starts(program, Domain(tag), random.Random(rng.getrandbits(32)))
             print(f"  {tag} {starts!r}")
+
+
+def redundancy(seed: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(REDUNDANCY_CALLS):
+        n = rng.randint(2, 4)
+        rows: list = []
+        for _ in range(rng.randint(0, 11)):
+            kind = rng.choice(("row", "row", "one", "copy", "negation", "none"))
+            if kind in ("copy", "negation") and rows:
+                coeffs, bound = rng.choice(rows)
+                if kind == "negation":
+                    # an implicit equality, or now and then an empty system
+                    coeffs = {v: -c for v, c in coeffs.items()}
+                    bound = -bound - rng.choice((0, 0, 0, Fraction(1, 2)))
+            else:
+                if kind == "one":
+                    coeffs = {rng.randrange(n): rng.choice((-3, -2, -1, 1, 2, 3))}
+                elif kind == "none":
+                    coeffs = {}
+                else:
+                    coeffs = {v: c for v in range(n) if (c := rng.randint(-3, 3))}
+                bound = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            rows.append((coeffs, bound))
+        system = LinearSystem(tuple(range(n)), tuple(rows))
+        print(f"drop_redundant {system!r}")
+        print(f"  {drop_redundant(system).rows!r}")
 
 
 def derivations(seed: int) -> None:

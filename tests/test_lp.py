@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from almterm import (
     INFEASIBLE,
     OPTIMAL,
+    QPLUS,
     UNBOUNDED,
     LinearSystem,
+    decide,
     deduplicate,
     drop_redundant,
     entails,
@@ -18,10 +20,12 @@ from almterm import (
     feasible_point,
     fm_project,
     minimize,
+    parse_program,
 )
 from almterm import lp
 from almterm.model import EQ, GEQ, AlmtermError
 import entailment_oracle
+from helpers import load
 from linear import LinearExpr, const, equal, geq, normalize, var
 
 X, Y, Z = 0, 1, 2
@@ -440,20 +444,90 @@ def test_entails_agrees_with_minimisation_oracle(raw_rows, coeffs, bound):
     assert entails(sys, coeffs, bound) == entailment_oracle.entails(sys, coeffs, bound)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.tuples(small_coeff, small_coeff, small_coeff), small_bound),
-        max_size=7,
-    )
-)
-@example([((0, 0, 0), 1), ((1, 0, 0), 0)])
-@example([((1, 0, 0), 2), ((-1, 0, 0), -1), ((0, 1, 0), 0)])
-def test_drop_redundant_agrees_with_greedy_oracle(raw_rows):
+@st.composite
+def project_shaped(draw) -> LinearSystem:
+    """Systems of the shape ``--project`` prunes: 2-4 variables and up to 11
+    rows with Fraction bounds, among them one-variable rows, duplicated rows,
+    rows followed by their negation (implicit equalities, or an empty system
+    when the bound is moved) and rows without variables."""
+    variables = (X, Y, Z, W)[: draw(st.integers(2, 4))]
+    rows: list = []
+    for _ in range(draw(st.integers(0, 11))):
+        kind = draw(st.sampled_from(("row", "row", "one", "copy", "negation", "none")))
+        if kind in ("copy", "negation") and rows:
+            coeffs, bound = draw(st.sampled_from(rows))
+            if kind == "negation":
+                coeffs = {v: -c for v, c in coeffs.items()}
+                bound = -bound - draw(st.sampled_from((0, 0, 0, Fraction(1, 2))))
+        else:
+            if kind == "one":
+                coeffs = {draw(st.sampled_from(variables)): draw(small_coeff.filter(bool))}
+            elif kind == "none":
+                coeffs = {}
+            else:
+                coeffs = {v: c for v in variables if (c := draw(small_coeff))}
+            bound = draw(small_bound)
+        rows.append((coeffs, bound))
+    return LinearSystem(variables, tuple(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(project_shaped())
+@example(dense_system((X, Y, Z), [((0, 0, 0), 1), ((1, 0, 0), 0)]))
+@example(dense_system((X, Y, Z), [((1, 0, 0), 2), ((-1, 0, 0), -1), ((0, 1, 0), 0)]))
+@example(LinearSystem((X, Y), ()))
+@example(LinearSystem((X, Y), (({}, 0), ({X: 1}, 1), ({}, -1))))
+@example(LinearSystem((X, Y), (({X: 1, Y: 2}, 1), ({X: -1, Y: -2}, -1), ({X: 1}, 0))))
+@example(LinearSystem((X, Y), (({X: 1}, Fraction(1, 2)), ({X: 1}, Fraction(1, 2)), ({X: 2, Y: 1}, 1), ({Y: 1}, 0))))
+@example(LinearSystem((X, Y, Z), (({X: 1}, 0), ({X: -1}, 0), ({X: 1, Y: 1}, 0), ({Y: 1}, 0), ({Y: -1}, 0))))
+def test_drop_redundant_agrees_with_greedy_oracle(sys):
     """The same rows kept in the same order as the greedy loop over the
-    minimisation oracle, infeasible systems included."""
-    sys = dense_system((X, Y, Z), raw_rows)
+    minimisation oracle: on empty and infeasible systems, rows without
+    variables, duplicated one-variable rows and implicit equalities, where
+    the point the certificates are read at lies on several rows at once."""
     assert drop_redundant(sys) == entailment_oracle.drop_redundant(sys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(project_shaped(), st.data())
+def test_each_certificate_is_sound_on_its_own(sys, data):
+    """Every row the ray test keeps is not entailed by the other rows it is
+    tested against, and every row the bound test drops is, per the
+    minimisation oracle; the rows are tested against all the others and
+    against a drawn subset of them."""
+    point = feasible_point(sys)
+    if point is None:
+        return
+    rows = lp._rows_at(lp._alternative(sys, sys.variables), sys.num_vars, [point[v] for v in sys.variables])
+    for i, row in enumerate(sys.rows):
+        everyone = [j for j in range(sys.num_rows) if j != i]
+        for others in (everyone, data.draw(st.lists(st.sampled_from(everyone), unique=True)) if everyone else []):
+            rest = LinearSystem(sys.variables, tuple(sys.rows[j] for j in others))
+            if lp._ray_keeps(rows, i, others):
+                assert not entailment_oracle.entails(rest, *row)
+            if lp._bound_drops(rows, i, others):
+                assert entailment_oracle.entails(rest, *row)
+
+
+def test_drop_redundant_decides_certified_rows_without_pivoting(monkeypatch):
+    """On the coefficient system of ``example4.clp`` over ``q+`` a ray from
+    :func:`feasible_point`'s point certifies each kept row, and the box of
+    the one-variable rows each dropped row, so the call runs one phase one,
+    ``feasible_point``'s, instead of one per row."""
+    sys = decide(parse_program(load("example4.clp")), QPLUS).coefficients
+    calls = []
+    phase_one = lp._phase_one
+
+    def counted(cols, d):
+        calls.append(d)
+        return phase_one(cols, d)
+
+    monkeypatch.setattr(lp, "_phase_one", counted)
+    kept = drop_redundant(sys)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert (sys.num_rows, kept.num_rows) == (4, 2)
+    assert kept == entailment_oracle.drop_redundant(sys)
 
 
 def test_drop_redundant_runs_no_minimisation(monkeypatch):
@@ -500,8 +574,8 @@ def test_the_kernel_reads_integer_columns_only(monkeypatch):
     denominators, so no Fraction reaches ``_phase_one``'s columns, from
     ``minimize`` included."""
     sys = LinearSystem((X, Y), (({X: 2, Y: -1}, Fraction(1, 2)), ({Y: 3}, Fraction(-7, 3)), ({X: 1}, 4)))
-    cols = lp._alternative(sys, (X, Y), 1)
-    assert cols == [[(0, 4), (1, -2), (2, 1)], [(1, 9), (2, -7)], [(0, 1), (2, 4)], []]
+    cols = lp._alternative(sys, (X, Y))
+    assert cols == [[(0, 4), (1, -2), (2, 1)], [(1, 9), (2, -7)], [(0, 1), (2, 4)]]
     seen = []
     phase_one = lp._phase_one
 

@@ -69,7 +69,7 @@ def solve_standard(mat, d, costs):
     equality multipliers and are only returned on INFEASIBLE; ``ray`` only on
     UNBOUNDED.  The point and the ray are read off the basis that
     ``_phase_two`` leaves: the ray's column is the one Bland's rule stopped
-    at, the first that the basis prices negative.
+    at, the first that the reduced-cost row it returns prices negative.
     """
     ncols = len(costs)
     cols = [[(i, int(row[j])) for i, row in enumerate(mat) if row[j]] for j in range(ncols)]
@@ -77,16 +77,14 @@ def solve_standard(mat, d, costs):
     if state is None:
         return INFEASIBLE, None, None, duals, None
     inv, basis = state
-    status, value = _phase_two(cols, inv, basis, costs)
+    status, value, obj = _phase_two(cols, inv, basis, costs)
     point = [F(0)] * ncols
     for row, b in zip(inv, basis):
         if b < ncols:
             point[b] = F(row[-2], row[-1])
     if status == OPTIMAL:
         return status, point, value, None, None
-    ints = lp._to_row(costs)[:-1] + [0] * len(inv)
-    obj = lp._prices(inv, basis, ints)
-    enter = next(j for j in range(ncols) if ints[j] * obj[-1] + sum(obj[k] * v for k, v in cols[j]) < 0)
+    enter = next(j for j in range(ncols) if costs[j] * obj[-1] + sum(obj[k] * v for k, v in cols[j]) < 0)
     ray = [F(0)] * ncols
     ray[enter] = F(1)
     for a, row, b in zip(lp._column(inv, cols[enter]), inv, basis):
