@@ -43,7 +43,6 @@ from .lp import (
     drop_redundant,
     entails,
     equivalent_systems,
-    feasible,
     feasible_point,
     fm_project,
     minimize,

@@ -31,10 +31,25 @@ into equalities and inequalities; a rule holds its constraint as integer rows
 from the parser on (``Rule.rows``), so renaming it apart only remaps variable
 ids while the rows are split by relation.
 
-One rewrite loop serves both callers and returns a seeded run's rewrite
-count and outcome.  :func:`run_ground` has it keep every state for its
-:class:`Trace`; :func:`check_length_bound` needs only the count and the
-outcome, so its sampled runs keep no states.
+Runs take one of two paths, which return the same rewrite count and outcome
+for the same start, seed and budget.  The store path is the rewrite loop
+above; :func:`run_ground` keeps every state it visits for its
+:class:`Trace`.  :func:`check_length_bound` needs only the count and the
+outcome, and every start it samples is ground, so it first compiles each
+rule once: the rule's domain rows projected onto its head and body
+arguments, each body argument solved by an equality as an affine function of
+the head arguments, and guards over the head arguments that are left (a
+binary clause read as a transition relation over its head and body
+arguments, Podelski and Rybalchenko, VMCAI 2004).  A sampled run then carries
+the goal atom as integer numerators over one common denominator and
+evaluates each rewrite: the guards by cross-multiplied integer sums, the
+body atom's values by the affine functions.  It needs no fresh ids, no store
+and no projection.  A rule with a body argument that no equality solves (one
+only an implicit equality fixes, or one left free) has no such plan; a run
+that draws it pins fresh variables to the goal atom's values and takes the
+store path from that rewrite on.  Both paths are exact over the rationals
+(over ``n``, the rational relaxation), and both draw the rule of each
+rewrite by one ``rng.choice`` among the goal predicate's rules.
 
 Step counting: every rewrite application counts, including the final failing
 or fact-resolving one.
@@ -236,32 +251,31 @@ def ground_start(
             raise AlmtermError(f"{value} is outside domain {domain.tag}")
         if domain.integral and value.denominator != 1:
             raise AlmtermError(f"{value} is not integral, required over {domain.tag}")
-    vs = tuple(pool.fresh(f"{pred}_arg{i + 1}") for i in range(arity))
+    return _pinned(pred, values, pool)
+
+
+def _pinned(pred: str, values: Sequence[Fraction], pool: VariablePool) -> DerivationState:
+    """The goal ``pred`` over fresh variables, each pinned to its value."""
+    vs = tuple(pool.fresh(f"{pred}_arg{i + 1}") for i in range(len(values)))
     pins = [({v: a.denominator}, a.numerator) for v, a in zip(vs, values)]
     return DerivationState((Atom(pred, vs),), (pins, []))
 
 
 def _rewrite_loop(
     program: Program,
-    pred: str,
-    args: Sequence[int | Fraction],
+    state: DerivationState,
+    steps: int,
     max_steps: int,
-    seed: int,
+    choose: Callable[[Sequence[Rule]], Rule],
+    pool: VariablePool,
     domain: Domain,
     states: list[DerivationState] | None,
 ) -> tuple[int, str]:
-    """The rewrite loop of :func:`run_ground` and :func:`check_length_bound`:
-    one derivation from the ground atom ``pred(args)`` with seeded random
-    rule choice, until success, failure, floundering, or the step budget
-    runs out.  Appends the start state and each rewrite's to ``states``
-    unless that is None; returns the rewrite count and the outcome."""
-    rng = random.Random(seed)
-    pool = program.pool.clone()
-    state = ground_start(program, pred, args, pool, domain)
-    if states is not None:
-        states.append(state)
-    choose = rng.choice
-    steps = 0
+    """The store path: rewrites of ``state``, ``steps`` rewrites into its
+    run, with rules drawn by ``choose``, until success, failure,
+    floundering, or the step budget runs out.  Appends each rewrite's state
+    to ``states`` unless that is None; returns the rewrite count and the
+    outcome."""
     while True:
         if state.rows is None:
             return steps, FAILURE
@@ -292,8 +306,132 @@ def run_ground(
     state."""
     if not program.is_binary():
         raise AlmtermError("derivations expect a binary program")
-    states: list[DerivationState] = []
-    return Trace(states, *_rewrite_loop(program, pred, args, max_steps, seed, domain, states))
+    pool = program.pool.clone()
+    state = ground_start(program, pred, args, pool, domain)
+    states = [state]
+    choose = random.Random(seed).choice
+    return Trace(states, *_rewrite_loop(program, state, 0, max_steps, choose, pool, domain, states))
+
+
+# ---------------------------------------------------------------------------
+# ground rewrites by evaluation
+# ---------------------------------------------------------------------------
+
+# A compiled rule over its head's argument positions: guards ``(terms, bound,
+# eq)``, each the integer row ``sum(c * x[i] for i, c in terms) >= bound``
+# (``= bound`` if ``eq``); the body atom's predicate, or None for a fact; and
+# the body atom's arguments ``(terms, constant)``, each the affine function
+# ``(sum(c * x[i] for i, c in terms) + constant) / den`` of one common ``den``.
+Terms = tuple[tuple[int, int], ...]
+Guard = tuple[Terms, int, bool]
+Plan = tuple[tuple[Guard, ...], "str | None", tuple[tuple[Terms, int], ...], int]
+
+# ``0 >= 1``: the plan of a rule whose constraint is unsatisfiable
+_NEVER: Plan = ((((), 1, False),), None, (), 1)
+
+
+def _compile(rule: Rule, domain: Domain) -> Plan | None:
+    """The rule as a transition from its head's arguments to its body's:
+    its domain rows projected onto both atoms' arguments, each body argument
+    solved by an equality (and substituted away everywhere else), and what is
+    left as guards over the head's arguments (flatness keeps the head's and
+    the body's arguments apart).  None when an equality solves no body
+    argument, say one only an implicit equality fixes."""
+    head = rule.head.args
+    body = rule.body[0].args if rule.body else ()
+    eqs: list[Row] = []
+    ineqs: list[Row] = []
+    for coeffs, bound, rel in rule.domain_rows(domain):
+        (eqs if rel == EQ else ineqs).append((coeffs, bound))
+    projected = project_constraints(eqs, ineqs, {*head, *body})
+    if projected is None:
+        return _NEVER
+    eqs, ineqs = projected
+    solved: dict[int, Row] = {}
+    for y in body:
+        k = next((k for k, (coeffs, _) in enumerate(eqs) if y in coeffs), None)
+        if k is None:
+            return None
+        eq = eqs.pop(k)
+        eqs = [_substitute(row, y, eq) for row in eqs]
+        ineqs = [_substitute(row, y, eq) for row in ineqs]
+        solved = {v: _substitute(row, y, eq) for v, row in solved.items()}
+        solved[y] = eq
+    at = {v: i for i, v in enumerate(head)}
+    guards: list[Guard] = []
+    for rows, eq in ((eqs, True), (ineqs, False)):
+        for coeffs, bound in rows:
+            if not coeffs:
+                if bound > 0 or eq and bound:
+                    return _NEVER
+                continue
+            den = bound.denominator
+            guards.append((tuple([(at[v], c * den) for v, c in coeffs.items()]), bound.numerator, eq))
+    funcs = []
+    for y in body:
+        coeffs, bound = solved[y]
+        a = coeffs[y]
+        funcs.append(({at[v]: Fraction(-c, a) for v, c in coeffs.items() if v != y}, Fraction(bound) / a))
+    den = math.lcm(*[f.denominator for terms, const in funcs for f in (const, *terms.values())])
+    scaled = tuple(
+        (tuple([(i, int(c * den)) for i, c in terms.items()]), int(const * den)) for terms, const in funcs
+    )
+    return tuple(guards), rule.body[0].pred if rule.body else None, scaled, den
+
+
+def _evaluated_run(
+    program: Program,
+    plans: dict[str, list[tuple[Rule, Plan | None]]],
+    pred: str,
+    args: Sequence[int | Fraction],
+    max_steps: int,
+    seed: int,
+    domain: Domain,
+) -> tuple[int, str]:
+    """The rewrite count and outcome of :func:`run_ground` from ``pred(args)``
+    with ``seed`` and ``max_steps``, the goal atom carried as integer
+    numerators over one common denominator and each rewrite evaluated by its
+    rule's plan (:func:`_compile`).  A rule without a plan hands the run, at
+    the goal atom's values, to the store path from that rewrite on; the rng
+    draws once per rewrite on both paths."""
+    choose = random.Random(seed).choice
+    d = math.lcm(*[a.denominator for a in args])
+    nums = [a.numerator * (d // a.denominator) for a in args]
+    steps = 0
+    while True:
+        if steps >= max_steps:
+            return steps, MAX_STEPS
+        entries = plans.get(pred)
+        if not entries:
+            return steps, FLOUNDERED
+        rule, plan = choose(entries)
+        steps += 1
+        if plan is None:
+            pool = program.pool.clone()
+            state = _pinned(pred, [Fraction(a, d) for a in nums], pool)
+            state = step(program, state, lambda _: rule, pool, domain)
+            return _rewrite_loop(program, state, steps, max_steps, choose, pool, domain, None)
+        guards, pred, funcs, den = plan
+        for terms, bound, eq in guards:
+            s = -bound * d
+            for i, c in terms:
+                s += c * nums[i]
+            if s < 0 or eq and s:
+                return steps, FAILURE
+        if pred is None:
+            return steps, SUCCESS
+        body = []
+        for terms, const in funcs:
+            s = const * d
+            for i, c in terms:
+                s += c * nums[i]
+            body.append(s)
+        if den != 1:
+            d *= den
+            g = math.gcd(d, *body)
+            d //= g
+            body = [a // g for a in body]
+        nums = body
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +554,14 @@ def check_length_bound(
     each against the measure-derived budget.  Requires a binary program and a
     mapping that the verifier accepts (checked up front).  ``step_cap``
     truncates individual runs early; truncated runs are reported as such, not
-    as violations."""
+    as violations.
+
+    Each rule is compiled once per call (:func:`_compile`), and each run
+    evaluates its rewrites on the ground atom's values; a run that draws a
+    rule whose body arguments no equality determines takes the store path
+    from that rewrite on.  Either way a run takes the rewrites and ends in
+    the outcome of :func:`run_ground` from its start with its seed and
+    budget."""
     if not program.is_binary():
         raise AlmtermError("length-bound checking expects a binary program")
     if not verify(program, lm, domain).passed:
@@ -425,6 +570,9 @@ def check_length_bound(
     starts = sample_starts(program, domain, rng)
     if not starts:
         return BoundReport(())
+    plans: dict[str, list[tuple[Rule, Plan | None]]] = {}
+    for rule in program.rules:
+        plans.setdefault(rule.head.pred, []).append((rule, _compile(rule, domain)))
     runs: list[BoundRun] = []
     for k in range(samples):
         pred, args = starts[k % len(starts)]
@@ -433,6 +581,6 @@ def check_length_bound(
         limit = budget + 1 if step_cap is None else min(budget + 1, step_cap)
         # the run of run_ground with this start, seed and cap, its states
         # dropped as they come
-        outcome = _rewrite_loop(program, pred, args, limit, seed * 7919 + k, domain, None)
+        outcome = _evaluated_run(program, plans, pred, args, limit, seed * 7919 + k, domain)
         runs.append(BoundRun(pred, args, level, budget, *outcome))
     return BoundReport(tuple(runs))

@@ -464,11 +464,6 @@ def feasible_point(sys: LinearSystem) -> dict[int, Fraction] | None:
     return point
 
 
-def feasible(sys: LinearSystem) -> bool:
-    """Exact satisfiability of the conjunction; no tolerance anywhere."""
-    return feasible_point(sys) is not None
-
-
 def entails(sys: LinearSystem, coeffs: Mapping[int, int | Fraction], bound: int | Fraction) -> bool:
     """Does every solution of ``sys`` satisfy ``coeffs . x >= bound``?
 

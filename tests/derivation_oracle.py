@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from almterm.derivation import FAILURE, FLOUNDERED, MAX_STEPS, SUCCESS
-from almterm.lp import feasible, project_constraints
+from almterm.lp import project_constraints
 from almterm.model import EQ, GEQ, Atom, Domain, Program, Q, Rule, VariablePool
+from helpers import feasible
 from linear import (
     LinearConstraint,
     LinearExpr,

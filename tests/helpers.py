@@ -5,13 +5,41 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from almterm.lp import LinearSystem, feasible_point
+
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 PRED_NAMES = ("p", "q", "r")
 
+# hand-written programs for the two paths of sampled runs: a halving whose
+# values become rational over n, a body argument only an implicit equality
+# fixes (the run switches to the store path midway), unsatisfiable rules
+# beside others (one decided by its guards, one by its projection), and facts
+SAMPLED_RUN_PROGRAMS = (
+    ("p(x) :- x >= 1, 2*y = x, p(y).", ("n",)),
+    (
+        "p(x) :- x >= 1, y = x - 1, q(y).\n"
+        "q(x) :- x >= 1, y >= x - 1, y <= x - 1, p(y).",
+        ("q", "q+", "n"),
+    ),
+    (
+        "p(x) :- x >= 1, y = x - 1, p(y).\n"
+        "p(x) :- x >= 1, x <= 0, y = x, p(y).\n"
+        "p(x) :- 0 = 1, y = x, p(y).\n"
+        "p(x) :- x >= 0, x <= 3.",
+        ("q", "q+", "n"),
+    ),
+    ("e :- y = 9, p(y).\np(x) :- x >= 2, y = x - 2, p(y).\np(x) :- x = 1.\nq.", ("q", "q+", "n")),
+)
+
 
 def load(name: str) -> str:
     return (PROGRAMS / name).read_text(encoding="utf-8")
+
+
+def feasible(sys: LinearSystem) -> bool:
+    """Exact satisfiability of the conjunction."""
+    return feasible_point(sys) is not None
 
 
 def _random_constraints(rng: random.Random, variables: list[str], min_count: int) -> list[str]:

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from almterm.decider import AlmSystem
-from almterm.lp import LinearSystem, feasible, integer_system
+from almterm.lp import LinearSystem, integer_system
 from almterm.model import EQ, Domain, ModelError, Rule, VariablePool
+from helpers import feasible
 from linear import LinearConstraint, LinearExpr, equal, geq, nonneg_rows
 
 DECREASE = "decrease"

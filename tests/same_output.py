@@ -47,9 +47,12 @@ root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
   step count and the outcome, then each visited state's goal and store rows;
   its arguments are passed by keyword, so that checkouts whose ``run_ground``
   takes other parameters before them print the same; then every
-  ``BoundRun`` of :func:`almterm.check_length_bound` over ``q+`` and ``n``
-  on the binarized form of seeded ``random_flat_program_text`` and
-  ``random_binary_program_text`` programs that get a witness there;
+  ``BoundRun`` of :func:`almterm.check_length_bound` over ``q``, ``q+`` and
+  ``n`` on the binarized form of seeded ``random_flat_program_text`` and
+  ``random_binary_program_text`` programs that get a witness there, and on
+  ``tests/helpers.SAMPLED_RUN_PROGRAMS`` (values that become rational over
+  ``n``, runs that hand over to the store path, unsatisfiable rules and
+  facts) at four seeds each;
 - an options section, for option resolution, which every benchmark request
   passes as flags only: ``cli.main`` on the bundled programs with seeded
   flag combinations and config files (each option absent, a flag, a config
@@ -92,7 +95,7 @@ from almterm import (
     verify,
 )
 from almterm.derivation import sample_starts
-from helpers import random_binary_program_text, random_flat_program_text
+from helpers import SAMPLED_RUN_PROGRAMS, random_binary_program_text, random_flat_program_text
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench-work" / "same-output"
@@ -256,15 +259,23 @@ def derivations(seed: int) -> None:
         text = generate(rng)
         program = binarize(parse_program(text))
         print(f"check_length_bound {text!r}")
-        for tag in ("q+", "n"):
-            verdict = decide(program, Domain(tag))
-            print(f"  {tag} {verdict.kind}")
-            if verdict.witness is not None:
-                report = check_length_bound(
-                    program, verdict.witness, BOUND_SAMPLES, rng.getrandbits(16), Domain(tag)
-                )
-                for run in report.runs:
-                    print(f"    {run}")
+        for tag in DOMAINS:
+            bound_runs(program, tag, [rng.getrandbits(16)])
+    for text, tags in SAMPLED_RUN_PROGRAMS:
+        print(f"check_length_bound {text!r}")
+        for tag in tags:
+            bound_runs(parse_program(text), tag, range(4))
+
+
+def bound_runs(program, tag: str, seeds) -> None:
+    """Print the verdict over ``tag`` and, given a witness, every
+    ``BoundRun`` of ``check_length_bound`` at each seed."""
+    verdict = decide(program, Domain(tag))
+    print(f"  {tag} {verdict.kind}")
+    if verdict.witness is not None:
+        for seed in seeds:
+            for run in check_length_bound(program, verdict.witness, BOUND_SAMPLES, seed, Domain(tag)).runs:
+                print(f"    {run}")
 
 
 def options(seed: int) -> None:

@@ -18,7 +18,6 @@ from almterm import (
     drop_redundant,
     equivalent_systems,
     extract_witness,
-    feasible,
     feasible_point,
     fm_project,
     minimize,
@@ -26,7 +25,7 @@ from almterm import (
     verify,
 )
 from almterm import decider, lp
-from helpers import load, random_binary_program_text
+from helpers import feasible, load, random_binary_program_text
 from linear import LinearExpr, equal, geq, normalize, var
 from multiplier_systems import all_constraints, build_rule_primal, build_rule_systems, systems
 

@@ -12,6 +12,7 @@ import derivation_oracle as oracle
 from almterm import (
     N,
     AlmtermError,
+    Domain,
     LevelMapping,
     Q,
     QPLUS,
@@ -19,7 +20,6 @@ from almterm import (
     check_length_bound,
     decide,
     equivalent_systems,
-    feasible,
     parse_program,
     run_ground,
     step,
@@ -35,7 +35,13 @@ from almterm.derivation import (
 )
 from almterm.lp import integer_system
 from almterm.model import EQ, GEQ
-from helpers import load, random_binary_program_text, random_flat_program_text
+from helpers import (
+    SAMPLED_RUN_PROGRAMS,
+    feasible,
+    load,
+    random_binary_program_text,
+    random_flat_program_text,
+)
 from linear import equal, normalize, row_constraint, var
 
 
@@ -320,31 +326,94 @@ def test_each_rewrite_from_a_ground_atom_projects_once(monkeypatch):
         assert sorted(ineqs, key=repr) == sorted(nonneg, key=repr)
 
 
-def test_sampled_runs_match_run_ground():
-    """Each sampled run of ``check_length_bound`` takes the steps and ends
-    in the outcome of ``run_ground`` from its start with its seed and cap,
-    on seeded binary programs over q, q+ and n, with and without a step
-    cap."""
-    outcomes = set()
+def sampled_programs():
+    """(program, domain, seed) for the sampled-run comparisons: seeded
+    binary programs and binarized seeded flat programs over q, q+ and n,
+    then the hand-written ones."""
     for domain in (Q, QPLUS, N):
         for seed in range(60):
-            program = parse_program(random_binary_program_text(random.Random(seed)))
-            verdict = decide(program, domain)
-            if verdict.witness is None:
-                continue
-            lm = verdict.witness
-            starts = sample_starts(program, domain, random.Random(seed))
-            for step_cap in (None, 2):
-                report = check_length_bound(program, lm, samples=8, seed=seed, domain=domain, step_cap=step_cap)
-                for k, run in enumerate(report.runs):
-                    assert (run.pred, run.args) == starts[k % len(starts)]
-                    limit = lm.bound_for(run.pred, run.args) + 1
-                    if step_cap is not None:
-                        limit = min(limit, step_cap)
-                    trace = run_ground(program, run.pred, run.args, limit, seed * 7919 + k, domain)
-                    assert (run.steps, run.outcome) == (trace.steps, trace.outcome)
-                    outcomes.add(run.outcome)
+            for generate in (random_binary_program_text, random_flat_program_text):
+                yield binarize(parse_program(generate(random.Random(seed)))), domain, seed
+    for text, tags in SAMPLED_RUN_PROGRAMS:
+        for tag in tags:
+            for seed in range(4):
+                yield parse_program(text), Domain(tag), seed
+
+
+def test_sampled_runs_match_run_ground(monkeypatch):
+    """Each sampled run of ``check_length_bound`` takes the steps and ends
+    in the outcome of ``run_ground`` from its start with its seed and cap,
+    with and without a step cap.  Some runs evaluate every rewrite, and some
+    hand over to the store path (``step``) after evaluating one or more."""
+    step_calls = []
+    run_step_calls = []
+    step = almterm.derivation.step
+    evaluated_run = almterm.derivation._evaluated_run
+
+    def counted_step(*args, **kwargs):
+        step_calls.append(1)
+        return step(*args, **kwargs)
+
+    def counted_run(*args, **kwargs):
+        before = len(step_calls)
+        out = evaluated_run(*args, **kwargs)
+        run_step_calls.append(len(step_calls) - before)
+        return out
+
+    monkeypatch.setattr(almterm.derivation, "step", counted_step)
+    monkeypatch.setattr(almterm.derivation, "_evaluated_run", counted_run)
+    outcomes = set()
+    evaluated = switched = 0
+    for program, domain, seed in sampled_programs():
+        verdict = decide(program, domain)
+        if verdict.witness is None:
+            continue
+        lm = verdict.witness
+        starts = sample_starts(program, domain, random.Random(seed))
+        for step_cap in (None, 2):
+            run_step_calls.clear()
+            report = check_length_bound(program, lm, samples=8, seed=seed, domain=domain, step_cap=step_cap)
+            assert len(run_step_calls) == len(report.runs)
+            for k, (run, calls) in enumerate(zip(report.runs, run_step_calls)):
+                assert (run.pred, run.args) == starts[k % len(starts)]
+                limit = lm.bound_for(run.pred, run.args) + 1
+                if step_cap is not None:
+                    limit = min(limit, step_cap)
+                trace = run_ground(program, run.pred, run.args, limit, seed * 7919 + k, domain)
+                assert (run.steps, run.outcome) == (trace.steps, trace.outcome)
+                outcomes.add(run.outcome)
+                evaluated += calls == 0 and run.steps > 1
+                # every rewrite after the handover is a ``step``
+                switched += 0 < calls < run.steps
     assert outcomes == {"success", FAILURE, "floundered", MAX_STEPS}
+    assert evaluated and switched
+
+
+def test_sampled_runs_evaluate_countdowns(monkeypatch):
+    """On a countdown whose every rule pins its body argument, a sampled run
+    evaluates each rewrite: ``check_length_bound`` calls ``step`` never and
+    projects each rule at most twice, once for its starts and once to
+    compile it."""
+    text = "".join(f"e{j} :- y = 30, p(y).\n" for j in range(1, 5)) + (
+        "p(x) :- 2 <= x, x <= 30, y = x - 1, q(y).\n"
+        "q(x) :- 2 <= x, x <= 30, y = x - 1, p(y).\n"
+    )
+    program = parse_program(text)
+    lm = decide(program, Q).witness
+    steps = []
+    projections = []
+    project_constraints = almterm.lp.project_constraints
+
+    def counted_projection(eqs, ineqs, keep):
+        projections.append(keep)
+        return project_constraints(eqs, ineqs, keep)
+
+    monkeypatch.setattr(almterm.derivation, "step", lambda *args: steps.append(args))
+    monkeypatch.setattr(almterm.derivation, "project_constraints", counted_projection)
+    monkeypatch.setattr(almterm.lp, "project_constraints", counted_projection)
+    report = check_length_bound(program, lm, samples=4, seed=1)
+    assert [run.steps for run in report.runs] == [31] * 4 and report.passed
+    assert steps == [] and len(projections) <= 2 * len(program.rules)
 
 
 small_rows = st.lists(

@@ -16,7 +16,6 @@ from almterm import (
     drop_redundant,
     entails,
     equivalent_systems,
-    feasible,
     feasible_point,
     fm_project,
     minimize,
@@ -25,7 +24,7 @@ from almterm import (
 from almterm import lp
 from almterm.model import EQ, GEQ, AlmtermError
 import entailment_oracle
-from helpers import load
+from helpers import feasible, load
 from linear import LinearExpr, const, equal, geq, normalize, var
 
 X, Y, Z = 0, 1, 2

@@ -24,8 +24,8 @@ from almterm import (
 )
 from almterm import decider
 from almterm.decider import coeff_table, rule_cone
-from almterm.lp import LinearSystem, feasible, integer_system
-from helpers import PROGRAMS, load, random_binary_program_text, random_flat_program_text
+from almterm.lp import LinearSystem, integer_system
+from helpers import PROGRAMS, feasible, load, random_binary_program_text, random_flat_program_text
 from linear import LinearConstraint, LinearExpr, constraint_row, geq, normalize
 from multiplier_systems import build_rule_systems, systems
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, feasible, integer_system, minimize
+from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, integer_system, minimize
 from almterm.model import EQ, Atom, ConstraintRow, Domain, LevelMapping, Program, Q, Rule
 from almterm.verifier import (
     EPSILON,
@@ -26,6 +26,7 @@ from almterm.verifier import (
     RuleCheck,
     VerifyReport,
 )
+from helpers import feasible
 from linear import nonneg_rows
 
 
