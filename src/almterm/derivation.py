@@ -324,7 +324,7 @@ def run_ground(
 # ``(sum(c * x[i] for i, c in terms) + constant) / den`` of one common ``den``.
 Terms = tuple[tuple[int, int], ...]
 Guard = tuple[Terms, int, bool]
-Plan = tuple[tuple[Guard, ...], "str | None", tuple[tuple[Terms, int], ...], int]
+Plan = tuple[tuple[Guard, ...], str | None, tuple[tuple[Terms, int], ...], int]
 
 # ``0 >= 1``: the plan of a rule whose constraint is unsatisfiable
 _NEVER: Plan = ((((), 1, False),), None, (), 1)
