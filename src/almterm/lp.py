@@ -41,7 +41,8 @@ rows into the objective with the largest combined bound, by one phase one
 and one phase two; the optimum's point is the final basis's simplex
 multipliers, read off the reduced-cost row phase two ends with, and the
 basic multipliers are the certificate it is checked against before it is
-returned.
+returned.  On a box, a system whose rows each mention one variable, it
+reads the outcomes off the bounds instead, with no pivot and no check.
 
 Projection works on the same rows.  :func:`project_constraints` is the one
 routine: equality substitution, then Fourier-Motzkin elimination with
@@ -373,8 +374,14 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
     point, found once per call, or INFEASIBLE without one; an unbounded
     ``b.y`` means INFEASIBLE too.  Otherwise the point is the final basis's
     simplex multipliers, deterministic under Bland's order, and the optimum
-    is checked by :func:`_check_optimum` before it is returned.
+    is checked by :func:`_check_optimum` before it is returned.  A box, a
+    system whose rows each mention one variable, needs no simplex: its
+    outcomes are the simplex's, read off its bounds by :func:`_box_minimize`
+    with no pivot and nothing to check, and an unbounded one takes the box's
+    point and ray.
     """
+    if all(len(coeffs) == 1 for coeffs, _ in sys.rows):
+        return _box_minimize(sys, objectives)
     cols = _alternative(sys, sys.variables)
     # each column's bound entry, popped, is its cost in min -b.y
     costs = [-col.pop()[1] if bound else 0 for col, (_, bound) in zip(cols, sys.rows)]
@@ -401,6 +408,46 @@ def minimize(sys: LinearSystem, *objectives: Mapping[int, int | Fraction]) -> tu
         _check_optimum(cols, costs, c, state, prices, -value)
         point = {v: Fraction(prices[k], prices[-1]) for k, v in enumerate(order)}
         outcomes.append(LpOutcome(OPTIMAL, -value, point))
+    return tuple(outcomes)
+
+
+def _box_minimize(sys: LinearSystem, objectives) -> tuple[LpOutcome, ...]:
+    """:func:`minimize` over ``sys``, whose rows ``a x >= b`` each bound one
+    variable (from below if ``a > 0``), by its tightest bounds: each term
+    ``c * x`` takes the bound ``c`` pulls towards, or is unbounded along
+    ``-sign(c) e_x`` without one.  A point sets each system variable to its
+    lower bound, else its upper one, else 0, then the objective's own."""
+    lo: dict[int, int | Fraction] = {}
+    hi: dict[int, int | Fraction] = {}
+    for coeffs, bound in sys.rows:
+        ((v, a),) = coeffs.items()
+        # the bound of a primitive row stays as it is, an int or a Fraction
+        b = bound if a == 1 else -bound if a == -1 else Fraction(bound, a)
+        if a > 0:
+            if v not in lo or b > lo[v]:
+                lo[v] = b
+        elif v not in hi or b < hi[v]:
+            hi[v] = b
+    if any(b > hi[v] for v, b in lo.items() if v in hi):
+        return (LpOutcome(INFEASIBLE),) * len(objectives)
+    corner = {v: Fraction(lo[v] if v in lo else hi.get(v, 0)) for v in sys.variables}
+    outcomes = []
+    for objective in objectives:
+        point = {**corner, **{v: ZERO for v in objective if v not in corner}}
+        value = 0
+        for v, c in objective.items():
+            if not c:
+                continue
+            b = (lo if c > 0 else hi).get(v)
+            if b is None:
+                ray = dict.fromkeys(point, ZERO)
+                ray[v] = Fraction(-1 if c > 0 else 1)
+                outcomes.append(LpOutcome(UNBOUNDED, point=point, ray=ray))
+                break
+            point[v] = Fraction(b)
+            value += c * b
+        else:
+            outcomes.append(LpOutcome(OPTIMAL, Fraction(value), point))
     return tuple(outcomes)
 
 

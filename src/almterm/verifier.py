@@ -22,22 +22,16 @@ what the substitution adds to them, are added to the minima outside the LP.
 The eliminated variables are worked out again, in reverse order, only to
 build a counterexample.
 
-When every inequality left mentions one variable, the reduced system is a
-box: after pruning, each variable has at most one lower bound ``x >= lo``
-and one upper bound ``-x >= -hi``.  Both minima are then read off the
-bounds, with the statuses and values :func:`minimize` would give: the box
-is empty when some ``lo > hi``; otherwise each objective term ``c * x``
-takes ``c * lo`` or ``c * hi``, and is unbounded below when that bound is
-missing.  Any system with a row over two or more variables goes to one
-:func:`minimize` call for both minima.  A fact has no pair: it is
-satisfiable when its reduced system is nonempty, which the same dispatch
-decides with the zero objective.
+A fact has no pair: it is satisfiable when its reduced system is nonempty,
+which :func:`minimize` decides with the zero objective.  Every point is
+:func:`minimize`'s, which reads the minima of a box off its bounds.
 
 The decider never runs these minimisations (it works with the projected
 cone), and no cone enters here, so agreement between the two is a genuine
 cross-check of both encodings.  Both share the LP kernel and its columns
 (:func:`minimize` solves the dual), so :func:`minimize` checks each optimum
-against its point and its multipliers before returning it.
+the simplex finds against its point and its multipliers before returning
+it.
 """
 
 from __future__ import annotations
@@ -75,9 +69,9 @@ class RuleCheck:
     exact minima, and points and rays over the variables of the reduced
     system, which are the rule's variables left once its equalities are
     substituted away (then any objective variable outside it).  The points
-    are :func:`minimize`'s or, for a box, read off its bounds.  On
-    failure ``counterexample`` assigns every rule variable a rational,
-    witnessing the violated implication (a ground instance of the rule).
+    are :func:`minimize`'s.  On failure ``counterexample`` assigns every
+    rule variable a rational, witnessing the violated implication (a ground
+    instance of the rule).
     """
 
     rule_id: str
@@ -167,53 +161,6 @@ def _reduce(coeffs: dict[int, int], const: int, scale: int, steps) -> _Objective
     return row[0], row[1], scale
 
 
-def _box_minima(system: LinearSystem, objectives) -> tuple[LpOutcome, ...]:
-    """The outcome of each objective over ``system``, a box whose rows are
-    ``x >= lo`` and ``-x >= -hi`` (primitive, one per direction, as
-    ``_prune`` leaves them), with the statuses and minima of
-    :func:`minimize`.  Each point lies in the box, over the system's
-    variables and then the objective's own; an unbounded outcome's ray is
-    ``-sign(c) e_v`` for its first variable ``v`` that the box leaves free
-    in the direction the objective pulls it."""
-    lo: dict[int, int | Fraction] = {}
-    hi: dict[int, int | Fraction] = {}
-    for coeffs, bound in system.rows:
-        ((v, a),) = coeffs.items()
-        if a > 0:
-            lo[v] = bound
-        else:
-            hi[v] = -bound
-    if any(b > hi[v] for v, b in lo.items() if v in hi):
-        return (LpOutcome(INFEASIBLE),) * len(objectives)
-    corner = {v: Fraction(lo[v] if v in lo else hi.get(v, 0)) for v in system.variables}
-    outcomes = []
-    for objective in objectives:
-        point = {**corner, **{v: Fraction(0) for v in objective if v not in corner}}
-        value = 0
-        for v, c in objective.items():
-            if not c:
-                continue
-            b = (lo if c > 0 else hi).get(v)
-            if b is None:
-                ray = dict.fromkeys(point, Fraction(0))
-                ray[v] = Fraction(-1 if c > 0 else 1)
-                outcomes.append(LpOutcome(UNBOUNDED, point=point, ray=ray))
-                break
-            point[v] = Fraction(b)
-            value += c * b
-        else:
-            outcomes.append(LpOutcome(OPTIMAL, Fraction(value), point))
-    return tuple(outcomes)
-
-
-def _minima(system: LinearSystem, *objectives) -> tuple[LpOutcome, ...]:
-    """Each objective's minimum over the reduced ``system``: read off the
-    bounds of a box, by :func:`minimize` for any other system."""
-    if all(len(coeffs) == 1 for coeffs, _ in system.rows):
-        return _box_minima(system, objectives)
-    return minimize(system, *objectives)
-
-
 def _shifted(out: LpOutcome, objective: _Objective) -> LpOutcome:
     """``out`` with the minimum of ``coeffs . x`` turned into the
     objective's own."""
@@ -269,7 +216,7 @@ def _check_pair(
     drop = _reduce(drop_coeffs, hconst - bconst, scale, steps)
     body_level = _reduce(bcoeffs, bconst, scale, steps)
 
-    decrease, body_floor = _minima(system, drop[0], body_level[0])
+    decrease, body_floor = minimize(system, drop[0], body_level[0])
     if decrease.status == INFEASIBLE:
         return None
     decrease = _shifted(decrease, drop)
@@ -309,7 +256,7 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
     for rule in program.rules:
         reduced = _presolve(rule, domain)
         if rule.is_fact:
-            sat = reduced is not None and _minima(reduced[0], {})[0].status != INFEASIBLE
+            sat = reduced is not None and minimize(reduced[0], {})[0].status != INFEASIBLE
             checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT if sat else VACUOUS_UNSAT))
             continue
         for idx in range(len(rule.body)):

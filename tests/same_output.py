@@ -31,7 +31,11 @@ root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
   ``q+`` and ``n``; and of :func:`almterm.derivation.sample_starts` over
   ``q``, ``q+`` and ``n`` on the binarized form of seeded
   ``random_flat_program_text`` programs that have a rule with an arity-0
-  head (satisfiable or not);
+  head (satisfiable or not); then of :func:`almterm.lp.minimize` on seeded
+  random boxes, systems whose rows each mention one variable (empty,
+  half-open or free, with several bounds on a side, coefficients up to 3 in
+  size, int and Fraction bounds, variables no row mentions, or no rows at
+  all), whose objectives may name variables outside the system;
 - a ``drop_redundant`` section: :func:`almterm.lp.drop_redundant` on seeded
   random systems of the shape ``--project`` prunes (2-4 variables, up to 11
   rows, fractional bounds), with one-variable rows, duplicated rows, rows
@@ -105,6 +109,7 @@ ENTAILS_CALLS = 300
 REDUNDANCY_CALLS = 300
 VERIFY_PROGRAMS = 100
 SAMPLED_PROGRAMS = 100
+BOX_CALLS = 300
 DERIVED_PROGRAMS = 100
 BOUND_PROGRAMS = 100
 BOUND_SAMPLES = 12
@@ -212,6 +217,29 @@ def library(seed: int) -> None:
         for tag in DOMAINS:
             starts = sample_starts(program, Domain(tag), random.Random(rng.getrandbits(32)))
             print(f"  {tag} {starts!r}")
+    for _ in range(BOX_CALLS):
+        # rows over one variable each: several bounds on a side, coefficients
+        # up to 3 in size, int and Fraction bounds, unmentioned variables
+        variables = rng.sample(range(6), rng.randint(0, 4))
+        rows = []
+        for v in variables:
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                bound = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+                if bound.denominator == 1 and rng.random() < 0.8:
+                    bound = bound.numerator
+                rows.append(({v: rng.choice((1, 1, 1, 2, 3)) * rng.choice((1, -1))}, bound))
+        rng.shuffle(rows)
+        system = LinearSystem(tuple(variables), tuple(rows))
+        # ids 6 and 7 lie outside the system
+        objectives = [
+            {
+                v: rng.choice((-3, -2, -1, 0, 1, 2, 3, Fraction(1, 2)))
+                for v in rng.sample([*variables, 6, 7], rng.randint(0, len(variables) + 2))
+            }
+            for _ in range(rng.randint(0, 3))
+        ]
+        print(f"minimize box {system!r} {objectives!r}")
+        print(f"  {minimize(system, *objectives)!r}")
 
 
 def redundancy(seed: int) -> None:

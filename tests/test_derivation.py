@@ -478,6 +478,28 @@ def test_sample_starts_makes_one_minimize_call_per_rule(monkeypatch):
     assert {pred for pred, _ in starts} == {"p"}
 
 
+def test_sample_starts_reads_box_minima_without_the_simplex(monkeypatch):
+    """A countdown chain projects each rule onto a box over its head's
+    arguments (an entry's head has none), so ``minimize`` reads every
+    sampled objective's minimum off the bounds and no phase two runs."""
+    calls = []
+    phase_two = almterm.lp._phase_two
+
+    def counted(*args):
+        calls.append(args)
+        return phase_two(*args)
+
+    monkeypatch.setattr(almterm.lp, "_phase_two", counted)
+    program = parse_program(
+        "e1 :- y = 21, p(y).\n"
+        "p(x) :- 2 <= x, x <= 21, y = x - 1, q(y).\n"
+        "q(x) :- 2 <= x, x <= 21, y = x - 1, p(y).\n"
+    )
+    starts = sample_starts(program, Q, random.Random(5))
+    assert calls == []
+    assert {("p", (Fraction(2),)), ("p", (Fraction(21),)), ("e1", ())} <= set(starts)
+
+
 def test_sample_starts_decides_each_rule_with_one_feasibility_lp(monkeypatch):
     """Every rule, an arity-0 head's included, is projected onto its head's
     arguments once and decided by the point of that projection alone; the

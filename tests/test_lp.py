@@ -267,6 +267,66 @@ def test_minimize_checks_the_optimum_before_returning_it(monkeypatch):
     assert minimize(sys, {X: -1})[0].status == UNBOUNDED
 
 
+def _random_bound(rng: random.Random):
+    """An int, or now and then a Fraction (with denominator 1 too)."""
+    b = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+    return b.numerator if b.denominator == 1 and rng.random() < 0.8 else b
+
+
+def test_box_read_off_agrees_with_the_simplex(monkeypatch):
+    """On random boxes (empty, half-open, free, several bounds on a side,
+    coefficients up to 3 in size, int and Fraction bounds, variables no row
+    mentions, no rows at all), ``minimize``'s read-off gives the simplex's
+    statuses and minima, and its optimal points, key order included.  The
+    simplex runs on the same box with a row ``0 >= 0`` added, whose column
+    no pivot can enter.  An unbounded outcome's point lies in the box, and
+    its ray stays in the box and lowers the objective."""
+    read_offs = []
+    box_minimize = lp._box_minimize
+
+    def counted(sys, objectives):
+        read_offs.append(sys)
+        return box_minimize(sys, objectives)
+
+    monkeypatch.setattr(lp, "_box_minimize", counted)
+    rng = random.Random(1515)
+    seen = {INFEASIBLE: 0, OPTIMAL: 0, UNBOUNDED: 0}
+    for _ in range(800):
+        variables = rng.sample(range(6), rng.randint(0, 4))
+        rows = [
+            ({v: rng.choice((1, 1, 1, 2, 3)) * rng.choice((1, -1))}, _random_bound(rng))
+            for v in variables
+            for _ in range(rng.choice((0, 1, 1, 2, 3)))
+        ]
+        rng.shuffle(rows)
+        system = LinearSystem(tuple(variables), tuple(rows))
+        padded = LinearSystem(system.variables, (*rows, ({}, 0)))
+        objectives = [
+            {
+                v: rng.choice((-3, -2, -1, 0, 1, 2, 3, Fraction(1, 2)))
+                for v in rng.sample([*variables, 6, 7], rng.randint(0, len(variables) + 2))
+            }
+            for _ in range(rng.randint(0, 3))
+        ]
+        read_offs.clear()
+        simplex = minimize(padded, *objectives)
+        assert read_offs == []
+        got = minimize(system, *objectives)
+        assert read_offs == [system]
+        assert len(got) == len(simplex) == len(objectives)
+        for objective, g, w in zip(objectives, got, simplex):
+            seen[g.status] += 1
+            assert (g.status, g.value) == (w.status, w.value), (system, objective)
+            if g.status == OPTIMAL:
+                assert list(g.point.items()) == list(w.point.items()), (system, objective)
+            elif g.status == UNBOUNDED:
+                assert list(g.point) == list(w.point) and list(g.ray) == list(w.ray)
+                assert_ray(system, objective, g)
+                for t in (1, 10**6):
+                    assert system.satisfied_by({v: x + t * g.ray[v] for v, x in g.point.items()})
+    assert min(seen.values()) > 100
+
+
 # --- duality -----------------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from almterm import (
     verify,
 )
 from almterm.decider import SKIP_FACT, SKIP_UNSAT
-from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearSystem, integer_system
+from almterm.lp import UNBOUNDED, integer_system
 from almterm.model import EQ
 from almterm.verifier import EPSILON, FAIL, PASS, VACUOUS_FACT, VACUOUS_UNSAT
 from helpers import (
@@ -127,8 +127,7 @@ def test_ground_instances_respect_definition_exactly():
 
 def test_verify_makes_one_minimisation_per_analysed_rule(monkeypatch):
     """Both minimisations of a (rule, body atom) pair share one system, so
-    they share one call of the verifier's one dispatch point (and one phase
-    one when the simplex runs); a fact takes one call with the zero
+    they share one ``minimize`` call; a fact takes one call with the zero
     objective."""
     from almterm import verifier
 
@@ -139,13 +138,13 @@ def test_verify_makes_one_minimisation_per_analysed_rule(monkeypatch):
         "p(x) :- x >= 1, 0 >= x, y = x, p(y).\n"
     )
     calls = []
-    real = verifier._minima
+    real = verifier.minimize
 
     def counting(sys, *objectives):
         calls.append(len(objectives))
         return real(sys, *objectives)
 
-    monkeypatch.setattr(verifier, "_minima", counting)
+    monkeypatch.setattr(verifier, "minimize", counting)
     report = verify(program, LevelMapping({"p": (73, -1)}), Q)
     assert calls == [1, 2, 2, 2]
     assert [(c.rule_id, c.body_index, c.status) for c in report.checks] == [
@@ -158,27 +157,34 @@ def test_verify_makes_one_minimisation_per_analysed_rule(monkeypatch):
 
 def test_box_rules_skip_the_simplex(monkeypatch):
     """A rule whose reduced rows each mention one variable has its minima
-    read off the bounds; a rule with a row over two variables takes exactly
-    one simplex call.  Both report what the pinned oracle reports."""
-    from almterm import verifier
+    read off the bounds, with no simplex pivot; a rule with a row over two
+    variables runs one phase two per objective.  Either takes one
+    ``minimize`` call, and both report what the pinned oracle reports."""
+    from almterm import lp, verifier
 
-    calls = []
-    real = verifier.minimize
+    calls: Counter = Counter()
 
-    def counting(sys, *objectives):
-        calls.append(sys)
-        return real(sys, *objectives)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(verifier, "minimize", counting)
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    counted(verifier, "minimize")
+    counted(lp, "_box_minimize")
+    counted(lp, "_phase_two")
     lm = LevelMapping({"p": (73, -1)})
-    for text, simplex_calls in (
-        ("p(x) :- 72 >= x, y = x + 1, p(y).", 0),
-        ("p(x) :- x >= y + 1, 72 >= x, y >= 0, p(y).", 1),
+    for text, want in (
+        ("p(x) :- 72 >= x, y = x + 1, p(y).", {"minimize": 1, "_box_minimize": 1}),
+        ("p(x) :- x >= y + 1, 72 >= x, y >= 0, p(y).", {"minimize": 1, "_phase_two": 2}),
     ):
         program = parse_program(text)
         calls.clear()
         report = verify(program, lm, Q)
-        assert len(calls) == simplex_calls, text
+        assert calls == want, text
         assert _outcomes(report) == _outcomes(verifier_oracle.verify(program, lm, Q))
 
 
@@ -287,17 +293,17 @@ def test_verify_agrees_with_one_pinned_oracle(monkeypatch):
     instance of its rule that breaks the failed condition.  Both ways of
     minimising, the box read-off and the simplex, run and produce failing
     checks, unbounded ones included."""
-    from almterm import verifier
+    from almterm import lp, verifier
 
     ways: list[str] = []
-    real_box, real_minimize, real_pair = verifier._box_minima, verifier.minimize, verifier._check_pair
+    real_box, real_minimize, real_pair = lp._box_minimize, verifier.minimize, verifier._check_pair
 
     def box(system, objectives):
         ways.append("box")
         return real_box(system, objectives)
 
-    def simplex(system, *objectives):
-        ways.append("simplex")
+    def minimize(system, *objectives):
+        ways.append("minimize")
         return real_minimize(system, *objectives)
 
     ran: Counter = Counter()
@@ -306,16 +312,18 @@ def test_verify_agrees_with_one_pinned_oracle(monkeypatch):
     def pair(*args):
         ways.clear()
         check = real_pair(*args)
-        assert len(ways) <= 1  # none when the presolve finds the rule unsatisfiable
-        for way in ways:
+        # no call when the presolve finds the rule unsatisfiable
+        assert ways in ([], ["minimize"], ["minimize", "box"])
+        if ways:
+            way = "box" if "box" in ways else "simplex"
             ran[way] += 1
             if check is not None and check.status == FAIL:
                 unbounded = UNBOUNDED in (check.decrease.status, check.body_floor.status)
                 failed[way, unbounded] += 1
         return check
 
-    monkeypatch.setattr(verifier, "_box_minima", box)
-    monkeypatch.setattr(verifier, "minimize", simplex)
+    monkeypatch.setattr(lp, "_box_minimize", box)
+    monkeypatch.setattr(verifier, "minimize", minimize)
     monkeypatch.setattr(verifier, "_check_pair", pair)
     rng = random.Random(404)
     failures = 0
@@ -350,8 +358,8 @@ def test_verify_agrees_with_one_pinned_oracle(monkeypatch):
 
 def test_verifier_lps_hold_inequalities_of_their_rule_only(monkeypatch):
     """Every equality, the binarization links included, is substituted away
-    before either way of minimising, box read-off or simplex: no system
-    holds a row and its negation, or a variable outside the rule it
+    before ``minimize`` reads the minima off a box or runs the simplex: no
+    system holds a row and its negation, or a variable outside the rule it
     checks."""
     from almterm import verifier
 
@@ -364,13 +372,13 @@ def test_verifier_lps_hold_inequalities_of_their_rule_only(monkeypatch):
     )
     program = binarize(parse_program(text))
     systems = []
-    real = verifier._minima
+    real = verifier.minimize
 
     def recording(sys, *objectives):
         systems.append(sys)
         return real(sys, *objectives)
 
-    monkeypatch.setattr(verifier, "_minima", recording)
+    monkeypatch.setattr(verifier, "minimize", recording)
     lm = LevelMapping({"p": (1, 2), "q": (-1, Fraction(1, 2), -3)})
     for domain in (Q, QPLUS, N):
         for rule in program.rules:
@@ -383,57 +391,3 @@ def test_verifier_lps_hold_inequalities_of_their_rule_only(monkeypatch):
                 for coeffs, bound in sys.rows:
                     negation = (frozenset((v, -c) for v, c in coeffs.items()), -bound)
                     assert negation not in rows, (rule.rule_id, domain, sys.rows)
-
-
-def _random_bound(rng: random.Random):
-    """An int, or a Fraction where ``_prune`` would leave one."""
-    b = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-    return b.numerator if b.denominator == 1 else b
-
-
-def test_box_minima_agree_with_the_simplex():
-    """On random boxes (empty, half-open, free, with Fraction bounds) the
-    read-off gives the statuses and minima of ``minimize``, points over the
-    same variables in the same order, an optimal point in the box at the
-    minimum, and an unbounded point in the box with a ray that stays in it
-    and lowers the objective."""
-    from almterm.verifier import _box_minima
-
-    rng = random.Random(1515)
-    seen: Counter = Counter()
-    for _ in range(600):
-        variables = rng.sample(range(6), rng.randint(0, 4))
-        rows = []
-        for v in variables:
-            lo = _random_bound(rng)
-            width = Fraction(rng.choice([-1, 0, 1, 2, 5]), rng.randint(1, 3))
-            if rng.random() < 0.7:
-                rows.append(({v: 1}, lo))
-            if rng.random() < 0.7:
-                hi = lo + width
-                rows.append(({v: -1}, -(hi.numerator if hi.denominator == 1 else hi)))
-        rng.shuffle(rows)
-        system = LinearSystem(tuple(variables), tuple(rows))
-        objectives = [
-            {v: rng.randint(-3, 3) for v in rng.sample([*variables, 6, 7], rng.randint(0, 2))}
-            for _ in range(rng.randint(0, 2))
-        ]
-        got = _box_minima(system, objectives)
-        want = minimize(system, *objectives)
-        assert len(got) == len(want)
-        for objective, g, w in zip(objectives, got, want):
-            seen[g.status] += 1
-            assert (g.status, g.value) == (w.status, w.value), (system, objective)
-            if g.status == INFEASIBLE:
-                continue
-            assert list(g.point) == list(w.point)
-            assert system.satisfied_by(g.point)
-            at = sum(c * g.point[v] for v, c in objective.items())
-            if g.status == OPTIMAL:
-                assert at == g.value
-                continue
-            assert list(g.ray) == list(w.ray)
-            for t in (1, 10**6):
-                assert system.satisfied_by({v: x + t * g.ray[v] for v, x in g.point.items()})
-            assert sum(c * g.ray[v] for v, c in objective.items()) < 0
-    assert min(seen[s] for s in (INFEASIBLE, OPTIMAL, UNBOUNDED)) > 50
