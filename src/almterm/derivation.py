@@ -3,25 +3,19 @@
 A state is ``<goal || constraint store>`` where the goal is one atom or none:
 a derivation starts from one ground atom, and each rule of a binary program
 has at most one body atom.  A rewrite renames a rule of the goal atom's
-predicate apart: one block of fresh ids, drawn in the rule's variable order
-by one pool call (:meth:`VariablePool.fresh_block`), under the rule's
-variable names primed.  It then binds the renamed head to the atom (each head
-argument becomes the atom's argument: head arguments are distinct, so this is
-the polyhedron that equating them would give) and conjoins the rule
-constraint.  The grown store is existentially projected onto the variables of
-the rule's body atom, and the projection is decided without a second
-projection where its form allows: equalities that each pin a variable of
-their own are put into the inequalities (integer cross-multiplication) and
-dropped, which decides a ground store on every domain, the ``x >= 0`` rows of
-``q+``, ``r+`` and ``n`` included; a store in which every row left has a
-variable that no other row mentions is satisfiable (each row is met by moving
-that variable); any other store is decided by eliminating its variables as
-well, since full Fourier-Motzkin elimination is a decision procedure over the
-rationals.  If either step finds a contradiction the state collapses to the
-failure state ``<[] || false>`` (represented by a ``None`` store); otherwise
-the body atom, or none for a fact, is the new goal and the projection is the
-new store.  Only the start atom is ground; later bindings stay symbolic in
-the store.
+predicate apart: a fresh id for every rule variable, in the rule's variable
+order, under the rule's variable names primed.  It then binds the renamed
+head to the atom (each head argument becomes the atom's argument: head
+arguments are distinct, so this is the polyhedron that equating them would
+give) and conjoins the rule constraint.  The grown store is existentially
+projected onto the variables of the rule's body atom, and the projection is
+decided by eliminating its variables as well, since full Fourier-Motzkin
+elimination is a decision procedure over the rationals.  If either step
+finds a contradiction the state collapses to the failure state
+``<[] || false>`` (represented by a ``None`` store); otherwise the body
+atom, or none for a fact, is the new goal and the projection is the new
+store.  Only the start atom is ground; later bindings stay symbolic in the
+store.
 
 Projecting changes nothing observable (the projection has the same solutions
 over the live variables, and rules are renamed apart so no future constraint
@@ -116,47 +110,13 @@ class DerivationState:
 
 
 def store_satisfiable(rows: tuple[list[Row], list[Row]]) -> bool:
-    """Exact satisfiability of a store over the rationals.  When the
-    equalities each pin a variable of their own (one variable, a different
-    one each), the pins are put into the inequalities and dropped, since each
-    is met by its variable's value: a row left without variables is decided
-    by its bound.  Then, when every row left has a variable of its own (one
-    no other row mentions), each row is met by moving that variable alone, so
-    the store is satisfiable; otherwise Fourier-Motzkin elimination of every
-    variable decides it.  Over the naturals this is the rational relaxation
-    (sound for the length-bound check, since integer solutions are a subset
-    of the rational ones)."""
-    eqs, ineqs = rows
-    pins: dict[int, Row] = {}
-    for eq in eqs:
-        if len(eq[0]) != 1:
-            break
-        (v,) = eq[0]
-        if v in pins:
-            break
-        pins[v] = eq
-    else:
-        eqs = []
-        left = []
-        for row in ineqs:
-            for v in row[0].keys() & pins.keys():
-                row = _substitute(row, v, pins[v])
-            if row[0]:
-                left.append(row)
-            elif row[1] > 0:
-                return False
-        if not left:
-            return True
-        ineqs = left
-    every = eqs + ineqs
-    seen: set[int] = set()
-    shared: set[int] = set()
-    for coeffs, _ in every:
-        for v in coeffs:
-            (shared if v in seen else seen).add(v)
-    if all(not coeffs.keys() <= shared for coeffs, _ in every):
-        return True
-    return project_constraints(eqs, ineqs, ()) is not None
+    """Exact satisfiability of a store over the rationals: every variable
+    eliminated (:func:`project_constraints` onto none), since full
+    Fourier-Motzkin elimination is a decision procedure over the rationals.
+    Over the naturals this is the rational relaxation (sound for the
+    length-bound check, since integer solutions are a subset of the rational
+    ones)."""
+    return project_constraints(*rows, ()) is not None
 
 
 def step(
@@ -182,12 +142,10 @@ def step(
     rule = choose(candidates)
     if len(rule.body) > 1:
         raise AlmtermError(f"rule {rule.rule_id} has several body atoms; derivations expect a binary program")
-    # rename apart: one block of fresh ids in the rule's variable order, the
-    # head's included, so that the body's ids are those of renaming the whole
-    # rule apart; then bind each head argument to the atom's
-    names = [pool.name(v) + "'" for v in rule.variables]
-    first = pool.fresh_block(names)
-    fresh = dict(zip(rule.variables, range(first, first + len(names))))
+    # rename apart: a fresh id for every rule variable, the head's included,
+    # so that the body's ids are those of renaming the whole rule apart; then
+    # bind each head argument to the atom's
+    fresh = {v: pool.fresh(pool.name(v) + "'") for v in rule.variables}
     fresh.update(zip(rule.head.args, atom.args))
     store_eqs, store_ineqs = state.rows
     eqs = list(store_eqs)

@@ -97,14 +97,6 @@ class VariablePool:
         self._names.append(name)
         return len(self._names) - 1
 
-    def fresh_block(self, names: Sequence[str]) -> int:
-        """Draw one fresh id per name, consecutive ids in ``names`` order,
-        and return the first: the ids and names of calling :meth:`fresh` on
-        each name in turn, in one call."""
-        first = len(self._names)
-        self._names += names
-        return first
-
     def name(self, vid: int) -> str:
         if 0 <= vid < len(self._names):
             return self._names[vid]

@@ -104,12 +104,21 @@ def test_step_with_fact_rule_fails_when_inconsistent():
 
 
 def test_step_renames_rules_apart():
+    """A rewrite draws one fresh id per rule variable, consecutive ids in
+    ``rule.variables`` order, named with the rule's names primed; the body
+    atom takes the ids of its variables."""
     program, pool, state = golden_start()
     state_vars = {v for c in store(state) for v in c.variables()}
+    first = len(pool)
     nxt = step(program, state, choose_named("r3"), pool)
     new_vars = {v for c in store(nxt) for v in c.variables()} - state_vars
-    rule_vars = set(program.rules[2].variables)
-    assert new_vars and not (new_vars & rule_vars)
+    rule = program.rules[2]
+    assert new_vars and not (new_vars & set(rule.variables))
+    assert len(rule.variables) > len(rule.head.args)
+    assert len(pool) == first + len(rule.variables)
+    fresh = dict(zip(rule.variables, range(first, len(pool))))
+    assert [pool.name(fresh[v]) for v in rule.variables] == [pool.name(v) + "'" for v in rule.variables]
+    assert nxt.goal[0].args == tuple(fresh[v] for v in rule.body[0].args)
 
 
 def test_compact_store_preserves_goal_solutions():
@@ -291,18 +300,20 @@ def test_run_ground_runs_no_lp(monkeypatch):
     assert max(steps) > 3 and calls == []
 
 
-def test_each_rewrite_from_a_ground_atom_projects_once(monkeypatch):
+def test_each_rewrite_from_a_ground_atom_projects_then_eliminates_once(monkeypatch):
     """The head is bound to the selected atom, so no link row is substituted
-    away, and a ground store pins each live variable by an equality of its
-    own, so it is decided without a second elimination, the ``x >= 0`` rows
-    of a nonnegative domain included: one projection per rewrite, the final
-    failing one included."""
+    away: each rewrite makes one projection, onto its goal's variables, and
+    a satisfiable projection is decided by one elimination of every variable
+    (``keep`` empty), the ``x >= 0`` rows of a nonnegative domain included;
+    the final failing rewrite's projection finds the contradiction itself,
+    so no elimination follows it."""
     calls = []
     project_constraints = almterm.derivation.project_constraints
 
     def counted(eqs, ineqs, keep):
-        calls.append(keep)
-        return project_constraints(eqs, ineqs, keep)
+        out = project_constraints(eqs, ineqs, keep)
+        calls.append((set(keep), (eqs, ineqs), out))
+        return out
 
     monkeypatch.setattr(almterm.derivation, "project_constraints", counted)
     for domain, (text, args) in itertools.product(
@@ -315,7 +326,17 @@ def test_each_rewrite_from_a_ground_atom_projects_once(monkeypatch):
         calls.clear()
         trace = run_ground(parse_program(text), "p", args, seed=0, domain=domain)
         assert (trace.steps, trace.outcome) == (8, FAILURE)
-        assert len(calls) == trace.steps
+        made = iter(calls)
+        for state in trace.states[1:]:
+            keep, _, projected = next(made)
+            assert len(keep) == len(args)
+            if state.failed:
+                assert projected is None
+                continue
+            assert keep == set(state.goal[0].args) and projected == state.rows
+            keep, rows, decided = next(made)
+            assert keep == set() and rows == projected and decided is not None
+        assert next(made, None) is None
         # the last store before the failing rewrite pins every argument,
         # beside its x >= 0 row over q+ and n
         eqs, ineqs = trace.states[-2].rows
@@ -429,8 +450,9 @@ small_rows = st.lists(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_rows)
 def test_store_satisfiable_agrees_with_lp(rows):
-    """Deciding a store by the rows' own variables, or by elimination when
-    some row has none, agrees with one exact LP on every system."""
+    """Deciding a store by eliminating every variable agrees with one exact
+    LP on every system: the guard that the store path's one decision is
+    exact over the rationals."""
     eqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
     ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel != EQ]
     assert store_satisfiable((eqs, ineqs)) == feasible(integer_system(rows))
@@ -448,9 +470,9 @@ pins = st.dictionaries(st.integers(0, 3), st.tuples(st.integers(-3, 3).filter(bo
 @example({0: (-1, 2), 1: (1, 1)}, [({0: 1, 1: 1}, 0, GEQ), ({2: 1, 3: 1}, 1, GEQ), ({2: -1, 3: -1}, 0, GEQ)])
 @example({0: (3, 1)}, [({0: 3}, 2, GEQ)])
 def test_pinned_store_satisfiable_agrees_with_lp(pinned, rows):
-    """A store whose equalities each pin a variable of their own is decided
-    by putting the pins into the other rows; that agrees with one exact LP,
-    with and without further equalities."""
+    """A store whose equalities each pin a variable of their own, the shape
+    of a store from a ground atom, is decided by the same elimination; that
+    agrees with one exact LP, with and without further equalities."""
     eqs = [({v: a}, b) for v, (a, b) in pinned.items()]
     ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel != EQ]
     every = [(coeffs, bound, EQ) for coeffs, bound in eqs] + [(c, b, GEQ) for c, b in ineqs]

@@ -174,14 +174,3 @@ def test_rules_for_keeps_program_order():
         assert program.rules_for(pred) == tuple(r for r in program.rules if r.head.pred == pred)
     assert [r.head.pred for r in program.rules_for("p")] == ["p", "p"]
     assert program.rules_for("r") == ()
-
-
-def test_fresh_block_draws_the_ids_of_fresh_calls():
-    names = ["x'", "y'", "x'"]
-    one_by_one = VariablePool(["a", "b"])
-    block = one_by_one.clone()
-    ids = [one_by_one.fresh(name) for name in names]
-    first = block.fresh_block(names)
-    assert list(range(first, len(block))) == ids
-    assert [block.name(v) for v in ids] == names
-    assert block.fresh_block([]) == len(block) == len(one_by_one)

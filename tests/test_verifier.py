@@ -287,6 +287,45 @@ def _outcomes(report):
     ]
 
 
+def _pinned_oracle_cases():
+    """(n, program, domain, mapping): 40 seeded binary programs over q, q+
+    and n, each checked against its decided witness, if any, and two
+    perturbed or random mappings."""
+    rng = random.Random(404)
+    for n in range(40):
+        program = parse_program(random_binary_program_text(rng))
+        for domain in (Q, QPLUS, N):
+            witness = decide(program, domain).witness
+            mappings = [_perturbed(rng, program, witness) for _ in range(2)]
+            for lm in ([witness] if witness else []) + mappings:
+                yield n, program, domain, lm
+
+
+def test_pinned_oracle_minimises_by_the_simplex_only(monkeypatch):
+    """The pinned oracle stays independent of the verifier's box read-off:
+    its ``0 >= 0`` row keeps every system it minimises from being a box, so
+    each minimum comes from the simplex."""
+    from almterm import lp
+
+    cases = list(_pinned_oracle_cases())
+    calls: Counter = Counter()
+    real_box, real_minimize = lp._box_minimize, verifier_oracle.minimize
+
+    def box(system, objectives):
+        calls["box"] += 1
+        return real_box(system, objectives)
+
+    def minimize(system, *objectives):
+        calls["minimize"] += 1
+        return real_minimize(system, *objectives)
+
+    monkeypatch.setattr(lp, "_box_minimize", box)
+    monkeypatch.setattr(verifier_oracle, "minimize", minimize)
+    for _, program, domain, lm in cases:
+        verifier_oracle.verify(program, lm, domain)
+    assert calls["minimize"] > 500 and calls["box"] == 0
+
+
 def test_verify_agrees_with_one_pinned_oracle(monkeypatch):
     """Same checks, minima, statuses and notes as the LP over the whole rule
     constraint with a pinned ``one``; every counterexample is a ground
@@ -325,32 +364,26 @@ def test_verify_agrees_with_one_pinned_oracle(monkeypatch):
     monkeypatch.setattr(lp, "_box_minimize", box)
     monkeypatch.setattr(verifier, "minimize", minimize)
     monkeypatch.setattr(verifier, "_check_pair", pair)
-    rng = random.Random(404)
     failures = 0
-    for n in range(40):
-        program = parse_program(random_binary_program_text(rng))
-        for domain in (Q, QPLUS, N):
-            witness = decide(program, domain).witness
-            mappings = [_perturbed(rng, program, witness) for _ in range(2)]
-            for lm in ([witness] if witness else []) + mappings:
-                got = verify(program, lm, domain)
-                want = verifier_oracle.verify(program, lm, domain)
-                assert _outcomes(got) == _outcomes(want), (n, domain, lm)
-                for check in got.failures():
-                    failures += 1
-                    rule = next(r for r in program.rules if r.rule_id == check.rule_id)
-                    point = check.counterexample
-                    assert set(point) == set(rule.variables)
-                    assert all(_holds(row, point) for row in rule.rows)
-                    if domain.nonneg:
-                        assert all(value >= 0 for value in point.values())
-                    head = lm.level_of(rule.head.pred, [point[v] for v in rule.head.args])
-                    body_atom = rule.body[check.body_index]
-                    body = lm.level_of(body_atom.pred, [point[v] for v in body_atom.args])
-                    if check.note.startswith("head-to-body"):
-                        assert head - body < EPSILON
-                    else:
-                        assert body < 0
+    for n, program, domain, lm in _pinned_oracle_cases():
+        got = verify(program, lm, domain)
+        want = verifier_oracle.verify(program, lm, domain)
+        assert _outcomes(got) == _outcomes(want), (n, domain, lm)
+        for check in got.failures():
+            failures += 1
+            rule = next(r for r in program.rules if r.rule_id == check.rule_id)
+            point = check.counterexample
+            assert set(point) == set(rule.variables)
+            assert all(_holds(row, point) for row in rule.rows)
+            if domain.nonneg:
+                assert all(value >= 0 for value in point.values())
+            head = lm.level_of(rule.head.pred, [point[v] for v in rule.head.args])
+            body_atom = rule.body[check.body_index]
+            body = lm.level_of(body_atom.pred, [point[v] for v in body_atom.args])
+            if check.note.startswith("head-to-body"):
+                assert head - body < EPSILON
+            else:
+                assert body < 0
     assert failures > 50
     assert ran["box"] and ran["simplex"]
     assert all(failed[way, unbounded] for way in ("box", "simplex") for unbounded in (False, True))

@@ -6,9 +6,13 @@ conditions over the whole rule constraint: every equality reaches
 variable, pinned to 1 by one more equality, carries the level constants
 inside the objectives.  ``almterm.verifier`` substitutes the equalities away
 first and adds the constants outside the LP instead; the tests check that
-both report the same statuses, minima and notes.  Counterexamples are not
-compared: this one walks an unbounded outcome's ray backward when its point
-already violates the condition, which can leave the rule constraint.
+both report the same statuses, minima and notes.  Every system also holds
+the row ``0 >= 0``, whose empty column no simplex pivot can enter: it
+changes no outcome, but no system is then a box, so every minimum here comes
+from the simplex rather than from :func:`almterm.lp.minimize`'s box
+read-off, which the verifier's own systems often take.  Counterexamples are
+not compared: this one walks an unbounded outcome's ray backward when its
+point already violates the condition, which can leave the rule constraint.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from almterm.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, integer_system, minimize
-from almterm.model import EQ, Atom, ConstraintRow, Domain, LevelMapping, Program, Q, Rule
+from almterm.model import EQ, GEQ, Atom, ConstraintRow, Domain, LevelMapping, Program, Q, Rule
 from almterm.verifier import (
     EPSILON,
     FAIL,
@@ -61,7 +65,7 @@ def _check_pair(
 ) -> RuleCheck | None:
     body_atom = rule.body[body_index]
     system = integer_system(
-        (({one_var: 1}, 1, EQ),) + _domain_rows(rule, domain),
+        (({one_var: 1}, 1, EQ),) + _domain_rows(rule, domain) + (({}, 0, GEQ),),
         order_hint=(one_var,) + rule.head.args + body_atom.args,
     )
     head_level = _level(lm, rule.head, one_var)
