@@ -29,15 +29,18 @@ once (its rows are homogeneous, so this is pure integer arithmetic; a free
 multiplier starts out in balance equalities and the bound row only, so the
 projection's equality substitution removes it whenever a balance row picks
 it), and the projection is instantiated twice.
-``z`` ranges over the rule's variables only, so the level constants ``c0``
-enter through ``s``: the decrease takes ``z`` the head's argument
-coefficients minus the body's and ``s = 1 - c0(head) + c0(body)``, the body
-level takes ``z`` the body's argument coefficients and ``s = -c0(body)``.  By
-Farkas' lemma ``c`` is unsatisfiable iff ``(0, 1)`` lies in ``K``, so the
-same projection tests the rule and no LP runs for it.  A fact is tested by
-its cone too, so the final solve is the one LP :func:`decide` runs.  The
-explicit multiplier systems are never built; the test suite keeps them, over
-a pinned ``one`` column, as the specification the cones are checked against.
+``z`` ranges over the head's and the body atom's arguments only, the
+variables the implications read (both put ``z = 0`` at every other rule
+variable, so the cone is built with that already fixed), and the level
+constants ``c0`` enter through ``s``: the decrease takes ``z`` the head's
+argument coefficients minus the body's and ``s = 1 - c0(head) + c0(body)``,
+the body level takes ``z`` the body's argument coefficients and
+``s = -c0(body)``.  By Farkas' lemma ``c`` is unsatisfiable iff ``(0, 1)``
+lies in ``K``, so the same projection tests the rule and no LP runs for it.
+A fact is tested by its cone too, projected onto ``s`` alone, so the final
+solve is the one LP :func:`decide` runs.  The explicit multiplier systems
+are never built; the test suite keeps them, over a pinned ``one`` column, as
+the specification the cones are checked against.
 
 The verifier module re-checks any extracted mapping through plain primal
 minimisation, giving an independent second encoding of the same implications.
@@ -84,8 +87,9 @@ ZERO = Fraction(0)
 class RuleCone:
     """The dual cone of one analysed binary rule, projected onto ``(z, s)``.
 
-    ``columns`` counts the rule's variables: ``z_j`` (id ``j``) stands for
-    the ``j``-th in :func:`rule_cone`'s order, and ``s`` for id ``columns``.
+    ``columns`` counts the head's and the body atom's arguments (none for a
+    fact): ``z_j`` (id ``j``) stands for the ``j``-th of them, head first, and
+    ``s`` for id ``columns``.  The rule's other variables have no column.
     ``rows`` are ``>=`` rows (a projected equality gives two).
     ``decrease`` and ``nonneg`` give, per column and then for ``s``, the
     coefficient-variable combination it takes in the two implications; the
@@ -151,7 +155,7 @@ class AlmSystem:
         for ``one``, the bound row, and a nonnegativity row per primal row:
         the cone's multipliers, one more per equality, and two for the pin."""
         equalities = sum(rel == EQ for cone in self.cones for _, _, rel in cone.rule.rows)
-        return 2 * (sum(cone.columns + cone.multipliers + 4 for cone in self.cones) + equalities)
+        return 2 * (sum(len(c.rule.variables) + c.multipliers + 4 for c in self.cones) + equalities)
 
     def coeff_variables(self) -> tuple[int, ...]:
         return tuple(v for ids in self.coeff_ids.values() for v in ids)
@@ -204,34 +208,36 @@ def rule_cone(
     """Project the dual cone of a rule of a binary program (see the module
     docstring).
 
-    The cone's variables are ``z_j`` (id ``j``) per rule variable (head
-    arguments, body arguments, then the other constraint variables in row
-    order), ``s`` (id ``n``) and one multiplier ``y_i`` (id ``n + 1 + i``)
-    per row of ``rule.domain_rows(domain)``: the rule's rows in order, then
-    the domain's ``x >= 0`` rows.
-    Its rows are ``A^T y - z = 0``, ``b.y - s >= 0`` and ``y_i >= 0`` for
-    each ``>=`` row; an equality's multiplier is free.  A fact's cone only
-    tells whether its constraint is satisfiable, so its layouts are empty.
+    The cone's variables are ``z_j`` (id ``j``) per argument the layouts
+    read (head arguments, then body arguments: ``n`` of them, none for a
+    fact), ``s`` (id ``n``) and one multiplier ``y_i`` (id ``n + 1 + i``) per
+    row of ``rule.domain_rows(domain)``: the rule's rows in order, then the
+    domain's ``x >= 0`` rows.
+    Its rows are a balance equality per rule variable, ``A_v^T y - z_v = 0``
+    for a read argument and ``A_v^T y = 0`` for any other (the layouts would
+    put ``z_v = 0`` there, and fixing it before the projection gives the same
+    cone as fixing it after), then ``b.y - s >= 0`` and ``y_i >= 0`` for each
+    ``>=`` row; an equality's multiplier is free.  A fact's cone is projected
+    onto ``s`` alone, which still tells whether its constraint is
+    satisfiable, so its layouts are empty.
     """
-    head = rule.head
-    body_args = rule.body[0].args if rule.body else ()
-    column = {v: j for j, v in enumerate(dict.fromkeys(head.args + body_args + rule.variables))}
-    n = len(column)
+    read = rule.head.args + rule.body[0].args if rule.body else ()
+    n = len(read)
     rows = rule.domain_rows(domain)
-    balance: list[dict[int, int]] = [{} for _ in range(n)]
+    balance: dict[int, dict[int, int]] = {v: {} for v in read + rule.variables}
     bound: dict[int, int] = {}
     signs: list[Row] = []
     for y, (coeffs, b, rel) in enumerate(rows, start=n + 1):
         for v, c in coeffs.items():
-            balance[column[v]][y] = c
+            balance[v][y] = c
         if b:
             bound[y] = b
         if rel != EQ:
             signs.append(({y: 1}, 0))
-    for j, row in enumerate(balance):
-        row[j] = -1
+    for j, v in enumerate(read):
+        balance[v][j] = -1
     bound[n] = -1
-    eqs = [(row, 0) for row in balance]
+    eqs = [(row, 0) for row in balance.values()]
     projected = project_constraints(eqs, [(bound, 0)] + signs, range(n + 1))
     if projected is None:
         raise AlmtermError("internal: a cone does not contain 0")
@@ -240,17 +246,14 @@ def rule_cone(
     if not rule.body:
         return RuleCone(rule, n, len(rows), tuple(split + ineqs), (), ())
     # per column, then for ``s``: the coefficient-variable combination each
-    # implication puts there; a leftover constraint variable (from body
-    # splitting) gets none, so its multiplier combination must vanish
-    hc, bc = coeff_ids[head.pred], coeff_ids[rule.body[0].pred]
-    leftover = [{}] * (n - len(head.args) - len(body_args))
+    # implication puts there
+    hc, bc = coeff_ids[rule.head.pred], coeff_ids[rule.body[0].pred]
     decrease = (
         [{mu: 1} for mu in hc[1:]]
         + [{mu: -1} for mu in bc[1:]]
-        + leftover
         + [{} if hc[0] == bc[0] else {hc[0]: -1, bc[0]: 1}]
     )
-    nonneg = [{}] * len(head.args) + [{mu: 1} for mu in bc[1:]] + leftover + [{bc[0]: -1}]
+    nonneg = [{}] * len(rule.head.args) + [{mu: 1} for mu in bc[1:]] + [{bc[0]: -1}]
     return RuleCone(rule, n, len(rows), tuple(split + ineqs), tuple(decrease), tuple(nonneg))
 
 

@@ -306,20 +306,16 @@ def _phase_one(cols: list[Column], d):
     return (inv, basis), None
 
 
-def _phase_two(cols, inv, basis, costs):
+def _phase_two(cols, inv, basis, costs: list[int]):
     """Phase two over the columns ``cols`` from a :func:`_phase_one` state,
-    whose ``inv`` and ``basis`` it pivots in place: min costs.w.  Returns
-    (status, value, obj): ``obj`` is the reduced-cost row of ``costs`` at the
-    final basis, as :func:`_prices` writes it with the costs' common
-    denominator taken into its own, and ``value``, read off it, is None
-    unless OPTIMAL."""
-    ints = _to_row(costs)
-    scale = ints.pop()
+    whose ``inv`` and ``basis`` it pivots in place: min costs.w over integer
+    ``costs``.  Returns (status, value, obj): ``obj`` is the reduced-cost row
+    of ``costs`` at the final basis, as :func:`_prices` writes it, and
+    ``value``, read off it, is None unless OPTIMAL."""
     # artificials left basic at zero cost nothing
-    ints += [0] * len(inv)
+    ints = costs + [0] * len(inv)
     obj = _prices(inv, basis, ints)
     status = _bland(cols, inv, basis, obj, ints, len(costs))
-    obj[-1] *= scale
     return status, Fraction(-obj[-2], obj[-1]) if status == OPTIMAL else None, obj
 
 

@@ -204,8 +204,9 @@ def _check_pair(
     reduced: _Reduced | None,
 ) -> RuleCheck | None:
     """Both minimisations for one body atom under the integer mapping ``lm``
-    (the certificate times ``scale``); None when the rule constraint is
-    unsatisfiable."""
+    (the certificate times ``scale``), tested in order, the decrease first;
+    the first that fails gives the note and the counterexample.  None when
+    the rule constraint is unsatisfiable."""
     hcoeffs, hconst = _level(lm, rule.head)
     bcoeffs, bconst = _level(lm, rule.body[body_index])
     if reduced is None:
@@ -222,27 +223,20 @@ def _check_pair(
     decrease = _shifted(decrease, drop)
     body_floor = _shifted(body_floor, body_level)
 
-    ok_dec = decrease.status == OPTIMAL and decrease.value >= EPSILON
-    ok_floor = body_floor.status == OPTIMAL and body_floor.value >= 0
-    if ok_dec and ok_floor:
-        return RuleCheck(rule.rule_id, body_index, PASS, decrease, body_floor)
-
-    if not ok_dec:
+    for name, outcome, objective, threshold in (
+        ("head-to-body decrease", decrease, drop, EPSILON),
+        ("body level", body_floor, body_level, Fraction(0)),
+    ):
+        if outcome.status == OPTIMAL and outcome.value >= threshold:
+            continue
         note = (
-            "head-to-body decrease is unbounded below"
-            if decrease.status == UNBOUNDED
-            else f"head-to-body decrease bottoms out at {decrease.value}, needs >= {EPSILON}"
+            f"{name} is unbounded below"
+            if outcome.status == UNBOUNDED
+            else f"{name} bottoms out at {outcome.value}, needs >= {threshold}"
         )
-        point = _violating_point(decrease, drop, EPSILON)
-    else:
-        note = (
-            "body level is unbounded below"
-            if body_floor.status == UNBOUNDED
-            else f"body level bottoms out at {body_floor.value}, needs >= 0"
-        )
-        point = _violating_point(body_floor, body_level, Fraction(0))
-    witness = _assignment(point, rule, steps)
-    return RuleCheck(rule.rule_id, body_index, FAIL, decrease, body_floor, witness, note)
+        witness = _assignment(_violating_point(outcome, objective, threshold), rule, steps)
+        return RuleCheck(rule.rule_id, body_index, FAIL, decrease, body_floor, witness, note)
+    return RuleCheck(rule.rule_id, body_index, PASS, decrease, body_floor)
 
 
 def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyReport:

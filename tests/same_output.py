@@ -2,14 +2,14 @@
 show that a change to internals leaves what the program computes and prints
 unchanged.
 
-    PYTHONPATH=<checkout>/src python tests/same_output.py SEED > <checkout>.out
+    cd <checkout> && PYTHONPATH=src python tests/same_output.py SEED > <out>
 
-Run it once per checkout, at the same seed, and compare the outputs with
-``cmp``.  It builds the inputs of ``perfbench/workloads.py`` for ``SEED``
-(importing that file read-only) under the checkout's
-``.perfbench-work/same-output/``, so the file names of two runs differ only
-in the checkout's root; for checkouts in different directories, replace the
-root (``sed "s#$PWD#ROOT#g"``) before comparing.  It prints:
+Run it from the root of each checkout, at the same seed, and compare the
+outputs with ``cmp``.  It builds the inputs of ``perfbench/workloads.py`` for
+``SEED`` (importing that file read-only) under the relative
+``.perfbench-work/same-output/`` and names them, and ``programs/*.clp``, by
+relative paths, so its output holds no absolute path and two checkouts in
+different directories print the same.  It prints:
 
 - first, every generated input file's name, the ``repr`` of each parsed
   rule's ``rows`` and :func:`almterm.pretty_print` of the program, so that
@@ -101,8 +101,7 @@ from almterm import (
 from almterm.derivation import sample_starts
 from helpers import SAMPLED_RUN_PROGRAMS, random_binary_program_text, random_flat_program_text
 
-ROOT = Path(__file__).resolve().parent.parent
-WORK = ROOT / ".perfbench-work" / "same-output"
+WORK = Path(".perfbench-work", "same-output")
 DOMAINS = ("q", "q+", "n")
 MINIMIZE_CALLS = 300
 ENTAILS_CALLS = 300
@@ -126,11 +125,11 @@ BAD_CONFIGS = (
 
 
 def main(seed: int) -> None:
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, "perfbench")
     try:
         import workloads
     finally:
-        sys.path.remove(str(ROOT / "perfbench"))
+        sys.path.remove("perfbench")
     built = {w: workloads.build(w, seed, WORK / w) for w in workloads.WORKLOADS}
     for requests in built.values():
         items = [i for r in requests for i in (r.items if hasattr(r, "items") else (r.item,))]
@@ -308,7 +307,7 @@ def bound_runs(program, tag: str, seeds) -> None:
 
 def options(seed: int) -> None:
     rng = random.Random(seed)
-    programs = sorted(str(p) for p in (ROOT / "programs").glob("*.clp"))
+    programs = sorted(str(p) for p in Path("programs").glob("*.clp"))
     config = WORK / "options.cfg"
     config.parent.mkdir(parents=True, exist_ok=True)
     yes = ("1", "true", "Yes", "ON", "0", "no", "off", "")

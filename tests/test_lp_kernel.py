@@ -13,7 +13,9 @@ to integers (:func:`integer_columns`) before either side sees it.  Scaling a
 column by ``k > 0`` changes no pivot and no phase-one dual, which is what
 lets ``lp``'s builders scale a column that holds a fractional bound;
 :func:`test_scaling_columns_changes_no_pivot_and_no_dual` checks that against
-the reference on the unscaled matrix.
+the reference on the unscaled matrix.  The kernel reads integer costs too:
+:func:`solve_standard` scales each LP's costs by the lcm of their
+denominators, which changes no pivot either, and divides the value back.
 """
 
 import inspect
@@ -77,14 +79,18 @@ def solve_standard(mat, d, costs):
     if state is None:
         return INFEASIBLE, None, None, duals, None
     inv, basis = state
-    status, value, obj = _phase_two(cols, inv, basis, costs)
+    # the kernel reads integer costs; scaling them by ``den > 0`` changes no
+    # pivot, and the value is divided back
+    den = lcm(*[c.denominator for c in costs])
+    ints = [int(c * den) for c in costs]
+    status, value, obj = _phase_two(cols, inv, basis, ints)
     point = [F(0)] * ncols
     for row, b in zip(inv, basis):
         if b < ncols:
             point[b] = F(row[-2], row[-1])
     if status == OPTIMAL:
-        return status, point, value, None, None
-    enter = next(j for j in range(ncols) if costs[j] * obj[-1] + sum(obj[k] * v for k, v in cols[j]) < 0)
+        return status, point, value / den, None, None
+    enter = next(j for j in range(ncols) if ints[j] * obj[-1] + sum(obj[k] * v for k, v in cols[j]) < 0)
     ray = [F(0)] * ncols
     ray[enter] = F(1)
     for a, row, b in zip(lp._column(inv, cols[enter]), inv, basis):

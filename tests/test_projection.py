@@ -144,18 +144,21 @@ def test_decide_projects_each_analysed_rule_once(monkeypatch):
     assert ("r6", "unsat") in verdict.alm.skipped
 
 
+# multi-atom rules, whose split children hold their siblings' arguments in
+# the constraint
+SPLIT_RULES = (
+    load("example4.clp") + "\n" + load("multibody.clp") + "\n"
+    "r(x, v) :- x >= 1, y = x - 1, z + w = x + v, 3 >= w, p(y), r(z, w).\n"
+    "p(x) :- x = 2*y, y >= 1, p(y).\n"
+)
+
+
 def test_cone_has_a_balance_row_per_rule_variable_and_a_sign_row_per_inequality(monkeypatch):
     """Each cone, a fact's included, is built from the rule's own rows: one
     balance equality per rule variable (no pinned ``one`` column), and
     besides the bound row one ``y >= 0`` row per ``>=`` row of the rule or of
     the domain; an equality's multiplier is free."""
-    program = binarize(
-        parse_program(
-            load("example4.clp") + "\n" + load("multibody.clp") + "\n"
-            "r(x, v) :- x >= 1, y = x - 1, z + w = x + v, 3 >= w, p(y), r(z, w).\n"
-            "p(x) :- x = 2*y, y >= 1, p(y).\n"
-        )
-    )
+    program = binarize(parse_program(SPLIT_RULES))
     with_body = [rule for rule in program.rules if not rule.is_fact]
     # split bodies leave variables in the constraint that neither atom has
     assert any(
@@ -190,6 +193,32 @@ def test_cone_has_a_multiplier_per_domain_row():
                 assert rule_cone(rule, domain, coeff_ids).multipliers == len(rows)
                 extra = len(rule.variables) if domain.nonneg else 0
                 assert len(rows) == len(rule.rows) + extra
+
+
+def test_cone_columns_are_the_head_and_body_arguments():
+    """A cone has a ``z`` column per head and body argument and no other, so
+    a fact's cone has ``s`` alone: a split rule's siblings' arguments and a
+    fact's variables keep their balance rows, but no row of the projected
+    cone mentions them."""
+    rng = random.Random(31)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.clp"))]
+    texts += [SPLIT_RULES] + [random_flat_program_text(rng) for _ in range(30)]
+    seen = set()
+    for text in texts:
+        program = binarize(parse_program(text))
+        coeff_ids = coeff_table(program, program.pool.clone())
+        for rule in program.rules:
+            read = rule.head.args + rule.body[0].args if rule.body else ()
+            for domain in DOMAINS:
+                cone = rule_cone(rule, domain, coeff_ids)
+                assert cone.columns == len(read)
+                assert all(0 <= v <= cone.columns for coeffs, _ in cone.rows for v in coeffs)
+                if rule.is_fact:
+                    assert cone.columns == 0
+                    assert all(set(coeffs) <= {0} for coeffs, _ in cone.rows)
+            seen.add((rule.is_fact, len(rule.variables) > len(read)))
+    # facts with variables, and rules with variables no layout reads
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_num_rows_counts_the_explicit_multiplier_systems():
