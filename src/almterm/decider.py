@@ -94,13 +94,10 @@ class RuleCone:
     ``decrease`` and ``nonneg`` give, per column and then for ``s``, the
     coefficient-variable combination it takes in the two implications; the
     constant part of ``s`` is the argument of :meth:`instantiate`.
-    ``multipliers`` counts the cone's multipliers, one per rule row and one
-    per ``x >= 0`` row of the domain.
     """
 
     rule: Rule
     columns: int
-    multipliers: int
     rows: tuple[Row, ...]
     decrease: tuple[dict[int, int], ...]
     nonneg: tuple[dict[int, int], ...]
@@ -153,9 +150,11 @@ class AlmSystem:
         ``one`` column to 1 and writes the pin and every equality as two
         ``>=`` rows, so each system has a balance row per rule variable and
         for ``one``, the bound row, and a nonnegativity row per primal row:
-        the cone's multipliers, one more per equality, and two for the pin."""
+        the cone's multipliers (one per row of ``Rule.domain_rows``), one more
+        per equality, and two for the pin."""
         equalities = sum(rel == EQ for cone in self.cones for _, _, rel in cone.rule.rows)
-        return 2 * (sum(len(c.rule.variables) + c.multipliers + 4 for c in self.cones) + equalities)
+        rows = sum(len(c.rule.variables) + len(c.rule.domain_rows(self.domain)) + 4 for c in self.cones)
+        return 2 * (rows + equalities)
 
     def coeff_variables(self) -> tuple[int, ...]:
         return tuple(v for ids in self.coeff_ids.values() for v in ids)
@@ -244,7 +243,7 @@ def rule_cone(
     eqs, ineqs = projected
     split = [r for c, _ in eqs for r in ((c, 0), ({v: -k for v, k in c.items()}, 0))]
     if not rule.body:
-        return RuleCone(rule, n, len(rows), tuple(split + ineqs), (), ())
+        return RuleCone(rule, n, tuple(split + ineqs), (), ())
     # per column, then for ``s``: the coefficient-variable combination each
     # implication puts there
     hc, bc = coeff_ids[rule.head.pred], coeff_ids[rule.body[0].pred]
@@ -254,7 +253,7 @@ def rule_cone(
         + [{} if hc[0] == bc[0] else {hc[0]: -1, bc[0]: 1}]
     )
     nonneg = [{}] * len(rule.head.args) + [{mu: 1} for mu in bc[1:]] + [{bc[0]: -1}]
-    return RuleCone(rule, n, len(rows), tuple(split + ineqs), tuple(decrease), tuple(nonneg))
+    return RuleCone(rule, n, tuple(split + ineqs), tuple(decrease), tuple(nonneg))
 
 
 def assemble(program: Program, domain: Domain) -> AlmSystem:

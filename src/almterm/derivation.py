@@ -7,23 +7,24 @@ predicate apart: a fresh id for every rule variable, in the rule's variable
 order, under the rule's variable names primed.  It then binds the renamed
 head to the atom (each head argument becomes the atom's argument: head
 arguments are distinct, so this is the polyhedron that equating them would
-give) and conjoins the rule constraint.  The grown store is existentially
-projected onto the variables of the rule's body atom, and the projection is
-decided by eliminating its variables as well, since full Fourier-Motzkin
-elimination is a decision procedure over the rationals.  If either step
-finds a contradiction the state collapses to the failure state
-``<[] || false>`` (represented by a ``None`` store); otherwise the body
-atom, or none for a fact, is the new goal and the projection is the new
-store.  Only the start atom is ground; later bindings stay symbolic in the
-store.
+give) and conjoins the rule's rows over the domain (``Rule.domain_rows``,
+with an ``x >= 0`` row per rule variable on ``q+``, ``r+`` and ``n``, so
+every store states the domain of every goal variable).  The grown store is
+existentially projected onto the variables of the rule's body atom, and the
+projection is decided by eliminating its variables as well, since full
+Fourier-Motzkin elimination is a decision procedure over the rationals.  If
+either step finds a contradiction the state collapses to the failure state
+``<[] || false>`` (represented by a ``None`` store); otherwise the body atom,
+or none for a fact, is the new goal and the projection is the new store.
+Only the start atom is ground; later bindings stay symbolic in the store.
 
 Projecting changes nothing observable (the projection has the same solutions
 over the live variables, and rules are renamed apart so no future constraint
 can mention an eliminated variable) but keeps stores from growing with
 derivation length.  Stores are integer rows (:data:`almterm.lp.Row`), split
-into equalities and inequalities; a rule holds its constraint as integer rows
-from the parser on (``Rule.rows``), so renaming it apart only remaps variable
-ids while the rows are split by relation.
+into equalities and inequalities; a rule's rows over the domain are integer
+rows already, so renaming them apart only remaps variable ids while the rows
+are split by relation.
 
 Runs take one of two paths, which return the same rewrite count and outcome
 for the same start, seed and budget.  The store path is the rewrite loop
@@ -104,10 +105,6 @@ class DerivationState:
     def failed(self) -> bool:
         return self.rows is None
 
-    @property
-    def done(self) -> bool:
-        return not self.goal
-
 
 def store_satisfiable(rows: tuple[list[Row], list[Row]]) -> bool:
     """Exact satisfiability of a store over the rationals: every variable
@@ -150,23 +147,19 @@ def step(
     store_eqs, store_ineqs = state.rows
     eqs = list(store_eqs)
     ineqs = list(store_ineqs)
-    for coeffs, bound, rel in rule.rows:
+    for coeffs, bound, rel in rule.domain_rows(domain):
         (eqs if rel == EQ else ineqs).append(({fresh[v]: c for v, c in coeffs.items()}, bound))
     goal = tuple([Atom(a.pred, tuple([fresh[v] for v in a.args])) for a in rule.body])
-    return compact_store(goal, (eqs, ineqs), domain)
+    return compact_store(goal, (eqs, ineqs))
 
 
-def compact_store(
-    goal: tuple[Atom, ...], rows: tuple[list[Row], list[Row]], domain: Domain
-) -> DerivationState:
+def compact_store(goal: tuple[Atom, ...], rows: tuple[list[Row], list[Row]]) -> DerivationState:
     """The state of ``goal`` with the store ``rows`` projected onto the
     goal's variables and the projection decided (:func:`store_satisfiable`):
-    the failure state if either finds a contradiction.  Domains with
-    implicit nonnegativity restrict every store variable."""
+    the failure state if either finds a contradiction.  A nonnegative
+    domain's ``x >= 0`` rows are among ``rows`` already (:func:`step`
+    conjoins ``Rule.domain_rows``)."""
     eqs, ineqs = rows
-    if domain.nonneg:
-        seen = {v for coeffs, _ in eqs + ineqs for v in coeffs}
-        ineqs = ineqs + [({v: 1}, 0) for v in sorted(seen)]
     live = set(goal[0].args) if goal else set()
     projected = project_constraints(eqs, ineqs, live)
     if projected is None or not store_satisfiable(projected):

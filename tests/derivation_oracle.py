@@ -93,13 +93,15 @@ def step(
 
 
 def compact_store(state: OracleState, domain: Domain) -> OracleState:
-    """Project a satisfiable store onto the variables the goal mentions."""
+    """Project a satisfiable store onto the variables the goal mentions.  A
+    nonnegative domain restricts every store variable and every goal
+    variable, so a goal variable the store leaves free keeps ``x >= 0``."""
     if state.failed:
         return state
     live = {v for a in state.goal for v in a.args}
     constraints = list(state.store)
     if domain.nonneg:
-        seen: set[int] = set()
+        seen = set(live)
         for c in constraints:
             seen.update(c.variables())
         constraints += [geq(LinearExpr.of_var(v), 0) for v in sorted(seen)]

@@ -76,6 +76,13 @@ def test_naturals_verdict_and_note(capsys):
     assert code == EXIT_CERTIFIED
     assert report["verdict"] == "sound-yes"
     assert any("sound" in note for note in report["notes"])
+    for domain in ("r", "r+"):
+        code, out = run(capsys, "check", str(PROGRAMS / "example72.clp"), "--domain", domain)
+        assert code == EXIT_CERTIFIED
+        assert out.splitlines()[-1] == (
+            "  note: rational-coefficient systems are decided identically over the "
+            "rationals and the reals; the rational pipeline is exact for both"
+        )
 
 
 def test_missing_file_exits_two(capsys):
@@ -256,6 +263,14 @@ def test_human_readable_output(capsys):
     assert "alm-recurrent" in out
     assert "witness lm(p) = (73, -1)" in out
     assert "lm(p,0) + 73*lm(p,1) >= 0" in out
+    code, out = run(
+        capsys, "check", str(PROGRAMS / "example72.clp"), "--sample", "30", "--seed", "7"
+    )
+    assert code == EXIT_CERTIFIED
+    assert out.splitlines()[-2:] == [
+        "  sampling: 30 runs, max 3 steps, 0 bound violations, 0 truncated",
+        "  step counting: rewrite applications, including the final failing or fact step",
+    ]
 
 
 def test_config_file_defaults_are_overridable(capsys, tmp_path):
@@ -318,6 +333,11 @@ def test_unknown_config_key_is_an_input_error(capsys, tmp_path):
     assert code == EXIT_INPUT_ERROR
     assert captured.out == ""
     assert "unknown config key 'witnes'" in captured.err
+    config.write_text("domain = q\nwitness\n")
+    code = main(["check", str(PROGRAMS / "example72.clp"), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.err == "almterm: bad config line (expected key = value): 'witness'\n"
 
 
 def test_flags_win_over_config_values(capsys, tmp_path):

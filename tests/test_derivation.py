@@ -16,6 +16,7 @@ from almterm import (
     LevelMapping,
     Q,
     QPLUS,
+    assemble,
     binarize,
     check_length_bound,
     decide,
@@ -124,7 +125,7 @@ def test_step_renames_rules_apart():
 def test_compact_store_preserves_goal_solutions():
     program, pool, state = golden_start()
     nxt = step(program, state, choose_named("r3"), pool)
-    slim = compact_store(nxt.goal, nxt.rows, Q)
+    slim = compact_store(nxt.goal, nxt.rows)
     y = slim.goal[0].args[0]
     assert all(c.variables() <= {y} for c in store(slim))
     assert feasible(normalize(store(slim) + (equal(var(y), 73),)))
@@ -221,6 +222,14 @@ def test_domain_carrier_enforced_on_ground_starts():
 
     with pytest.raises(AlmtermError):
         run_ground(program, "p", [Fraction(1, 2)], seed=0, domain=N)
+    pool = program.pool.clone()
+    with pytest.raises(AlmtermError, match="unknown predicate"):
+        ground_start(program, "q", [1], pool)
+    with pytest.raises(AlmtermError, match="expects 1 arguments"):
+        ground_start(program, "p", [1, 2], pool)
+    failed = run_ground(program, "p", [0], seed=0, domain=QPLUS).states[-1]
+    with pytest.raises(AlmtermError, match="finished"):
+        step(program, failed, lambda rs: rs[0], pool)
 
 
 def test_nonneg_domain_restricts_stores():
@@ -230,6 +239,19 @@ def test_nonneg_domain_restricts_stores():
     trace_qp = run_ground(program, "p", [0], seed=0, max_steps=10, domain=QPLUS)
     assert trace_qp.outcome == FAILURE and trace_qp.steps == 1
     assert trace_q.steps > trace_qp.steps
+
+
+def test_nonneg_stores_restrict_free_goal_variables():
+    """A rewrite conjoins the rule's rows over the domain, so on ``q+`` a body
+    argument that the rule leaves free keeps its ``y' >= 0`` row in every
+    store; over ``q`` those stores are empty."""
+    program = parse_program("p(x) :- x >= 1, p(y).")
+    trace = run_ground(program, "p", [5], max_steps=4, domain=QPLUS)
+    assert trace.outcome == MAX_STEPS and len(trace.states) == 5
+    for state in trace.states[1:]:
+        (y,) = state.goal[0].args
+        assert state.rows == ([], [({y: 1}, 0)])
+    assert all(s.rows == ([], []) for s in run_ground(program, "p", [5], max_steps=4).states[1:])
 
 
 def test_multibody_bound_on_binarized_program():
@@ -249,6 +271,10 @@ def test_derivations_require_a_binary_program():
     state = ground_start(program, "f", [3], pool)
     with pytest.raises(AlmtermError, match="binary"):
         step(program, state, choose_named("r1"), pool)
+    with pytest.raises(AlmtermError, match="binary"):
+        check_length_bound(program, LevelMapping({"f": (0, 1)}))
+    with pytest.raises(AlmtermError, match="binary"):
+        assemble(program, Q)
     assert run_ground(binarize(program), "f", [3]).terminated
 
 

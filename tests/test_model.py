@@ -128,6 +128,11 @@ def test_rule_flatness_checks():
     split = Rule("r3.1", head, (constraint_row(stray),), (body,), origin=("r3", 1))
     split.check_flatness()
     Program([split], VariablePool())
+    # the parser rejects one predicate at two arities first; a library
+    # Program checks it too
+    wide = Rule("r4", Atom("q", (2, 3)), (), ())
+    with pytest.raises(ModelError, match="arities"):
+        Program([rule, wide], VariablePool())
 
 
 def test_domain_rows_append_sorted_nonnegativity_rows():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from almterm import (
     EQ,
     GEQ,
+    AlmtermError,
     FlatnessError,
     ParseError,
     Program,
@@ -104,6 +105,8 @@ def test_parse_rule_convenience():
     rule = parse_rule("p(x) :- 72 >= x, y = x + 1, p(y).", rule_id="golden")
     assert rule.rule_id == "golden"
     assert len(rule.rows) == 2 and len(rule.body) == 1
+    with pytest.raises(AlmtermError, match="exactly one clause"):
+        parse_rule("p(x). p(y) :- y >= 1.")
 
 
 def test_parse_errors_carry_spans():

@@ -181,20 +181,6 @@ def test_cone_has_a_balance_row_per_rule_variable_and_a_sign_row_per_inequality(
             assert len(ineqs) == 1 + inequalities
 
 
-def test_cone_has_a_multiplier_per_domain_row():
-    """One multiplier per row of ``Rule.domain_rows``: the rule's rows, and
-    on a nonnegative domain one more per rule variable."""
-    for path in sorted(PROGRAMS.glob("*.clp")):
-        program = binarize(parse_program(path.read_text(encoding="utf-8")))
-        coeff_ids = coeff_table(program, program.pool.clone())
-        for rule in program.rules:
-            for domain in DOMAINS:
-                rows = rule.domain_rows(domain)
-                assert rule_cone(rule, domain, coeff_ids).multipliers == len(rows)
-                extra = len(rule.variables) if domain.nonneg else 0
-                assert len(rows) == len(rule.rows) + extra
-
-
 def test_cone_columns_are_the_head_and_body_arguments():
     """A cone has a ``z`` column per head and body argument and no other, so
     a fact's cone has ``s`` alone: a split rule's siblings' arguments and a
