@@ -38,9 +38,22 @@ the body level takes ``z`` the body's argument coefficients and
 ``s = -c0(body)``.  By Farkas' lemma ``c`` is unsatisfiable iff ``(0, 1)``
 lies in ``K``, so the same projection tests the rule and no LP runs for it.
 A fact is tested by its cone too, projected onto ``s`` alone, so the final
-solve is the one LP :func:`decide` runs.  The explicit multiplier systems
-are never built; the test suite keeps them, over a pinned ``one`` column, as
-the specification the cones are checked against.
+solve is the one LP :func:`decide` runs.
+
+The children of a split rule share their source rule's constraint, so each
+child's cone is one cone over the head's and every body atom's arguments,
+restricted to ``z = 0`` on its siblings' columns (the ``z`` columns are kept,
+never eliminated, so restricting after the projection is restricting
+before it).  :func:`assemble` projects that joint cone once and tests the
+constraint once when the rule's equalities give every body argument as an
+affine function of the head's (:func:`solved`): the joint cone is then the
+graph of an affine map and has no more rows than any child's.  Without that
+guard independent body arguments multiply its rows (``2^k + 1`` for ``k``
+boxed ones, against 3 per child), so each child is projected on its own.
+
+The explicit multiplier systems are never built; the test suite keeps them,
+over a pinned ``one`` column, as the specification the cones are checked
+against.
 
 The verifier module re-checks any extracted mapping through plain primal
 minimisation, giving an independent second encoding of the same implications.
@@ -51,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 
 from .binarize import binarize
 from .lp import (
@@ -89,11 +103,15 @@ class RuleCone:
 
     ``columns`` counts the head's and the body atom's arguments (none for a
     fact): ``z_j`` (id ``j``) stands for the ``j``-th of them, head first, and
-    ``s`` for id ``columns``.  The rule's other variables have no column.
-    ``rows`` are ``>=`` rows (a projected equality gives two).
+    ``s`` for id ``columns``.  The rule's other variables have no column.  A
+    split child whose cone is shared (see :func:`assemble`) has the joint
+    cone's columns instead: the head's arguments, then every body atom's of
+    the source rule, in body order; its siblings' ``rows`` are the same
+    tuple.  ``rows`` are ``>=`` rows (a projected equality gives two).
     ``decrease`` and ``nonneg`` give, per column and then for ``s``, the
-    coefficient-variable combination it takes in the two implications; the
-    constant part of ``s`` is the argument of :meth:`instantiate`.
+    coefficient-variable combination it takes in the two implications
+    (``{}``, so ``z = 0``, on a sibling's column); the constant part of ``s``
+    is the argument of :meth:`instantiate`.
     """
 
     rule: Rule
@@ -201,26 +219,47 @@ def coeff_table(program: Program, pool: VariablePool) -> dict[str, tuple[int, ..
     return table
 
 
-def rule_cone(
-    rule: Rule, domain: Domain, coeff_ids: dict[str, tuple[int, ...]]
-) -> RuleCone:
-    """Project the dual cone of a rule of a binary program (see the module
-    docstring).
+def solved(group: list[Rule]) -> bool:
+    """Whether every body argument of ``group`` (the children of one source
+    rule) occurs in an equality row of their constraint whose other
+    variables are all head arguments: the guard under which
+    :func:`assemble` projects one cone for the whole group."""
+    head = set(group[0].head.args)
+    given: set[int] = set()
+    for coeffs, _, rel in group[0].rows:
+        if rel == EQ and len(others := coeffs.keys() - head) == 1:
+            given |= others
+    return all(v in given for rule in group for atom in rule.body for v in atom.args)
 
-    The cone's variables are ``z_j`` (id ``j``) per argument the layouts
-    read (head arguments, then body arguments: ``n`` of them, none for a
-    fact), ``s`` (id ``n``) and one multiplier ``y_i`` (id ``n + 1 + i``) per
-    row of ``rule.domain_rows(domain)``: the rule's rows in order, then the
-    domain's ``x >= 0`` rows.
+
+def rule_cones(
+    group: list[Rule], domain: Domain, coeff_ids: dict[str, tuple[int, ...]]
+) -> tuple[RuleCone, ...]:
+    """Project one dual cone for the rules of ``group`` (see the module
+    docstring) and give each rule a :class:`RuleCone` of those rows.
+
+    ``group`` is one rule of a binary program, or children of one source
+    rule that share its head and constraint and each of whose body
+    arguments is a variable of that constraint (the children :func:`solved`
+    admits).  The cone's variables are ``z_j`` (id ``j``) per argument the
+    layouts read (head arguments, then each rule's body arguments in turn:
+    ``n`` of them, none for a fact), ``s`` (id ``n``) and one multiplier
+    ``y_i`` (id ``n + 1 + i``) per row of ``domain_rows(domain)``: the
+    rule's rows in order, then the domain's ``x >= 0`` rows.
     Its rows are a balance equality per rule variable, ``A_v^T y - z_v = 0``
     for a read argument and ``A_v^T y = 0`` for any other (the layouts would
     put ``z_v = 0`` there, and fixing it before the projection gives the same
     cone as fixing it after), then ``b.y - s >= 0`` and ``y_i >= 0`` for each
-    ``>=`` row; an equality's multiplier is free.  A fact's cone is projected
-    onto ``s`` alone, which still tells whether its constraint is
-    satisfiable, so its layouts are empty.
+    ``>=`` row; an equality's multiplier is free.  Each rule's layouts put
+    ``z = 0`` on its siblings' columns.  A fact's cone is projected onto
+    ``s`` alone, which still tells whether its constraint is satisfiable, so
+    its layouts are empty.
     """
-    read = rule.head.args + rule.body[0].args if rule.body else ()
+    rule = group[0]
+    read = rule.head.args if rule.body else ()
+    for child in group:
+        for atom in child.body:
+            read += atom.args
     n = len(read)
     rows = rule.domain_rows(domain)
     balance: dict[int, dict[int, int]] = {v: {} for v in read + rule.variables}
@@ -242,38 +281,64 @@ def rule_cone(
         raise AlmtermError("internal: a cone does not contain 0")
     eqs, ineqs = projected
     split = [r for c, _ in eqs for r in ((c, 0), ({v: -k for v, k in c.items()}, 0))]
+    cone = tuple(split + ineqs)
     if not rule.body:
-        return RuleCone(rule, n, tuple(split + ineqs), (), ())
+        return (RuleCone(rule, n, cone, (), ()),)
     # per column, then for ``s``: the coefficient-variable combination each
-    # implication puts there
-    hc, bc = coeff_ids[rule.head.pred], coeff_ids[rule.body[0].pred]
-    decrease = (
-        [{mu: 1} for mu in hc[1:]]
-        + [{mu: -1} for mu in bc[1:]]
-        + [{} if hc[0] == bc[0] else {hc[0]: -1, bc[0]: 1}]
-    )
-    nonneg = [{}] * len(rule.head.args) + [{mu: 1} for mu in bc[1:]] + [{bc[0]: -1}]
-    return RuleCone(rule, n, tuple(split + ineqs), tuple(decrease), tuple(nonneg))
+    # implication puts there; a child's body arguments are columns
+    # ``start`` to ``end``
+    hc = coeff_ids[rule.head.pred]
+    head = len(rule.head.args)
+    cones: list[RuleCone] = []
+    start = head
+    for child in group:
+        bc = coeff_ids[child.body[0].pred]
+        end = start + len(bc) - 1
+        decrease = (
+            [{mu: 1} for mu in hc[1:]]
+            + [{}] * (start - head)
+            + [{mu: -1} for mu in bc[1:]]
+            + [{}] * (n - end)
+            + [{} if hc[0] == bc[0] else {hc[0]: -1, bc[0]: 1}]
+        )
+        nonneg = [{}] * start + [{mu: 1} for mu in bc[1:]] + [{}] * (n - end) + [{bc[0]: -1}]
+        cones.append(RuleCone(child, n, cone, tuple(decrease), tuple(nonneg)))
+        start = end
+    return tuple(cones)
 
 
 def assemble(program: Program, domain: Domain) -> AlmSystem:
-    """Project the dual cone of every rule of a binary program, which tests
-    the rule's constraint for satisfiability; facts and rules with
-    unsatisfiable constraints are skipped, with the reason recorded."""
+    """Project the dual cones of a binary program's rules, which tests each
+    source rule's constraint for satisfiability once; facts and rules with
+    unsatisfiable constraints are skipped, with the reason recorded.
+
+    The children of a split rule share one cone, with a column per argument
+    of every body atom, when :func:`solved` admits them: each body argument
+    is then an affine function of the head's, so that cone has no more rows
+    than any child's.  Otherwise it can have exponentially more, and each
+    child is projected on its own."""
     if not program.is_binary():
         raise ModelError("assemble requires a binary program; binarize first")
     pool = program.pool.clone()
     coeff_ids = coeff_table(program, pool)
     cones: list[RuleCone] = []
     skipped: list[tuple[str, str]] = []
-    for rule in program.rules:
-        cone = rule_cone(rule, domain, coeff_ids)
-        if not cone.satisfiable:
-            skipped.append((rule.rule_id, SKIP_UNSAT))
-        elif rule.is_fact:
-            skipped.append((rule.rule_id, SKIP_FACT))
+    # ``binarize`` puts a source rule's children together, in body order,
+    # each with the source rule's head and constraint
+    split = groupby(program.rules, lambda r: (r.origin[0], r.head, r.rows) if r.origin else id(r))
+    for _, members in split:
+        group = list(members)
+        shared = len(group) == 1 or solved(group)
+        first = rule_cones(group if shared else group[:1], domain, coeff_ids)
+        if not first[0].satisfiable:
+            skipped += [(rule.rule_id, SKIP_UNSAT) for rule in group]
+        elif group[0].is_fact:
+            skipped.append((group[0].rule_id, SKIP_FACT))
         else:
-            cones.append(cone)
+            cones += first
+            if not shared:
+                for rule in group[1:]:
+                    cones += rule_cones([rule], domain, coeff_ids)
     return AlmSystem(domain, tuple(cones), coeff_ids, tuple(skipped), pool)
 
 

@@ -42,6 +42,11 @@ different directories print the same.  It prints:
   without variables and rows followed by their negation, so that implicit
   equalities and infeasible systems, which no benchmark request hands it,
   are compared too;
+- a decision section, for split rules no benchmark request holds (its
+  multi-atom rules box their body arguments by equalities with the head):
+  :func:`almterm.decide` over ``q``, ``q+`` and ``n`` on seeded
+  ``random_flat_program_text`` programs, one line per domain with the
+  verdict, then ``Verdict.coefficients.rows`` in order and the witness;
 - a derivation section, for stores no ``derive`` request builds (that
   workload runs only ``q`` and one rule per predicate):
   :func:`almterm.run_ground` from a seeded ground atom of the binarized form
@@ -109,6 +114,7 @@ REDUNDANCY_CALLS = 300
 VERIFY_PROGRAMS = 100
 SAMPLED_PROGRAMS = 100
 BOX_CALLS = 300
+DECIDED_PROGRAMS = 300
 DERIVED_PROGRAMS = 100
 BOUND_PROGRAMS = 100
 BOUND_SAMPLES = 12
@@ -158,6 +164,7 @@ def main(seed: int) -> None:
 
     library(seed)
     redundancy(seed)
+    decisions(seed)
     derivations(seed)
     options(seed)
 
@@ -266,6 +273,19 @@ def redundancy(seed: int) -> None:
         system = LinearSystem(tuple(range(n)), tuple(rows))
         print(f"drop_redundant {system!r}")
         print(f"  {drop_redundant(system).rows!r}")
+
+
+def decisions(seed: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(DECIDED_PROGRAMS):
+        text = random_flat_program_text(rng)
+        program = parse_program(text)
+        print(f"decide {text!r}")
+        for tag in DOMAINS:
+            verdict = decide(program, Domain(tag))
+            print(f"  {tag} {verdict.kind}")
+            print(f"    {verdict.coefficients.rows!r}")
+            print(f"    {verdict.witness!r}")
 
 
 def derivations(seed: int) -> None:

@@ -23,7 +23,7 @@ from almterm import (
     project_constraints,
 )
 from almterm import decider
-from almterm.decider import coeff_table, rule_cone
+from almterm.decider import coeff_table, rule_cones
 from almterm.lp import LinearSystem, integer_system
 from helpers import PROGRAMS, feasible, load, random_binary_program_text, random_flat_program_text
 from linear import LinearConstraint, LinearExpr, constraint_row, geq, normalize
@@ -84,15 +84,22 @@ def explicit_projection(system, keep):
 
 
 def test_instantiated_cones_match_explicit_systems():
+    """Every analysed rule's instantiated cone, a split child's included,
+    against its two explicit systems; split children of a source rule whose
+    equalities solve the body arguments share one cone."""
     rng = random.Random(17)
+    texts = [random_binary_program_text(rng) for _ in range(40)]
+    texts += [random_flat_program_text(rng) for _ in range(120)]
     checked = 0
-    for _ in range(40):
-        program = binarize(parse_program(random_binary_program_text(rng)))
+    shared = 0
+    for text in texts:
+        program = binarize(parse_program(text))
         for domain in (Q, QPLUS, N):
             alm = assemble(program, domain)
             keep = alm.coeff_variables()
             pool = alm.pool.clone()
             for cone in alm.cones:
+                shared += cone.columns > len(cone.rule.head.args + cone.rule.body[0].args)
                 decrease, nonneg = build_rule_systems(cone.rule, domain, pool, alm.coeff_ids)
                 for system, layout, s in (
                     (decrease, cone.decrease, 1),
@@ -101,7 +108,8 @@ def test_instantiated_cones_match_explicit_systems():
                     mine = LinearSystem(keep, tuple(cone.instantiate(layout, s)))
                     assert equivalent_systems(mine, explicit_projection(system, keep))
                     checked += 1
-    assert checked >= 100
+    assert checked >= 200
+    assert shared >= 10
 
 
 def test_cone_satisfiability_agrees_with_lp():
@@ -113,7 +121,7 @@ def test_cone_satisfiability_agrees_with_lp():
         program = binarize(parse_program(random_binary_program_text(rng)))
         for domain in (Q, QPLUS):
             for rule in program.rules:
-                cone = decider.rule_cone(rule, domain, decider.coeff_table(program, program.pool.clone()))
+                (cone,) = decider.rule_cones([rule], domain, decider.coeff_table(program, program.pool.clone()))
                 sat = feasible(integer_system(rule.domain_rows(domain)))
                 assert cone.satisfiable == sat
                 seen.add((rule.is_fact, sat))
@@ -121,10 +129,15 @@ def test_cone_satisfiability_agrees_with_lp():
 
 
 def test_decide_projects_each_analysed_rule_once(monkeypatch):
+    """One projection per source rule whose equalities give every body
+    argument from the head's (``r7``), or whose constraint is unsatisfiable
+    (``r9``), and one per split child otherwise (``r8``)."""
     program = parse_program(
         load("example4.clp") + "\n" + load("example72.clp") + "\n"
         "p(x) :- x >= 1, 0 >= x, y = x, p(y).\n"
         "r(x) :- x >= 1, y = x - 1, z = x, p(y), r(z).\n"
+        "r(x) :- x >= 1, y = x - 1, 0 <= z, z <= 1, p(y), r(z).\n"
+        "r(x) :- x >= 1, 0 >= x, y = x - 1, p(y), r(z).\n"
     )
     binary = binarize(program)
     calls = []
@@ -137,11 +150,41 @@ def test_decide_projects_each_analysed_rule_once(monkeypatch):
     monkeypatch.setattr(decider, "project_constraints", counting)
     verdict = decide(program, Q)
     # facts are tested by their cones too, and not analysed
-    assert len(calls) == len(binary.rules)
+    assert len(calls) == len(binary.rules) - 2
     with_body = [rule for rule in binary.rules if not rule.is_fact]
-    # the cone of the unsatisfiable rule finds it, and it is not analysed
-    assert len(verdict.alm.cones) == len(with_body) - 1
-    assert ("r6", "unsat") in verdict.alm.skipped
+    # the cones of the unsatisfiable rules find them, and they are not analysed
+    assert len(verdict.alm.cones) == len(with_body) - 3
+    assert {"r6", "r9.1", "r9.2"} <= {rule_id for rule_id, why in verdict.alm.skipped if why == "unsat"}
+    r7 = [cone for cone in verdict.alm.cones if cone.rule.origin and cone.rule.origin[0] == "r7"]
+    assert len(r7) == 2 and r7[0].rows is r7[1].rows
+
+
+def test_solved_split_rules_share_a_cone_and_independent_ones_do_not(monkeypatch):
+    """A split rule's joint cone is projected only where the rule's
+    equalities make each body argument an affine function of the head: with
+    ``k`` independently boxed body arguments it would have ``2^k + 1`` rows,
+    against 3 for each child's own cone."""
+    real = decider.project_constraints
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decider, "project_constraints", counting)
+    for k in range(2, 13):
+        ys = [f"y{i}" for i in range(1, k + 1)]
+        atoms = ", ".join(f"p({y})" for y in ys)
+        boxes = ", ".join(f"0 <= {y}, {y} <= 1" for y in ys)
+        calls.clear()
+        verdict = decide(parse_program(f"p(x) :- x >= 1, {boxes}, {atoms}."), Q)
+        assert len(calls) == k
+        assert sum(len(cone.rows) for cone in verdict.alm.cones) == 3 * k
+        solved = ", ".join(f"{y} = x - {i}" for i, y in enumerate(ys, start=1))
+        calls.clear()
+        verdict = decide(parse_program(f"p(x) :- x >= 1, x <= 9, {solved}, {atoms}."), Q)
+        assert len(calls) == 1
+        assert len(verdict.alm.cones) == k and verdict.affirmative
 
 
 # multi-atom rules, whose split children hold their siblings' arguments in
@@ -174,8 +217,11 @@ def test_cone_has_a_balance_row_per_rule_variable_and_a_sign_row_per_inequality(
 
         monkeypatch.setattr(decider, "project_constraints", recording)
         assemble(program, domain)
-        assert len(calls) == len(program.rules)
-        for rule, (eqs, ineqs) in zip(program.rules, calls):
+        # the equalities of ``r3`` (``multibody.clp``) solve its body
+        # arguments, so its children share one cone; those of ``r5`` do not
+        projected = [rule for rule in program.rules if rule.rule_id != "r3.2"]
+        assert len(calls) == len(projected)
+        for rule, (eqs, ineqs) in zip(projected, calls):
             inequalities = sum(rel == GEQ for _, _, rel in rule.domain_rows(domain))
             assert len(eqs) == len(rule.variables)
             assert len(ineqs) == 1 + inequalities
@@ -196,7 +242,7 @@ def test_cone_columns_are_the_head_and_body_arguments():
         for rule in program.rules:
             read = rule.head.args + rule.body[0].args if rule.body else ()
             for domain in DOMAINS:
-                cone = rule_cone(rule, domain, coeff_ids)
+                (cone,) = rule_cones([rule], domain, coeff_ids)
                 assert cone.columns == len(read)
                 # ids up to ``columns`` only: on a fact, ``s`` (id 0) alone
                 assert all(0 <= v <= cone.columns for coeffs, _ in cone.rows for v in coeffs)
