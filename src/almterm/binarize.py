@@ -32,4 +32,6 @@ def binarize(program: Program) -> Program:
                     origin=(rule.rule_id, k),
                 )
             )
-    return Program(rules, program.pool)
+    # the children of a flat rule are flat, and their atoms name the
+    # predicates in the order the rule's did
+    return Program.trusted(tuple(rules), program.pool, program.arities)

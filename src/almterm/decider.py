@@ -233,7 +233,10 @@ def solved(group: list[Rule]) -> bool:
 
 
 def rule_cones(
-    group: list[Rule], domain: Domain, coeff_ids: dict[str, tuple[int, ...]]
+    group: list[Rule],
+    domain: Domain,
+    coeff_ids: dict[str, tuple[int, ...]],
+    layouts: dict[tuple[str, ...], list] | None = None,
 ) -> tuple[RuleCone, ...]:
     """Project one dual cone for the rules of ``group`` (see the module
     docstring) and give each rule a :class:`RuleCone` of those rows.
@@ -254,6 +257,10 @@ def rule_cones(
     ``z = 0`` on its siblings' columns.  A fact's cone is projected onto
     ``s`` alone, which still tells whether its constraint is satisfiable, so
     its layouts are empty.
+
+    The layouts depend on the group's predicates alone (the head's, then
+    each body atom's), so ``layouts`` keeps them by those predicates, for
+    every group over the same ones to share.
     """
     rule = group[0]
     read = rule.head.args if rule.body else ()
@@ -284,15 +291,28 @@ def rule_cones(
     cone = tuple(split + ineqs)
     if not rule.body:
         return (RuleCone(rule, n, cone, (), ()),)
-    # per column, then for ``s``: the coefficient-variable combination each
-    # implication puts there; a child's body arguments are columns
-    # ``start`` to ``end``
-    hc = coeff_ids[rule.head.pred]
-    head = len(rule.head.args)
-    cones: list[RuleCone] = []
+    preds = (rule.head.pred, *[child.body[0].pred for child in group])
+    if layouts is None:
+        layouts = {}
+    if preds not in layouts:
+        layouts[preds] = _layouts(preds, n, coeff_ids)
+    return tuple(
+        RuleCone(child, n, cone, decrease, nonneg)
+        for child, (decrease, nonneg) in zip(group, layouts[preds])
+    )
+
+
+def _layouts(preds: tuple[str, ...], n: int, coeff_ids: dict[str, tuple[int, ...]]) -> list:
+    """Per child of a group over ``preds`` (the head's predicate, then each
+    child's body atom's) with ``n`` columns: per column, then for ``s``, the
+    coefficient-variable combination each implication puts there.  A child's
+    body arguments are columns ``start`` to ``end``."""
+    hc = coeff_ids[preds[0]]
+    head = len(hc) - 1
+    out = []
     start = head
-    for child in group:
-        bc = coeff_ids[child.body[0].pred]
+    for pred in preds[1:]:
+        bc = coeff_ids[pred]
         end = start + len(bc) - 1
         decrease = (
             [{mu: 1} for mu in hc[1:]]
@@ -302,9 +322,9 @@ def rule_cones(
             + [{} if hc[0] == bc[0] else {hc[0]: -1, bc[0]: 1}]
         )
         nonneg = [{}] * start + [{mu: 1} for mu in bc[1:]] + [{}] * (n - end) + [{bc[0]: -1}]
-        cones.append(RuleCone(child, n, cone, tuple(decrease), tuple(nonneg)))
+        out.append((tuple(decrease), tuple(nonneg)))
         start = end
-    return tuple(cones)
+    return out
 
 
 def assemble(program: Program, domain: Domain) -> AlmSystem:
@@ -323,13 +343,14 @@ def assemble(program: Program, domain: Domain) -> AlmSystem:
     coeff_ids = coeff_table(program, pool)
     cones: list[RuleCone] = []
     skipped: list[tuple[str, str]] = []
+    layouts: dict[tuple[str, ...], list] = {}
     # ``binarize`` puts a source rule's children together, in body order,
     # each with the source rule's head and constraint
     split = groupby(program.rules, lambda r: (r.origin[0], r.head, r.rows) if r.origin else id(r))
     for _, members in split:
         group = list(members)
         shared = len(group) == 1 or solved(group)
-        first = rule_cones(group if shared else group[:1], domain, coeff_ids)
+        first = rule_cones(group if shared else group[:1], domain, coeff_ids, layouts)
         if not first[0].satisfiable:
             skipped += [(rule.rule_id, SKIP_UNSAT) for rule in group]
         elif group[0].is_fact:
@@ -338,7 +359,7 @@ def assemble(program: Program, domain: Domain) -> AlmSystem:
             cones += first
             if not shared:
                 for rule in group[1:]:
-                    cones += rule_cones([rule], domain, coeff_ids)
+                    cones += rule_cones([rule], domain, coeff_ids, layouts)
     return AlmSystem(domain, tuple(cones), coeff_ids, tuple(skipped), pool)
 
 

@@ -424,12 +424,15 @@ def _box_minimize(sys: LinearSystem, objectives) -> tuple[LpOutcome, ...]:
                 lo[v] = b
         elif v not in hi or b < hi[v]:
             hi[v] = b
-    if any(b > hi[v] for v, b in lo.items() if v in hi):
-        return (LpOutcome(INFEASIBLE),) * len(objectives)
+    for v, b in lo.items():
+        if v in hi and b > hi[v]:
+            return (LpOutcome(INFEASIBLE),) * len(objectives)
     corner = {v: Fraction(lo[v] if v in lo else hi.get(v, 0)) for v in sys.variables}
     outcomes = []
     for objective in objectives:
-        point = {**corner, **{v: ZERO for v in objective if v not in corner}}
+        point = corner.copy()
+        if not objective.keys() <= corner.keys():
+            point.update((v, ZERO) for v in objective if v not in corner)
         value = 0
         for v, c in objective.items():
             if not c:
@@ -440,7 +443,10 @@ def _box_minimize(sys: LinearSystem, objectives) -> tuple[LpOutcome, ...]:
                 ray[v] = Fraction(-1 if c > 0 else 1)
                 outcomes.append(LpOutcome(UNBOUNDED, point=point, ray=ray))
                 break
-            point[v] = Fraction(b)
+            # the corner is already at the lower bound, or at the upper one
+            # when there is no lower bound
+            if c < 0 and v in lo:
+                point[v] = Fraction(b)
             value += c * b
         else:
             outcomes.append(LpOutcome(OPTIMAL, Fraction(value), point))

@@ -223,25 +223,39 @@ class Rule:
 
 
 class Program:
-    """An immutable flat program with its predicate arity table; each rule
-    must pass :meth:`Rule.check_flatness`."""
+    """An immutable flat program with its predicate arity table.
+    ``Program(rules, pool)`` checks that each rule passes
+    :meth:`Rule.check_flatness` and that each predicate has one arity;
+    :meth:`trusted` builds a program whose rules are known to pass both."""
 
     def __init__(self, rules: Iterable[Rule], pool: VariablePool):
-        self._rules = tuple(rules)
-        self._pool = pool
+        rules = tuple(rules)
         table: dict[str, int] = {}
-        by_pred: dict[str, list[Rule]] = {}
-        for rule in self._rules:
+        for rule in rules:
             rule.check_flatness()
-            by_pred.setdefault(rule.head.pred, []).append(rule)
             for atom in rule.atoms():
                 known = table.setdefault(atom.pred, atom.arity)
                 if known != atom.arity:
                     raise ModelError(
                         f"predicate {atom.pred} used with arities {known} and {atom.arity}"
                     )
+        self._rules = rules
+        self._pool = pool
         self._arities = table
-        self._by_pred = {pred: tuple(rules) for pred, rules in by_pred.items()}
+
+    @classmethod
+    def trusted(
+        cls, rules: tuple[Rule, ...], pool: VariablePool, arities: dict[str, int]
+    ) -> "Program":
+        """The program of ``rules`` and their arity table ``arities`` (each
+        predicate where its first atom in ``rules`` puts it), checking
+        nothing: for callers that have enforced flatness and the arities
+        themselves, as the parser does while it reads."""
+        program = cls.__new__(cls)
+        program._rules = rules
+        program._pool = pool
+        program._arities = arities
+        return program
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -257,6 +271,13 @@ class Program:
 
     def predicates(self) -> tuple[str, ...]:
         return tuple(self._arities)
+
+    @cached_property
+    def _by_pred(self) -> dict[str, tuple[Rule, ...]]:
+        by_pred: dict[str, list[Rule]] = {}
+        for rule in self._rules:
+            by_pred.setdefault(rule.head.pred, []).append(rule)
+        return {pred: tuple(rules) for pred, rules in by_pred.items()}
 
     def rules_for(self, pred: str) -> tuple[Rule, ...]:
         """The rules whose head is ``pred``, in program order."""

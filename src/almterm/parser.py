@@ -21,10 +21,14 @@ Flatness is enforced: atom arguments are distinct variables, atom tuples
 within a clause are pairwise disjoint, and every constraint variable must
 occur in some atom of its clause.
 
-The text is scanned once, before parsing, into ``(kind, text, offset)``
-tuples; whitespace and comments make no token.  Only an error needs a
-position: :meth:`_Parser.fail` works out the line (counting ``\n``) and the
-column (in characters, from 1) from the offset when it raises.
+The text is scanned once, before parsing, by one ``findall`` of a regex
+whose one group is the token: the whitespace and comments in front of it
+are matched outside the group, so they make no token, and the end of the
+text is the empty token ``""``.  The parser reads two parallel lists, the
+token texts and their kinds (looked up in a dict), by index.  Only an error
+needs a position: :meth:`_Parser.fail` runs the same regex again, with
+``finditer``, up to the failing token, and works out the line (counting
+``\n``) and the column (in characters, from 1) from its offset.
 
 An expression is accumulated as integers only: ``(coeffs, const, den)``
 stands for ``(coeffs . x + const) / den`` with ``den > 0``.  ``+`` and ``-``
@@ -42,7 +46,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, lcm
+from string import ascii_letters, digits
 
 from .model import (
     EQ,
@@ -84,27 +90,29 @@ class FlatnessError(ParseError):
     pass
 
 
-# whitespace and comments are unnamed alternatives, so they make no token;
-# ``bad`` catches any other character (a newline is whitespace); ``?-`` (a
-# Prolog query) is in no clause, but as one token an error names it, not ``?``
+# one match per token, the token its group: whitespace and comments before
+# it are matched outside the group; ``.`` is any other character, which is
+# ``bad`` (a newline is whitespace); ``\Z`` is the empty end token, and since
+# it matches there, a comment at the end never gives a character back to a
+# token; ``?-`` (a Prolog query) is in no clause, but as one token an error
+# names it, not ``?``
 _TOKEN_RE = re.compile(
     r"""
-    \s+
-  | %[^\n]*
-  | (?P<implies>:-)
-  | (?P<query>\?-)
-  | (?P<geq>>=)
-  | (?P<leq><=)
-  | (?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<sym>[(),.=+\-*/])
-  | (?P<bad>.)
+    \s* (?:%[^\n]*\s*)*
+    ( :- | \?- | >= | <= | [a-zA-Z_][a-zA-Z0-9_]* | [0-9]+ | [(),.=+\-*/] | \Z | . )
     """,
     re.VERBOSE,
 )
 
-# a token is (kind, text, offset); a symbol's kind is its text
-Token = tuple[str, str, int]
+# the kind of a token by its text, else by its first character, else ``bad``;
+# a symbol's kind is its text
+_KINDS = {":-": "implies", "?-": "query", ">=": "geq", "<=": "leq", "": "eof"}
+_KINDS.update((c, c) for c in "(),.=+-*/")
+_LEADS = dict.fromkeys(ascii_letters + "_", "ident")
+_LEADS.update(dict.fromkeys(digits, "int"))
+
+# what may follow an identifier that starts an atom in a clause body
+_ATOM_ENDS = ("(", ",", ".")
 
 # an expression ``(coeffs . x + const) / den``: nonzero int coefficients by
 # variable id, an int constant and an int ``den > 0``
@@ -137,141 +145,126 @@ def _sum(a: _Expr, b: _Expr, sign: int) -> _Expr:
 
 
 class _ClauseScope:
-    """Per-clause variable table plus the bookkeeping for flatness checks."""
+    """Per-clause variable table plus the bookkeeping for flatness checks;
+    tokens are recorded by their index."""
 
     def __init__(self, pool: VariablePool):
         self.pool = pool
         self.ids: dict[str, int] = {}
         self.atom_names: set[str] = set()
-        self.constraint_uses: list[Token] = []
-        self.atom_records: list[tuple[Atom, Token]] = []
+        self.constraint_uses: list[int] = []
+        self.atom_records: list[tuple[Atom, int]] = []
 
     def var(self, name: str) -> int:
-        if name not in self.ids:
-            self.ids[name] = self.pool.fresh(name)
-        return self.ids[name]
+        vid = self.ids.get(name)
+        if vid is None:
+            vid = self.ids[name] = self.pool.fresh(name)
+        return vid
 
 
 class _Parser:
+    """Recursive descent over the token lists ``texts`` and ``kinds``; ``pos``
+    is the index of the next token, and the empty end token is never passed
+    except by a read that then fails."""
+
     def __init__(self, text: str, file: str, pool: VariablePool):
         self.text = text
         self.file = file
         self.pool = pool
         self.pos = 0
         self.depth = 0
-        self.tokens: list[Token] = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind is None:
-                continue
-            chunk = m.group()
-            if kind == "sym":
-                kind = chunk
-            elif kind == "bad":
-                self.fail(f"unexpected character {chunk!r}", (kind, chunk, m.start()))
-            self.tokens.append((kind, chunk, m.start()))
-        self.tokens.append(("eof", "", len(text)))
+        self.texts: list[str] = _TOKEN_RE.findall(text)
+        kind = {t: _KINDS.get(t) or _LEADS.get(t[0], "bad") for t in set(self.texts)}
+        self.kinds: list[str] = list(map(kind.__getitem__, self.texts))
+        if "bad" in self.kinds:
+            at = self.kinds.index("bad")
+            self.fail(f"unexpected character {self.texts[at]!r}", at)
 
-    # -- token helpers ---------------------------------------------------
+    def expect(self, kind: str) -> int:
+        at = self.pos
+        self.pos = at + 1
+        if self.kinds[at] != kind:
+            self.fail(f"expected {kind!r}, found {self.texts[at] or 'end of input'!r}", at)
+        return at
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok[0] != kind:
-            self.fail(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok)
-        return tok
-
-    def fail(self, message: str, tok: Token, flatness: bool = False):
-        """Raise at ``tok``; its line and column are worked out here, from
-        the offset, since only errors need them."""
-        _, chunk, off = tok
+    def fail(self, message: str, at: int, flatness: bool = False):
+        """Raise at token ``at``; its offset, line and column are worked out
+        here, by scanning again up to it, since only errors need them."""
+        off = next(islice(_TOKEN_RE.finditer(self.text), at, None)).start(1)
         line = self.text.count("\n", 0, off) + 1
         col = off - self.text.rfind("\n", 0, off)
         err = FlatnessError if flatness else ParseError
-        raise err(message, SourceSpan(self.file, line, col, col + len(chunk)))
+        raise err(message, SourceSpan(self.file, line, col, col + len(self.texts[at])))
 
     # -- clauses ----------------------------------------------------------
 
     def program(self) -> Program:
         rules: list[Rule] = []
         arities: dict[str, int] = {}
-        while self.peek()[0] != "eof":
+        while self.kinds[self.pos] != "eof":
             rules.append(self.clause(f"r{len(rules) + 1}", arities))
-        return Program(rules, self.pool)
+        return Program.trusted(tuple(rules), self.pool, arities)
 
     def clause(self, rule_id: str, arities: dict[str, int]) -> Rule:
         scope = _ClauseScope(self.pool)
         head = self.atom(scope)
         rows: list[ConstraintRow] = []
         body: list[Atom] = []
-        if self.peek()[0] == "implies":
-            self.next()
-            self.items(scope, rows, body)
+        kinds = self.kinds
+        if kinds[self.pos] == "implies":
+            self.pos += 1
+            while True:
+                if kinds[self.pos] == "ident" and kinds[self.pos + 1] in _ATOM_ENDS:
+                    body.append(self.atom(scope))
+                else:
+                    rows.append(self.constraint(scope))
+                if kinds[self.pos] != ",":
+                    break
+                self.pos += 1
         self.expect(".")
         self._check_flat(scope)
-        for atom, tok in scope.atom_records:
+        for atom, at in scope.atom_records:
             known = arities.setdefault(atom.pred, atom.arity)
             if known != atom.arity:
                 self.fail(
                     f"predicate {atom.pred} used with arity {atom.arity}, previously {known}",
-                    tok,
+                    at,
                 )
         return Rule(rule_id, head, tuple(rows), tuple(body))
 
-    def items(self, scope, rows: list, atoms: list) -> None:
-        while True:
-            self.item(scope, rows, atoms)
-            if self.peek()[0] == ",":
-                self.next()
-            else:
-                return
-
-    def item(self, scope, rows: list, atoms: list) -> None:
-        if self.peek()[0] == "ident" and self.peek(1)[0] in ("(", ",", "."):
-            atoms.append(self.atom(scope))
-        else:
-            rows.append(self.constraint(scope))
-
     def atom(self, scope: _ClauseScope) -> Atom:
         name = self.expect("ident")
+        kinds, texts = self.kinds, self.texts
         args: list[int] = []
-        arg_names: set[str] = set()
-        if self.peek()[0] == "(":
-            self.next()
+        pos = self.pos
+        if kinds[pos] == "(":
+            arg_names: set[str] = set()
             while True:
-                arg = self.next()
-                kind, text, _ = arg
-                if kind != "ident":
-                    self.fail("atom arguments must be variables", arg, flatness=True)
+                pos += 1
+                text = texts[pos]
+                if kinds[pos] != "ident":
+                    self.fail("atom arguments must be variables", pos, flatness=True)
                 if text in arg_names:
                     self.fail(
-                        f"repeated variable {text!r} in atom {name[1]}",
-                        arg,
+                        f"repeated variable {text!r} in atom {texts[name]}",
+                        pos,
                         flatness=True,
                     )
                 if text in scope.atom_names:
                     self.fail(
                         f"variable {text!r} already occurs in another atom",
-                        arg,
+                        pos,
                         flatness=True,
                     )
                 arg_names.add(text)
                 scope.atom_names.add(text)
                 args.append(scope.var(text))
-                if self.peek()[0] == ",":
-                    self.next()
-                    continue
-                self.expect(")")
-                break
-        result = Atom(name[1], tuple(args))
+                pos += 1
+                if kinds[pos] != ",":
+                    break
+            self.pos = pos
+            self.expect(")")
+        result = Atom(texts[name], tuple(args))
         scope.atom_records.append((result, name))
         return result
 
@@ -281,15 +274,17 @@ class _Parser:
         """The primitive row of ``lhs - rhs``: lhs variables first, a
         variable that cancels left out, divided by the gcd."""
         lhs = self.expr(scope)
-        op = self.next()
-        if op[0] in ("=", "geq"):
+        op = self.pos
+        self.pos = op + 1
+        kind = self.kinds[op]
+        if kind == "=" or kind == "geq":
             rhs = self.expr(scope)
-        elif op[0] == "leq":
+        elif kind == "leq":
             lhs, rhs = self.expr(scope), lhs
         else:
             self.fail("expected '=', '>=' or '<=' in constraint", op)
         coeffs, const, _ = _sum(lhs, rhs, -1)
-        rel = EQ if op[0] == "=" else GEQ
+        rel = EQ if kind == "=" else GEQ
         g = gcd(const, *coeffs.values())
         if g > 1:
             return {v: a // g for v, a in coeffs.items()}, -const // g, rel
@@ -297,17 +292,20 @@ class _Parser:
 
     def expr(self, scope) -> _Expr:
         acc = self.mul(scope)
-        while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.next()[0] == "+" else -1
-            acc = _sum(acc, self.mul(scope), sign)
+        kinds = self.kinds
+        while (kind := kinds[self.pos]) == "+" or kind == "-":
+            self.pos += 1
+            acc = _sum(acc, self.mul(scope), 1 if kind == "+" else -1)
         return acc
 
     def mul(self, scope) -> _Expr:
         acc = self.unary(scope)
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()
+        kinds = self.kinds
+        while (kind := kinds[self.pos]) == "*" or kind == "/":
+            op = self.pos
+            self.pos = op + 1
             rhs = self.unary(scope)
-            if op[0] == "*":
+            if kind == "*":
                 if not acc[0]:
                     acc, rhs = rhs, acc
                 elif rhs[0]:
@@ -331,11 +329,24 @@ class _Parser:
         return acc
 
     def unary(self, scope) -> _Expr:
-        tok = self.next()
-        kind, text, _ = tok
-        if kind in ("-", "("):
+        at = self.pos
+        self.pos = at + 1
+        kind = self.kinds[at]
+        text = self.texts[at]
+        if kind == "ident":
+            if self.kinds[at + 1] == "(":
+                self.fail("predicates cannot appear inside constraints", at)
+            scope.constraint_uses.append(at)
+            return {scope.var(text): 1}, 0, 1
+        if kind == "int":
+            try:
+                value = int(text)
+            except ValueError:  # more digits than the interpreter converts
+                self.fail(f"numeric literal of {len(text)} digits is too long", at)
+            return {}, value, 1
+        if kind == "-" or kind == "(":
             if self.depth == MAX_NESTING:
-                self.fail(f"expression nested more than {MAX_NESTING} deep", tok)
+                self.fail(f"expression nested more than {MAX_NESTING} deep", at)
             self.depth += 1
             if kind == "-":
                 coeffs, const, den = self.unary(scope)
@@ -346,27 +357,16 @@ class _Parser:
                 self.expect(")")
             self.depth -= 1
             return inner
-        if kind == "int":
-            try:
-                value = int(text)
-            except ValueError:  # more digits than the interpreter converts
-                self.fail(f"numeric literal of {len(text)} digits is too long", tok)
-            return {}, value, 1
-        if kind == "ident":
-            if self.peek()[0] == "(":
-                self.fail("predicates cannot appear inside constraints", tok)
-            scope.constraint_uses.append(tok)
-            return {scope.var(text): 1}, 0, 1
-        self.fail(f"expected a term, found {text or 'end of input'!r}", tok)
+        self.fail(f"expected a term, found {text or 'end of input'!r}", at)
 
     # -- flatness ----------------------------------------------------------
 
     def _check_flat(self, scope: _ClauseScope) -> None:
-        for tok in scope.constraint_uses:
-            if tok[1] not in scope.atom_names:
+        for at in scope.constraint_uses:
+            if self.texts[at] not in scope.atom_names:
                 self.fail(
-                    f"constraint variable {tok[1]!r} does not occur in any atom",
-                    tok,
+                    f"constraint variable {self.texts[at]!r} does not occur in any atom",
+                    at,
                     flatness=True,
                 )
 

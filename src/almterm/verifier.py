@@ -16,9 +16,13 @@ as the projection prunes them (primitive form, one row per direction).
 The substitution maps the rule's solutions one to one onto the solutions of
 the inequalities that are left, so each minimum over the reduced system is
 the minimum over the rule constraint.  Both minima of a pair are found
-together over those inequalities, with integer objectives (the mapping is
-scaled to integers once per :func:`verify` call); the level constants, and
-what the substitution adds to them, are added to the minima outside the LP.
+together over those inequalities, with integer objectives: the mapping is
+scaled to integers once per :func:`verify` call, and each predicate's
+vector is read from it once, at the predicate's first atom, as an int
+constant and its nonzero ``(position, coefficient)`` pairs
+(:class:`_Levels`).  The level constants, and what the substitution adds to
+them, are added to the minima outside the LP, in ints, and a minimum is
+tested against its threshold in ints before it is printed.
 The eliminated variables are worked out again, in reverse order, only to
 build a counterexample.
 
@@ -54,6 +58,7 @@ from .lp import (
 from .model import EQ, Atom, Domain, LevelMapping, Program, Q, Rule
 
 EPSILON = Fraction(1)  # required per-step decrease; scaling makes 1 canonical
+_ZERO = Fraction(0)
 
 PASS = "pass"
 FAIL = "fail"
@@ -119,20 +124,23 @@ def _presolve(rule: Rule, domain: Domain) -> _Reduced | None:
     left as the projection does (primitive form, one row per direction);
     None when a row reduces to ``0 = b`` with ``b != 0`` or to ``0 >= b``
     with ``b > 0``."""
-    rows = rule.domain_rows(domain)
-    eqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel == EQ]
-    ineqs = [(coeffs, bound) for coeffs, bound, rel in rows if rel != EQ]
+    eqs: list[Row] = []
+    ineqs: list[Row] = []
+    for coeffs, bound, rel in rule.domain_rows(domain):
+        (eqs if rel == EQ else ineqs).append((coeffs, bound))
     steps: list[tuple[int, Row]] = []
-    for k in range(len(eqs)):
-        eq = eqs[k]
+    for k, eq in enumerate(eqs):
         coeffs, bound = eq
         if not coeffs:
             if bound:
                 return None
             continue
-        var = min(coeffs, key=lambda v: abs(coeffs[v]))
-        eqs[k + 1 :] = [_substitute(row, var, eq) for row in eqs[k + 1 :]]
-        ineqs = [_substitute(row, var, eq) for row in ineqs]
+        var, least = None, 0
+        for v, c in coeffs.items():
+            if var is None or abs(c) < least:
+                var, least = v, abs(c)
+        eqs[k + 1 :] = [_substitute(row, var, eq) if var in row[0] else row for row in eqs[k + 1 :]]
+        ineqs = [_substitute(row, var, eq) if var in row[0] else row for row in ineqs]
         steps.append((var, eq))
     rows = _prune(ineqs)
     if rows is None:
@@ -141,12 +149,26 @@ def _presolve(rule: Rule, domain: Domain) -> _Reduced | None:
     return LinearSystem(variables, tuple(rows)), steps
 
 
-def _level(lm: LevelMapping, atom: Atom) -> tuple[dict[int, int], int]:
-    """The level of ``atom`` under the integer mapping ``lm``: nonzero
-    coefficients and the constant; ModelError unless ``lm`` covers the
-    atom's predicate at its arity."""
-    vec = lm.vector(atom.pred, atom.arity)
-    return {v: c.numerator for v, c in zip(atom.args, vec[1:]) if c}, vec[0].numerator
+class _Levels:
+    """The integer mapping, the certificate times ``scale``, one predicate
+    at a time: each predicate's vector is read from the certificate once, at
+    its first atom, as its constant and its nonzero ``(position, coefficient)``
+    pairs.  ModelError unless the certificate covers the atom's predicate at
+    its arity (every atom of a program's predicate has one arity)."""
+
+    def __init__(self, lm: LevelMapping, scale: int):
+        self.lm = lm
+        self.scale = scale
+        self.vectors: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {}
+
+    def of(self, atom: Atom) -> tuple[int, tuple[tuple[int, int], ...]]:
+        vector = self.vectors.get(atom.pred)
+        if vector is None:
+            scale = self.scale
+            ints = [c.numerator * (scale // c.denominator) for c in self.lm.vector(atom.pred, atom.arity)]
+            vector = ints[0], tuple((i, c) for i, c in enumerate(ints[1:]) if c)
+            self.vectors[atom.pred] = vector
+        return vector
 
 
 def _reduce(coeffs: dict[int, int], const: int, scale: int, steps) -> _Objective:
@@ -168,6 +190,8 @@ def _shifted(out: LpOutcome, objective: _Objective) -> LpOutcome:
         return out
     _, k, s = objective
     num, den = out.value.numerator, out.value.denominator
+    if den == s == 1:
+        return LpOutcome(OPTIMAL, Fraction(num - k), out.point)
     return LpOutcome(OPTIMAL, Fraction(num - k * den, den * s), out.point)
 
 
@@ -199,23 +223,25 @@ def _assignment(point: dict[int, Fraction], rule: Rule, steps) -> dict[int, Frac
 def _check_pair(
     rule: Rule,
     body_index: int,
-    lm: LevelMapping,
-    scale: int,
+    levels: _Levels,
     reduced: _Reduced | None,
 ) -> RuleCheck | None:
-    """Both minimisations for one body atom under the integer mapping ``lm``
-    (the certificate times ``scale``), tested in order, the decrease first;
-    the first that fails gives the note and the counterexample.  None when
-    the rule constraint is unsatisfiable."""
-    hcoeffs, hconst = _level(lm, rule.head)
-    bcoeffs, bconst = _level(lm, rule.body[body_index])
+    """Both minimisations for one body atom under the integer mapping
+    ``levels``, tested in order, the decrease first; the first that fails
+    gives the note and the counterexample.  None when the rule constraint
+    is unsatisfiable."""
+    hconst, hcoeffs = levels.of(rule.head)
+    body = rule.body[body_index]
+    bconst, bcoeffs = levels.of(body)
     if reduced is None:
         return None
     system, steps = reduced
     # head - body: the atoms share no variable, so only the constants meet
-    drop_coeffs = {**hcoeffs, **{v: -c for v, c in bcoeffs.items()}}
-    drop = _reduce(drop_coeffs, hconst - bconst, scale, steps)
-    body_level = _reduce(bcoeffs, bconst, scale, steps)
+    hargs, bargs = rule.head.args, body.args
+    drop_coeffs = {hargs[i]: c for i, c in hcoeffs}
+    drop_coeffs.update([(bargs[i], -c) for i, c in bcoeffs])
+    drop = _reduce(drop_coeffs, hconst - bconst, levels.scale, steps)
+    body_level = _reduce({bargs[i]: c for i, c in bcoeffs}, bconst, levels.scale, steps)
 
     decrease, body_floor = minimize(system, drop[0], body_level[0])
     if decrease.status == INFEASIBLE:
@@ -225,9 +251,12 @@ def _check_pair(
 
     for name, outcome, objective, threshold in (
         ("head-to-body decrease", decrease, drop, EPSILON),
-        ("body level", body_floor, body_level, Fraction(0)),
+        ("body level", body_floor, body_level, _ZERO),
     ):
-        if outcome.status == OPTIMAL and outcome.value >= threshold:
+        # ``value >= threshold``, in ints (each threshold is an integer)
+        if outcome.status == OPTIMAL and (
+            outcome.value.numerator >= threshold.numerator * outcome.value.denominator
+        ):
             continue
         note = (
             f"{name} is unbounded below"
@@ -244,8 +273,7 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
     body atoms are checked independently).  Facts and rules with unsatisfiable
     constraints pass vacuously; any other rule needs both minima to clear
     their thresholds exactly."""
-    scale = lcm(*[c.denominator for vec in lm.coeffs.values() for c in vec])
-    scaled = lm.scale(scale)
+    levels = _Levels(lm, lcm(*[c.denominator for vec in lm.coeffs.values() for c in vec]))
     checks: list[RuleCheck] = []
     for rule in program.rules:
         reduced = _presolve(rule, domain)
@@ -254,7 +282,7 @@ def verify(program: Program, lm: LevelMapping, domain: Domain = Q) -> VerifyRepo
             checks.append(RuleCheck(rule.rule_id, None, VACUOUS_FACT if sat else VACUOUS_UNSAT))
             continue
         for idx in range(len(rule.body)):
-            check = _check_pair(rule, idx, scaled, scale, reduced)
+            check = _check_pair(rule, idx, levels, reduced)
             if check is None:
                 # all pairs share the constraint, so this is the first pair
                 checks.append(RuleCheck(rule.rule_id, None, VACUOUS_UNSAT))

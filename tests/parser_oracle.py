@@ -19,31 +19,37 @@ from linear import LinearConstraint, LinearExpr, constraint_row
 
 
 class OracleParser(_Parser):
+    def take(self) -> tuple[int, str, str]:
+        """The next token's index, kind and text; the parser moves on."""
+        at = self.pos
+        self.pos = at + 1
+        return at, self.kinds[at], self.texts[at]
+
     def constraint(self, scope):
         lhs = self.expr(scope)
-        op = self.next()
-        if op[0] == "=":
+        op, kind, _ = self.take()
+        if kind == "=":
             return constraint_row(LinearConstraint(lhs, EQ, self.expr(scope)))
-        if op[0] == "geq":
+        if kind == "geq":
             return constraint_row(LinearConstraint(lhs, GEQ, self.expr(scope)))
-        if op[0] == "leq":
+        if kind == "leq":
             return constraint_row(LinearConstraint(self.expr(scope), GEQ, lhs))
         self.fail("expected '=', '>=' or '<=' in constraint", op)
 
     def expr(self, scope) -> LinearExpr:
         acc = self.mul(scope)
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()
+        while self.kinds[self.pos] in ("+", "-"):
+            _, kind, _ = self.take()
             rhs = self.mul(scope)
-            acc = acc + rhs if op[0] == "+" else acc - rhs
+            acc = acc + rhs if kind == "+" else acc - rhs
         return acc
 
     def mul(self, scope) -> LinearExpr:
         acc = self.unary(scope)
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()
+        while self.kinds[self.pos] in ("*", "/"):
+            op, kind, _ = self.take()
             rhs = self.unary(scope)
-            if op[0] == "*":
+            if kind == "*":
                 if acc.is_const:
                     acc = rhs.scale(acc.const)
                 elif rhs.is_const:
@@ -59,11 +65,10 @@ class OracleParser(_Parser):
         return acc
 
     def unary(self, scope) -> LinearExpr:
-        tok = self.next()
-        kind, text, _ = tok
+        at, kind, text = self.take()
         if kind in ("-", "("):
             if self.depth == MAX_NESTING:
-                self.fail(f"expression nested more than {MAX_NESTING} deep", tok)
+                self.fail(f"expression nested more than {MAX_NESTING} deep", at)
             self.depth += 1
             if kind == "-":
                 inner = -self.unary(scope)
@@ -76,14 +81,14 @@ class OracleParser(_Parser):
             try:
                 value = int(text)
             except ValueError:  # more digits than the interpreter converts
-                self.fail(f"numeric literal of {len(text)} digits is too long", tok)
+                self.fail(f"numeric literal of {len(text)} digits is too long", at)
             return LinearExpr.of_const(value)
         if kind == "ident":
-            if self.peek()[0] == "(":
-                self.fail("predicates cannot appear inside constraints", tok)
-            scope.constraint_uses.append(tok)
+            if self.kinds[self.pos] == "(":
+                self.fail("predicates cannot appear inside constraints", at)
+            scope.constraint_uses.append(at)
             return LinearExpr.of_var(scope.var(text))
-        self.fail(f"expected a term, found {text or 'end of input'!r}", tok)
+        self.fail(f"expected a term, found {text or 'end of input'!r}", at)
 
 
 def oracle_parse_program(text: str, file: str = "<string>"):

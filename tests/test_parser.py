@@ -116,6 +116,29 @@ def test_parse_errors_carry_spans():
     with pytest.raises(ParseError) as err:
         parse_program("p(x)\n  :- x ? 2.")
     assert err.value.span.line == 2
+    # the scanner's edges: each error's exact span and message
+    for text, span, message in (
+        # a comment at the end with no newline, and ``%`` as the last character
+        ("p(x) :- x >= 1 % no full stop", "1:30-30", "expected '.', found 'end of input'"),
+        ("p(x) :- x >= 1.\nq(y) :- y >= 1%", "2:16-16", "expected '.', found 'end of input'"),
+        ("p(x) :- x = 1 %\n", "2:1-1", "expected '.', found 'end of input'"),
+        # a bad character right after a comment
+        ("p(x) :- x >= 1. % a comment\n#q.", "2:1-2", "unexpected character '#'"),
+        # CRLF line ends, for the scanner and for the parser
+        ("p(x) :- x >= 1.\r\nq(y) :-\r\n  y ? 1.\r\n", "3:5-6", "unexpected character '?'"),
+        ("p(x) :- x >= 1.\r\nq(y) :-\r\n  y = .\r\n", "3:7-8", "expected a term, found '.'"),
+        # a non-ASCII digit is no digit
+        ("p(x) :- x = \u0663.", "1:13-14", "unexpected character '\u0663'"),
+        # an error on the final token, and at the end of the text
+        ("p(x) :- x >= 1)", "1:15-16", "expected '.', found ')'"),
+        ("p(x) :- x >= 1.\nq(y) :- y >= ", "2:14-14", "expected a term, found 'end of input'"),
+        ("?- p(x).", "1:1-3", "expected 'ident', found '?-'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value.span) == f"<string>:{span}", text
+        assert err.value.message == message, text
+    assert len(parse_program("p(x) :- x >= 1.\n%").rules) == 1
 
 
 def test_nesting_limit_covers_parentheses_and_minus_signs():
@@ -208,6 +231,43 @@ def test_render_row_matches_the_linear_constraint_reference():
         (({0: 1, 1: -3}, 0, EQ), "x - 3*y = 0"),
     ):
         assert render_row(*row, pool) == row_constraint(*row).render(pool) == text
+
+
+def test_parser_builds_its_program_without_rechecking_it(monkeypatch):
+    """The parser enforces flatness and the arity table as it reads, so its
+    program is built without ``Rule.check_flatness``; ``Program(rules,
+    pool)``, the constructor for other callers, still checks both."""
+    from almterm.model import Atom, ModelError, Rule
+
+    calls = []
+    real = Rule.check_flatness
+
+    def counting(rule):
+        calls.append(rule.rule_id)
+        return real(rule)
+
+    monkeypatch.setattr(Rule, "check_flatness", counting)
+    program = parse_program(
+        "p(x) :- x >= 1, y = x - 1, p(y).\n"
+        "q(a, b) :- a = b, p(c), r(d).\n"
+        "r(z).\n"
+    )
+    assert calls == []
+    # the same table, in the same order, as the checking constructor's
+    checked = Program(program.rules, program.pool)
+    assert calls == ["r1", "r2", "r3"]
+    assert list(checked.arities.items()) == list(program.arities.items()) == [
+        ("p", 1),
+        ("q", 2),
+        ("r", 1),
+    ]
+    pool = VariablePool(["x", "y"])
+    shared = Rule("r1", Atom("p", (0,)), (), (Atom("p", (0,)),))
+    with pytest.raises(ModelError, match="shared"):
+        Program([shared], pool)
+    clash = [Rule("r1", Atom("p", (0,)), (), ()), Rule("r2", Atom("p", (0, 1)), (), ())]
+    with pytest.raises(ModelError, match="arities 1 and 2"):
+        Program(clash, pool)
 
 
 def test_parsed_programs_satisfy_model_invariants():

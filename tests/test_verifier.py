@@ -155,6 +155,32 @@ def test_verify_makes_one_minimisation_per_analysed_rule(monkeypatch):
     ]
 
 
+def test_verify_reads_each_level_vector_once(monkeypatch):
+    """One ``verify`` call reads each predicate's vector from the
+    certificate once, at its first atom, not once per pair; a predicate that
+    only a fact uses is never read, and one the certificate lacks still
+    raises at the first pair that needs it."""
+    program = parse_program(
+        "p(x) :- x >= 1, y = x - 1, p(y).\n"
+        "p(x) :- x >= 2, y = x - 2, q(y).\n"
+        "q(x) :- x >= 1, y = x - 1, z = x - 1, p(y), q(z).\n"
+        "r(x) :- x = 1.\n"
+    )
+    reads = []
+    real = LevelMapping.vector
+
+    def counting(lm, pred, arity=None):
+        reads.append(pred)
+        return real(lm, pred, arity)
+
+    monkeypatch.setattr(LevelMapping, "vector", counting)
+    report = verify(program, LevelMapping({"p": (0, 1), "q": (0, 1)}), Q)
+    assert [c.status for c in report.checks] == [PASS, PASS, PASS, PASS, VACUOUS_FACT]
+    assert sorted(reads) == ["p", "q"]
+    with pytest.raises(ModelError, match="does not cover predicate q"):
+        verify(program, LevelMapping({"p": (0, 1)}), Q)
+
+
 def test_box_rules_skip_the_simplex(monkeypatch):
     """A rule whose reduced rows each mention one variable has its minima
     read off the bounds, with no simplex pivot; a rule with a row over two
