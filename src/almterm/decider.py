@@ -296,10 +296,10 @@ def rule_cones(
         layouts = {}
     if preds not in layouts:
         layouts[preds] = _layouts(preds, n, coeff_ids)
-    return tuple(
+    return tuple([
         RuleCone(child, n, cone, decrease, nonneg)
         for child, (decrease, nonneg) in zip(group, layouts[preds])
-    )
+    ])
 
 
 def _layouts(preds: tuple[str, ...], n: int, coeff_ids: dict[str, tuple[int, ...]]) -> list:
