@@ -174,8 +174,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.texts: list[str] = _TOKEN_RE.findall(text)
-        kind = {t: _KINDS.get(t) or _LEADS.get(t[0], "bad") for t in set(self.texts)}
-        self.kinds: list[str] = list(map(kind.__getitem__, self.texts))
+        kind_of = {t: _KINDS.get(t) or _LEADS.get(t[0], "bad") for t in set(self.texts)}
+        self.kinds: list[str] = list(map(kind_of.__getitem__, self.texts))
         if "bad" in self.kinds:
             at = self.kinds.index("bad")
             self.fail(f"unexpected character {self.texts[at]!r}", at)
