@@ -40,11 +40,12 @@ the goal atom as integer numerators over one common denominator and
 evaluates each rewrite: the guards by cross-multiplied integer sums, the
 body atom's values by the affine functions.  It needs no fresh ids, no store
 and no projection.  A rule with a body argument that no equality solves (one
-only an implicit equality fixes, or one left free) has no such plan; a run
-that draws it pins fresh variables to the goal atom's values and takes the
-store path from that rewrite on.  Both paths are exact over the rationals
-(over ``n``, the rational relaxation), and both draw the rule of each
-rewrite by one ``rng.choice`` among the goal predicate's rules.
+only an implicit equality fixes, or one left free) has no such plan, nor has
+one that compiling finds unsatisfiable; a run that draws either pins fresh
+variables to the goal atom's values and takes the store path from that
+rewrite on.  Both paths are exact over the rationals (over ``n``, the
+rational relaxation), and both draw the rule of each rewrite by one
+``rng.choice`` among the goal predicate's rules.
 
 Step counting: every rewrite application counts, including the final failing
 or fact-resolving one.
@@ -277,9 +278,6 @@ Terms = tuple[tuple[int, int], ...]
 Guard = tuple[Terms, int, bool]
 Plan = tuple[tuple[Guard, ...], str | None, tuple[tuple[Terms, int], ...], int]
 
-# ``0 >= 1``: the plan of a rule whose constraint is unsatisfiable
-_NEVER: Plan = ((((), 1, False),), None, (), 1)
-
 
 def _compile(rule: Rule, domain: Domain) -> Plan | None:
     """The rule as a transition from its head's arguments to its body's:
@@ -287,7 +285,9 @@ def _compile(rule: Rule, domain: Domain) -> Plan | None:
     solved by an equality (and substituted away everywhere else), and what is
     left as guards over the head's arguments (flatness keeps the head's and
     the body's arguments apart).  None when an equality solves no body
-    argument, say one only an implicit equality fixes."""
+    argument, say one only an implicit equality fixes, or when the projection
+    or a constant guard shows the rule unsatisfiable (then :func:`step`
+    fails it on the store path)."""
     head = rule.head.args
     body = rule.body[0].args if rule.body else ()
     eqs: list[Row] = []
@@ -296,7 +296,7 @@ def _compile(rule: Rule, domain: Domain) -> Plan | None:
         (eqs if rel == EQ else ineqs).append((coeffs, bound))
     projected = project_constraints(eqs, ineqs, {*head, *body})
     if projected is None:
-        return _NEVER
+        return None
     eqs, ineqs = projected
     solved: dict[int, Row] = {}
     for y in body:
@@ -314,7 +314,7 @@ def _compile(rule: Rule, domain: Domain) -> Plan | None:
         for coeffs, bound in rows:
             if not coeffs:
                 if bound > 0 or eq and bound:
-                    return _NEVER
+                    return None
                 continue
             den = bound.denominator
             guards.append((tuple([(at[v], c * den) for v, c in coeffs.items()]), bound.numerator, eq))
@@ -509,10 +509,9 @@ def check_length_bound(
 
     Each rule is compiled once per call (:func:`_compile`), and each run
     evaluates its rewrites on the ground atom's values; a run that draws a
-    rule whose body arguments no equality determines takes the store path
-    from that rewrite on.  Either way a run takes the rewrites and ends in
-    the outcome of :func:`run_ground` from its start with its seed and
-    budget."""
+    rule without a plan takes the store path from that rewrite on.  Either
+    way a run takes the rewrites and ends in the outcome of
+    :func:`run_ground` from its start with its seed and budget."""
     if not program.is_binary():
         raise AlmtermError("length-bound checking expects a binary program")
     if not verify(program, lm, domain).passed:

@@ -5,7 +5,9 @@ occur anywhere in an analysis.  A rule holds its constraint as primitive
 integer rows (:data:`ConstraintRow`), which the parser writes directly, and
 :func:`render_row` prints a row in the concrete grammar.  Variables are
 interned to dense integer ids; their source names live in a
-:class:`VariablePool` side table used only for reporting.
+:class:`VariablePool` side table used only for reporting.  :class:`Atom` and
+:class:`Rule` store what they are given: flatness is checked where programs
+come in, by the parser and by ``Program(rules, pool)``.
 """
 
 from __future__ import annotations
@@ -134,15 +136,10 @@ def render_row(
 
 @dataclass(frozen=True)
 class Atom:
-    """A user-predicate applied to a tuple of distinct variables."""
+    """A user-predicate applied to a tuple of variables (distinct if flat)."""
 
     pred: str
     args: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(set(self.args)) != len(self.args):
-            raise ModelError(f"repeated variable in atom {self.pred}")
 
     @property
     def arity(self) -> int:
@@ -169,10 +166,6 @@ class Rule:
     rows: tuple[ConstraintRow, ...]
     body: tuple[Atom, ...]
     origin: tuple[str, int] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "body", tuple(self.body))
 
     @property
     def is_fact(self) -> bool:
@@ -205,16 +198,15 @@ class Rule:
         return tuple(dict.fromkeys(order))
 
     def check_flatness(self) -> None:
-        """Raise ModelError unless atom tuples are pairwise disjoint and,
-        unless the rule was split off a multi-atom body (``origin`` set),
-        every constraint variable occurs in some atom."""
+        """Raise ModelError unless each atom's arguments are distinct, atom
+        tuples are pairwise disjoint and, unless the rule was split off a
+        multi-atom body (``origin`` set), each constraint variable is in an atom."""
         seen: set[int] = set()
         for a in self.atoms():
-            hit = seen.intersection(a.args)
-            if hit:
-                raise ModelError(
-                    f"rule {self.rule_id}: variable shared between atom tuples"
-                )
+            if len(set(a.args)) != a.arity:
+                raise ModelError(f"rule {self.rule_id}: repeated variable in atom {a.pred}")
+            if seen.intersection(a.args):
+                raise ModelError(f"rule {self.rule_id}: variable shared between atom tuples")
             seen.update(a.args)
         if self.origin is None and not self.constraint_vars() <= seen:
             raise ModelError(

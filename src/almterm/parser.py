@@ -17,9 +17,10 @@ Grammar (a repo convention; Prolog-flavoured):
 Parentheses and unary minus signs may nest at most :data:`MAX_NESTING`
 deep, and a literal may have at most as many digits as the interpreter
 converts to an int; longer input is a :class:`ParseError`.
-Flatness is enforced: atom arguments are distinct variables, atom tuples
-within a clause are pairwise disjoint, and every constraint variable must
-occur in some atom of its clause.
+Flatness is enforced as the text is read, with spans: atom arguments are
+distinct variables, atom tuples within a clause are pairwise disjoint, and
+every constraint variable must occur in some atom of its clause (the rules
+of :meth:`Rule.check_flatness`), so :meth:`Program.trusted` builds the program.
 
 The text is scanned once, before parsing, by one ``findall`` of a regex
 whose one group is the token: the whitespace and comments in front of it

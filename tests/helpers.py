@@ -14,7 +14,8 @@ PRED_NAMES = ("p", "q", "r")
 # hand-written programs for the two paths of sampled runs: a halving whose
 # values become rational over n, a body argument only an implicit equality
 # fixes (the run switches to the store path midway), unsatisfiable rules
-# beside others (one decided by its guards, one by its projection), and facts
+# beside others (one failed by its plan's guards, one without a plan, failed
+# on the store path), and facts
 SAMPLED_RUN_PROGRAMS = (
     ("p(x) :- x >= 1, 2*y = x, p(y).", ("n",)),
     (

@@ -60,8 +60,9 @@ different directories print the same.  It prints:
   ``n`` on the binarized form of seeded ``random_flat_program_text`` and
   ``random_binary_program_text`` programs that get a witness there, and on
   ``tests/helpers.SAMPLED_RUN_PROGRAMS`` (values that become rational over
-  ``n``, runs that hand over to the store path, unsatisfiable rules and
-  facts) at four seeds each;
+  ``n``, runs that hand over to the store path, unsatisfiable rules with and
+  without a plan, and facts) at four seeds each, every report without a step
+  cap and with a cap of 3;
 - an options section, for option resolution, which every benchmark request
   passes as flags only: ``cli.main`` on the bundled programs with seeded
   flag combinations and config files (each option absent, a flag, a config
@@ -118,6 +119,7 @@ DECIDED_PROGRAMS = 300
 DERIVED_PROGRAMS = 100
 BOUND_PROGRAMS = 100
 BOUND_SAMPLES = 12
+STEP_CAPS = (None, 3)
 OPTION_CALLS = 120
 BAD_CONFIGS = (
     "witnes = true\n",
@@ -316,13 +318,16 @@ def derivations(seed: int) -> None:
 
 def bound_runs(program, tag: str, seeds) -> None:
     """Print the verdict over ``tag`` and, given a witness, every
-    ``BoundRun`` of ``check_length_bound`` at each seed."""
+    ``BoundRun`` of ``check_length_bound`` at each seed and step cap."""
     verdict = decide(program, Domain(tag))
     print(f"  {tag} {verdict.kind}")
     if verdict.witness is not None:
         for seed in seeds:
-            for run in check_length_bound(program, verdict.witness, BOUND_SAMPLES, seed, Domain(tag)).runs:
-                print(f"    {run}")
+            for cap in STEP_CAPS:
+                print(f"    seed={seed} step_cap={cap}")
+                report = check_length_bound(program, verdict.witness, BOUND_SAMPLES, seed, Domain(tag), cap)
+                for run in report.runs:
+                    print(f"      {run}")
 
 
 def options(seed: int) -> None:

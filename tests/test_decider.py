@@ -349,6 +349,30 @@ def test_row_growth_is_linear_in_rule_count():
     assert sizes[20] == per_rule * 20
 
 
+def cube_rule_text(k: int, sum_first: bool = False) -> str:
+    """``p(X1..Xk) :- 0 <= Xi <= 1, 0 <= Yi <= 1, X1+..+Xk >= Y1+..+Yk + 1,
+    p(Y1..Yk).``, the box rows first unless ``sum_first``."""
+    xs = [f"X{i}" for i in range(1, k + 1)]
+    ys = [f"Y{i}" for i in range(1, k + 1)]
+    box = [f"0 <= {v}, {v} <= 1" for v in xs + ys]
+    total = f"{' + '.join(xs)} >= {' + '.join(ys)} + 1"
+    items = [total, *box] if sum_first else [*box, total]
+    return f"p({', '.join(xs)}) :- {', '.join(items)}, p({', '.join(ys)})."
+
+
+def test_cube_family_cone_rows():
+    """The README's complexity note: Fourier-Motzkin keeps a row per point
+    and ray of the rule's polyhedron, so the one projected cone of the cube
+    rule grows exponentially in k, and how many rows it keeps depends on the
+    order of the constraints."""
+    rows = {}
+    for k, sum_first in ((2, False), (3, False), (4, False), (3, True)):
+        alm = assemble(parse_program(cube_rule_text(k, sum_first)), Q)
+        assert len(alm.cones) == 1
+        rows[k, sum_first] = len(alm.cones[0].rows)
+    assert rows == {(2, False): 6, (3, False): 256, (4, False): 4416, (3, True): 188}
+
+
 def test_random_binary_verdicts_have_verified_witnesses():
     rng = random.Random(5)
     accepted = 0

@@ -463,6 +463,21 @@ def test_sampled_runs_evaluate_countdowns(monkeypatch):
     assert steps == [] and len(projections) <= 2 * len(program.rules)
 
 
+def test_unsatisfiable_rules_compile_to_no_plan():
+    """A rule whose projection finds its constraint unsatisfiable gets no
+    plan, like a rule whose body arguments no equality solves: a sampled run
+    that draws it takes the store path, where ``step`` fails it at that
+    rewrite.  One whose projection keeps contradicting guards over the head
+    keeps its plan, and the guards fail it."""
+    from almterm.derivation import _compile
+
+    (never,) = parse_program("p(x) :- 0 = 1, y = x, p(y).").rules
+    (guarded,) = parse_program("p(x) :- x >= 1, x <= 0, y = x, p(y).").rules
+    for tag in ("q", "q+", "n"):
+        assert _compile(never, Domain(tag)) is None
+        assert _compile(guarded, Domain(tag)) is not None
+
+
 small_rows = st.lists(
     st.tuples(
         st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool), max_size=3),

@@ -105,9 +105,17 @@ def test_linear_expr_arithmetic():
 
 
 def test_atom_distinct_args():
-    Atom("p", (0, 1))
-    with pytest.raises(ModelError):
-        Atom("p", (0, 0))
+    """An atom stores what it is given; a repeated argument is a flatness
+    violation of its rule, which ``Rule.check_flatness`` and so
+    ``Program(rules, pool)`` reject, naming the rule and the predicate."""
+    atom = Atom("p", (0, 0))
+    assert atom.args == (0, 0) and atom.arity == 2
+    rule = Rule("r7", atom, (), ())
+    with pytest.raises(ModelError, match="rule r7: repeated variable in atom p"):
+        rule.check_flatness()
+    with pytest.raises(ModelError, match="rule r7: repeated variable in atom p"):
+        Program([rule], VariablePool())
+    Rule("r1", Atom("p", (0, 1)), (), ()).check_flatness()
 
 
 def test_rule_flatness_checks():
@@ -116,23 +124,28 @@ def test_rule_flatness_checks():
     rule = Rule("r1", head, (), (body,))
     rule.check_flatness()
     shared = Rule("r2", head, (), (Atom("q", (0,)),))
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="rule r2: variable shared"):
         shared.check_flatness()
     stray = equal(LinearExpr.of_var(5), LinearExpr.of_const(1))
     loose = Rule("r3", head, (constraint_row(stray),), (body,))
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="rule r3: constraint mentions a variable outside"):
         loose.check_flatness()
-    with pytest.raises(ModelError):
-        Program([loose], VariablePool())
     # a rule split from a multi-atom body keeps the dropped atoms' variables
     split = Rule("r3.1", head, (constraint_row(stray),), (body,), origin=("r3", 1))
     split.check_flatness()
     Program([split], VariablePool())
-    # the parser rejects one predicate at two arities first; a library
-    # Program checks it too
+    # the parser rejects a repeated argument and one predicate at two
+    # arities first; a library Program checks both too
+    repeated = Rule("r5", head, (), (Atom("q", (1, 1)),))
     wide = Rule("r4", Atom("q", (2, 3)), (), ())
-    with pytest.raises(ModelError, match="arities"):
-        Program([rule, wide], VariablePool())
+    for rules, message in (
+        ([repeated], "rule r5: repeated variable in atom q"),
+        ([shared], "rule r2: variable shared between atom tuples"),
+        ([loose], "rule r3: constraint mentions a variable outside its atoms"),
+        ([rule, wide], "predicate q used with arities 1 and 2"),
+    ):
+        with pytest.raises(ModelError, match=message):
+            Program(rules, VariablePool())
 
 
 def test_domain_rows_append_sorted_nonnegativity_rows():

@@ -12,6 +12,7 @@ from almterm import (
     FlatnessError,
     ParseError,
     Program,
+    binarize,
     parse_program,
     pretty_print,
 )
@@ -271,13 +272,19 @@ def test_parser_builds_its_program_without_rechecking_it(monkeypatch):
 
 
 def test_parsed_programs_satisfy_model_invariants():
-    rng = random.Random(7)
-    for _ in range(40):
-        program = parse_program(random_flat_program_text(rng))
-        for rule in program.rules:
-            rule.check_flatness()
-            for atom in rule.atoms():
-                assert program.arities[atom.pred] == atom.arity
+    """``Program(rules, pool)``, which checks every rule's flatness and the
+    arities, accepts every program the parser and ``binarize`` build
+    unchecked, and derives the parser's arity table in the same order."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.clp"))]
+    for seed in range(200):
+        rng = random.Random(seed)
+        texts += [random_flat_program_text(rng), random_binary_program_text(rng)]
+    for text in texts:
+        parsed = parse_program(text)
+        for program in (parsed, binarize(parsed)):
+            checked = Program(program.rules, program.pool)
+            assert checked == program
+            assert list(checked.arities.items()) == list(program.arities.items())
 
 
 def test_constraints_become_primitive_integer_rows():
