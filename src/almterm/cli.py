@@ -4,6 +4,11 @@ Exit codes: 0 when every input is certified (alm-recurrent / sound-yes),
 1 when any input is not certified (not-alm-recurrent / unknown), 2 on input
 errors (missing file, parse error, bad flag combination).  With ``--json``
 one JSON object is printed per input file, each on its own line.
+
+A file that cannot be read is reported as such; every other error of one
+input (a parse error, an input the analysis rejects, a failed ``internal:``
+self-check) is an ``AlmtermError`` that ends in one handler, which keeps the
+report filled so far and exits 2.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from . import __version__
 from .decider import SKIP_FACT, SKIP_UNSAT, decide
 from .derivation import check_length_bound
 from .model import DOMAINS, GEQ, AlmtermError, Domain, LevelMapping, Program, render_row
-from .parser import ParseError, parse_program
+from .parser import parse_program
 from .verifier import VerifyReport, verify
 
 SCHEMA_VERSION = 1
@@ -124,22 +129,18 @@ def analyze_file(path: str, opts: argparse.Namespace) -> tuple[dict, int]:
         return report, EXIT_INPUT_ERROR
     try:
         program = parse_program(text, file=path)
-    except ParseError as exc:
+        with _exact_digits():
+            return _analyze(program, opts, report)
+    except AlmtermError as exc:
+        # a parse error, a rejected input or a failed ``internal:`` self-check
         report["error"] = str(exc)
         return report, EXIT_INPUT_ERROR
-    with _exact_digits():
-        try:
-            return _analyze(program, opts, report)
-        except AlmtermError as exc:
-            # an input the analysis rejects, or a failed self-check
-            # (``internal: ...``) wherever it happened
-            report["error"] = str(exc)
-            return report, EXIT_INPUT_ERROR
 
 
 def _analyze(program: Program, opts: argparse.Namespace, report: dict) -> tuple[dict, int]:
     """Fill in ``report`` for a parsed program: verdict, witness, projection,
-    verifier checks and samples, as ``opts`` asks."""
+    verifier checks and samples, as ``opts`` asks.  Raises ``AlmtermError``
+    where the analysis stops, leaving ``report`` as filled so far."""
     verdict = decide(program, opts.domain)
     report["verdict"] = verdict.kind
     if opts.domain.integral:
@@ -167,8 +168,7 @@ def _analyze(program: Program, opts: argparse.Namespace, report: dict) -> tuple[
         report["epsilon"] = str(vreport.epsilon)
         if not vreport.passed:
             # cannot happen unless the decider and verifier disagree
-            report["error"] = "internal: extracted mapping failed verification"
-            return report, EXIT_INPUT_ERROR
+            raise AlmtermError("internal: extracted mapping failed verification")
     skipped = dict(verdict.alm.skipped)
     report["rules"] = _rules_json(verdict.binary, skipped, vreport)
 
@@ -176,11 +176,9 @@ def _analyze(program: Program, opts: argparse.Namespace, report: dict) -> tuple[
 
     if opts.sample is not None:
         if verdict.witness is None:
-            report["error"] = (
-                "--sample needs a certified witness, but the verdict is "
-                f"'{verdict.kind}'"
+            raise AlmtermError(
+                f"--sample needs a certified witness, but the verdict is '{verdict.kind}'"
             )
-            return report, EXIT_INPUT_ERROR
         bound = check_length_bound(
             verdict.binary,
             verdict.witness,
@@ -197,8 +195,7 @@ def _analyze(program: Program, opts: argparse.Namespace, report: dict) -> tuple[
             "counting": bound.counting,
         }
         if not bound.passed:
-            report["error"] = "internal: derivation exceeded its length bound"
-            return report, EXIT_INPUT_ERROR
+            raise AlmtermError("internal: derivation exceeded its length bound")
 
     return report, code
 

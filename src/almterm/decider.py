@@ -53,7 +53,8 @@ boxed ones, against 3 per child), so each child is projected on its own.
 
 The explicit multiplier systems are never built; the test suite keeps them,
 over a pinned ``one`` column, as the specification the cones are checked
-against.
+against.  ``AlmSystem.num_rows`` counts the projected cone rows the decider
+does build, once per analysed rule.
 
 The verifier module re-checks any extracted mapping through plain primal
 minimisation, giving an independent second encoding of the same implications.
@@ -148,7 +149,8 @@ class RuleCone:
 @dataclass(frozen=True)
 class AlmSystem:
     """Conjunction of all per-rule multiplier systems of a binary program,
-    held as one projected dual cone per analysed rule.
+    held as one projected dual cone per analysed rule; ``num_rows`` counts
+    the rows of those cones.
 
     The coefficient variables (one block per predicate, arity + 1 entries
     starting with the constant) are shared across rules; multipliers are
@@ -163,16 +165,9 @@ class AlmSystem:
 
     @property
     def num_rows(self) -> int:
-        """Rows of the test suite's explicit multiplier systems, two per
-        analysed rule, counted without building them.  Their primal pins a
-        ``one`` column to 1 and writes the pin and every equality as two
-        ``>=`` rows, so each system has a balance row per rule variable and
-        for ``one``, the bound row, and a nonnegativity row per primal row:
-        the cone's multipliers (one per row of ``Rule.domain_rows``), one more
-        per equality, and two for the pin."""
-        equalities = sum(rel == EQ for cone in self.cones for _, _, rel in cone.rule.rows)
-        rows = sum(len(c.rule.variables) + len(c.rule.domain_rows(self.domain)) + 4 for c in self.cones)
-        return 2 * (rows + equalities)
+        """The projected cone rows :func:`coefficient_rows` instantiates: a
+        cone shared by the children of a split rule counts once per child."""
+        return sum(len(cone.rows) for cone in self.cones)
 
     def coeff_variables(self) -> tuple[int, ...]:
         return tuple(v for ids in self.coeff_ids.values() for v in ids)

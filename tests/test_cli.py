@@ -11,6 +11,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import almterm.cli
 import almterm.derivation
 from almterm import AlmtermError, LinearSystem
 from almterm.cli import (
@@ -20,6 +21,8 @@ from almterm.cli import (
     SCHEMA_VERSION,
     main,
 )
+from almterm.derivation import SUCCESS, BoundReport, BoundRun
+from almterm.verifier import FAIL, RuleCheck, VerifyReport
 from helpers import PROGRAMS
 
 
@@ -468,3 +471,58 @@ def test_internal_error_while_sampling_ends_in_a_report(capsys, monkeypatch):
     assert code == EXIT_INPUT_ERROR
     assert report["verdict"] == "alm-recurrent"
     assert report["error"].startswith("internal:")
+
+
+def test_rejected_witness_ends_in_a_report(capsys, monkeypatch):
+    """A witness the verifier rejects ends in one report and exit 2, with
+    the verdict, witness and epsilon already filled and no rule table."""
+    failed = VerifyReport(Fraction(1), (RuleCheck("r3", 0, FAIL, note="forced"),))
+    monkeypatch.setattr(almterm.cli, "verify", lambda binary, witness, domain: failed)
+    path = str(PROGRAMS / "example72.clp")
+    code, (report,) = run_json(capsys, "check", path, "--witness")
+    assert code == EXIT_INPUT_ERROR
+    assert report["error"] == "internal: extracted mapping failed verification"
+    assert report["verdict"] == "alm-recurrent"
+    assert report["witness"] == {"p": ["73", "-1"]}
+    assert report["epsilon"] == "1"
+    assert report["rules"] is None and report["sampling"] is None
+    code, out = run(capsys, "check", path, "--witness")
+    assert code == EXIT_INPUT_ERROR
+    assert out == (
+        f"{path} [q]: alm-recurrent\n"
+        "  error: internal: extracted mapping failed verification\n"
+        "  witness lm(p) = (73, -1)\n"
+        "  measure |p(a1)| = 73 - 1*a1\n"
+    )
+
+
+def test_sampled_run_over_its_bound_ends_in_a_report(capsys, monkeypatch):
+    """A sampled derivation longer than its bound ends in one report and
+    exit 2, with the rule table and the sampling summary filled."""
+    over = BoundReport((BoundRun("p", (Fraction(3),), Fraction(3), 4, 5, SUCCESS),))
+    monkeypatch.setattr(almterm.cli, "check_length_bound", lambda *args, **kwargs: over)
+    path = str(PROGRAMS / "example72.clp")
+    code, (report,) = run_json(capsys, "check", path, "--sample", "2")
+    assert code == EXIT_INPUT_ERROR
+    assert report["error"] == "internal: derivation exceeded its length bound"
+    assert report["verdict"] == "alm-recurrent"
+    assert [entry["status"] for entry in report["rules"]] == ["fact", "unsat", "analyzed"]
+    assert report["sampling"] == {
+        "samples": 1,
+        "violations": 1,
+        "truncated": 0,
+        "max_steps_observed": 5,
+        "counting": BoundReport.counting,
+    }
+    code, out = run(capsys, "check", path, "--sample", "2")
+    assert code == EXIT_INPUT_ERROR
+    assert out == (
+        f"{path} [q]: alm-recurrent\n"
+        "  error: internal: derivation exceeded its length bound\n"
+        "  rules:\n"
+        "    r1: fact, no condition\n"
+        "    r2: constraint unsatisfiable, ignored\n"
+        "    r3: pass (decrease min 1, body min 0)\n"
+        "  sampling: 1 runs, max 5 steps, 1 bound violations, 0 truncated\n"
+        f"  step counting: {BoundReport.counting}\n"
+    )

@@ -370,7 +370,17 @@ def test_cube_family_cone_rows():
         alm = assemble(parse_program(cube_rule_text(k, sum_first)), Q)
         assert len(alm.cones) == 1
         rows[k, sum_first] = len(alm.cones[0].rows)
+        assert alm.num_rows == rows[k, sum_first]
     assert rows == {(2, False): 6, (3, False): 256, (4, False): 4416, (3, True): 188}
+
+
+def test_num_rows_counts_a_shared_cone_once_per_child():
+    """The two children of ``multibody.clp``'s split rule share one
+    projected cone of 2 rows, which ``num_rows`` counts for each of them."""
+    alm = assemble(binarize(parse_program(load("multibody.clp"))), Q)
+    first, second = alm.cones
+    assert first.rows is second.rows and len(first.rows) == 2
+    assert alm.num_rows == 4
 
 
 def test_random_binary_verdicts_have_verified_witnesses():

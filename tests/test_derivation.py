@@ -278,7 +278,7 @@ def test_derivations_require_a_binary_program():
     assert run_ground(binarize(program), "f", [3]).terminated
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([Q, QPLUS, N]))
 def test_run_ground_agrees_with_lp_oracle(seed, domain):
     """``run_ground`` and the LP-per-rewrite oracle agree state by state on
@@ -488,7 +488,7 @@ small_rows = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(small_rows)
 def test_store_satisfiable_agrees_with_lp(rows):
     """Deciding a store by eliminating every variable agrees with one exact
@@ -502,7 +502,7 @@ def test_store_satisfiable_agrees_with_lp(rows):
 pins = st.dictionaries(st.integers(0, 3), st.tuples(st.integers(-3, 3).filter(bool), st.integers(-4, 4)), max_size=4)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(pins, small_rows)
 # rows left over unpinned variables that contradict each other, with and
 # without a pin feeding them, and one pin that rows cannot meet
