@@ -555,10 +555,10 @@ def _primitive(coeffs: dict[int, int], bound) -> Row:
     return {v: c // g for v, c in coeffs.items()}, Fraction(bound, g) if r else q
 
 
-def _prune(rows: list[Row]) -> list[Row] | None:
+def _prune(rows: Iterable[Row]) -> dict[frozenset, Row] | None:
     """Primitive form, trivial rows dropped, and one row per coefficient
-    direction: the strongest, in the place of the first.  None on a row
-    ``0 >= positive``."""
+    direction: the strongest, in the place of the first, keyed by its
+    coefficients' items.  None on a row ``0 >= positive``."""
     best: dict[frozenset, Row] = {}
     for coeffs, bound in rows:
         if not coeffs:
@@ -570,7 +570,7 @@ def _prune(rows: list[Row]) -> list[Row] | None:
         old = best.get(key)
         if old is None or old[1] < bound:
             best[key] = (coeffs, bound)
-    return list(best.values())
+    return best
 
 
 def _substitute(row: Row, var: int, eq: Row) -> Row:
@@ -598,51 +598,13 @@ def _substitute(row: Row, var: int, eq: Row) -> Row:
     return merged, bound * a - ebound * f
 
 
-def _cheapest(rows: list[Row], candidates: set[int]) -> int:
-    """Next variable to eliminate: fewest combined rows (positive times
-    negative occurrences), ties to the smallest id."""
-    pos = dict.fromkeys(candidates, 0)
-    neg = dict.fromkeys(candidates, 0)
-    for coeffs, _ in rows:
-        for v, c in coeffs.items():
-            if v in pos:
-                if c > 0:
-                    pos[v] += 1
-                else:
-                    neg[v] += 1
-    return min(sorted(candidates), key=lambda v: pos[v] * neg[v])
-
-
-def _eliminate(rows: list[Row], var: int) -> list[Row]:
-    """One Fourier-Motzkin step: rows without ``var``, then every positive
-    combination of a row with ``var > 0`` and one with ``var < 0`` that
-    cancels it."""
-    pos: list[Row] = []
-    neg: list[Row] = []
-    out: list[Row] = []
-    for row in rows:
-        c = row[0].get(var)
-        if not c:
-            out.append(row)
-        elif c > 0:
-            pos.append(row)
-        else:
-            neg.append(row)
-    for pc, pb in pos:
-        pa = pc[var]
-        for nc, nb in neg:
-            g = gcd(pa, nc[var])
-            a, b = pa // g, -nc[var] // g
-            merged = {v: c * b for v, c in pc.items() if v != var}
-            for v, c in nc.items():
-                if v != var:
-                    s = merged.get(v, 0) + c * a
-                    if s:
-                        merged[v] = s
-                    else:
-                        del merged[v]
-            out.append((merged, pb * b + nb * a))
-    return out
+def _count(coeffs: dict[int, int], counts: dict[int, list[int]]) -> None:
+    """Add a row's positive and negative occurrences of the variables that
+    ``counts`` counts."""
+    for v, c in coeffs.items():
+        n = counts.get(v)
+        if n is not None:
+            n[c < 0] += 1
 
 
 def project_constraints(
@@ -653,9 +615,13 @@ def project_constraints(
 
     Each equality that mentions a variable outside ``keep`` is used to
     substitute its first such variable away, which costs no row growth;
-    Fourier-Motzkin then eliminates what is left, cheapest variable first,
-    with duplicate and dominated rows pruned after every step.  Every step is
-    integer cross-multiplication and a gcd.  Returns the remaining equalities
+    Fourier-Motzkin then eliminates what is left, cheapest variable first
+    (fewest positive times negative occurrences, ties to the smallest id),
+    with duplicate and dominated rows pruned after every step.  A step is one
+    pass over the rows: those without the variable keep their prune keys and
+    are counted for the next choice, and only the new combinations are made
+    primitive, keyed and counted.  Every step is integer cross-multiplication
+    and a gcd.  Returns the remaining equalities
     (all over ``keep``) and the pruned inequalities, or None when the input
     is (exactly) unsatisfiable.
     """
@@ -681,18 +647,65 @@ def project_constraints(
         if not coeffs and bound:
             return None
 
-    rows = _prune(ineqs)
-    if rows is None:
+    best = _prune(ineqs)
+    if best is None:
         return None
-    drop = {v for coeffs, _ in rows for v in coeffs} - keep
-    while drop:
-        var = _cheapest(rows, drop)
-        drop.discard(var)
-        rows = _prune(_eliminate(rows, var))
-        if rows is None:
-            return None
-        drop &= {v for coeffs, _ in rows for v in coeffs}
-    return [_primitive(*eq) for eq in eqs if eq[0]], rows
+    # per variable left to eliminate, its positive and negative occurrences
+    counts: dict[int, list[int]] = {}
+    for coeffs, _ in best.values():
+        for v, c in coeffs.items():
+            if v not in keep:
+                counts.setdefault(v, [0, 0])[c < 0] += 1
+    while counts:
+        # fewest combined rows, ties to the smallest id
+        var = min(counts, key=lambda v: (counts[v][0] * counts[v][1], v))
+        del counts[var]
+        # one pass: rows without ``var`` keep their keys and are counted for
+        # the next step; the others are split by the sign of ``var``
+        left = {v: [0, 0] for v in counts}
+        kept: dict[frozenset, Row] = {}
+        pos: list[Row] = []
+        neg: list[Row] = []
+        for key, row in best.items():
+            c = row[0].get(var)
+            if not c:
+                kept[key] = row
+                _count(row[0], left)
+            elif c > 0:
+                pos.append(row)
+            else:
+                neg.append(row)
+        # every positive combination of a row with ``var > 0`` and one with
+        # ``var < 0`` that cancels it, primitive, pruned into ``kept``
+        for pc, pb in pos:
+            pa = pc[var]
+            for nc, nb in neg:
+                g = gcd(pa, nc[var])
+                a, b = pa // g, -nc[var] // g
+                merged = {v: c * b for v, c in pc.items() if v != var}
+                for v, c in nc.items():
+                    if v != var:
+                        s = merged.get(v, 0) + c * a
+                        if s:
+                            merged[v] = s
+                        else:
+                            del merged[v]
+                bound = pb * b + nb * a
+                if not merged:
+                    if bound > 0:
+                        return None
+                    continue
+                merged, bound = _primitive(merged, bound)
+                key = frozenset(merged.items())
+                old = kept.get(key)
+                if old is None:
+                    kept[key] = (merged, bound)
+                    _count(merged, left)
+                elif old[1] < bound:
+                    kept[key] = (merged, bound)
+        best = kept
+        counts = {v: n for v, n in left.items() if n[0] or n[1]}
+    return [_primitive(*eq) for eq in eqs if eq[0]], list(best.values())
 
 
 def deduplicate(sys: LinearSystem) -> LinearSystem:

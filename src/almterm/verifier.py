@@ -142,11 +142,12 @@ def _presolve(rule: Rule, domain: Domain) -> _Reduced | None:
         eqs[k + 1 :] = [_substitute(row, var, eq) if var in row[0] else row for row in eqs[k + 1 :]]
         ineqs = [_substitute(row, var, eq) if var in row[0] else row for row in ineqs]
         steps.append((var, eq))
-    rows = _prune(ineqs)
-    if rows is None:
+    pruned = _prune(ineqs)
+    if pruned is None:
         return None
+    rows = tuple(pruned.values())
     variables = tuple(dict.fromkeys([v for coeffs, _ in rows for v in coeffs]))
-    return LinearSystem(variables, tuple(rows)), steps
+    return LinearSystem(variables, rows), steps
 
 
 class _Levels:
