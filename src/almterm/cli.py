@@ -186,6 +186,7 @@ def _analyze(program: Program, opts: argparse.Namespace, report: dict) -> tuple[
             seed=opts.seed,
             domain=opts.domain,
             step_cap=opts.max_steps,
+            verified=vreport,
         )
         report["sampling"] = {
             "samples": len(bound.runs),

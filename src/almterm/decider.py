@@ -197,9 +197,14 @@ class Verdict:
     def projection(self) -> LinearSystem | None:
         """The irredundant coefficient system of an affirmative verdict (None
         otherwise).  The first read runs :func:`drop_redundant`, which decides
-        each row of ``coefficients`` by a certificate or an entailment test;
-        later reads return the same system."""
-        return drop_redundant(self.coefficients) if self.affirmative else None
+        each row of ``coefficients`` by a certificate or an entailment test,
+        at the point :func:`decide` solved for (the witness, read back onto
+        the coefficient variables); later reads return the same system."""
+        if not self.affirmative:
+            return None
+        coeffs = self.witness.coeffs
+        point = {v: c for pred, ids in self.alm.coeff_ids.items() for v, c in zip(ids, coeffs[pred])}
+        return drop_redundant(self.coefficients, point)
 
 
 def coeff_table(program: Program, pool: VariablePool) -> dict[str, tuple[int, ...]]:

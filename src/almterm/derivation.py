@@ -81,7 +81,7 @@ from .model import (
     VariablePool,
     rat,
 )
-from .verifier import verify
+from .verifier import VerifyReport, verify
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -500,12 +500,14 @@ def check_length_bound(
     seed: int = 0,
     domain: Domain = Q,
     step_cap: int | None = None,
+    verified: VerifyReport | None = None,
 ) -> BoundReport:
     """Run ``samples`` seeded derivations from sampled ground atoms and check
     each against the measure-derived budget.  Requires a binary program and a
-    mapping that the verifier accepts (checked up front).  ``step_cap``
-    truncates individual runs early; truncated runs are reported as such, not
-    as violations.
+    mapping that the verifier accepts: checked up front, unless ``verified``
+    is a passed report of ``verify(program, lm, domain)`` already made.
+    ``step_cap`` truncates individual runs early; truncated runs are reported
+    as such, not as violations.
 
     Each rule is compiled once per call (:func:`_compile`), and each run
     evaluates its rewrites on the ground atom's values; a run that draws a
@@ -514,7 +516,9 @@ def check_length_bound(
     :func:`run_ground` from its start with its seed and budget."""
     if not program.is_binary():
         raise AlmtermError("length-bound checking expects a binary program")
-    if not verify(program, lm, domain).passed:
+    if verified is None:
+        verified = verify(program, lm, domain)
+    if not verified.passed:
         raise AlmtermError("level mapping does not certify this program")
     rng = random.Random(seed)
     starts = sample_starts(program, domain, rng)

@@ -714,21 +714,27 @@ def deduplicate(sys: LinearSystem) -> LinearSystem:
     return fm_project(sys, sys.variables)
 
 
-def drop_redundant(sys: LinearSystem) -> LinearSystem:
+def drop_redundant(sys: LinearSystem, point: Mapping[int, Fraction] | None = None) -> LinearSystem:
     """Greedy exact redundancy elimination: in row order, a row is removed
     when the remaining rows entail it.
 
     A test needs no pivot when an exact certificate is at hand at the point
-    ``x0`` of :func:`feasible_point`, which stays in the polyhedron because
-    only entailed rows are removed: :func:`_bound_drops` shows the row
-    entailed, :func:`_ray_keeps` shows it is not.  Otherwise, and for an
-    infeasible system, the test is :func:`entails`' phase one over the
-    columns of the remaining rows, each built once per call.
+    ``x0``, which stays in the polyhedron because only entailed rows are
+    removed: :func:`_bound_drops` shows the row entailed, :func:`_ray_keeps`
+    shows it is not.  ``x0`` is ``point``, a point of ``sys`` over all its
+    variables (ValueError unless it satisfies ``sys``), or when none is given
+    :func:`feasible_point`'s; every certificate is exact, so the rows kept do
+    not depend on which point it is.  Otherwise, and for an infeasible system,
+    the test is :func:`entails`' phase one over the columns of the remaining
+    rows, each built once per call.
     """
     index = {v: k for k, v in enumerate(sys.variables)}
     cols = _alternative(sys, index)
     d = [0] * (len(index) + 1) + [1]
-    point = feasible_point(sys)
+    if point is None:
+        point = feasible_point(sys)
+    elif not sys.satisfied_by(point):
+        raise ValueError("the given point does not satisfy the system")
     if point is not None:
         rows = _rows_at(cols, len(index), [point[v] for v in sys.variables])
     live = list(range(sys.num_rows))

@@ -234,6 +234,29 @@ def test_sampling_summary(capsys):
     assert "rewrite applications" in sampling["counting"]
 
 
+def test_sampling_verifies_the_witness_once(capsys, monkeypatch):
+    """``check --sample`` hands its passed verifier report to the sampler,
+    which then does not verify the same witness again; with ``--no-verify``
+    the sampler makes its own up-front check."""
+    calls = []
+    real = almterm.cli.verify
+
+    def counted(program, lm, domain):
+        calls.append(domain)
+        return real(program, lm, domain)
+
+    monkeypatch.setattr(almterm.cli, "verify", counted)
+    monkeypatch.setattr(almterm.derivation, "verify", counted)
+    path = str(PROGRAMS / "example72.clp")
+    code, (report,) = run_json(capsys, "check", path, "--sample", "3")
+    assert code == EXIT_CERTIFIED and report["sampling"]["samples"] == 3
+    assert len(calls) == 1
+    calls.clear()
+    code, (report,) = run_json(capsys, "check", path, "--sample", "3", "--no-verify")
+    assert code == EXIT_CERTIFIED and report["sampling"]["samples"] == 3
+    assert len(calls) == 1
+
+
 def test_sample_without_witness_is_input_error(capsys):
     code, (report,) = run_json(
         capsys, "check", str(PROGRAMS / "diverge.clp"), "--sample", "5"

@@ -235,9 +235,9 @@ def test_projection_is_computed_on_first_read_only(monkeypatch):
     calls = []
     real = decider.drop_redundant
 
-    def counted(sys):
+    def counted(sys, point=None):
         calls.append(sys)
-        return real(sys)
+        return real(sys, point)
 
     monkeypatch.setattr(decider, "drop_redundant", counted)
     program, _, _ = golden_context()
@@ -249,6 +249,24 @@ def test_projection_is_computed_on_first_read_only(monkeypatch):
     negative = decide(parse_program(load("diverge.clp")), Q)
     assert negative.kind == NOT_ALM_RECURRENT and negative.coefficients.num_rows > 0
     assert negative.projection is None and len(calls) == 1
+
+
+def test_projection_reuses_the_solved_point(monkeypatch):
+    """``projection`` runs :func:`drop_redundant` at the point ``decide``
+    solved for, read back from the witness, so it makes no
+    :func:`feasible_point` call, and it keeps the rows that a fresh point
+    keeps."""
+    verdicts = [
+        decide(parse_program(load(name)), domain)
+        for name in ("example4.clp", "example72.clp", "multibody.clp")
+        for domain in (Q, QPLUS, N)
+    ]
+    assert all(v.affirmative for v in verdicts)
+    expected = [drop_redundant(v.coefficients) for v in verdicts]
+    calls = []
+    monkeypatch.setattr(lp, "feasible_point", lambda sys: calls.append(sys))
+    assert [v.projection for v in verdicts] == expected
+    assert calls == []
 
 
 def test_empty_and_bare_fact_programs():

@@ -548,6 +548,25 @@ def test_drop_redundant_agrees_with_greedy_oracle(sys):
 
 
 @settings(max_examples=200, deadline=None)
+@given(project_shaped(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_drop_redundant_keeps_the_same_rows_at_any_given_point(sys, weights):
+    """At a given point of the system, here where a drawn objective is least
+    (or a point of an unbounded one), ``drop_redundant`` keeps the greedy
+    loop's rows, as it does at :func:`feasible_point`'s point."""
+    (out,) = minimize(sys, dict(zip(sys.variables, weights)))
+    if out.status == INFEASIBLE:
+        return
+    point = {v: out.point.get(v, Fraction(0)) for v in sys.variables}
+    assert drop_redundant(sys, point) == entailment_oracle.drop_redundant(sys)
+
+
+def test_drop_redundant_rejects_a_point_outside_the_system():
+    sys = normalize([geq(var(X), 3), geq(var(X) + var(Y), 0)])
+    with pytest.raises(ValueError, match="does not satisfy"):
+        drop_redundant(sys, {X: Fraction(2), Y: Fraction(0)})
+
+
+@settings(max_examples=200, deadline=None)
 @given(project_shaped(), st.data())
 def test_each_certificate_is_sound_on_its_own(sys, data):
     """Every row the ray test keeps is not entailed by the other rows it is
