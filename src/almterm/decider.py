@@ -19,8 +19,10 @@ solve linear in the number of rules.
 
 Both systems of a rule are instances of its dual cone
 ``K = {(z, s) : some y has A^T y = z and b.y >= s}``, with one multiplier
-``y_i`` per row of ``c`` over the domain (``Rule.domain_rows``, the domain's
-``x >= 0`` rows included): ``y_i >= 0`` for a ``>=`` row and ``y_i`` free for
+``y_i`` per row of ``c`` over the domain (``Rule.domain_rows``: on ``q+``,
+``r+`` and ``n`` the ``x >= 0`` rows the rule's rows leave open are included,
+and a floor those rows imply takes no multiplier, since the polyhedron, and
+so ``K``, is the same): ``y_i >= 0`` for a ``>=`` row and ``y_i`` free for
 an equality.  By the affine Farkas lemma ``c -> e.x >= t`` holds iff
 ``(e, t)`` lies in ``K`` (the generator view of the encoding: Bagnara,
 Mesnard, Pescetti and Zaffanella, Inf. Comput. 2012).  So ``K`` is built
@@ -248,7 +250,7 @@ def rule_cones(
     layouts read (head arguments, then each rule's body arguments in turn:
     ``n`` of them, none for a fact), ``s`` (id ``n``) and one multiplier
     ``y_i`` (id ``n + 1 + i``) per row of ``domain_rows(domain)``: the
-    rule's rows in order, then the domain's ``x >= 0`` rows.
+    rule's rows in order, then the ``x >= 0`` rows they leave open.
     Its rows are a balance equality per rule variable, ``A_v^T y - z_v = 0``
     for a read argument and ``A_v^T y = 0`` for any other (the layouts would
     put ``z_v = 0`` there, and fixing it before the projection gives the same

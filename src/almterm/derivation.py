@@ -8,8 +8,8 @@ order, under the rule's variable names primed.  It then binds the renamed
 head to the atom (each head argument becomes the atom's argument: head
 arguments are distinct, so this is the polyhedron that equating them would
 give) and conjoins the rule's rows over the domain (``Rule.domain_rows``,
-with an ``x >= 0`` row per rule variable on ``q+``, ``r+`` and ``n``, so
-every store states the domain of every goal variable).  The grown store is
+with the ``x >= 0`` rows the rule's rows leave open on ``q+``, ``r+`` and
+``n``, so every store implies the domain of every goal variable).  The grown store is
 existentially projected onto the variables of the rule's body atom, and the
 projection is decided by eliminating its variables as well, since full
 Fourier-Motzkin elimination is a decision procedure over the rationals.  If
@@ -158,8 +158,8 @@ def compact_store(goal: tuple[Atom, ...], rows: tuple[list[Row], list[Row]]) -> 
     """The state of ``goal`` with the store ``rows`` projected onto the
     goal's variables and the projection decided (:func:`store_satisfiable`):
     the failure state if either finds a contradiction.  A nonnegative
-    domain's ``x >= 0`` rows are among ``rows`` already (:func:`step`
-    conjoins ``Rule.domain_rows``)."""
+    domain's ``x >= 0`` rows are among ``rows`` already or implied by them
+    (:func:`step` conjoins ``Rule.domain_rows``)."""
     eqs, ineqs = rows
     live = set(goal[0].args) if goal else set()
     projected = project_constraints(eqs, ineqs, live)

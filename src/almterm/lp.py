@@ -53,8 +53,8 @@ substitution and its pruning.
 
 :func:`integer_system` builds a system from the rows a rule holds
 (:data:`almterm.model.ConstraintRow`), over a domain from
-:meth:`almterm.model.Rule.domain_rows` with its ``x >= 0`` rows, and
-objectives are coefficient dicts, so nothing is converted here.
+:meth:`almterm.model.Rule.domain_rows` with the ``x >= 0`` rows it writes,
+and objectives are coefficient dicts, so nothing is converted here.
 """
 
 from __future__ import annotations

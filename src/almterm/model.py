@@ -179,11 +179,58 @@ class Rule:
 
     def domain_rows(self, domain: Domain) -> tuple[ConstraintRow, ...]:
         """The constraint over ``domain``: ``rows`` on ``q`` and ``r``; on
-        ``q+``, ``r+`` and ``n`` also one ``x >= 0`` row per rule variable
-        after them, in variable id order."""
+        ``q+``, ``r+`` and ``n`` also, after them, the ``x >= 0`` rows that
+        ``rows`` leave open (:attr:`open_floors`).  Either way the rows have
+        exactly the points of the rule's constraint over the domain."""
         if not domain.nonneg:
             return self.rows
-        return self.rows + tuple([({v: 1}, 0, GEQ) for v in sorted(self.variables)])
+        return self.rows + self.open_floors
+
+    @cached_property
+    def open_floors(self) -> tuple[ConstraintRow, ...]:
+        """One ``x >= 0`` row per rule variable whose floor ``rows`` do not
+        imply, in variable id order (computed once per rule): LP presolve's
+        bound propagation (Andersen and Andersen, Math. Programming 1995),
+        one pass over ``rows`` and never through a row it leaves out.
+
+        A one-variable row ``k*x >= b`` bounds ``x`` by ``b/k``, from below
+        if ``k > 0`` and from above if not, and ``k*x = b`` on both sides;
+        ``x``'s floor is implied when a lower bound is at least 0.  So is
+        that of ``x`` in an equality ``k*x + sum(c*u) = b`` (with ``k > 0``,
+        after negating it if need be) whose other terms are each bounded
+        from above by those bounds, with ``sum(max(c*u)) <= b``.  Bounds are
+        ints where the division is exact."""
+        lower: dict[int, int | Fraction] = {}
+        upper: dict[int, int | Fraction] = {}
+        for coeffs, bound, rel in self.rows:
+            if len(coeffs) == 1:
+                ((v, k),) = coeffs.items()
+                q, r = divmod(bound, k)
+                t = Fraction(bound, k) if r else q
+                if k > 0 or rel == EQ:
+                    lower[v] = max(lower.get(v, t), t)
+                if k < 0 or rel == EQ:
+                    upper[v] = min(upper.get(v, t), t)
+        floored = {v for v, t in lower.items() if t >= 0}
+        for coeffs, bound, rel in self.rows:
+            if rel != EQ or len(coeffs) < 2:
+                continue
+            for v, k in coeffs.items():
+                if v in floored:
+                    continue
+                sign = 1 if k > 0 else -1
+                most = 0
+                for u, c in coeffs.items():
+                    if u != v:
+                        c *= sign
+                        t = (upper if c > 0 else lower).get(u)
+                        if t is None:
+                            break
+                        most += c * t
+                else:
+                    if most <= sign * bound:
+                        floored.add(v)
+        return tuple([({v: 1}, 0, GEQ) for v in sorted(self.variables) if v not in floored])
 
     @cached_property
     def variables(self) -> tuple[int, ...]:

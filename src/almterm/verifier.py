@@ -8,8 +8,8 @@ Given a concrete level mapping, each rule must satisfy, for every body atom,
 with the measures instantiated to plain rationals.
 
 Each rule (facts too) is presolved once, for all its body atoms, over its
-rows on the domain (``Rule.domain_rows``, the domain's nonnegativity rows
-included): every equality is substituted away (the row arithmetic of the
+rows on the domain (``Rule.domain_rows``, with the nonnegativity rows the
+rule's rows leave open): every equality is substituted away (the row arithmetic of the
 projection's equality step) from the other equalities and the inequalities,
 and from both objectives of every pair, and the inequalities left are pruned
 as the projection prunes them (primitive form, one row per direction).

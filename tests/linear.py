@@ -151,9 +151,10 @@ def row_constraint(coeffs: Mapping[int, int], bound: int | Fraction, rel: str) -
 
 
 def nonneg_rows(variables: Iterable[int]) -> tuple[ConstraintRow, ...]:
-    """One ``x >= 0`` row per variable, in variable id order: the rows a
-    domain with implicit nonnegativity adds, written here independently of
-    :meth:`almterm.model.Rule.domain_rows`."""
+    """One ``x >= 0`` row per variable, in variable id order: every floor of
+    a domain with implicit nonnegativity, written here independently of
+    :meth:`almterm.model.Rule.domain_rows`, which leaves out the floors a
+    rule's own rows imply."""
     return tuple([({v: 1}, 0, GEQ) for v in sorted(variables)])
 
 

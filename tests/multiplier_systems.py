@@ -6,7 +6,9 @@ For a binary rule ``p(xs) :- c, q(ys)`` with satisfiable constraint ``c``
 systems (the decrease, ``t = 1``, and the body-level one, ``t = 0``) over
 fresh multipliers, exactly as written, from the rule's constraint with a
 ``one`` column pinned to 1 and every equality written as two ``>=`` rows
-(:func:`_encode`).  ``almterm.decider`` never builds them: it projects each
+(:func:`_encode`); over ``q+``, ``r+`` and ``n`` the constraint has an
+``x >= 0`` row for every rule variable, where ``Rule.domain_rows`` leaves
+out those the rule's rows imply.  ``almterm.decider`` never builds them: it projects each
 rule's dual cone once, straight from the rule's rows, and instantiates it
 twice.  The tests check the cones against these systems, which share no
 encoding code with them.
@@ -87,9 +89,8 @@ def _encode(
     and per column the coefficient-variable combination that multiplies it
     in the decrease objective and in the body-level objective."""
     head, body = rule.head, rule.body[0]
-    nonneg = nonneg_rows(rule.variables) if domain.nonneg else ()
     system = integer_system(
-        (({one: 1}, 1, EQ),) + rule.rows + nonneg,
+        (({one: 1}, 1, EQ),) + _constraint(rule, domain),
         order_hint=(one,) + head.args + body.args,
     )
     hc = coeff_ids[head.pred]
@@ -116,6 +117,12 @@ def _encode(
     return system, decrease, nonneg
 
 
+def _constraint(rule: Rule, domain: Domain):
+    """The rule's rows, then an ``x >= 0`` row per rule variable over a
+    nonnegative domain."""
+    return rule.rows + (nonneg_rows(rule.variables) if domain.nonneg else ())
+
+
 def build_rule_primal(
     rule: Rule,
     domain: Domain,
@@ -128,7 +135,7 @@ def build_rule_primal(
         return None
     if len(rule.body) != 1:
         raise ModelError(f"rule {rule.rule_id} is not binary")
-    if not feasible(integer_system(rule.domain_rows(domain))):
+    if not feasible(integer_system(_constraint(rule, domain))):
         return None
     one = pool.fresh(f"one[{rule.rule_id}]")
     system, decrease, nonneg = _encode(rule, domain, one, coeff_ids)

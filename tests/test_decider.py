@@ -25,7 +25,7 @@ from almterm import (
     verify,
 )
 from almterm import decider, lp
-from helpers import feasible, load, random_binary_program_text
+from helpers import feasible, load, random_binary_program_text, random_flat_program_text
 from linear import LinearExpr, equal, geq, normalize, var
 from multiplier_systems import all_constraints, build_rule_primal, build_rule_systems, systems
 
@@ -267,6 +267,31 @@ def test_projection_reuses_the_solved_point(monkeypatch):
     monkeypatch.setattr(lp, "feasible_point", lambda sys: calls.append(sys))
     assert [v.projection for v in verdicts] == expected
     assert calls == []
+
+
+def test_verdicts_agree_with_explicit_systems_over_every_floor():
+    """On ``q+``, ``r+`` and ``n`` the cones leave out the floors a rule's
+    rows imply, and ``decide``'s verdict is still whether the explicit
+    multiplier systems of every binary rule, built with an ``x >= 0`` row
+    per rule variable, can be satisfied together."""
+    rng = random.Random(41)
+    texts = [random_binary_program_text(rng) for _ in range(25)]
+    texts += [random_flat_program_text(rng) for _ in range(25)]
+    texts += ["p(x) :- x >= 6, y = x - 3, p(y).", "p(x) :- y = x, p(y).", "p(x) :- x <= 4, y = 4 - x, p(y)."]
+    kinds = set()
+    for text in texts:
+        program = binarize(parse_program(text))
+        for domain in (QPLUS, RPLUS, N):
+            pool = program.pool.clone()
+            coeff_ids = coeff_table(program, pool)
+            constraints = []
+            for rule in program.rules:
+                for system in build_rule_systems(rule, domain, pool, coeff_ids) or ():
+                    constraints += system.all_constraints()
+            verdict = decide(program, domain)
+            assert verdict.affirmative == feasible(normalize(constraints)), (text, domain)
+            kinds.add(verdict.kind)
+    assert kinds == {ALM_RECURRENT, NOT_ALM_RECURRENT, SOUND_YES, UNKNOWN}
 
 
 def test_empty_and_bare_fact_programs():

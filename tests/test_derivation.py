@@ -330,9 +330,11 @@ def test_each_rewrite_from_a_ground_atom_projects_then_eliminates_once(monkeypat
     """The head is bound to the selected atom, so no link row is substituted
     away: each rewrite makes one projection, onto its goal's variables, and
     a satisfiable projection is decided by one elimination of every variable
-    (``keep`` empty), the ``x >= 0`` rows of a nonnegative domain included;
-    the final failing rewrite's projection finds the contradiction itself,
-    so no elimination follows it."""
+    (``keep`` empty), the ``x >= 0`` rows a nonnegative domain adds
+    included; the final failing rewrite's projection finds the contradiction
+    itself, so no elimination follows it.  The rule's rows imply the floors
+    of ``x`` and ``y``, so over ``q+`` and ``n`` the stores keep a floor row
+    for ``v`` only."""
     calls = []
     project_constraints = almterm.derivation.project_constraints
 
@@ -350,7 +352,8 @@ def test_each_rewrite_from_a_ground_atom_projects_then_eliminates_once(monkeypat
         ),
     ):
         calls.clear()
-        trace = run_ground(parse_program(text), "p", args, seed=0, domain=domain)
+        program = parse_program(text)
+        trace = run_ground(program, "p", args, seed=0, domain=domain)
         assert (trace.steps, trace.outcome) == (8, FAILURE)
         made = iter(calls)
         for state in trace.states[1:]:
@@ -364,13 +367,17 @@ def test_each_rewrite_from_a_ground_atom_projects_then_eliminates_once(monkeypat
             assert keep == set() and rows == projected and decided is not None
         assert next(made, None) is None
         # the last store before the failing rewrite pins every argument,
-        # beside its x >= 0 row over q+ and n
+        # beside the x >= 0 row over q+ and n of each body argument whose
+        # floor the rule's rows leave open: v's
         eqs, ineqs = trace.states[-2].rows
         live = trace.states[-2].goal[0].args
         assert len(eqs) == len(args) and all(len(coeffs) == 1 for coeffs, _ in eqs)
         assert sorted(v for coeffs, _ in eqs for v in coeffs) == sorted(live)
-        nonneg = [({v: 1}, 0) for v in live] if domain.nonneg else []
-        assert sorted(ineqs, key=repr) == sorted(nonneg, key=repr)
+        (rule,) = program.rules
+        open_floors = [v for coeffs, _, _ in rule.open_floors for v in coeffs]
+        nonneg = [({w: 1}, 0) for w, v in zip(live, rule.body[0].args) if v in open_floors]
+        assert len(nonneg) == len(args) - 1
+        assert sorted(ineqs, key=repr) == (nonneg if domain.nonneg else [])
 
 
 def sampled_programs():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,12 @@ from almterm import (
     Program,
     Rule,
     VariablePool,
+    entails,
     parse_program,
     rat,
 )
+from almterm.lp import integer_system
+from helpers import random_binary_program_text, random_flat_program_text, random_rational_program_text
 from linear import LinearExpr, constraint_row, equal
 
 rationals = st.fractions(
@@ -149,14 +153,65 @@ def test_rule_flatness_checks():
 
 
 def test_domain_rows_append_sorted_nonnegativity_rows():
+    """On ``q+``, ``r+`` and ``n`` the ``x >= 0`` rows follow the rule's
+    rows, in variable id order, for the variables whose floor those rows
+    leave open: ``y >= 1`` gives ``y``'s, and ``z = x + y`` would give
+    ``z``'s only from a floor on ``x``, which no row of the rule states."""
     (rule,) = parse_program("p(x, y) :- z = x + y, y >= 1, q(z).\n").rules
     # the rule's variable order (row order first) is not id order
     assert list(rule.variables) != sorted(rule.variables)
     for tag in ("q", "r"):
         assert rule.domain_rows(Domain(tag)) == rule.rows
-    nonneg = tuple(({v: 1}, 0, GEQ) for v in sorted(rule.variables))
+    x, _ = rule.head.args
+    (z,) = rule.body[0].args
+    nonneg = tuple(({v: 1}, 0, GEQ) for v in sorted((x, z)))
+    assert rule.open_floors == nonneg
     for tag in ("q+", "r+", "n"):
         assert rule.domain_rows(Domain(tag)) == rule.rows + nonneg
+
+
+def test_domain_rows_leave_out_the_floors_a_rule_implies():
+    """``x >= 6`` implies ``x >= 0``, and ``y = x - 3`` over it ``y >= 0``,
+    so the rule keeps its own rows only; so do rules whose bounds need a
+    division (``2*x >= 3``, ``3*y = 2*x - 3``) or an upper bound
+    (``x <= 4``, ``y = 4 - x``, which leaves ``x`` open)."""
+    (rule,) = parse_program("p(x) :- x >= 6, y = x - 3, p(y).").rules
+    for tag in ("q+", "r+", "n"):
+        assert rule.domain_rows(Domain(tag)) == rule.rows
+    (rule,) = parse_program("p(x) :- 2*x >= 3, 3*y = 2*x - 3, p(y).").rules
+    assert rule.open_floors == ()
+    (rule,) = parse_program("p(x) :- x <= 4, y = 4 - x, p(y).").rules
+    assert rule.open_floors == (({rule.head.args[0]: 1}, 0, GEQ),)
+
+
+def test_domain_rows_take_no_floor_from_a_row_left_out():
+    """``y = x`` gives ``y``'s floor from ``x``'s and ``x``'s from ``y``'s,
+    but the rule states neither, so both rows are written."""
+    (rule,) = parse_program("p(x) :- y = x, p(y).").rules
+    (x,), (y,) = rule.head.args, rule.body[0].args
+    floors = tuple(({v: 1}, 0, GEQ) for v in sorted((x, y)))
+    assert rule.domain_rows(Domain("q+")) == rule.rows + floors
+
+
+def test_every_floor_left_out_is_entailed():
+    """Seeds 0-499 of each program generator of ``tests/helpers``: on
+    ``q+``, ``r+`` and ``n`` each rule variable's ``x >= 0`` row that
+    ``domain_rows`` leaves out is entailed by the rows it returns, which are
+    the same on the three domains."""
+    counts = {True: 0, False: 0}
+    for seed in range(500):
+        for generate in (random_binary_program_text, random_flat_program_text, random_rational_program_text):
+            for rule in parse_program(generate(random.Random(seed))).rules:
+                rows = rule.domain_rows(Domain("q+"))
+                assert rows == rule.domain_rows(Domain("r+")) == rule.domain_rows(Domain("n"))
+                system = integer_system(rows)
+                floors = rows[len(rule.rows) :]
+                for v in rule.variables:
+                    left_out = ({v: 1}, 0, GEQ) not in floors
+                    counts[left_out] += 1
+                    if left_out:
+                        assert entails(system, {v: 1}, 0), (generate.__name__, seed, rule.rule_id, v)
+    assert counts[True] > 1000 and counts[False] > 1000
 
 
 def test_domain_parsing():
