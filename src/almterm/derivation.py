@@ -9,14 +9,15 @@ head to the atom (each head argument becomes the atom's argument: head
 arguments are distinct, so this is the polyhedron that equating them would
 give) and conjoins the rule's rows over the domain (``Rule.domain_rows``,
 with the ``x >= 0`` rows the rule's rows leave open on ``q+``, ``r+`` and
-``n``, so every store implies the domain of every goal variable).  The grown store is
-existentially projected onto the variables of the rule's body atom, and the
-projection is decided by eliminating its variables as well, since full
-Fourier-Motzkin elimination is a decision procedure over the rationals.  If
-either step finds a contradiction the state collapses to the failure state
-``<[] || false>`` (represented by a ``None`` store); otherwise the body atom,
-or none for a fact, is the new goal and the projection is the new store.
-Only the start atom is ground; later bindings stay symbolic in the store.
+``n``, so every store implies the domain of every goal variable).  The grown
+store is existentially projected onto the variables of the rule's body atom,
+and the projection is decided by eliminating its variables as well, since
+full Fourier-Motzkin elimination is a decision procedure over the rationals.
+If either step finds a contradiction the state collapses to the failure
+state ``<[] || false>`` (represented by a ``None`` store); otherwise the body
+atom, or none for a fact, is the new goal and the projection is the new
+store.  Only the start atom is ground; later bindings stay symbolic in the
+store.
 
 Projecting changes nothing observable (the projection has the same solutions
 over the live variables, and rules are renamed apart so no future constraint

@@ -651,11 +651,10 @@ def project_constraints(
     if best is None:
         return None
     # per variable left to eliminate, its positive and negative occurrences
-    counts: dict[int, list[int]] = {}
-    for coeffs, _ in best.values():
-        for v, c in coeffs.items():
-            if v not in keep:
-                counts.setdefault(v, [0, 0])[c < 0] += 1
+    counts = {v: [0, 0] for v in {v for coeffs, _ in best.values() for v in coeffs} - keep}
+    if counts:
+        for coeffs, _ in best.values():
+            _count(coeffs, counts)
     while counts:
         # fewest combined rows, ties to the smallest id
         var = min(counts, key=lambda v: (counts[v][0] * counts[v][1], v))

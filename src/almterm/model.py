@@ -191,7 +191,8 @@ class Rule:
         """One ``x >= 0`` row per rule variable whose floor ``rows`` do not
         imply, in variable id order (computed once per rule): LP presolve's
         bound propagation (Andersen and Andersen, Math. Programming 1995),
-        one pass over ``rows`` and never through a row it leaves out.
+        with bounds read off ``rows`` in one pass and never off a row it
+        leaves out.
 
         A one-variable row ``k*x >= b`` bounds ``x`` by ``b/k``, from below
         if ``k > 0`` and from above if not, and ``k*x = b`` on both sides;
