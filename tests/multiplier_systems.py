@@ -8,10 +8,10 @@ fresh multipliers, exactly as written, from the rule's constraint with a
 ``one`` column pinned to 1 and every equality written as two ``>=`` rows
 (:func:`_encode`); over ``q+``, ``r+`` and ``n`` the constraint has an
 ``x >= 0`` row for every rule variable, where ``Rule.domain_rows`` leaves
-out those the rule's rows imply.  ``almterm.decider`` never builds them: it projects each
-rule's dual cone once, straight from the rule's rows, and instantiates it
-twice.  The tests check the cones against these systems, which share no
-encoding code with them.
+out those the rule's rows imply.  ``almterm.decider`` never builds them: it
+projects each rule's dual cone once, straight from the rule's rows, and
+instantiates it twice.  The tests check the cones against these systems,
+which share no encoding code with them.
 """
 
 from __future__ import annotations
